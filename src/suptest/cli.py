@@ -1,8 +1,11 @@
 """Command-line pipeline: behaviour -> program/reference -> suites -> verdicts.
 
+Each stage is one function that takes in-memory inputs, writes its
+artefacts, prints its summary line and returns its result; a subcommand
+loads that stage's inputs from files, and `pipeline` chains the stages.
 Every artefact is written in the canonical encoding and embeds the
 fingerprints of the artefacts it was derived from, so a pipeline run is
-reproducible byte for byte and mismatched artefacts are refused.
+reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from . import harness, mutation, sfsm, supervisor, testgen
 from .encoding import canonical_dumps, fingerprint
 from .fsm import MealyMachine
 from .guards import DEFAULT_ENUM_BOUND
-from .sfsm import POLICY_ERROR, Sfsm
+from .sfsm import POLICY_ERROR, POLICY_SELFLOOP, Sfsm
 
 CONFIG_ENV = "SUPTEST_CONFIG"
 
@@ -38,9 +41,21 @@ class CliError(Exception):
 def load_config() -> dict:
     config = dict(DEFAULTS)
     path = os.environ.get(CONFIG_ENV)
-    if path:
+    if not path:
+        return config
+    try:
         with open(path, "r", encoding="utf-8") as fh:
-            config.update(json.load(fh))
+            loaded = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise CliError(f"{CONFIG_ENV}={path}: {exc}") from exc
+    if not isinstance(loaded, dict):
+        raise CliError(f"{CONFIG_ENV}={path}: expected a JSON object")
+    unknown = sorted(set(loaded) - set(DEFAULTS))
+    if unknown:
+        raise CliError(f"{CONFIG_ENV}={path}: unknown keys {unknown}")
+    config.update(loaded)
+    if config["policy"] not in (POLICY_ERROR, POLICY_SELFLOOP):
+        raise CliError(f"{CONFIG_ENV}={path}: unknown policy {config['policy']!r}")
     return config
 
 
@@ -60,16 +75,6 @@ def read_artifact(path) -> dict:
         return json.load(fh)
 
 
-def check_inputs(doc: dict, expected: dict, path) -> None:
-    stored = doc.get("derivedFrom", {})
-    for name, fp in expected.items():
-        if name in stored and stored[name] != fp:
-            raise CliError(
-                f"{path}: fingerprint mismatch for {name} "
-                f"(artefact has {stored[name]}, current input is {fp})"
-            )
-
-
 def load_machine(path) -> MealyMachine:
     return MealyMachine.from_obj(read_artifact(path))
 
@@ -83,17 +88,94 @@ def load_program(path) -> supervisor.GuardedActionProgram:
 
 
 def load_suite(path) -> testgen.TestSuite:
-    obj = read_artifact(path)
-    suite = testgen.TestSuite.from_obj(obj)
-    if suite.concrete:
-        suite.cases = [
-            testgen.TestCase(
-                tuple(dict(v) if isinstance(v, dict) else v for v in c.inputs),
-                tuple(dict(v) if isinstance(v, dict) else v for v in c.expected),
-            )
-            for c in suite.cases
-        ]
+    return testgen.TestSuite.from_obj(read_artifact(path))
+
+
+# ---------------------------------------------------------------------------
+# Stages
+# ---------------------------------------------------------------------------
+
+def translate(behaviour_path, out: Path, config) -> tuple[Sfsm, supervisor.HypothesisReport]:
+    behaviour = supervisor.load_behavior(behaviour_path)
+    bound = config["enum_bound"]
+    program = supervisor.to_guarded_actions(behaviour, config["policy"], bound)
+    reference = supervisor.to_test_reference(behaviour, config["policy"], bound)
+    report = supervisor.check_hypotheses(program, reference)
+    for warning in behaviour.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+    out.mkdir(parents=True, exist_ok=True)
+    behaviour_fp = fingerprint(read_artifact(behaviour_path))
+    write_artifact(out / "program.gap", program.to_obj(), {"behaviour": behaviour_fp})
+    write_artifact(out / "reference.sfsm", reference.to_obj(), {"behaviour": behaviour_fp})
+    print(report.summary())
+    return reference, report
+
+
+def classes(reference: Sfsm, path, config) -> sfsm.InputClassPartition:
+    partition = sfsm.input_classes(reference, config["enum_bound"])
+    write_artifact(path, partition.to_obj(), {"sfsm": reference.fingerprint()})
+    print(f"{len(partition.classes)} input equivalence classes")
+    return partition
+
+
+def abstract(reference: Sfsm, out: Path, config) -> tuple[MealyMachine, sfsm.AbstractionMap]:
+    machine, amap = sfsm.abstract_to_fsm(reference, config["policy"], config["enum_bound"])
+    out.mkdir(parents=True, exist_ok=True)
+    ref_fp = reference.fingerprint()
+    write_artifact(out / "fsm.json", machine.to_obj(), {"sfsm": ref_fp})
+    write_artifact(out / "abstraction.json", amap.to_obj(), {"sfsm": ref_fp})
+    print(f"FSM: {len(machine.states)} states, {len(machine.inputs)} inputs, "
+          f"{len(machine.outputs)} outputs")
+    return machine, amap
+
+
+def generate(machine: MealyMachine, method: str, m_bound, path, config) -> testgen.TestSuite:
+    """`m_bound` None means the state count plus the configured `m_extra`."""
+    if m_bound is None:
+        m_bound = len(machine.states) + config["m_extra"]
+    derive = testgen.h_method if method == "h" else testgen.w_method
+    suite = derive(machine, m_bound)
+    write_artifact(path, suite.to_obj(), {"fsm": machine.fingerprint()})
+    stats = testgen.suite_stats(suite)
+    print(f"{method}-suite: {stats['cases']} cases, "
+          f"{stats['total_input_symbols']} input symbols, "
+          f"max length {stats['max_length']}")
     return suite
+
+
+def check_suite(machine: MealyMachine, suite: testgen.TestSuite) -> testgen.CompletenessReport:
+    if suite.reference_fingerprint != machine.fingerprint():
+        raise CliError("suite was generated from a different reference machine")
+    report = testgen.check_h_completeness(machine, suite.m_bound, suite)
+    print(report.summary())
+    return report
+
+
+def concretize(suite: testgen.TestSuite, partition, amap, path) -> testgen.TestSuite:
+    concrete = sfsm.concretize_suite(suite, partition, amap)
+    write_artifact(path, concrete.to_obj(), {"suite": fingerprint(suite.to_obj())})
+    print(f"concretized {len(concrete.cases)} cases")
+    return concrete
+
+
+def run(suite: testgen.TestSuite, sut_command: str, path, config) -> harness.TestReport:
+    with harness.SutAdapter(sut_command, config["step_timeout"]) as sut:
+        report = harness.run_suite(sut, suite)
+    if path:
+        write_artifact(path, report.to_obj(), {"suite": fingerprint(suite.to_obj())})
+    print(report.summary())
+    return report
+
+
+def render(model: Sfsm | MealyMachine, path, config) -> None:
+    if isinstance(model, Sfsm):
+        text = sfsm.export_dot(model, bound=config["enum_bound"])
+    else:
+        text = model.to_dot()
+    if path:
+        Path(path).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -101,101 +183,46 @@ def load_suite(path) -> testgen.TestSuite:
 # ---------------------------------------------------------------------------
 
 def cmd_translate(args, config) -> int:
-    behaviour = supervisor.load_behavior(args.behaviour)
-    bound = config["enum_bound"]
-    program = supervisor.to_guarded_actions(behaviour, config["policy"], bound)
-    reference = supervisor.to_test_reference(behaviour, config["policy"], bound)
-    report = supervisor.check_hypotheses(program, reference)
-    for warning in behaviour.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-    out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    behaviour_fp = fingerprint(read_artifact(args.behaviour))
-    write_artifact(out / "program.gap", program.to_obj(), {"behaviour": behaviour_fp})
-    write_artifact(out / "reference.sfsm", reference.to_obj(), {"behaviour": behaviour_fp})
-    print(report.summary())
+    _, report = translate(args.behaviour, Path(args.out or "."), config)
     return 0 if report.ok else 1
 
 
 def cmd_classes(args, config) -> int:
-    reference = load_sfsm(args.sfsm)
-    partition = sfsm.input_classes(reference, config["enum_bound"])
-    write_artifact(args.out or "partition.json", partition.to_obj(),
-                   {"sfsm": reference.fingerprint()})
-    print(f"{len(partition.classes)} input equivalence classes")
+    classes(load_sfsm(args.sfsm), args.out or "partition.json", config)
     return 0
 
 
 def cmd_abstract(args, config) -> int:
-    reference = load_sfsm(args.sfsm)
-    machine, amap = sfsm.abstract_to_fsm(reference, config["policy"], config["enum_bound"])
-    out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    ref_fp = reference.fingerprint()
-    write_artifact(out / "fsm.json", machine.to_obj(), {"sfsm": ref_fp})
-    write_artifact(out / "abstraction.json", amap.to_obj(), {"sfsm": ref_fp})
-    print(f"FSM: {len(machine.states)} states, {len(machine.inputs)} inputs, "
-          f"{len(machine.outputs)} outputs")
+    abstract(load_sfsm(args.sfsm), Path(args.out or "."), config)
     return 0
 
 
-def _m_bound(args, config, machine) -> int:
-    if getattr(args, "m", None) is not None:
-        return args.m
-    return len(machine.states) + config["m_extra"]
-
-
 def cmd_generate(args, config) -> int:
-    machine = load_machine(args.fsm)
-    m_bound = _m_bound(args, config, machine)
-    if args.method == "h":
-        suite = testgen.h_method(machine, m_bound)
-    else:
-        suite = testgen.w_method(machine, m_bound)
-    write_artifact(args.out or f"suite-{args.method}.json", suite.to_obj(),
-                   {"fsm": machine.fingerprint()})
-    stats = testgen.suite_stats(suite)
-    print(f"{args.method}-suite: {stats['cases']} cases, "
-          f"{stats['total_input_symbols']} input symbols, "
-          f"max length {stats['max_length']}")
+    generate(load_machine(args.fsm), args.method, args.m,
+             args.out or f"suite-{args.method}.json", config)
     return 0
 
 
 def cmd_concretize(args, config) -> int:
-    suite = load_suite(args.suite)
     partition_doc = read_artifact(args.partition)
     abstraction_doc = read_artifact(args.abstraction)
     p_fp = partition_doc.get("derivedFrom", {}).get("sfsm")
     a_fp = abstraction_doc.get("derivedFrom", {}).get("sfsm")
     if p_fp and a_fp and p_fp != a_fp:
         raise CliError("partition and abstraction map come from different SFSMs")
-    partition = sfsm.InputClassPartition.from_obj(partition_doc)
-    amap = sfsm.AbstractionMap.from_obj(abstraction_doc)
-    concrete = sfsm.concretize_suite(suite, partition, amap)
-    write_artifact(args.out or "suite-concrete.json", concrete.to_obj(),
-                   {"suite": fingerprint(suite.to_obj())})
-    print(f"concretized {len(concrete.cases)} cases")
+    concretize(load_suite(args.suite), sfsm.InputClassPartition.from_obj(partition_doc),
+               sfsm.AbstractionMap.from_obj(abstraction_doc),
+               args.out or "suite-concrete.json")
     return 0
 
 
 def cmd_check_suite(args, config) -> int:
-    machine = load_machine(args.fsm)
-    suite = load_suite(args.suite)
-    if suite.reference_fingerprint != machine.fingerprint():
-        raise CliError("suite was generated from a different reference machine")
-    report = testgen.check_h_completeness(machine, suite.m_bound, suite)
-    print(report.summary())
+    report = check_suite(load_machine(args.fsm), load_suite(args.suite))
     return 0 if report.ok else 1
 
 
 def cmd_run(args, config) -> int:
-    suite = load_suite(args.suite)
-    with harness.SutAdapter(args.sut, config["step_timeout"]) as sut:
-        report = harness.run_suite(sut, suite)
-    if args.out:
-        write_artifact(args.out, report.to_obj(),
-                       {"suite": fingerprint(suite.to_obj())})
-    print(report.summary())
+    report = run(load_suite(args.suite), args.sut, args.out, config)
     return 0 if report.complete_pass else 1
 
 
@@ -236,65 +263,26 @@ def cmd_mutate(args, config) -> int:
 
 def cmd_render(args, config) -> int:
     obj = read_artifact(args.model)
-    if "input_vars" in obj:
-        text = sfsm.export_dot(Sfsm.from_obj(obj), bound=config["enum_bound"])
-    else:
-        text = MealyMachine.from_obj(obj).to_dot()
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    model = Sfsm.from_obj(obj) if "input_vars" in obj else MealyMachine.from_obj(obj)
+    render(model, args.out, config)
     return 0
 
 
 def cmd_pipeline(args, config) -> int:
     out = Path(args.out or "artefacts")
-    out.mkdir(parents=True, exist_ok=True)
-    bound = config["enum_bound"]
-
-    behaviour = supervisor.load_behavior(args.behaviour)
-    behaviour_fp = fingerprint(read_artifact(args.behaviour))
-    program = supervisor.to_guarded_actions(behaviour, config["policy"], bound)
-    reference = supervisor.to_test_reference(behaviour, config["policy"], bound)
-    hypo = supervisor.check_hypotheses(program, reference)
-    write_artifact(out / "program.gap", program.to_obj(), {"behaviour": behaviour_fp})
-    write_artifact(out / "reference.sfsm", reference.to_obj(), {"behaviour": behaviour_fp})
-    print(hypo.summary())
-    if not hypo.ok:
+    reference, hypotheses = translate(args.behaviour, out, config)
+    if not hypotheses.ok:
         return 1
-
-    ref_fp = reference.fingerprint()
-    partition = sfsm.input_classes(reference, bound)
-    write_artifact(out / "partition.json", partition.to_obj(), {"sfsm": ref_fp})
-    machine, amap = sfsm.abstract_to_fsm(reference, config["policy"], bound)
-    write_artifact(out / "fsm.json", machine.to_obj(), {"sfsm": ref_fp})
-    write_artifact(out / "abstraction.json", amap.to_obj(), {"sfsm": ref_fp})
-
-    m_bound = _m_bound(args, config, machine)
-    suite = testgen.h_method(machine, m_bound)
-    write_artifact(out / "suite-h.json", suite.to_obj(), {"fsm": machine.fingerprint()})
-    stats = testgen.suite_stats(suite)
-    print(f"h-suite: {stats['cases']} cases, {stats['total_input_symbols']} symbols")
-
-    completeness = testgen.check_h_completeness(machine, m_bound, suite)
-    print(completeness.summary())
-    if not completeness.ok:
+    partition = classes(reference, out / "partition.json", config)
+    machine, amap = abstract(reference, out, config)
+    suite = generate(machine, "h", args.m, out / "suite-h.json", config)
+    if not check_suite(machine, suite).ok:
         return 1
-
-    concrete = sfsm.concretize_suite(suite, partition, amap)
-    write_artifact(out / "suite-concrete.json", concrete.to_obj(),
-                   {"suite": fingerprint(suite.to_obj())})
-
-    (out / "reference.dot").write_text(sfsm.export_dot(reference, bound=bound),
-                                       encoding="utf-8")
-    (out / "fsm.dot").write_text(machine.to_dot(), encoding="utf-8")
-
+    concrete = concretize(suite, partition, amap, out / "suite-concrete.json")
+    render(reference, out / "reference.dot", config)
+    render(machine, out / "fsm.dot", config)
     sut_command = args.sut or f"{sys.executable} -m suptest serve-reference {out / 'program.gap'}"
-    with harness.SutAdapter(sut_command, config["step_timeout"]) as sut:
-        report = harness.run_suite(sut, concrete)
-    write_artifact(out / "report.json", report.to_obj(),
-                   {"suite": fingerprint(concrete.to_obj())})
-    print(report.summary())
+    report = run(concrete, sut_command, out / "report.json", config)
     return 0 if report.complete_pass else 1
 
 
@@ -384,9 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    config = load_config()
     try:
-        return args.func(args, config)
+        return args.func(args, load_config())
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -262,64 +262,64 @@ def run_suite_offline(program: GuardedActionProgram, ts) -> TestReport:
 # Reference SUT
 # ---------------------------------------------------------------------------
 
+def _serve(reset, step, stdin, stdout) -> None:
+    """Protocol loop until EOF; `step` maps IN text to OUT text or raises for ERR."""
+    stdin = stdin if stdin is not None else sys.stdin
+    stdout = stdout if stdout is not None else sys.stdout
+
+    def reply(line: str) -> None:
+        stdout.write(line + "\n")
+        stdout.flush()
+
+    for line in stdin:
+        line = line.strip()
+        if not line:
+            continue
+        if line == "RESET":
+            reset()
+            reply("READY")
+        elif line.startswith("IN "):
+            try:
+                output = step(line[3:])
+            except Exception as exc:
+                reply(f"ERR {exc}")
+                continue
+            reply("OUT " + output)
+        else:
+            reply(f"ERR unknown command {line!r}")
+
+
 def serve_reference(program: GuardedActionProgram, stdin=None, stdout=None) -> None:
     """Speak the wire protocol on standard streams until EOF.
 
     Malformed input produces an ERR reply and leaves the state unchanged.
     """
-    stdin = stdin if stdin is not None else sys.stdin
-    stdout = stdout if stdout is not None else sys.stdout
     interp = Interpreter(program)
 
-    def reply(line: str) -> None:
-        stdout.write(line + "\n")
-        stdout.flush()
+    def step(text: str) -> str:
+        v = decode_valuation(text)
+        if v is None:
+            raise ValueError("nil is not a valid input")
+        return encode_valuation(interp.step(v))
 
-    for line in stdin:
-        line = line.strip()
-        if not line:
-            continue
-        if line == "RESET":
-            interp.reset()
-            reply("READY")
-        elif line.startswith("IN "):
-            try:
-                v = decode_valuation(line[3:])
-                if v is None:
-                    raise ValueError("nil is not a valid input")
-                output = interp.step(v)
-            except Exception as exc:
-                reply(f"ERR {exc}")
-                continue
-            reply("OUT " + encode_valuation(output))
-        else:
-            reply(f"ERR unknown command {line!r}")
+    _serve(interp.reset, step, stdin, stdout)
 
 
 def serve_machine(machine, stdin=None, stdout=None) -> None:
     """Serve a Mealy machine over the wire protocol with bare symbols."""
-    stdin = stdin if stdin is not None else sys.stdin
-    stdout = stdout if stdout is not None else sys.stdout
     state = machine.initial
 
-    def reply(line: str) -> None:
-        stdout.write(line + "\n")
-        stdout.flush()
+    def reset() -> None:
+        nonlocal state
+        state = machine.initial
 
-    for line in stdin:
-        line = line.strip()
-        if not line:
-            continue
-        if line == "RESET":
-            state = machine.initial
-            reply("READY")
-        elif line.startswith("IN "):
-            symbol = line[3:].strip()
-            entry = machine.transitions.get((state, symbol))
-            if entry is None:
-                reply(f"ERR no transition on {symbol!r}")
-                continue
-            state, output = entry
-            reply("OUT " + output)
-        else:
-            reply(f"ERR unknown command {line!r}")
+    def step(text: str) -> str:
+        nonlocal state
+        symbol = text.strip()
+        entry = machine.transitions.get((state, symbol))
+        if entry is None:
+            raise HarnessError(f"no transition on {symbol!r}")
+        state, output = entry
+        return output
+
+    _serve(reset, step, stdin, stdout)

@@ -143,18 +143,6 @@ class Sfsm:
     def outgoing(self, state: str) -> list[SfsmTransition]:
         return [t for t in self.transitions if t.source == state]
 
-    def check_determinism(self, bound: int = DEFAULT_ENUM_BOUND) -> None:
-        """Pairwise guard disjointness per state, by enumeration."""
-        for state in self.states:
-            out = self.outgoing(state)
-            for v in enumerate_valuations(self.input_vars, bound):
-                enabled = [t for t in out if eval_guard(t.guard, v)]
-                if len(enabled) > 1:
-                    raise DeterminismViolation(
-                        state, v,
-                        (print_guard(enabled[0].guard), print_guard(enabled[1].guard)),
-                    )
-
     def step(self, state: str, v: Valuation) -> SfsmTransition | None:
         """Unique enabled transition at (state, v), or None."""
         enabled = [t for t in self.outgoing(state) if eval_guard(t.guard, v)]
@@ -276,8 +264,10 @@ def abstract_to_fsm(
     States carry over unchanged; each distinct output valuation becomes one
     atomic output label (o0, o1, ... in canonical encoding order).  States
     left uncovered by every guard are handled per `policy`.
+
+    Deciding determinism per class is exact because the classes refine every
+    guard; overlaps in every state take precedence over an uncovered input.
     """
-    r.check_determinism(bound)
     partition = input_classes(r, bound)
 
     distinct_outputs = sorted(
@@ -292,6 +282,7 @@ def abstract_to_fsm(
     outputs = [f"o{i}" for i in range(len(distinct_outputs))]
     transitions = {}
     needs_nil = False
+    incomplete = None
     for state in r.states:
         out = r.outgoing(state)
         for c in partition.classes:
@@ -310,8 +301,10 @@ def abstract_to_fsm(
             elif policy == POLICY_SELFLOOP:
                 transitions[(state, c.id)] = (state, NIL_LABEL)
                 needs_nil = True
-            else:
-                raise IncompleteState(state, c.representative)
+            elif incomplete is None:
+                incomplete = IncompleteState(state, c.representative)
+    if incomplete is not None:
+        raise incomplete
     if needs_nil:
         outputs.append(NIL_LABEL)
         label_to_output[NIL_LABEL] = None

@@ -10,6 +10,7 @@ from suptest.cli import main
 from suptest.encoding import canonical_dumps
 from suptest.mutation import OUTPUT_FAULT, generate_mutants
 from suptest.supervisor import load_behavior, to_guarded_actions
+from test_supervisor import single_transition_obj
 
 
 @pytest.fixture()
@@ -170,6 +171,42 @@ class TestPipeline:
         for child in sorted(out1.iterdir()):
             assert (out2 / child.name).read_bytes() == child.read_bytes(), child.name
 
+    def test_prints_behaviour_warnings(self, tmp_path, capsys):
+        obj = single_transition_obj()
+        obj["transitions"] = [
+            {"source": {"F": "0"}, "guard": "true", "output": {"y": 0}, "target": {"F": "0"}},
+            {"source": {"F": "a"}, "guard": "true", "output": {"y": 1}, "target": {"F": "m"}},
+        ]
+        path = tmp_path / "unreachable.cb"
+        path.write_text(json.dumps(obj))
+        assert main(["pipeline", str(path), "--out", str(tmp_path / "pipeline")]) == 1
+        assert "unreachable risk states dropped" in capsys.readouterr().err
+
+    def test_stage_chain_writes_pipeline_artefacts(self, tmp_path, behaviour):
+        piped = tmp_path / "pipeline"
+        assert main(["pipeline", str(behaviour), "--out", str(piped)]) == 0
+        out = tmp_path / "stages"
+        ref = out / "reference.sfsm"
+        sut = f"{sys.executable} -m suptest serve-reference {out / 'program.gap'}"
+        for argv in (
+            ["translate", str(behaviour), "--out", str(out)],
+            ["classes", str(ref), "--out", str(out / "partition.json")],
+            ["abstract", str(ref), "--out", str(out)],
+            ["generate", str(out / "fsm.json"), "--out", str(out / "suite-h.json")],
+            ["concretize", str(out / "suite-h.json"), str(out / "partition.json"),
+             str(out / "abstraction.json"), "--out", str(out / "suite-concrete.json")],
+            ["render", str(ref), "--out", str(out / "reference.dot")],
+            ["render", str(out / "fsm.json"), "--out", str(out / "fsm.dot")],
+            ["run", str(out / "suite-concrete.json"), "--sut", sut,
+             "--out", str(out / "report.json")],
+        ):
+            assert main(argv) == 0, argv
+        names = sorted(p.name for p in piped.iterdir())
+        assert len(names) == 10
+        assert sorted(p.name for p in out.iterdir()) == names
+        for name in names:
+            assert (out / name).read_bytes() == (piped / name).read_bytes(), name
+
     def test_config_env_override(self, tmp_path, behaviour, monkeypatch):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"m_extra": 1}))
@@ -179,3 +216,23 @@ class TestPipeline:
         suite = read(out / "suite-h.json")
         fsm = read(out / "fsm.json")
         assert suite["mBound"] == len(fsm["states"]) + 1
+
+
+class TestConfig:
+    @pytest.mark.parametrize("content, cause", [
+        (None, "No such file"),
+        ("{", "Expecting"),
+        ("[]", "expected a JSON object"),
+        ('{"m_extr": 1}', "unknown keys ['m_extr']"),
+        ('{"policy": "selfloop"}', "unknown policy 'selfloop'"),
+    ], ids=["missing", "malformed", "not-object", "unknown-key", "unknown-policy"])
+    def test_bad_config_exits_2(self, tmp_path, behaviour, monkeypatch, capsys,
+                                content, cause):
+        config = tmp_path / "config.json"
+        if content is not None:
+            config.write_text(content)
+        monkeypatch.setenv("SUPTEST_CONFIG", str(config))
+        assert main(["translate", str(behaviour), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: SUPTEST_CONFIG={config}: ")
+        assert cause in err

@@ -156,6 +156,21 @@ class TestAbstractToFsm:
             abstract_to_fsm(r)
         assert err.value.witness == {"x": 3}
 
+    def test_overlap_outranks_earlier_incomplete_state(self):
+        y = [VarDecl("y", IntSort(0, 1), "controlled")]
+        r = Sfsm(
+            X_DECL, y, ["r0", "r1"], "r0",
+            [
+                SfsmTransition("r0", "a", parse_guard("x = 0", X_DECL), {"y": 1}, "r1"),
+                SfsmTransition("r1", "b", parse_guard("x > 1", X_DECL), {"y": 1}, "r1"),
+                SfsmTransition("r1", "c", parse_guard("x = 3", X_DECL), {"y": 0}, "r0"),
+            ],
+        )
+        with pytest.raises(DeterminismViolation) as err:
+            abstract_to_fsm(r)
+        assert err.value.state == "r1"
+        assert err.value.witness == {"x": 3}
+
     def test_incomplete_state_policies(self):
         g = parse_guard("x = 0", X_DECL)
         y = [VarDecl("y", IntSort(0, 1), "controlled")]
