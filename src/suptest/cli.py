@@ -34,6 +34,16 @@ DEFAULTS = {
 }
 
 
+# What each numeric setting must be; `type(x) is int` refuses booleans.
+CONFIG_TYPES = {
+    "enum_bound": ("an int >= 1", lambda x: type(x) is int and x >= 1),
+    "m_extra": ("an int >= 0", lambda x: type(x) is int and x >= 0),
+    "mutation_seed": ("an int", lambda x: type(x) is int),
+    "mutation_limit": ("an int >= 0 or null", lambda x: x is None or type(x) is int and x >= 0),
+    "step_timeout": ("a number > 0", lambda x: type(x) in (int, float) and 0 < x < float("inf")),
+}
+
+
 class CliError(Exception):
     pass
 
@@ -56,6 +66,9 @@ def load_config() -> dict:
     config.update(loaded)
     if config["policy"] not in (POLICY_ERROR, POLICY_SELFLOOP):
         raise CliError(f"{CONFIG_ENV}={path}: unknown policy {config['policy']!r}")
+    for key, (want, ok) in CONFIG_TYPES.items():
+        if not ok(config[key]):
+            raise CliError(f"{CONFIG_ENV}={path}: {key} must be {want}, got {config[key]!r}")
     return config
 
 

@@ -12,7 +12,6 @@ from typing import Any
 
 # Reserved output marker used when an incomplete state is closed off with a
 # self-loop; it is not a valuation and encodes as the bare token "nil".
-NIL = None
 NIL_TEXT = "nil"
 
 _FNV_OFFSET = 0xCBF29CE484222325

@@ -30,12 +30,6 @@ class AlphabetMismatch(FsmError):
 
 
 @dataclass(frozen=True)
-class Trace:
-    inputs: tuple[str, ...]
-    outputs: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class Counterexample:
     """Shortest input sequence on which two machines disagree."""
     inputs: tuple[str, ...]

@@ -422,6 +422,28 @@ def enumerate_valuations(
     return rec(0, {})
 
 
+def distinct_guards(guards) -> list[GuardExpr]:
+    """Distinct guards by canonical-print equality, first-occurrence order."""
+    seen: dict[str, GuardExpr] = {}
+    for g in guards:
+        seen.setdefault(print_guard(g), g)
+    return list(seen.values())
+
+
+def truth_classes(
+    guards: list[GuardExpr], decls: list[VarDecl], bound: int = DEFAULT_ENUM_BOUND
+) -> list[tuple[tuple[bool, ...], Valuation, int]]:
+    """(signature, least member, size) of each truth class of `guards`, in
+    order of least member.  What reads an input only through these guards
+    is decided exactly on the least members, and the first class showing a
+    property holds the least valuation showing it."""
+    classes: dict[tuple[bool, ...], list] = {}
+    for v in enumerate_valuations(decls, bound):
+        sig = tuple(eval_guard(g, v) for g in guards)
+        classes.setdefault(sig, [v, 0])[1] += 1
+    return [(sig, rep, size) for sig, (rep, size) in classes.items()]
+
+
 def satisfiable(
     g: GuardExpr, decls: list[VarDecl], bound: int = DEFAULT_ENUM_BOUND
 ) -> Valuation | None:

@@ -17,7 +17,7 @@ from .encoding import encode_valuation
 from .fsm import MealyMachine
 from .guards import (
     And, Comparison, DEFAULT_ENUM_BOUND, Not, Or,
-    enumerate_valuations,
+    distinct_guards, truth_classes,
 )
 from .harness import PASS, SutAdapter, run_suite, run_suite_offline
 from .sfsm import POLICY_SELFLOOP
@@ -30,8 +30,6 @@ GUARD_FLIP = "guard-literal-flip"
 
 MACHINE_OPERATORS = (OUTPUT_FAULT, TRANSFER_FAULT, EXTRA_STATE)
 PROGRAM_OPERATORS = (OUTPUT_FAULT, TRANSFER_FAULT, GUARD_FLIP)
-
-DEFAULT_ENUMERATION_LIMIT = 10_000
 
 EQUIVALENT = "EQUIVALENT"
 KILLED = "KILLED"
@@ -248,9 +246,12 @@ def program_equivalent(
     """Exact observational equivalence over the full input valuation space.
 
     Breadth-first product traversal of the two interpreters' risk-state
-    spaces; exhaustive at desk scale.
+    spaces.  Both read an input only through the truth of their guards, so
+    one representative per truth class of the joint guard set stands for
+    every valuation.
     """
-    inputs = list(enumerate_valuations(p1.input_vars, bound))
+    guards = distinct_guards(a.guard for p in (p1, p2) for a in p.actions)
+    inputs = [v for _, v, _ in truth_classes(guards, p1.input_vars, bound)]
     start = (tuple(sorted(p1.initial.items())), tuple(sorted(p2.initial.items())))
     seen = {start}
     queue = deque([start])

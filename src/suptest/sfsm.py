@@ -20,11 +20,12 @@ from .guards import (
     check_decls,
     check_valuation,
     decl_from_obj,
-    enumerate_valuations,
+    distinct_guards,
     eval_guard,
     guard_vars,
     parse_guard,
     print_guard,
+    truth_classes,
 )
 
 # Policy for states whose guards do not cover the whole input space.
@@ -39,9 +40,11 @@ class SfsmError(Exception):
 
 
 class DeterminismViolation(SfsmError):
-    def __init__(self, state: str, witness: Valuation, guards: tuple[str, str]):
+    def __init__(self, state: str, witness: Valuation, enabled: list):
+        """`enabled`: transitions or actions enabled together on `witness`."""
+        first, second = (print_guard(e.guard) for e in enabled[:2])
         super().__init__(
-            f"guards {guards[0]!r} and {guards[1]!r} of state {state!r} "
+            f"guards {first!r} and {second!r} of state {state!r} "
             f"overlap on {encode_valuation(witness)}"
         )
         self.state = state
@@ -131,15 +134,6 @@ class Sfsm:
 
     # -- helpers ------------------------------------------------------------
 
-    def guard_list(self) -> list[GuardExpr]:
-        """Distinct guards by canonical-print equality, first-occurrence order."""
-        seen = {}
-        for t in self.transitions:
-            text = print_guard(t.guard)
-            if text not in seen:
-                seen[text] = t.guard
-        return list(seen.values())
-
     def outgoing(self, state: str) -> list[SfsmTransition]:
         return [t for t in self.transitions if t.source == state]
 
@@ -147,9 +141,7 @@ class Sfsm:
         """Unique enabled transition at (state, v), or None."""
         enabled = [t for t in self.outgoing(state) if eval_guard(t.guard, v)]
         if len(enabled) > 1:
-            raise DeterminismViolation(
-                state, v, (print_guard(enabled[0].guard), print_guard(enabled[1].guard))
-            )
+            raise DeterminismViolation(state, v, enabled)
         return enabled[0] if enabled else None
 
 
@@ -214,24 +206,13 @@ class InputClassPartition:
 def input_classes(r: Sfsm, bound: int = DEFAULT_ENUM_BOUND) -> InputClassPartition:
     """Partition the input valuation space by guard-truth signature.
 
-    Classes appear in first-occurrence order of their signature during the
-    lexicographic enumeration; the representative is the first member, hence
-    the lexicographically smallest.
+    Classes are numbered in the order of `truth_classes`; the representative
+    is the lexicographically smallest member.
     """
-    guards = r.guard_list()
-    seen: dict[tuple[bool, ...], list] = {}
-    order: list[tuple[bool, ...]] = []
-    for v in enumerate_valuations(r.input_vars, bound):
-        sig = tuple(eval_guard(g, v) for g in guards)
-        if sig not in seen:
-            seen[sig] = [v, 0]
-            order.append(sig)
-        seen[sig][1] += 1
-    classes = [
-        InputClass(f"c{i}", sig, seen[sig][0], seen[sig][1])
-        for i, sig in enumerate(order)
-    ]
-    return InputClassPartition([print_guard(g) for g in guards], classes)
+    guards = distinct_guards(t.guard for t in r.transitions)
+    classes = truth_classes(guards, r.input_vars, bound)
+    return InputClassPartition([print_guard(g) for g in guards],
+                               [InputClass(f"c{i}", *c) for i, c in enumerate(classes)])
 
 
 # ---------------------------------------------------------------------------
@@ -288,10 +269,7 @@ def abstract_to_fsm(
         for c in partition.classes:
             enabled = [t for t in out if eval_guard(t.guard, c.representative)]
             if len(enabled) > 1:
-                raise DeterminismViolation(
-                    state, c.representative,
-                    (print_guard(enabled[0].guard), print_guard(enabled[1].guard)),
-                )
+                raise DeterminismViolation(state, c.representative, enabled)
             if enabled:
                 t = enabled[0]
                 label = NIL_LABEL if t.output is None else label_of[encode_valuation(t.output)]
@@ -329,7 +307,10 @@ def concretize_suite(suite, partition: InputClassPartition, amap: AbstractionMap
     cases = []
     for case in suite.cases:
         inputs = tuple(partition.by_id(cid).representative for cid in case.inputs)
-        expected = tuple(amap.label_to_output[label] for label in case.expected)
+        try:
+            expected = tuple(amap.label_to_output[label] for label in case.expected)
+        except KeyError as exc:
+            raise SfsmError(f"output label {exc.args[0]!r} is not in the abstraction map") from None
         cases.append(TestCase(inputs, expected))
     return TestSuite(
         cases=cases,

@@ -29,10 +29,11 @@ from .guards import (
     check_decls,
     check_valuation,
     decl_from_obj,
-    enumerate_valuations,
+    distinct_guards,
     eval_guard,
     parse_guard,
     print_guard,
+    truth_classes,
 )
 from .sfsm import (
     POLICY_ERROR,
@@ -342,20 +343,19 @@ def to_guarded_actions(
 
 
 def _check_program_determinism(p: GuardedActionProgram, bound: int) -> None:
+    """Checked per truth class of the program's guards (see `truth_classes`)."""
     by_source: dict[tuple, list[GuardedAction]] = {}
     for a in p.actions:
         by_source.setdefault(a.source, []).append(a)
-    for source, actions in by_source.items():
-        if len(actions) < 2:
-            continue
-        for v in enumerate_valuations(p.input_vars, bound):
+    shared = [(source, actions) for source, actions in by_source.items() if len(actions) > 1]
+    if not shared:
+        return
+    classes = truth_classes(distinct_guards(a.guard for a in p.actions), p.input_vars, bound)
+    for source, actions in shared:
+        for _, v, _ in classes:
             enabled = [a for a in actions if eval_guard(a.guard, v)]
             if len(enabled) > 1:
-                raise DeterminismViolation(
-                    risk_state_name(dict(source), p.factors),
-                    v,
-                    (print_guard(enabled[0].guard), print_guard(enabled[1].guard)),
-                )
+                raise DeterminismViolation(risk_state_name(dict(source), p.factors), v, enabled)
 
 
 def to_test_reference(

@@ -187,17 +187,7 @@ def h_method(m: MealyMachine, m_bound: int) -> TestSuite:
         if sa == sb:
             return
         common = suffixes_in(closure, alpha) & suffixes_in(closure, beta)
-        best = None
-        for gamma in common:
-            if not gamma:
-                continue
-            oa, _ = m.run_from(sa, gamma)
-            ob, _ = m.run_from(sb, gamma)
-            if oa != ob:
-                key = (len(gamma), _trace_key(m, gamma))
-                if best is None or key < best[0]:
-                    best = (key, gamma)
-        if best is not None:
+        if any(m.run_from(sa, gamma)[0] != m.run_from(sb, gamma)[0] for gamma in common):
             return
         gamma = m.distinguishing_trace(sa, sb)
         if gamma is None:  # minimal machine: cannot happen

@@ -7,12 +7,14 @@ enumeration so they can serve as oracles for the production code paths.
 from __future__ import annotations
 
 import random
+from collections import deque
 from itertools import product
 
 from suptest.fsm import MealyMachine
-from suptest.guards import EnumSort, IntSort, VarDecl
-from suptest.sfsm import Sfsm, SfsmTransition
+from suptest.guards import EnumSort, IntSort, VarDecl, enumerate_valuations, eval_guard
+from suptest.sfsm import DeterminismViolation, Sfsm, SfsmTransition
 from suptest.guards import And, BoolConst, Comparison, Not, Or
+from suptest.supervisor import interpret_step, risk_state_name
 
 
 def m0() -> MealyMachine:
@@ -135,8 +137,6 @@ def random_sfsm(rng: random.Random) -> Sfsm:
             g = term if g is None else And(g, term)
         return g if g is not None else BoolConst(True)
 
-    from suptest.guards import enumerate_valuations, eval_guard
-
     signatures = []
     for v in enumerate_valuations(decls):
         sig = tuple(eval_guard(a, v) for a in atoms)
@@ -163,3 +163,41 @@ def random_sfsm(rng: random.Random) -> Sfsm:
                                outputs[out_index], target)
             )
     return Sfsm(decls, out_decls, states, states[0], transitions)
+
+
+def valuation_determinism(p) -> None:
+    """Walk every input valuation once per risk state with two or more
+    actions, raising DeterminismViolation at the first that enables two:
+    the oracle for the per-class check of `supervisor.to_guarded_actions`."""
+    by_source: dict[tuple, list] = {}
+    for a in p.actions:
+        by_source.setdefault(a.source, []).append(a)
+    for source, actions in by_source.items():
+        if len(actions) < 2:
+            continue
+        for v in enumerate_valuations(p.input_vars):
+            enabled = [a for a in actions if eval_guard(a.guard, v)]
+            if len(enabled) > 1:
+                raise DeterminismViolation(risk_state_name(dict(source), p.factors), v, enabled)
+
+
+def valuation_program_equivalent(p1, p2) -> bool:
+    """Product traversal that steps both programs on every input valuation:
+    the oracle for `mutation.program_equivalent`, which steps on one
+    representative per truth class."""
+    inputs = list(enumerate_valuations(p1.input_vars))
+    start = (tuple(sorted(p1.initial.items())), tuple(sorted(p2.initial.items())))
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        r1, r2 = queue.popleft()
+        for v in inputs:
+            o1, n1 = interpret_step(p1, v, dict(r1))
+            o2, n2 = interpret_step(p2, v, dict(r2))
+            if o1 != o2:
+                return False
+            pair = (tuple(sorted(n1.items())), tuple(sorted(n2.items())))
+            if pair not in seen:
+                seen.add(pair)
+                queue.append(pair)
+    return True

@@ -6,10 +6,12 @@ import sys
 
 import pytest
 
+from suptest import guards
 from suptest.cli import main
 from suptest.encoding import canonical_dumps
 from suptest.mutation import OUTPUT_FAULT, generate_mutants
 from suptest.supervisor import load_behavior, to_guarded_actions
+from test_harness import behaviour_obj
 from test_supervisor import single_transition_obj
 
 
@@ -93,6 +95,30 @@ class TestConcretize:
                      "--out", str(abstracted / "concrete.json")])
         assert code == 2
         assert "different SFSMs" in capsys.readouterr().err
+
+    def test_names_label_missing_from_abstraction(self, tmp_path, abstracted, monkeypatch,
+                                                  capsys):
+        # a three-state behaviour whose uncovered input closes off with "nil"
+        obj = behaviour_obj()
+        obj["transitions"] = [t for t in obj["transitions"]
+                              if (t["source"]["F"], t["guard"]) != ("0", "x = 0")]
+        path = tmp_path / "three.cb"
+        path.write_text(json.dumps(obj))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"policy": "complete-with-selfloop"}))
+        monkeypatch.setenv("SUPTEST_CONFIG", str(config))
+        out = tmp_path / "three"
+        assert main(["translate", str(path), "--out", str(out)]) == 0
+        assert main(["abstract", str(out / "reference.sfsm"), "--out", str(out)]) == 0
+        assert main(["generate", str(out / "fsm.json"), "--out", str(out / "suite.json")]) == 0
+        assert "nil" in read(out / "abstraction.json")["label_to_output"]
+        capsys.readouterr()
+        code = main(["concretize", str(out / "suite.json"),
+                     str(abstracted / "partition.json"), str(abstracted / "abstraction.json"),
+                     "--out", str(out / "concrete.json")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: output label 'nil' is not in the abstraction map\n")
 
 
 class TestRun:
@@ -207,6 +233,25 @@ class TestPipeline:
         for name in names:
             assert (out / name).read_bytes() == (piped / name).read_bytes(), name
 
+    def test_walks_valuation_space_once_per_stage(self, tmp_path, behaviour, monkeypatch):
+        original = guards.enumerate_valuations
+        callers = []
+
+        def counted(*args, **kwargs):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name == "suptest" or name.startswith("suptest."):
+                for alias, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, alias, counted)
+        assert main(["pipeline", str(behaviour), "--out", str(tmp_path / "pipeline")]) == 0
+        # translate checks determinism twice, then `classes` and `abstract`
+        # each compute the partition; DOT export's satisfiability search
+        # is an early-exit walk and not counted
+        assert len([c for c in callers if c != "satisfiable"]) == 4
+
     def test_config_env_override(self, tmp_path, behaviour, monkeypatch):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"m_extra": 1}))
@@ -225,7 +270,20 @@ class TestConfig:
         ("[]", "expected a JSON object"),
         ('{"m_extr": 1}', "unknown keys ['m_extr']"),
         ('{"policy": "selfloop"}', "unknown policy 'selfloop'"),
-    ], ids=["missing", "malformed", "not-object", "unknown-key", "unknown-policy"])
+        ('{"enum_bound": "x"}', "enum_bound must be an int >= 1, got 'x'"),
+        ('{"enum_bound": 0}', "enum_bound must be an int >= 1, got 0"),
+        ('{"enum_bound": true}', "enum_bound must be an int >= 1, got True"),
+        ('{"m_extra": -1}', "m_extra must be an int >= 0, got -1"),
+        ('{"m_extra": 1.0}', "m_extra must be an int >= 0, got 1.0"),
+        ('{"mutation_seed": false}', "mutation_seed must be an int, got False"),
+        ('{"mutation_limit": -1}', "mutation_limit must be an int >= 0 or null, got -1"),
+        ('{"step_timeout": 0}', "step_timeout must be a number > 0, got 0"),
+        ('{"step_timeout": "5"}', "step_timeout must be a number > 0, got '5'"),
+        ('{"step_timeout": true}', "step_timeout must be a number > 0, got True"),
+    ], ids=["missing", "malformed", "not-object", "unknown-key", "unknown-policy",
+            "enum-bound-str", "enum-bound-zero", "enum-bound-bool", "m-extra-negative",
+            "m-extra-float", "seed-bool", "limit-negative", "timeout-zero", "timeout-str",
+            "timeout-bool"])
     def test_bad_config_exits_2(self, tmp_path, behaviour, monkeypatch, capsys,
                                 content, cause):
         config = tmp_path / "config.json"
