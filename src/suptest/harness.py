@@ -18,9 +18,11 @@ import subprocess
 import sys
 import threading
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .encoding import decode_step, decode_valuation, encode_step, encode_valuation
+from .guards import check_valuation
 from .supervisor import GuardedActionProgram, Interpreter
 
 DEFAULT_STEP_TIMEOUT = 5.0
@@ -108,8 +110,28 @@ class TestReport:
 
 
 # ---------------------------------------------------------------------------
-# SUT adapter
+# SUTs: anything with reset(), step(input) and restart()
 # ---------------------------------------------------------------------------
+
+class MachineSut:
+    """A Mealy machine stepped in-process on bare input symbols."""
+
+    def __init__(self, machine):
+        self.machine = machine
+        self.state = machine.initial
+
+    def reset(self) -> None:
+        self.state = self.machine.initial
+
+    restart = reset  # nothing to respawn in-process
+
+    def step(self, symbol: str) -> str:
+        entry = self.machine.transitions.get((self.state, symbol))
+        if entry is None:
+            raise HarnessError(f"no transition on {symbol!r}")
+        self.state, output = entry
+        return output
+
 
 class SutAdapter:
     """Spawns and talks to one SUT process; restarted after protocol errors."""
@@ -123,19 +145,23 @@ class SutAdapter:
 
     def start(self) -> None:
         self.stop()
-        self.process = subprocess.Popen(
-            self.command,
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL,
-            text=True,
-            bufsize=1,
-        )
+        try:
+            self.process = subprocess.Popen(
+                self.command,
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.DEVNULL,
+                text=True,
+                bufsize=1,
+            )
+        except OSError as exc:
+            raise HarnessError(f"cannot start SUT {shlex.join(self.command)}: {exc}") from exc
         self._lines = queue.Queue()
 
         def pump(proc, sink):
             for line in proc.stdout:
                 sink.put(line.rstrip("\n"))
+            sink.put(None)  # end of output: the SUT closed it or exited
 
         self._reader = threading.Thread(
             target=pump, args=(self.process, self._lines), daemon=True
@@ -165,16 +191,27 @@ class SutAdapter:
         try:
             self.process.stdin.write(line + "\n")
             self.process.stdin.flush()
-        except (BrokenPipeError, OSError) as exc:
-            raise HarnessError(f"SUT pipe broken: {exc}") from exc
+        except OSError:
+            raise self._gone() from None
 
     def receive(self) -> str:
         try:
-            return self._lines.get(timeout=self.step_timeout)
+            line = self._lines.get(timeout=self.step_timeout)
         except queue.Empty:
             raise HarnessError(
                 f"SUT did not answer within {self.step_timeout}s"
             ) from None
+        if line is None:
+            raise self._gone()
+        return line
+
+    def _gone(self) -> HarnessError:
+        """The error for a SUT whose pipes have closed, naming its exit code."""
+        try:
+            code = self.process.wait(timeout=self.step_timeout)
+        except subprocess.TimeoutExpired:
+            return HarnessError("SUT closed its pipes but did not exit")
+        return HarnessError(f"SUT exited with code {code}")
 
     def reset(self) -> None:
         self.send("RESET")
@@ -186,7 +223,10 @@ class SutAdapter:
         self.send("IN " + encode_step(v))
         reply = self.receive()
         if reply.startswith("OUT "):
-            return decode_step(reply[4:])
+            try:
+                return decode_step(reply[4:])
+            except ValueError:
+                raise HarnessError(f"malformed SUT reply {reply!r}") from None
         if reply.startswith("ERR "):
             raise HarnessError(f"SUT error reply: {reply[4:]}")
         raise HarnessError(f"unexpected SUT reply {reply!r}")
@@ -203,15 +243,14 @@ class SutAdapter:
 # Suite execution
 # ---------------------------------------------------------------------------
 
-def run_suite(sut: SutAdapter, ts) -> TestReport:
-    """Execute a concrete suite case by case.
+def verdicts(sut, ts) -> Iterator[Verdict]:
+    """Run a suite case by case, yielding each case's verdict as it is consumed.
 
-    Each case resets the SUT and checks every intermediate output; a case
-    stops at its first mismatch but remaining cases still run.  Protocol
-    failures yield ERROR and a process restart.
+    `sut` is any object with reset(), step(input) and restart().  Each case
+    resets it and checks every intermediate output; a case stops at its
+    first mismatch.  An exception from the SUT yields ERROR with its text,
+    then a restart.
     """
-    report = TestReport(ts.method, ts.m_bound, ts.reference_fingerprint)
-    started = time.monotonic()
     for index, case in enumerate(ts.cases):
         try:
             sut.reset()
@@ -219,14 +258,19 @@ def run_suite(sut: SutAdapter, ts) -> TestReport:
             for step_index, (inp, expected) in enumerate(zip(case.inputs, case.expected)):
                 observed = sut.step(inp)
                 if observed != expected:
-                    verdict = Verdict(
-                        index, FAIL, step_index, inp, expected, observed
-                    )
+                    verdict = Verdict(index, FAIL, step_index, inp, expected, observed)
                     break
-            report.verdicts.append(verdict)
-        except HarnessError as exc:
-            report.verdicts.append(Verdict(index, ERROR, detail=str(exc)))
+        except Exception as exc:
+            verdict = Verdict(index, ERROR, detail=str(exc))
             sut.restart()
+        yield verdict
+
+
+def run_suite(sut, ts) -> TestReport:
+    """Every case's verdict against `sut`, collected into a report."""
+    report = TestReport(ts.method, ts.m_bound, ts.reference_fingerprint)
+    started = time.monotonic()
+    report.verdicts = list(verdicts(sut, ts))
     report.duration = time.monotonic() - started
     return report
 
@@ -239,31 +283,15 @@ def run_suite_offline(program: GuardedActionProgram, ts) -> TestReport:
     """
     if not ts.concrete:
         raise HarnessError("run_suite_offline needs a concrete suite")
-    report = TestReport(ts.method, ts.m_bound, ts.reference_fingerprint)
-    started = time.monotonic()
-    interp = Interpreter(program)
-    for index, case in enumerate(ts.cases):
-        interp.reset()
-        verdict = Verdict(index, PASS)
-        try:
-            for step_index, (inp, expected) in enumerate(zip(case.inputs, case.expected)):
-                observed = interp.step(inp)
-                if observed != expected:
-                    verdict = Verdict(index, FAIL, step_index, inp, expected, observed)
-                    break
-        except Exception as exc:
-            verdict = Verdict(index, ERROR, detail=str(exc))
-        report.verdicts.append(verdict)
-    report.duration = time.monotonic() - started
-    return report
+    return run_suite(Interpreter(program), ts)
 
 
 # ---------------------------------------------------------------------------
 # Reference SUT
 # ---------------------------------------------------------------------------
 
-def _serve(reset, step, stdin, stdout) -> None:
-    """Protocol loop until EOF; `step` maps IN text to OUT text or raises for ERR."""
+def _serve(sut, decode, stdin, stdout) -> None:
+    """Protocol loop until EOF; `decode` maps IN text to an input or raises for ERR."""
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
 
@@ -276,15 +304,15 @@ def _serve(reset, step, stdin, stdout) -> None:
         if not line:
             continue
         if line == "RESET":
-            reset()
+            sut.reset()
             reply("READY")
         elif line.startswith("IN "):
             try:
-                output = step(line[3:])
+                output = sut.step(decode(line[3:]))
             except Exception as exc:
                 reply(f"ERR {exc}")
                 continue
-            reply("OUT " + output)
+            reply("OUT " + encode_step(output))
         else:
             reply(f"ERR unknown command {line!r}")
 
@@ -292,34 +320,19 @@ def _serve(reset, step, stdin, stdout) -> None:
 def serve_reference(program: GuardedActionProgram, stdin=None, stdout=None) -> None:
     """Speak the wire protocol on standard streams until EOF.
 
-    Malformed input produces an ERR reply and leaves the state unchanged.
+    Malformed input, and input outside the declared variables or their
+    sorts, produces an ERR reply and leaves the state unchanged.
     """
-    interp = Interpreter(program)
-
-    def step(text: str) -> str:
+    def decode(text: str) -> dict:
         v = decode_valuation(text)
         if v is None:
             raise ValueError("nil is not a valid input")
-        return encode_valuation(interp.step(v))
+        check_valuation(v, program.input_vars)
+        return v
 
-    _serve(interp.reset, step, stdin, stdout)
+    _serve(Interpreter(program), decode, stdin, stdout)
 
 
 def serve_machine(machine, stdin=None, stdout=None) -> None:
     """Serve a Mealy machine over the wire protocol with bare symbols."""
-    state = machine.initial
-
-    def reset() -> None:
-        nonlocal state
-        state = machine.initial
-
-    def step(text: str) -> str:
-        nonlocal state
-        symbol = text.strip()
-        entry = machine.transitions.get((state, symbol))
-        if entry is None:
-            raise HarnessError(f"no transition on {symbol!r}")
-        state, output = entry
-        return output
-
-    _serve(reset, step, stdin, stdout)
+    _serve(MachineSut(machine), str.strip, stdin, stdout)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 from .encoding import encode_valuation
@@ -19,9 +20,9 @@ from .guards import (
     And, Comparison, DEFAULT_ENUM_BOUND, Not, Or,
     distinct_guards, truth_classes,
 )
-from .harness import PASS, SutAdapter, run_suite, run_suite_offline
+from .harness import PASS, MachineSut, SutAdapter, verdicts
 from .sfsm import POLICY_SELFLOOP
-from .supervisor import GuardedActionProgram, interpret_step
+from .supervisor import GuardedActionProgram, Interpreter, interpret_step
 
 OUTPUT_FAULT = "output-fault"
 TRANSFER_FAULT = "transfer-fault"
@@ -273,38 +274,35 @@ def program_equivalent(
 # Classification
 # ---------------------------------------------------------------------------
 
-def _first_failing_case(report) -> int | None:
-    for v in report.verdicts:
-        if v.status != PASS:
-            return v.case_index
-    return None
-
-
 def classify(reference, suite, mutant: Mutant, via: str = "oracle",
              sut_command=None, bound: int = DEFAULT_ENUM_BOUND) -> MutationOutcome:
     """Decide EQUIVALENT / KILLED / ESCAPED for one mutant.
 
     `oracle` mode runs the suite in-memory; `harness` mode serves the
     mutant over the wire protocol (requires `sut_command`, a callable
-    mapping the mutant to an adapter command line).
+    mapping the mutant to an adapter command line).  Either way the suite
+    runs only up to the first case that does not pass.
     """
-    if isinstance(mutant.target, MealyMachine):
+    machine = isinstance(mutant.target, MealyMachine)
+    if suite.concrete == machine:
+        raise ValueError("a program mutant needs a concrete suite, "
+                         "a machine mutant an abstract one")
+    if machine:
         equivalent = reference.equivalent(mutant.target) is None
     else:
         equivalent = program_equivalent(reference, mutant.target, bound)
 
     if via == "oracle":
-        if isinstance(mutant.target, MealyMachine):
-            failing = _run_suite_on_machine(mutant.target, suite)
-        else:
-            failing = _first_failing_case(run_suite_offline(mutant.target, suite))
+        session = nullcontext(MachineSut(mutant.target) if machine
+                              else Interpreter(mutant.target))
     elif via == "harness":
         if sut_command is None:
             raise ValueError("harness mode needs a sut_command factory")
-        with SutAdapter(sut_command(mutant)) as sut:
-            failing = _first_failing_case(run_suite(sut, suite))
+        session = SutAdapter(sut_command(mutant))
     else:
         raise ValueError(f"unknown classification mode {via!r}")
+    with session as sut:
+        failing = next((v.case_index for v in verdicts(sut, suite) if v.status != PASS), None)
 
     if equivalent:
         if failing is not None:
@@ -315,20 +313,6 @@ def classify(reference, suite, mutant: Mutant, via: str = "oracle",
     if failing is not None:
         return MutationOutcome(mutant.id, KILLED, failing)
     return MutationOutcome(mutant.id, ESCAPED)
-
-
-def _run_suite_on_machine(machine: MealyMachine, suite) -> int | None:
-    """First failing case index of an abstract suite on a machine, or None."""
-    for index, case in enumerate(suite.cases):
-        state = machine.initial
-        for inp, expected in zip(case.inputs, case.expected):
-            state, observed = machine.transitions[(state, inp)]
-            if observed != expected:
-                break
-        else:
-            continue
-        return index
-    return None
 
 
 # ---------------------------------------------------------------------------

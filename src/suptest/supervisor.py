@@ -203,6 +203,8 @@ class Interpreter:
     def reset(self) -> None:
         self.risk_state = dict(self.program.initial)
 
+    restart = reset  # nothing to respawn in-process
+
     def step(self, v: Valuation) -> Valuation | None:
         output, self.risk_state = interpret_step(self.program, v, self.risk_state)
         return output

@@ -201,3 +201,28 @@ def valuation_program_equivalent(p1, p2) -> bool:
                 seen.add(pair)
                 queue.append(pair)
     return True
+
+
+def plain_verdicts(target, ts) -> list[tuple]:
+    """(status, step, observed) per case of `ts`, run by a plain loop over
+    `brute_outputs` for a machine or `interpret_step` for a program: the
+    oracle for the harness's shared case loop."""
+    results = []
+    for case in ts.cases:
+        if isinstance(target, MealyMachine):
+            observed = brute_outputs(target, case.inputs)
+        else:
+            r, observed = dict(target.initial), []
+            try:
+                for v, expected in zip(case.inputs, case.expected):
+                    o, r = interpret_step(target, v, r)
+                    observed.append(o)
+                    if o != expected:
+                        break
+            except Exception:
+                results.append(("ERROR", None, None))
+                continue
+        step = next((i for i, (o, e) in enumerate(zip(observed, case.expected)) if o != e),
+                    None)
+        results.append(("PASS", None, None) if step is None else ("FAIL", step, observed[step]))
+    return results

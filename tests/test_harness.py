@@ -1,15 +1,21 @@
 """Wire protocol, SUT adapter, suite execution, offline cross-check."""
 
 import io
+import shlex
 import sys
+import time
+from dataclasses import replace
 
 import pytest
 
+from suptest.cli import main
+from suptest.encoding import canonical_dumps
 from suptest.harness import (
     ERROR,
     FAIL,
     PASS,
     HarnessError,
+    MachineSut,
     SutAdapter,
     TestReport,
     Verdict,
@@ -17,13 +23,18 @@ from suptest.harness import (
     run_suite_offline,
     serve_machine,
     serve_reference,
+    verdicts,
 )
-from suptest.mutation import OUTPUT_FAULT, generate_mutants
-from suptest.sfsm import abstract_to_fsm, concretize_suite, input_classes
-from suptest.supervisor import behavior_from_obj, to_guarded_actions, to_test_reference
+from suptest.mutation import KILLED, OUTPUT_FAULT, classify, generate_mutants
+from suptest.sfsm import (
+    POLICY_ERROR, POLICY_SELFLOOP, abstract_to_fsm, concretize_suite, input_classes,
+)
+from suptest.supervisor import (
+    Interpreter, behavior_from_obj, to_guarded_actions, to_test_reference,
+)
 from suptest.testgen import TestCase, TestSuite, h_method
 
-from helpers import m0
+from helpers import m0, plain_verdicts
 
 
 def behaviour_obj():
@@ -101,6 +112,18 @@ class TestProtocol:
         replies = serve_lines(program, ["PING"])
         assert replies[0].startswith("ERR ")
 
+    @pytest.mark.parametrize("policy", [POLICY_ERROR, POLICY_SELFLOOP])
+    @pytest.mark.parametrize("line", [
+        'IN {"x": 7}',          # outside the sort of x
+        'IN {"x": 1, "zz": 3}',  # undeclared variable
+        'IN {}',                 # partial valuation
+    ])
+    def test_input_outside_declaration_err_state_unchanged(self, program, policy, line):
+        replies = serve_lines(replace(program, policy=policy),
+                              ["RESET", line, 'IN {"x": 1}', 'IN {"x": 1}'])
+        assert replies[1].startswith("ERR ")
+        assert replies[2:] == ['OUT {"y":1}', 'OUT {"y":0}']
+
     def test_blank_lines_ignored(self, program):
         out = io.StringIO()
         serve_reference(program, stdin=io.StringIO("\n\nRESET\n"), stdout=out)
@@ -145,6 +168,47 @@ class TestSutAdapter:
             sut.reset()
             with pytest.raises(HarnessError):
                 sut.step("not-a-valuation")
+
+
+def fake_sut(tmp_path, on_input: str) -> list[str]:
+    """Command of a SUT that answers RESET with READY and runs the Python
+    statement `on_input` on every other line."""
+    path = tmp_path / "fake_sut.py"
+    path.write_text(
+        "import sys\n"
+        "for line in sys.stdin:\n"
+        "    if line.strip() == 'RESET':\n"
+        "        print('READY', flush=True)\n"
+        "    else:\n"
+        f"        {on_input}\n"
+    )
+    return [sys.executable, str(path)]
+
+
+class TestSutFailures:
+    def test_unstartable_command_names_it(self, tmp_path):
+        with pytest.raises(HarnessError, match="no-such-sut"):
+            SutAdapter([str(tmp_path / "no-such-sut")]).start()
+
+    def test_exit_reports_code_without_timeout(self, tmp_path, concrete_suite):
+        suite = replace(concrete_suite, cases=concrete_suite.cases[:3])
+        started = time.monotonic()
+        with SutAdapter(fake_sut(tmp_path, "sys.exit(3)"), step_timeout=5) as sut:
+            report = run_suite(sut, suite)
+        assert time.monotonic() - started < 5
+        assert [v.status for v in report.verdicts] == [ERROR] * 3
+        assert all("code 3" in v.detail for v in report.verdicts)
+
+    def test_malformed_reply_is_an_error_verdict(self, tmp_path, concrete_suite):
+        suite = replace(concrete_suite, cases=concrete_suite.cases[:3])
+        command = fake_sut(tmp_path, "print('OUT {bad', flush=True)")
+        with SutAdapter(command) as sut:
+            report = run_suite(sut, suite)
+        assert [v.status for v in report.verdicts] == [ERROR] * 3
+        assert all("OUT {bad" in v.detail for v in report.verdicts)
+        path = tmp_path / "suite.json"
+        path.write_text(canonical_dumps(suite.to_obj()))
+        assert main(["run", str(path), "--sut", shlex.join(command)]) == 1
 
 
 class TestRunSuite:
@@ -193,6 +257,45 @@ class TestRunSuite:
             report = run_suite(sut, concrete_suite)
         assert [v.case_index for v in report.verdicts] == \
             list(range(len(concrete_suite.cases)))
+
+
+def first_not_passing(results) -> int | None:
+    return next((i for i, (status, _, _) in enumerate(results) if status != PASS), None)
+
+
+class TestSharedLoop:
+    """The one case loop against the plain loop in `helpers.plain_verdicts`."""
+
+    def test_program_mutants_match_plain_loop(self, program, concrete_suite):
+        for mu in generate_mutants(program):
+            expected = plain_verdicts(mu.target, concrete_suite)
+            offline = run_suite_offline(mu.target, concrete_suite)
+            assert [(v.status, v.step_index, v.observed_output)
+                    for v in offline.verdicts] == expected, mu.id
+            outcome = classify(program, concrete_suite, mu)
+            assert outcome.first_failing_case == first_not_passing(expected), mu.id
+
+    def test_machine_mutants_match_plain_loop(self, m0):
+        suite = h_method(m0, 3)
+        for mu in generate_mutants(m0):
+            expected = plain_verdicts(mu.target, suite)
+            stream = verdicts(MachineSut(mu.target), suite)
+            assert [(v.status, v.step_index, v.observed_output) for v in stream] == expected
+            assert classify(m0, suite, mu).first_failing_case == first_not_passing(expected)
+
+    def test_classify_stops_at_first_failing_case(self, monkeypatch, program, concrete_suite):
+        mu = generate_mutants(program, operators=[OUTPUT_FAULT])[0]
+        expected = plain_verdicts(mu.target, concrete_suite)
+        first = first_not_passing(expected)
+        assert first is not None and first + 1 < len(concrete_suite.cases)
+        steps = []
+        step = Interpreter.step
+        monkeypatch.setattr(Interpreter, "step",
+                            lambda self, v: steps.append(v) or step(self, v))
+        outcome = classify(program, concrete_suite, mu)
+        assert (outcome.status, outcome.first_failing_case) == (KILLED, first)
+        before = sum(len(case.inputs) for case in concrete_suite.cases[:first])
+        assert len(steps) == before + expected[first][1] + 1
 
 
 class TestOfflineRun:
