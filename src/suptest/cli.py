@@ -84,24 +84,40 @@ def write_artifact(path, payload: dict, inputs: dict | None = None) -> None:
 
 
 def read_artifact(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:
+        raise CliError(f"{path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise CliError(f"{path}: expected a JSON object")
+    return doc
+
+
+def parse_artifact(path, doc: dict, from_obj):
+    """`from_obj(doc)` for the document read from `path`, naming the file on failure."""
+    try:
+        return from_obj(doc)
+    except KeyError as exc:
+        raise CliError(f"{path}: missing key {exc}") from exc
+    except testgen.TestGenError as exc:
+        raise CliError(f"{path}: {exc}") from exc
 
 
 def load_machine(path) -> MealyMachine:
-    return MealyMachine.from_obj(read_artifact(path))
+    return parse_artifact(path, read_artifact(path), MealyMachine.from_obj)
 
 
 def load_sfsm(path) -> Sfsm:
-    return Sfsm.from_obj(read_artifact(path))
+    return parse_artifact(path, read_artifact(path), Sfsm.from_obj)
 
 
 def load_program(path) -> supervisor.GuardedActionProgram:
-    return supervisor.GuardedActionProgram.from_obj(read_artifact(path))
+    return parse_artifact(path, read_artifact(path), supervisor.GuardedActionProgram.from_obj)
 
 
 def load_suite(path) -> testgen.TestSuite:
-    return testgen.TestSuite.from_obj(read_artifact(path))
+    return parse_artifact(path, read_artifact(path), testgen.TestSuite.from_obj)
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +239,9 @@ def cmd_concretize(args, config) -> int:
     a_fp = abstraction_doc.get("derivedFrom", {}).get("sfsm")
     if p_fp and a_fp and p_fp != a_fp:
         raise CliError("partition and abstraction map come from different SFSMs")
-    concretize(load_suite(args.suite), sfsm.InputClassPartition.from_obj(partition_doc),
-               sfsm.AbstractionMap.from_obj(abstraction_doc),
+    concretize(load_suite(args.suite),
+               parse_artifact(args.partition, partition_doc, sfsm.InputClassPartition.from_obj),
+               parse_artifact(args.abstraction, abstraction_doc, sfsm.AbstractionMap.from_obj),
                args.out or "suite-concrete.json")
     return 0
 
@@ -275,9 +292,9 @@ def cmd_mutate(args, config) -> int:
 
 
 def cmd_render(args, config) -> int:
-    obj = read_artifact(args.model)
-    model = Sfsm.from_obj(obj) if "input_vars" in obj else MealyMachine.from_obj(obj)
-    render(model, args.out, config)
+    doc = read_artifact(args.model)
+    from_obj = Sfsm.from_obj if "input_vars" in doc else MealyMachine.from_obj
+    render(parse_artifact(args.model, doc, from_obj), args.out, config)
     return 0
 
 

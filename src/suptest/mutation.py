@@ -13,6 +13,7 @@ import random
 from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 from .encoding import encode_valuation
 from .fsm import MealyMachine
@@ -57,74 +58,55 @@ class MutationOutcome:
 # Machine mutants
 # ---------------------------------------------------------------------------
 
-def _machine_transitions_in_order(m: MealyMachine):
-    for s in m.states:
-        for x in m.inputs:
-            if (s, x) in m.transitions:
-                yield (s, x), m.transitions[(s, x)]
+def _output_faults(transitions: dict, outputs, s, x):
+    """(locus, transitions) for each other output on the transition (s, x)."""
+    t, y = transitions[(s, x)]
+    for y2 in outputs:
+        if y2 != y:
+            yield f"({s},{x}) output {y}->{y2}", {**transitions, (s, x): (t, y2)}
+
+
+def _transfer_faults(transitions: dict, states, s, x):
+    """(locus, transitions) for each other target of the transition (s, x)."""
+    t, y = transitions[(s, x)]
+    for t2 in states:
+        if t2 != t:
+            yield f"({s},{x}) target {t}->{t2}", {**transitions, (s, x): (t2, y)}
 
 
 def _machine_mutants(m: MealyMachine, operators) -> list[Mutant]:
     mutants = []
 
-    def emit(operator, locus, states, initial, transitions):
+    def emit(operator, locus, states, transitions):
         mid = f"m{len(mutants)}"
         mutants.append(
             Mutant(mid, operator, locus,
-                   MealyMachine(states, initial, m.inputs, m.outputs, transitions))
+                   MealyMachine(states, m.initial, m.inputs, m.outputs, transitions))
         )
 
+    defined = [(s, x) for s in m.states for x in m.inputs if (s, x) in m.transitions]
     if OUTPUT_FAULT in operators:
-        for (s, x), (t, y) in _machine_transitions_in_order(m):
-            for y2 in m.outputs:
-                if y2 == y:
-                    continue
-                mutated = dict(m.transitions)
-                mutated[(s, x)] = (t, y2)
-                emit(OUTPUT_FAULT, f"({s},{x}) output {y}->{y2}",
-                     m.states, m.initial, mutated)
+        for s, x in defined:
+            for locus, mutated in _output_faults(m.transitions, m.outputs, s, x):
+                emit(OUTPUT_FAULT, locus, m.states, mutated)
     if TRANSFER_FAULT in operators:
-        for (s, x), (t, y) in _machine_transitions_in_order(m):
-            for t2 in m.states:
-                if t2 == t:
-                    continue
-                mutated = dict(m.transitions)
-                mutated[(s, x)] = (t2, y)
-                emit(TRANSFER_FAULT, f"({s},{x}) target {t}->{t2}",
-                     m.states, m.initial, mutated)
+        for s, x in defined:
+            for locus, mutated in _transfer_faults(m.transitions, m.states, s, x):
+                emit(TRANSFER_FAULT, locus, m.states, mutated)
     if EXTRA_STATE in operators:
         for s in m.states:
             clone = s + "__dup"
-            inbound = [
-                (t, x) for (t, x), (tgt, _) in _machine_transitions_in_order(m)
-                if tgt == s
-            ]
-            for (src, x) in inbound:
+            states = list(m.states) + [clone]
+            for src, x in [sx for sx in defined if m.transitions[sx][0] == s]:
                 base = dict(m.transitions)
                 base[(src, x)] = (clone, base[(src, x)][1])
                 for x2 in m.inputs:
                     base[(clone, x2)] = m.transitions[(s, x2)]
-                states = list(m.states) + [clone]
-                emit(EXTRA_STATE, f"clone {s} via ({src},{x})",
-                     states, m.initial, base)
+                emit(EXTRA_STATE, f"clone {s} via ({src},{x})", states, base)
                 for x2 in m.inputs:
-                    t0, y0 = base[(clone, x2)]
-                    for y2 in m.outputs:
-                        if y2 == y0:
-                            continue
-                        mutated = dict(base)
-                        mutated[(clone, x2)] = (t0, y2)
-                        emit(EXTRA_STATE,
-                             f"clone {s} via ({src},{x}), ({clone},{x2}) output {y0}->{y2}",
-                             states, m.initial, mutated)
-                    for t2 in states:
-                        if t2 == t0:
-                            continue
-                        mutated = dict(base)
-                        mutated[(clone, x2)] = (t2, y0)
-                        emit(EXTRA_STATE,
-                             f"clone {s} via ({src},{x}), ({clone},{x2}) target {t0}->{t2}",
-                             states, m.initial, mutated)
+                    for locus, mutated in chain(_output_faults(base, m.outputs, clone, x2),
+                                                _transfer_faults(base, states, clone, x2)):
+                        emit(EXTRA_STATE, f"clone {s} via ({src},{x}), {locus}", states, mutated)
     return mutants
 
 

@@ -2,9 +2,10 @@
 
 Suites store only maximal input traces; every prefix is implicitly part of
 the suite because the harness checks all intermediate outputs.  The
-completeness checker re-verifies the H-conditions by direct enumeration
-and shares no code with the generator beyond the Mealy machine primitives,
-so generator and checker cannot mask each other's faults.
+completeness checker re-verifies the H-conditions with its own walk of the
+suite's trace set, written apart from the generator's walk of its closure,
+so generator and checker share only the Mealy machine primitives and
+cannot mask each other's faults.
 """
 
 from __future__ import annotations
@@ -52,16 +53,13 @@ class TestSuite:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "TestSuite":
-        return cls(
-            cases=[
-                TestCase(tuple(c["inputs"]), tuple(c["expectedOutputs"]))
-                for c in obj["cases"]
-            ],
-            method=obj["method"],
-            m_bound=obj["mBound"],
-            reference_fingerprint=obj["referenceFingerprint"],
-            concrete=obj.get("concrete", False),
-        )
+        cases = [TestCase(tuple(c["inputs"]), tuple(c["expectedOutputs"])) for c in obj["cases"]]
+        for i, c in enumerate(cases):
+            if len(c.inputs) != len(c.expected):
+                raise TestGenError(f"case {i} has {len(c.inputs)} inputs but "
+                                   f"{len(c.expected)} expected outputs")
+        return cls(cases, obj["method"], obj["mBound"], obj["referenceFingerprint"],
+                   obj.get("concrete", False))
 
 
 def suite_stats(ts: TestSuite) -> dict:
@@ -172,22 +170,19 @@ def h_method(m: MealyMachine, m_bound: int) -> TestSuite:
                 traversal.append(v + word)
     traversal.sort(key=lambda t: (len(t), _trace_key(m, t)))
 
-    def state_after(trace: tuple) -> str:
-        _, s = m.run(trace)
-        return s
-
-    def suffixes_in(closure_set: set[tuple], prefix: tuple) -> set[tuple]:
-        npfx = len(prefix)
-        return {
-            t[npfx:] for t in closure_set if len(t) >= npfx and t[:npfx] == prefix
-        }
+    def apart(alpha: tuple, beta: tuple, sa: str, sb: str) -> bool:
+        # joint walk of the common extensions of alpha and beta in the closure;
+        # they are prefix-closed, and once the states meet no output differs
+        for x in m.inputs:
+            if alpha + (x,) in closure and beta + (x,) in closure:
+                (ta, ya), (tb, yb) = m.transitions[(sa, x)], m.transitions[(sb, x)]
+                if ya != yb or ta != tb and apart(alpha + (x,), beta + (x,), ta, tb):
+                    return True
+        return False
 
     def ensure_distinguished(alpha: tuple, beta: tuple) -> None:
-        sa, sb = state_after(alpha), state_after(beta)
-        if sa == sb:
-            return
-        common = suffixes_in(closure, alpha) & suffixes_in(closure, beta)
-        if any(m.run_from(sa, gamma)[0] != m.run_from(sb, gamma)[0] for gamma in common):
+        sa, sb = m.run(alpha)[1], m.run(beta)[1]
+        if sa == sb or apart(alpha, beta, sa, sb):
             return
         gamma = m.distinguishing_trace(sa, sb)
         if gamma is None:  # minimal machine: cannot happen
@@ -275,8 +270,8 @@ class CompletenessReport:
 def check_h_completeness(m: MealyMachine, m_bound: int, ts: TestSuite) -> CompletenessReport:
     """Re-verify the H-conditions of a suite by direct enumeration.
 
-    Independent of the generator: membership, pair enumeration, and suffix
-    search are all recomputed from scratch here.
+    Independent of the generator: membership, pair enumeration, and the
+    walk over common suffixes are all recomputed from scratch here.
     """
     _require_testable(m, m_bound)
     report = CompletenessReport()
@@ -324,18 +319,19 @@ def check_h_completeness(m: MealyMachine, m_bound: int, ts: TestSuite) -> Comple
                 extensions.append(v + word)
 
     def distinguished_in_suite(alpha: tuple, beta: tuple) -> bool:
-        sa = m.run(alpha)[1]
-        sb = m.run(beta)[1]
+        sa, sb = m.run(alpha)[1], m.run(beta)[1]
         if sa == sb:
             return True
-        for t in suite_traces:
-            if len(t) <= len(alpha) or t[:len(alpha)] != alpha:
-                continue
-            gamma = t[len(alpha):]
-            if beta + gamma not in suite_traces:
-                continue
-            if m.run_from(sa, gamma)[0] != m.run_from(sb, gamma)[0]:
-                return True
+        pending = [(alpha, beta, sa, sb)]  # common suffixes, extended while states differ
+        while pending:
+            a, b, sa, sb = pending.pop()
+            for x in m.inputs:
+                if a + (x,) in suite_traces and b + (x,) in suite_traces:
+                    (ta, ya), (tb, yb) = m.transitions[(sa, x)], m.transitions[(sb, x)]
+                    if ya != yb:
+                        return True
+                    if ta != tb:
+                        pending.append((a + (x,), b + (x,), ta, tb))
         return False
 
     cover_set = set(cover)

@@ -15,6 +15,7 @@ from suptest.guards import EnumSort, IntSort, VarDecl, enumerate_valuations, eva
 from suptest.sfsm import DeterminismViolation, Sfsm, SfsmTransition
 from suptest.guards import And, BoolConst, Comparison, Not, Or
 from suptest.supervisor import interpret_step, risk_state_name
+from suptest.testgen import CompletenessReport, _require_testable, _trace_key
 
 
 def m0() -> MealyMachine:
@@ -226,3 +227,86 @@ def plain_verdicts(target, ts) -> list[tuple]:
                     None)
         results.append(("PASS", None, None) if step is None else ("FAIL", step, observed[step]))
     return results
+
+
+def scan_check_h_completeness(m: MealyMachine, m_bound: int, ts) -> CompletenessReport:
+    """H-completeness check that decides each trace pair by scanning the
+    whole suite trace set for a common distinguishing suffix: the oracle
+    for the joint walk of `testgen.check_h_completeness`."""
+    _require_testable(m, m_bound)
+    report = CompletenessReport()
+    n = len(m.states)
+    k = m_bound - n + 1
+
+    suite_traces: set[tuple] = {()}
+    for case in ts.cases:
+        expected, _ = m.run(case.inputs)
+        if expected != case.expected:
+            report.violations.append(
+                f"expected outputs of case {case.inputs} disagree with the reference"
+            )
+        for i in range(len(case.inputs) + 1):
+            suite_traces.add(tuple(case.inputs[:i]))
+
+    access: dict[str, tuple] = {m.initial: ()}
+    frontier = [m.initial]
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for x in m.inputs:
+                t = m.transitions[(s, x)][0]
+                if t not in access:
+                    access[t] = access[s] + (x,)
+                    nxt.append(t)
+        frontier = nxt
+    cover = sorted(access.values(), key=lambda t: (len(t), _trace_key(m, t)))
+
+    for v in cover:
+        if v not in suite_traces:
+            report.violations.append(f"H1: cover trace {v} missing")
+
+    for v in cover:
+        for word in product(m.inputs, repeat=k):
+            if v + word not in suite_traces:
+                report.violations.append(f"H2: traversal trace {v + word} missing")
+
+    extensions = []
+    for v in cover:
+        for length in range(k + 1):
+            for word in product(m.inputs, repeat=length):
+                extensions.append(v + word)
+
+    def distinguished_in_suite(alpha: tuple, beta: tuple) -> bool:
+        sa = m.run(alpha)[1]
+        sb = m.run(beta)[1]
+        if sa == sb:
+            return True
+        for t in suite_traces:
+            if len(t) <= len(alpha) or t[:len(alpha)] != alpha:
+                continue
+            gamma = t[len(alpha):]
+            if beta + gamma not in suite_traces:
+                continue
+            if m.run_from(sa, gamma)[0] != m.run_from(sb, gamma)[0]:
+                return True
+        return False
+
+    cover_set = set(cover)
+    for i, alpha in enumerate(cover):
+        for beta in cover[i + 1:]:
+            if not distinguished_in_suite(alpha, beta):
+                report.violations.append(f"H3(a): pair ({alpha}, {beta}) not distinguished")
+    for alpha in cover:
+        for beta in extensions:
+            if beta in cover_set:
+                continue
+            if not distinguished_in_suite(alpha, beta):
+                report.violations.append(f"H3(b): pair ({alpha}, {beta}) not distinguished")
+    for omega in extensions:
+        for i in range(1, len(omega) + 1):
+            for j in range(i + 1, len(omega) + 1):
+                if not distinguished_in_suite(omega[:i], omega[:j]):
+                    report.violations.append(
+                        f"H3(c): prefixes ({omega[:i]}, {omega[:j]}) of {omega} not distinguished"
+                    )
+    return report

@@ -152,6 +152,19 @@ class TestRun:
         assert main(["run", str(concrete), "--sut", sut]) == 1
         assert "NOT CONFORMING" in capsys.readouterr().out
 
+    def test_refuses_truncated_case(self, abstracted, capsys):
+        concrete = self.concrete_suite(abstracted)
+        doc = read(concrete)
+        doc["cases"][1]["expectedOutputs"] = []
+        concrete.write_text(canonical_dumps(doc))
+        sut = (f"{sys.executable} -m suptest serve-reference "
+               f"{abstracted / 'program.gap'}")
+        capsys.readouterr()
+        assert main(["run", str(concrete), "--sut", sut]) == 2
+        inputs = len(doc["cases"][1]["inputs"])
+        assert capsys.readouterr().err == (
+            f"error: {concrete}: case 1 has {inputs} inputs but 0 expected outputs\n")
+
 
 class TestMutate:
     def test_abstract_suite_kills_fsm_mutants(self, abstracted, capsys):
@@ -167,6 +180,26 @@ class TestMutate:
         csv = (abstracted / "mutants.csv").read_text().splitlines()
         assert csv[0] == "mutant,status,first_failing_case"
         assert len(csv) == 26
+
+
+class TestArtefactRead:
+    @pytest.mark.parametrize("argv, culprit, cause", [
+        (["check-suite", "fsm.json", "partition.json"], "partition.json", "missing key 'cases'"),
+        (["generate", "partition.json"], "partition.json", "missing key 'transitions'"),
+        (["render", "suite-h.json"], "suite-h.json", "missing key 'transitions'"),
+        (["generate", "malformed.json"], "malformed.json", "Expecting property name"),
+        (["generate", "list.json"], "list.json", "expected a JSON object"),
+    ], ids=["check-suite-partition", "generate-partition", "render-suite", "malformed",
+            "list"])
+    def test_names_the_file(self, abstracted, capsys, argv, culprit, cause):
+        assert main(["generate", str(abstracted / "fsm.json"),
+                     "--out", str(abstracted / "suite-h.json")]) == 0
+        (abstracted / "malformed.json").write_text("{,}")
+        (abstracted / "list.json").write_text("[]")
+        capsys.readouterr()
+        command, *names = argv
+        assert main([command, *(str(abstracted / name) for name in names)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {abstracted / culprit}: {cause}")
 
 
 class TestRender:

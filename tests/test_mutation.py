@@ -1,5 +1,7 @@
 """Mutant enumeration, equivalence oracle, classification, reporting."""
 
+import hashlib
+import json
 import sys
 
 import pytest
@@ -19,7 +21,8 @@ from suptest.mutation import (
     mutation_report,
     program_equivalent,
 )
-from suptest.supervisor import behavior_from_obj, to_guarded_actions
+from suptest.sfsm import abstract_to_fsm
+from suptest.supervisor import behavior_from_obj, to_guarded_actions, to_test_reference
 from suptest.testgen import h_method
 
 from test_harness import behaviour_obj
@@ -68,6 +71,29 @@ class TestMachineMutants:
     def test_ids_unique(self, m0):
         mutants = generate_mutants(m0)
         assert len({mu.id for mu in mutants}) == len(mutants)
+
+    @pytest.mark.parametrize("name, count, digest", [
+        ("m0", 36, "32829c5c80ab98ac558674f9ffc6b923cac72c2b2dc9a9763dade02aa164d57b"),
+        ("welding-cell", 20_944,
+         "0c172f0aad11b6a91bb91ff6ba277bfda6c97a0f4ab858d1ef4cd1c42602fd4e"),
+    ], ids=["m0", "welding-cell"])
+    def test_mutants_pinned(self, m0, welding_cell, name, count, digest):
+        # SHA-256 over every mutant's id, operator, locus, initial state,
+        # states, and the transitions it changes, adds or drops against the
+        # reference (the full machines of the 20 944 welding-cell mutants
+        # encode to 384 MB of canonical JSON)
+        ref = m0 if name == "m0" else abstract_to_fsm(to_test_reference(welding_cell))[0]
+        mutants = generate_mutants(ref)
+        listing = [
+            [mu.id, mu.operator, mu.locus, mu.target.initial, mu.target.states,
+             sorted([s, x, t, y] for (s, x), (t, y) in mu.target.transitions.items()
+                    if ref.transitions.get((s, x)) != (t, y)),
+             sorted(k for k in ref.transitions if k not in mu.target.transitions)]
+            for mu in mutants
+        ]
+        assert len(mutants) == count
+        encoded = json.dumps(listing, separators=(",", ":")).encode()
+        assert hashlib.sha256(encoded).hexdigest() == digest
 
 
 class TestProgramMutants:

@@ -1,12 +1,16 @@
 """State cover, H-/W-Method suites, orthogonal completeness checking."""
 
+import hashlib
 import random
 
 import pytest
 
-from helpers import m0, random_machine
+from helpers import m0, random_machine, scan_check_h_completeness
 from suptest import mutation
+from suptest.encoding import canonical_dumps
 from suptest.fsm import MealyMachine
+from suptest.sfsm import abstract_to_fsm
+from suptest.supervisor import to_test_reference
 from suptest.testgen import (
     TestGenError,
     TestSuite,
@@ -17,6 +21,11 @@ from suptest.testgen import (
     suite_stats,
     w_method,
 )
+
+
+@pytest.fixture(scope="module")
+def welding_fsm(welding_cell):
+    return abstract_to_fsm(to_test_reference(welding_cell))[0]
 
 
 def one_state():
@@ -211,3 +220,61 @@ class TestCompletenessSmallScale:
                     assert outcome.status == mutation.EQUIVALENT
                 elif len(mu.target.minimize().states) <= bound:
                     assert outcome.status == mutation.KILLED
+
+
+class TestWalkAgainstScan:
+    """The checker decides each trace pair by a joint walk of the suite's
+    trace set; the scan over the whole set is kept as its oracle."""
+
+    def test_violations_equal_scan_oracle(self):
+        rng = random.Random(6)
+        rejected = 0
+        for _ in range(12):
+            n = rng.randint(2, 6)
+            m = random_machine(rng, n, 2, rng.randint(2, 3))
+            for bound in range(n, n + 3):
+                suite = h_method(m, bound)
+                for drop in [None, *range(len(suite.cases))]:
+                    cases = [c for i, c in enumerate(suite.cases) if i != drop]
+                    ts = TestSuite(cases, "h", bound, suite.reference_fingerprint)
+                    violations = check_h_completeness(m, bound, ts).violations
+                    assert violations == scan_check_h_completeness(m, bound, ts).violations
+                    rejected += bool(violations)
+        assert rejected > 100  # deletions do make the checker find violations
+
+
+class TestPinnedSuites:
+    """SHA-256 of the canonical suite encodings: how the generator decides
+    that a pair is already distinguished must not change a suite."""
+
+    @pytest.mark.parametrize("derive, m_bound, digest", [
+        (h_method, 7, "e1a8204dedb2e66c0d1fa60c80270f72b9c5046a7041fffeedd2479c47c976a2"),
+        (h_method, 8, "ca8e0460edbc833cf544acb31264429d546eaf6a84a0b049c90b4350ec54f048"),
+        (w_method, 7, "580ffd532eb732d67e41fde8b8f218aabca10c5f66771a2dbd05c604639ed00e"),
+        (w_method, 8, "48194760bdbf0f7da0b6a92a55764d9541c802348c313edd7a0c68e97556544e"),
+    ], ids=["h-n", "h-n+1", "w-n", "w-n+1"])
+    def test_welding_cell(self, welding_fsm, derive, m_bound, digest):
+        assert len(welding_fsm.states) == 7
+        encoded = canonical_dumps(derive(welding_fsm, m_bound).to_obj()).encode()
+        assert hashlib.sha256(encoded).hexdigest() == digest
+
+    def test_acceptance_population(self):
+        # the machines and bounds of tests/test_acceptance.py's population
+        h_digest, w_digest = hashlib.sha256(), hashlib.sha256()
+        for i in range(200):
+            rng = random.Random(1000 + i)
+            n = rng.randint(2, 6)
+            m = random_machine(rng, n, rng.randint(2, 4), rng.randint(2, 3))
+            h_digest.update(canonical_dumps(h_method(m, n + i % 2).to_obj()).encode())
+            w_digest.update(canonical_dumps(w_method(m, n + i % 2).to_obj()).encode())
+        assert h_digest.hexdigest() == (
+            "2569f513b359d9f7773ce9be0b8d4490a6a86564cb96b677c99706e9ea915a38")
+        assert w_digest.hexdigest() == (
+            "ba78d7f0d5680b95a07f1f23a161539da12a7db73575425cbfd5d5b82948bad9")
+
+    def test_welding_cell_two_extra_states(self, welding_fsm):
+        m_bound = len(welding_fsm.states) + 2
+        suite = h_method(welding_fsm, m_bound)
+        stats = suite_stats(suite)
+        assert (stats["cases"], stats["total_input_symbols"]) == (40_824, 216_240)
+        assert check_h_completeness(welding_fsm, m_bound, suite).ok
