@@ -19,33 +19,36 @@ from pathlib import Path
 from . import harness, mutation, sfsm, supervisor, testgen
 from .encoding import canonical_dumps, fingerprint
 from .fsm import MealyMachine
-from .guards import DEFAULT_ENUM_BOUND
 from .sfsm import POLICY_ERROR, POLICY_SELFLOOP, Sfsm
 
 CONFIG_ENV = "SUPTEST_CONFIG"
 
 DEFAULTS = {
-    "enum_bound": DEFAULT_ENUM_BOUND,
     "policy": POLICY_ERROR,
     "m_extra": 0,  # mBound = n + m_extra unless --m given
     "step_timeout": harness.DEFAULT_STEP_TIMEOUT,
-    "mutation_limit": None,
     "mutation_seed": 0,
 }
 
 
 # What each numeric setting must be; `type(x) is int` refuses booleans.
 CONFIG_TYPES = {
-    "enum_bound": ("an int >= 1", lambda x: type(x) is int and x >= 1),
     "m_extra": ("an int >= 0", lambda x: type(x) is int and x >= 0),
     "mutation_seed": ("an int", lambda x: type(x) is int),
-    "mutation_limit": ("an int >= 0 or null", lambda x: x is None or type(x) is int and x >= 0),
     "step_timeout": ("a number > 0", lambda x: type(x) in (int, float) and 0 < x < float("inf")),
 }
 
 
 class CliError(Exception):
     pass
+
+
+def mutant_count(text: str) -> int:
+    """`--limit` value: an int >= 0."""
+    count = int(text)
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"must be an int >= 0, got {count}")
+    return count
 
 
 def load_config() -> dict:
@@ -126,9 +129,8 @@ def load_suite(path) -> testgen.TestSuite:
 
 def translate(behaviour_path, out: Path, config) -> tuple[Sfsm, supervisor.HypothesisReport]:
     behaviour = supervisor.load_behavior(behaviour_path)
-    bound = config["enum_bound"]
-    program = supervisor.to_guarded_actions(behaviour, config["policy"], bound)
-    reference = supervisor.to_test_reference(behaviour, config["policy"], bound)
+    program = supervisor.to_guarded_actions(behaviour, config["policy"])
+    reference = supervisor.to_test_reference(behaviour, config["policy"])
     report = supervisor.check_hypotheses(program, reference)
     for warning in behaviour.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -140,15 +142,15 @@ def translate(behaviour_path, out: Path, config) -> tuple[Sfsm, supervisor.Hypot
     return reference, report
 
 
-def classes(reference: Sfsm, path, config) -> sfsm.InputClassPartition:
-    partition = sfsm.input_classes(reference, config["enum_bound"])
+def classes(reference: Sfsm, path) -> sfsm.InputClassPartition:
+    partition = sfsm.input_classes(reference)
     write_artifact(path, partition.to_obj(), {"sfsm": reference.fingerprint()})
     print(f"{len(partition.classes)} input equivalence classes")
     return partition
 
 
 def abstract(reference: Sfsm, out: Path, config) -> tuple[MealyMachine, sfsm.AbstractionMap]:
-    machine, amap = sfsm.abstract_to_fsm(reference, config["policy"], config["enum_bound"])
+    machine, amap = sfsm.abstract_to_fsm(reference, config["policy"])
     out.mkdir(parents=True, exist_ok=True)
     ref_fp = reference.fingerprint()
     write_artifact(out / "fsm.json", machine.to_obj(), {"sfsm": ref_fp})
@@ -172,9 +174,13 @@ def generate(machine: MealyMachine, method: str, m_bound, path, config) -> testg
     return suite
 
 
-def check_suite(machine: MealyMachine, suite: testgen.TestSuite) -> testgen.CompletenessReport:
+def require_suite_of(machine: MealyMachine, suite: testgen.TestSuite) -> None:
     if suite.reference_fingerprint != machine.fingerprint():
         raise CliError("suite was generated from a different reference machine")
+
+
+def check_suite(machine: MealyMachine, suite: testgen.TestSuite) -> testgen.CompletenessReport:
+    require_suite_of(machine, suite)
     report = testgen.check_h_completeness(machine, suite.m_bound, suite)
     print(report.summary())
     return report
@@ -196,9 +202,9 @@ def run(suite: testgen.TestSuite, sut_command: str, path, config) -> harness.Tes
     return report
 
 
-def render(model: Sfsm | MealyMachine, path, config) -> None:
+def render(model: Sfsm | MealyMachine, path) -> None:
     if isinstance(model, Sfsm):
-        text = sfsm.export_dot(model, bound=config["enum_bound"])
+        text = sfsm.export_dot(model)
     else:
         text = model.to_dot()
     if path:
@@ -217,7 +223,7 @@ def cmd_translate(args, config) -> int:
 
 
 def cmd_classes(args, config) -> int:
-    classes(load_sfsm(args.sfsm), args.out or "partition.json", config)
+    classes(load_sfsm(args.sfsm), args.out or "partition.json")
     return 0
 
 
@@ -272,16 +278,13 @@ def cmd_mutate(args, config) -> int:
     suite = load_suite(args.suite)
     if args.kind == "fsm":
         target = load_machine(args.target)
+        require_suite_of(target, suite)
     else:
         target = load_program(args.target)
     operators = args.ops.split(",") if args.ops else None
-    limit = args.limit if args.limit is not None else config["mutation_limit"]
-    mutants = mutation.generate_mutants(target, operators, limit,
+    mutants = mutation.generate_mutants(target, operators, args.limit,
                                         config["mutation_seed"])
-    outcomes = [
-        mutation.classify(target, suite, m, via="oracle", bound=config["enum_bound"])
-        for m in mutants
-    ]
+    outcomes = [mutation.classify(target, suite, m, via="oracle") for m in mutants]
     report = mutation.mutation_report(outcomes)
     if args.out:
         write_artifact(args.out, report.to_obj(), {"suite": fingerprint(suite.to_obj())})
@@ -294,7 +297,7 @@ def cmd_mutate(args, config) -> int:
 def cmd_render(args, config) -> int:
     doc = read_artifact(args.model)
     from_obj = Sfsm.from_obj if "input_vars" in doc else MealyMachine.from_obj
-    render(parse_artifact(args.model, doc, from_obj), args.out, config)
+    render(parse_artifact(args.model, doc, from_obj), args.out)
     return 0
 
 
@@ -303,14 +306,14 @@ def cmd_pipeline(args, config) -> int:
     reference, hypotheses = translate(args.behaviour, out, config)
     if not hypotheses.ok:
         return 1
-    partition = classes(reference, out / "partition.json", config)
+    partition = classes(reference, out / "partition.json")
     machine, amap = abstract(reference, out, config)
     suite = generate(machine, "h", args.m, out / "suite-h.json", config)
     if not check_suite(machine, suite).ok:
         return 1
     concrete = concretize(suite, partition, amap, out / "suite-concrete.json")
-    render(reference, out / "reference.dot", config)
-    render(machine, out / "fsm.dot", config)
+    render(reference, out / "reference.dot")
+    render(machine, out / "fsm.dot")
     sut_command = args.sut or f"{sys.executable} -m suptest serve-reference {out / 'program.gap'}"
     report = run(concrete, sut_command, out / "report.json", config)
     return 0 if report.complete_pass else 1
@@ -380,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("fsm", "program"), default="program")
     p.add_argument("--suite", required=True)
     p.add_argument("--ops", help="comma-separated operator names")
-    p.add_argument("--limit", type=int)
+    p.add_argument("--limit", type=mutant_count)
     p.add_argument("--out")
     p.add_argument("--csv")
     p.set_defaults(func=cmd_mutate)

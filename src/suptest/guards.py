@@ -3,7 +3,8 @@
 Guards are boolean combinations of variable-vs-literal comparisons over
 finite sorts (enumerations or bounded integer ranges).  Satisfiability and
 valuation enumeration are exhaustive: at desk scale this is exact, trivial
-to audit, and needs no constraint solver.
+to audit, and needs no constraint solver.  A valuation space larger than
+`ENUM_BOUND` is refused rather than walked.
 
 Grammar::
 
@@ -21,7 +22,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Union
 
-DEFAULT_ENUM_BOUND = 1_000_000
+ENUM_BOUND = 1_000_000  # largest valuation space walked
 
 Value = Union[int, str]
 Valuation = dict  # name -> Value, total over a declaration set
@@ -42,7 +43,7 @@ class SortError(GuardError):
 
 
 class EnumerationOverflow(GuardError):
-    """Valuation space exceeds the configured enumeration bound."""
+    """Valuation space exceeds `ENUM_BOUND`."""
 
 
 # ---------------------------------------------------------------------------
@@ -396,17 +397,15 @@ def valuation_count(decls: list[VarDecl]) -> int:
     return n
 
 
-def enumerate_valuations(
-    decls: list[VarDecl], bound: int = DEFAULT_ENUM_BOUND
-) -> Iterator[Valuation]:
+def enumerate_valuations(decls: list[VarDecl]) -> Iterator[Valuation]:
     """All valuations, lexicographic over declaration order and sort order.
 
     The empty declaration set yields the single empty valuation.
     """
     total = valuation_count(decls)
-    if total > bound:
+    if total > ENUM_BOUND:
         raise EnumerationOverflow(
-            f"valuation space of size {total} exceeds bound {bound}"
+            f"valuation space of size {total} exceeds bound {ENUM_BOUND}"
         )
 
     def rec(i: int, acc: Valuation) -> Iterator[Valuation]:
@@ -431,24 +430,22 @@ def distinct_guards(guards) -> list[GuardExpr]:
 
 
 def truth_classes(
-    guards: list[GuardExpr], decls: list[VarDecl], bound: int = DEFAULT_ENUM_BOUND
+    guards: list[GuardExpr], decls: list[VarDecl]
 ) -> list[tuple[tuple[bool, ...], Valuation, int]]:
     """(signature, least member, size) of each truth class of `guards`, in
     order of least member.  What reads an input only through these guards
     is decided exactly on the least members, and the first class showing a
     property holds the least valuation showing it."""
     classes: dict[tuple[bool, ...], list] = {}
-    for v in enumerate_valuations(decls, bound):
+    for v in enumerate_valuations(decls):
         sig = tuple(eval_guard(g, v) for g in guards)
         classes.setdefault(sig, [v, 0])[1] += 1
     return [(sig, rep, size) for sig, (rep, size) in classes.items()]
 
 
-def satisfiable(
-    g: GuardExpr, decls: list[VarDecl], bound: int = DEFAULT_ENUM_BOUND
-) -> Valuation | None:
+def satisfiable(g: GuardExpr, decls: list[VarDecl]) -> Valuation | None:
     """First satisfying valuation in enumeration order, or None."""
-    for v in enumerate_valuations(decls, bound):
+    for v in enumerate_valuations(decls):
         if eval_guard(g, v):
             return v
     return None

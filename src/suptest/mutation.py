@@ -17,10 +17,7 @@ from itertools import chain
 
 from .encoding import encode_valuation
 from .fsm import MealyMachine
-from .guards import (
-    And, Comparison, DEFAULT_ENUM_BOUND, Not, Or,
-    distinct_guards, truth_classes,
-)
+from .guards import And, Comparison, Not, Or, distinct_guards, truth_classes
 from .harness import PASS, MachineSut, SutAdapter, verdicts
 from .sfsm import POLICY_SELFLOOP
 from .supervisor import GuardedActionProgram, Interpreter, interpret_step
@@ -117,33 +114,17 @@ def _machine_mutants(m: MealyMachine, operators) -> list[Mutant]:
 _COMPLEMENT = {"=": "!=", "!=": "=", "<": ">=", ">=": "<", "<=": ">", ">": "<="}
 
 
-def _flip_nth_comparison(g, n: int):
-    """Replace the n-th comparison (in-order) by its complement.
-
-    Returns (new guard, comparisons seen).
-    """
+def _flips(g):
+    """`g` with one comparison complemented, for each comparison in order."""
     if isinstance(g, Comparison):
-        if n == 0:
-            return Comparison(g.var, _COMPLEMENT[g.op], g.literal), 1
-        return g, 1
-    if isinstance(g, Not):
-        inner, seen = _flip_nth_comparison(g.operand, n)
-        return Not(inner), seen
-    if isinstance(g, (And, Or)):
-        left, seen_l = _flip_nth_comparison(g.left, n)
-        right, seen_r = _flip_nth_comparison(g.right, n - seen_l)
-        return type(g)(left, right), seen_l + seen_r
-    return g, 0
-
-
-def _count_comparisons(g) -> int:
-    if isinstance(g, Comparison):
-        return 1
-    if isinstance(g, Not):
-        return _count_comparisons(g.operand)
-    if isinstance(g, (And, Or)):
-        return _count_comparisons(g.left) + _count_comparisons(g.right)
-    return 0
+        yield Comparison(g.var, _COMPLEMENT[g.op], g.literal)
+    elif isinstance(g, Not):
+        yield from map(Not, _flips(g.operand))
+    elif isinstance(g, (And, Or)):
+        for left in _flips(g.left):
+            yield type(g)(left, g.right)
+        for right in _flips(g.right):
+            yield type(g)(g.left, right)
 
 
 def _program_mutants(p: GuardedActionProgram, operators) -> list[Mutant]:
@@ -183,8 +164,7 @@ def _program_mutants(p: GuardedActionProgram, operators) -> list[Mutant]:
                      f"action {i} ({a.name}) target -> {dict(r)}", actions)
     if GUARD_FLIP in operators:
         for i, a in enumerate(p.actions):
-            for n in range(_count_comparisons(a.guard)):
-                flipped, _ = _flip_nth_comparison(a.guard, n)
+            for n, flipped in enumerate(_flips(a.guard)):
                 actions = list(p.actions)
                 actions[i] = replace(a, guard=flipped)
                 emit(GUARD_FLIP, f"action {i} ({a.name}) comparison {n} flipped",
@@ -221,11 +201,7 @@ def generate_mutants(
 # Program equivalence oracle
 # ---------------------------------------------------------------------------
 
-def program_equivalent(
-    p1: GuardedActionProgram,
-    p2: GuardedActionProgram,
-    bound: int = DEFAULT_ENUM_BOUND,
-) -> bool:
+def program_equivalent(p1: GuardedActionProgram, p2: GuardedActionProgram) -> bool:
     """Exact observational equivalence over the full input valuation space.
 
     Breadth-first product traversal of the two interpreters' risk-state
@@ -234,7 +210,7 @@ def program_equivalent(
     every valuation.
     """
     guards = distinct_guards(a.guard for p in (p1, p2) for a in p.actions)
-    inputs = [v for _, v, _ in truth_classes(guards, p1.input_vars, bound)]
+    inputs = [v for _, v, _ in truth_classes(guards, p1.input_vars)]
     start = (tuple(sorted(p1.initial.items())), tuple(sorted(p2.initial.items())))
     seen = {start}
     queue = deque([start])
@@ -257,7 +233,7 @@ def program_equivalent(
 # ---------------------------------------------------------------------------
 
 def classify(reference, suite, mutant: Mutant, via: str = "oracle",
-             sut_command=None, bound: int = DEFAULT_ENUM_BOUND) -> MutationOutcome:
+             sut_command=None) -> MutationOutcome:
     """Decide EQUIVALENT / KILLED / ESCAPED for one mutant.
 
     `oracle` mode runs the suite in-memory; `harness` mode serves the
@@ -272,7 +248,7 @@ def classify(reference, suite, mutant: Mutant, via: str = "oracle",
     if machine:
         equivalent = reference.equivalent(mutant.target) is None
     else:
-        equivalent = program_equivalent(reference, mutant.target, bound)
+        equivalent = program_equivalent(reference, mutant.target)
 
     if via == "oracle":
         session = nullcontext(MachineSut(mutant.target) if machine

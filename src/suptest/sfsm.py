@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from .encoding import NIL_TEXT, encode_valuation, fingerprint, fnv1a64
 from .fsm import MealyMachine
 from .guards import (
-    DEFAULT_ENUM_BOUND,
     GuardExpr,
     Valuation,
     VarDecl,
@@ -203,14 +202,14 @@ class InputClassPartition:
         )
 
 
-def input_classes(r: Sfsm, bound: int = DEFAULT_ENUM_BOUND) -> InputClassPartition:
+def input_classes(r: Sfsm) -> InputClassPartition:
     """Partition the input valuation space by guard-truth signature.
 
     Classes are numbered in the order of `truth_classes`; the representative
     is the lexicographically smallest member.
     """
     guards = distinct_guards(t.guard for t in r.transitions)
-    classes = truth_classes(guards, r.input_vars, bound)
+    classes = truth_classes(guards, r.input_vars)
     return InputClassPartition([print_guard(g) for g in guards],
                                [InputClass(f"c{i}", *c) for i, c in enumerate(classes)])
 
@@ -235,11 +234,7 @@ class AbstractionMap:
         return cls(dict(obj["class_to_valuation"]), dict(obj["label_to_output"]))
 
 
-def abstract_to_fsm(
-    r: Sfsm,
-    policy: str = POLICY_ERROR,
-    bound: int = DEFAULT_ENUM_BOUND,
-) -> tuple[MealyMachine, AbstractionMap]:
+def abstract_to_fsm(r: Sfsm, policy: str = POLICY_ERROR) -> tuple[MealyMachine, AbstractionMap]:
     """Abstract the SFSM into a Mealy machine over input-class identifiers.
 
     States carry over unchanged; each distinct output valuation becomes one
@@ -249,7 +244,7 @@ def abstract_to_fsm(
     Deciding determinism per class is exact because the classes refine every
     guard; overlaps in every state take precedence over an uncovered input.
     """
-    partition = input_classes(r, bound)
+    partition = input_classes(r)
 
     distinct_outputs = sorted(
         {encode_valuation(t.output) for t in r.transitions if t.output is not None}
@@ -265,13 +260,9 @@ def abstract_to_fsm(
     needs_nil = False
     incomplete = None
     for state in r.states:
-        out = r.outgoing(state)
         for c in partition.classes:
-            enabled = [t for t in out if eval_guard(t.guard, c.representative)]
-            if len(enabled) > 1:
-                raise DeterminismViolation(state, c.representative, enabled)
-            if enabled:
-                t = enabled[0]
+            t = r.step(state, c.representative)
+            if t is not None:
                 label = NIL_LABEL if t.output is None else label_of[encode_valuation(t.output)]
                 if t.output is None:
                     needs_nil = True
@@ -330,7 +321,7 @@ def hash_label(v: Valuation | None) -> int:
     return fnv1a64(encode_valuation(v).encode("utf-8"))
 
 
-def export_dot(r: Sfsm, name: str = "sfsm", bound: int = DEFAULT_ENUM_BOUND) -> str:
+def export_dot(r: Sfsm, name: str = "sfsm") -> str:
     """One node per risk state, edges labelled action:h(input-rep)/h(output).
 
     Full valuation expressions are too long to display, so each edge shows
@@ -344,7 +335,7 @@ def export_dot(r: Sfsm, name: str = "sfsm", bound: int = DEFAULT_ENUM_BOUND) -> 
     for s in r.states:
         lines.append(f'  "{s}" [shape=ellipse];')
     for t in r.transitions:
-        rep = satisfiable(t.guard, r.input_vars, bound)
+        rep = satisfiable(t.guard, r.input_vars)
         if rep is None:
             gh = fnv1a64(print_guard(t.guard).encode("utf-8"))
         else:

@@ -14,13 +14,11 @@ plus static hypothesis checks comparing the two.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, field
 
 from .encoding import encode_valuation, fingerprint
 from .guards import (
     CONTROLLED,
-    DEFAULT_ENUM_BOUND,
     FACTOR,
     MONITORED,
     GuardExpr,
@@ -306,13 +304,18 @@ def _check_risk_state(r: RiskState, factors: list[str]) -> None:
 
 
 def load_behavior(path) -> ControllerBehavior:
-    """Parse and validate a `.cb` behaviour file."""
+    """Parse and validate a `.cb` behaviour file, naming it on failure."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SupervisorError(f"cannot parse {path}: {exc}") from exc
-    return behavior_from_obj(obj)
+    if not isinstance(obj, dict):
+        raise SupervisorError(f"{path}: expected a JSON object")
+    try:
+        return behavior_from_obj(obj)
+    except KeyError as exc:
+        raise SupervisorError(f"{path}: missing key {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +323,7 @@ def load_behavior(path) -> ControllerBehavior:
 # ---------------------------------------------------------------------------
 
 def to_guarded_actions(
-    b: ControllerBehavior,
-    policy: str = POLICY_ERROR,
-    bound: int = DEFAULT_ENUM_BOUND,
+    b: ControllerBehavior, policy: str = POLICY_ERROR
 ) -> GuardedActionProgram:
     """One guarded action per behaviour transition, determinism checked.
 
@@ -340,11 +341,11 @@ def to_guarded_actions(
     program = GuardedActionProgram(
         b.input_vars, b.output_vars, b.factors, dict(b.initial), actions, policy
     )
-    _check_program_determinism(program, bound)
+    _check_program_determinism(program)
     return program
 
 
-def _check_program_determinism(p: GuardedActionProgram, bound: int) -> None:
+def _check_program_determinism(p: GuardedActionProgram) -> None:
     """Checked per truth class of the program's guards (see `truth_classes`)."""
     by_source: dict[tuple, list[GuardedAction]] = {}
     for a in p.actions:
@@ -352,7 +353,7 @@ def _check_program_determinism(p: GuardedActionProgram, bound: int) -> None:
     shared = [(source, actions) for source, actions in by_source.items() if len(actions) > 1]
     if not shared:
         return
-    classes = truth_classes(distinct_guards(a.guard for a in p.actions), p.input_vars, bound)
+    classes = truth_classes(distinct_guards(a.guard for a in p.actions), p.input_vars)
     for source, actions in shared:
         for _, v, _ in classes:
             enabled = [a for a in actions if eval_guard(a.guard, v)]
@@ -360,50 +361,33 @@ def _check_program_determinism(p: GuardedActionProgram, bound: int) -> None:
                 raise DeterminismViolation(risk_state_name(dict(source), p.factors), v, enabled)
 
 
-def to_test_reference(
-    b: ControllerBehavior,
-    policy: str = POLICY_ERROR,
-    bound: int = DEFAULT_ENUM_BOUND,
-) -> Sfsm:
+def to_test_reference(b: ControllerBehavior, policy: str = POLICY_ERROR) -> Sfsm:
     """SFSM over the reachable risk states, transitions labelled guard/output.
 
     Unreachable risk states are pruned; a warning is recorded on `b`.
     """
-    program = to_guarded_actions(b, policy, bound)
+    to_guarded_actions(b, policy)  # refuses a nondeterministic behaviour
     factors = b.factors
+    transitions = [
+        SfsmTransition(
+            risk_state_name(t["source"], factors),
+            derive_action_name(factors, t["source"], t["target"]),
+            t["guard"], t["output"], risk_state_name(t["target"], factors),
+        )
+        for t in b.transitions
+    ]
     initial_name = risk_state_name(b.initial, factors)
-    # reachability over the transition graph
-    by_source: dict[str, list] = {}
-    all_names = {initial_name}
-    for t in b.transitions:
-        src = risk_state_name(t["source"], factors)
-        tgt = risk_state_name(t["target"], factors)
-        all_names.update((src, tgt))
-        by_source.setdefault(src, []).append(t)
+    # breadth first: the list grows while it is walked, so it is its own queue
     reachable = [initial_name]
-    queue = deque([initial_name])
-    while queue:
-        s = queue.popleft()
-        for t in by_source.get(s, []):
-            tgt = risk_state_name(t["target"], factors)
-            if tgt not in reachable:
-                reachable.append(tgt)
-                queue.append(tgt)
-    dropped = sorted(all_names - set(reachable))
+    for s in reachable:
+        for t in transitions:
+            if t.source == s and t.target not in reachable:
+                reachable.append(t.target)
+    dropped = sorted({n for t in transitions for n in (t.source, t.target)} - set(reachable))
     if dropped:
         b.warnings.append(f"unreachable risk states dropped: {', '.join(dropped)}")
-    transitions = []
-    for t in b.transitions:
-        src = risk_state_name(t["source"], factors)
-        if src not in reachable:
-            continue
-        name = derive_action_name(factors, t["source"], t["target"])
-        transitions.append(
-            SfsmTransition(
-                src, name, t["guard"], t["output"], risk_state_name(t["target"], factors)
-            )
-        )
-    return Sfsm(b.input_vars, b.output_vars, reachable, initial_name, transitions)
+    return Sfsm(b.input_vars, b.output_vars, reachable, initial_name,
+                [t for t in transitions if t.source in reachable])
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,17 @@ class TestTranslate:
         assert main(["translate", str(tmp_path / "nope.cb")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content, cause", [
+        ('{"vars": []}', "missing key 'initial'"),
+        ('{"vars": [], "initial": {}, "transitions": [{}]}', "missing key 'source'"),
+        ("[]", "expected a JSON object"),
+    ], ids=["top-level-key", "transition-key", "not-object"])
+    def test_names_the_behaviour_file(self, tmp_path, capsys, content, cause):
+        path = tmp_path / "bad.cb"
+        path.write_text(content)
+        assert main(["translate", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: {cause}")
+
 
 class TestGenerateAndCheck:
     def test_h_suite_round_trip(self, abstracted, capsys):
@@ -181,6 +192,23 @@ class TestMutate:
         assert csv[0] == "mutant,status,first_failing_case"
         assert len(csv) == 26
 
+    def test_refuses_foreign_suite(self, abstracted, capsys):
+        fsm = abstracted / "fsm.json"
+        suite_path = abstracted / "suite-h.json"
+        assert main(["generate", str(fsm), "--out", str(suite_path)]) == 0
+        doc = read(suite_path)
+        doc["referenceFingerprint"] = "0" * 16
+        suite_path.write_text(canonical_dumps(doc))
+        assert main(["mutate", str(fsm), "--kind", "fsm", "--suite", str(suite_path)]) == 2
+        assert "different reference" in capsys.readouterr().err
+
+    def test_negative_limit_exits_2(self, abstracted, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["mutate", str(abstracted / "fsm.json"), "--kind", "fsm",
+                  "--suite", str(abstracted / "suite-h.json"), "--limit", "-1"])
+        assert exc.value.code == 2
+        assert "argument --limit: must be an int >= 0, got -1" in capsys.readouterr().err
+
 
 class TestArtefactRead:
     @pytest.mark.parametrize("argv, culprit, cause", [
@@ -303,13 +331,13 @@ class TestConfig:
         ("[]", "expected a JSON object"),
         ('{"m_extr": 1}', "unknown keys ['m_extr']"),
         ('{"policy": "selfloop"}', "unknown policy 'selfloop'"),
-        ('{"enum_bound": "x"}', "enum_bound must be an int >= 1, got 'x'"),
-        ('{"enum_bound": 0}', "enum_bound must be an int >= 1, got 0"),
-        ('{"enum_bound": true}', "enum_bound must be an int >= 1, got True"),
+        ('{"enum_bound": "x"}', "unknown keys ['enum_bound']"),
+        ('{"enum_bound": 0}', "unknown keys ['enum_bound']"),
+        ('{"enum_bound": true}', "unknown keys ['enum_bound']"),
         ('{"m_extra": -1}', "m_extra must be an int >= 0, got -1"),
         ('{"m_extra": 1.0}', "m_extra must be an int >= 0, got 1.0"),
         ('{"mutation_seed": false}', "mutation_seed must be an int, got False"),
-        ('{"mutation_limit": -1}', "mutation_limit must be an int >= 0 or null, got -1"),
+        ('{"mutation_limit": -1}', "unknown keys ['mutation_limit']"),
         ('{"step_timeout": 0}', "step_timeout must be a number > 0, got 0"),
         ('{"step_timeout": "5"}', "step_timeout must be a number > 0, got '5'"),
         ('{"step_timeout": true}', "step_timeout must be a number > 0, got True"),

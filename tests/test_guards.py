@@ -112,7 +112,7 @@ class TestEnumerate:
     def test_overflow_guard(self):
         decls = [VarDecl(f"x{i}", IntSort(0, 9)) for i in range(8)]
         with pytest.raises(EnumerationOverflow):
-            list(enumerate_valuations(decls, bound=1_000_000))
+            list(enumerate_valuations(decls))
 
 
 class TestSatisfiable:

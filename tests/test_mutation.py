@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from helpers import m0
+from suptest.encoding import canonical_dumps
 from suptest.mutation import (
     EQUIVALENT,
     ESCAPED,
@@ -118,6 +119,17 @@ class TestProgramMutants:
     def test_welding_cell_yields_at_least_100(self, welding_cell):
         p = to_guarded_actions(welding_cell)
         assert len(generate_mutants(p)) >= 100
+
+    def test_welding_cell_mutants_pinned(self, welding_cell):
+        # running SHA-256 over each mutant's id, operator, locus and program
+        mutants = generate_mutants(to_guarded_actions(welding_cell))
+        digest = hashlib.sha256()
+        for mu in mutants:
+            digest.update(canonical_dumps([mu.id, mu.operator, mu.locus,
+                                           mu.target.to_obj()]).encode())
+        assert len(mutants) == 181
+        assert digest.hexdigest() == \
+            "f3e97a94b5990df1ad5e2d9a4cccd2f321c043dd7859330e6b873807642c1b14"
 
 
 class TestProgramEquivalence:
