@@ -11,13 +11,12 @@ reproducible byte for byte.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
 
 from . import harness, mutation, sfsm, supervisor, testgen
-from .encoding import canonical_dumps, fingerprint
+from .encoding import ArtifactError, canonical_dumps, fingerprint, read_artifact
 from .fsm import MealyMachine
 from .sfsm import POLICY_ERROR, POLICY_SELFLOOP, Sfsm
 
@@ -51,28 +50,27 @@ def mutant_count(text: str) -> int:
     return count
 
 
-def load_config() -> dict:
-    config = dict(DEFAULTS)
-    path = os.environ.get(CONFIG_ENV)
-    if not path:
-        return config
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise CliError(f"{CONFIG_ENV}={path}: {exc}") from exc
-    if not isinstance(loaded, dict):
-        raise CliError(f"{CONFIG_ENV}={path}: expected a JSON object")
-    unknown = sorted(set(loaded) - set(DEFAULTS))
+def config_from_obj(doc: dict) -> dict:
+    unknown = sorted(set(doc) - set(DEFAULTS))
     if unknown:
-        raise CliError(f"{CONFIG_ENV}={path}: unknown keys {unknown}")
-    config.update(loaded)
+        raise CliError(f"unknown keys {unknown}")
+    config = {**DEFAULTS, **doc}
     if config["policy"] not in (POLICY_ERROR, POLICY_SELFLOOP):
-        raise CliError(f"{CONFIG_ENV}={path}: unknown policy {config['policy']!r}")
+        raise CliError(f"unknown policy {config['policy']!r}")
     for key, (want, ok) in CONFIG_TYPES.items():
         if not ok(config[key]):
-            raise CliError(f"{CONFIG_ENV}={path}: {key} must be {want}, got {config[key]!r}")
+            raise CliError(f"{key} must be {want}, got {config[key]!r}")
     return config
+
+
+def load_config() -> dict:
+    path = os.environ.get(CONFIG_ENV)
+    if not path:
+        return dict(DEFAULTS)
+    try:
+        return read_artifact(path, config_from_obj)
+    except ArtifactError as exc:  # its message starts with the path
+        raise CliError(f"{CONFIG_ENV}={exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -86,41 +84,31 @@ def write_artifact(path, payload: dict, inputs: dict | None = None) -> None:
     Path(path).write_text(canonical_dumps(doc), encoding="utf-8")
 
 
-def read_artifact(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except ValueError as exc:
-        raise CliError(f"{path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise CliError(f"{path}: expected a JSON object")
-    return doc
-
-
-def parse_artifact(path, doc: dict, from_obj):
-    """`from_obj(doc)` for the document read from `path`, naming the file on failure."""
-    try:
-        return from_obj(doc)
-    except KeyError as exc:
-        raise CliError(f"{path}: missing key {exc}") from exc
-    except testgen.TestGenError as exc:
-        raise CliError(f"{path}: {exc}") from exc
-
-
 def load_machine(path) -> MealyMachine:
-    return parse_artifact(path, read_artifact(path), MealyMachine.from_obj)
+    return read_artifact(path, MealyMachine.from_obj)
 
 
 def load_sfsm(path) -> Sfsm:
-    return parse_artifact(path, read_artifact(path), Sfsm.from_obj)
+    return read_artifact(path, Sfsm.from_obj)
 
 
 def load_program(path) -> supervisor.GuardedActionProgram:
-    return parse_artifact(path, read_artifact(path), supervisor.GuardedActionProgram.from_obj)
+    return read_artifact(path, supervisor.GuardedActionProgram.from_obj)
 
 
 def load_suite(path) -> testgen.TestSuite:
-    return parse_artifact(path, read_artifact(path), testgen.TestSuite.from_obj)
+    return read_artifact(path, testgen.TestSuite.from_obj)
+
+
+def with_sfsm_link(from_obj):
+    """`from_obj` that also returns the fingerprint of the SFSM the
+    document was derived from, or None."""
+    return lambda doc: (from_obj(doc), doc.get("derivedFrom", {}).get("sfsm"))
+
+
+def by_key(key: str, if_present, otherwise):
+    """A `from_obj` that reads a document holding `key` with `if_present`."""
+    return lambda doc: (if_present if key in doc else otherwise)(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +123,7 @@ def translate(behaviour_path, out: Path, config) -> tuple[Sfsm, supervisor.Hypot
     for warning in behaviour.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     out.mkdir(parents=True, exist_ok=True)
-    behaviour_fp = fingerprint(read_artifact(behaviour_path))
+    behaviour_fp = fingerprint(read_artifact(behaviour_path, dict))
     write_artifact(out / "program.gap", program.to_obj(), {"behaviour": behaviour_fp})
     write_artifact(out / "reference.sfsm", reference.to_obj(), {"behaviour": behaviour_fp})
     print(report.summary())
@@ -239,16 +227,12 @@ def cmd_generate(args, config) -> int:
 
 
 def cmd_concretize(args, config) -> int:
-    partition_doc = read_artifact(args.partition)
-    abstraction_doc = read_artifact(args.abstraction)
-    p_fp = partition_doc.get("derivedFrom", {}).get("sfsm")
-    a_fp = abstraction_doc.get("derivedFrom", {}).get("sfsm")
+    partition, p_fp = read_artifact(args.partition,
+                                    with_sfsm_link(sfsm.InputClassPartition.from_obj))
+    amap, a_fp = read_artifact(args.abstraction, with_sfsm_link(sfsm.AbstractionMap.from_obj))
     if p_fp and a_fp and p_fp != a_fp:
         raise CliError("partition and abstraction map come from different SFSMs")
-    concretize(load_suite(args.suite),
-               parse_artifact(args.partition, partition_doc, sfsm.InputClassPartition.from_obj),
-               parse_artifact(args.abstraction, abstraction_doc, sfsm.AbstractionMap.from_obj),
-               args.out or "suite-concrete.json")
+    concretize(load_suite(args.suite), partition, amap, args.out or "suite-concrete.json")
     return 0
 
 
@@ -276,11 +260,10 @@ def cmd_serve_machine(args, config) -> int:
 
 def cmd_mutate(args, config) -> int:
     suite = load_suite(args.suite)
-    if args.kind == "fsm":
-        target = load_machine(args.target)
+    target = read_artifact(args.target, by_key(
+        "actions", supervisor.GuardedActionProgram.from_obj, MealyMachine.from_obj))
+    if isinstance(target, MealyMachine):
         require_suite_of(target, suite)
-    else:
-        target = load_program(args.target)
     operators = args.ops.split(",") if args.ops else None
     mutants = mutation.generate_mutants(target, operators, args.limit,
                                         config["mutation_seed"])
@@ -295,9 +278,8 @@ def cmd_mutate(args, config) -> int:
 
 
 def cmd_render(args, config) -> int:
-    doc = read_artifact(args.model)
-    from_obj = Sfsm.from_obj if "input_vars" in doc else MealyMachine.from_obj
-    render(parse_artifact(args.model, doc, from_obj), args.out)
+    model = read_artifact(args.model, by_key("input_vars", Sfsm.from_obj, MealyMachine.from_obj))
+    render(model, args.out)
     return 0
 
 
@@ -380,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mutate", help="mutation analysis of a suite")
     p.add_argument("target")
-    p.add_argument("--kind", choices=("fsm", "program"), default="program")
     p.add_argument("--suite", required=True)
     p.add_argument("--ops", help="comma-separated operator names")
     p.add_argument("--limit", type=mutant_count)

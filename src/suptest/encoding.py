@@ -1,8 +1,10 @@
-"""Canonical textual encoding and fingerprints.
+"""Canonical textual encoding, fingerprints and the one input reader.
 
 Every artefact written by the toolkit goes through :func:`canonical_dumps`
 so that repeated runs with the same configuration produce byte-identical
-files, and fingerprints computed over those files are stable.
+files, and fingerprints computed over those files are stable.  Every JSON
+file the toolkit reads goes through :func:`read_artifact`, so every refusal
+of an input names its file.
 """
 
 from __future__ import annotations
@@ -13,6 +15,11 @@ from typing import Any
 # Reserved output marker used when an incomplete state is closed off with a
 # self-loop; it is not a valuation and encodes as the bare token "nil".
 NIL_TEXT = "nil"
+
+
+class ArtifactError(Exception):
+    """An input file refused; the message reads `<path>: <cause>`."""
+
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -73,3 +80,24 @@ def decode_step(text: str) -> dict | str | None:
 def fingerprint(obj: Any) -> str:
     """Hex fingerprint of an object's canonical encoding."""
     return format(fnv1a64(canonical_dumps(obj).encode("utf-8")), "016x")
+
+
+def read_artifact(path, from_obj):
+    """`from_obj(doc)` for the JSON object `doc` held in the file `path`.
+
+    Any refusal (the file system, the JSON syntax, a document that is not an
+    object, a missing key or any error of `from_obj`) is one ArtifactError
+    naming `path`, with the cause chained.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError("expected a JSON object")
+        return from_obj(doc)
+    except KeyError as exc:
+        raise ArtifactError(f"{path}: missing key {exc}") from exc
+    except OSError as exc:
+        raise ArtifactError(f"{path}: {exc.strerror or exc}") from exc
+    except Exception as exc:
+        raise ArtifactError(f"{path}: {exc}") from exc

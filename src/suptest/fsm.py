@@ -9,7 +9,7 @@ golden-file testing.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .encoding import fingerprint
 
@@ -35,20 +35,6 @@ class Counterexample:
     inputs: tuple[str, ...]
     outputs1: tuple[str, ...]
     outputs2: tuple[str, ...]
-
-
-@dataclass
-class ValidationReport:
-    deterministic: bool = True
-    complete: bool = False
-    missing_pairs: list[tuple[str, str]] = field(default_factory=list)
-    unreachable: list[str] = field(default_factory=list)
-    errors: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
 
 
 class MealyMachine:
@@ -145,31 +131,6 @@ class MealyMachine:
         return "\n".join(lines) + "\n"
 
     # -- operations ---------------------------------------------------------
-
-    def validate(self) -> ValidationReport:
-        """Completeness, reachability, and dangling-symbol findings."""
-        report = ValidationReport()
-        defined = set(self.transitions)
-        for s in self.states:
-            for x in self.inputs:
-                if (s, x) not in defined:
-                    report.missing_pairs.append((s, x))
-        report.complete = not report.missing_pairs
-        reachable = set(self.reachable_states())
-        report.unreachable = [s for s in self.states if s not in reachable]
-        used_inputs = {x for (_, x) in defined}
-        used_outputs = {y for (_, y) in self.transitions.values()}
-        for x in self.inputs:
-            if x not in used_inputs:
-                report.warnings.append(f"input symbol {x!r} never used")
-        for y in self.outputs:
-            if y not in used_outputs:
-                report.warnings.append(f"output symbol {y!r} never produced")
-        for s, x in report.missing_pairs:
-            report.errors.append(f"missing transition ({s!r}, {x!r})")
-        if report.unreachable:
-            report.errors.append(f"unreachable states: {', '.join(report.unreachable)}")
-        return report
 
     def run(self, word) -> tuple[tuple[str, ...], str]:
         """Outputs along `word` from the initial state, plus the reached state."""

@@ -168,12 +168,6 @@ class InputClassPartition:
                 return c
         raise SfsmError(f"no class for valuation {encode_valuation(v)}")
 
-    def by_id(self, cid: str) -> InputClass:
-        for c in self.classes:
-            if c.id == cid:
-                return c
-        raise SfsmError(f"unknown class id {cid!r}")
-
     def to_obj(self) -> dict:
         return {
             "guards": self.guards,
@@ -295,9 +289,13 @@ def concretize_suite(suite, partition: InputClassPartition, amap: AbstractionMap
     """
     from .testgen import TestCase, TestSuite
 
+    representative = {c.id: c.representative for c in partition.classes}
     cases = []
     for case in suite.cases:
-        inputs = tuple(partition.by_id(cid).representative for cid in case.inputs)
+        try:
+            inputs = tuple(representative[cid] for cid in case.inputs)
+        except KeyError as exc:
+            raise SfsmError(f"unknown class id {exc.args[0]!r}") from None
         try:
             expected = tuple(amap.label_to_output[label] for label in case.expected)
         except KeyError as exc:

@@ -13,10 +13,9 @@ plus static hypothesis checks comparing the two.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
-from .encoding import encode_valuation, fingerprint
+from .encoding import encode_valuation, read_artifact
 from .guards import (
     CONTROLLED,
     FACTOR,
@@ -184,9 +183,6 @@ class GuardedActionProgram:
             obj.get("resolution", "strict"),
         )
 
-    def fingerprint(self) -> str:
-        return fingerprint(self.to_obj())
-
 
 class Interpreter:
     """Steps a guarded-action program; the stand-in for deployed code.
@@ -305,17 +301,7 @@ def _check_risk_state(r: RiskState, factors: list[str]) -> None:
 
 def load_behavior(path) -> ControllerBehavior:
     """Parse and validate a `.cb` behaviour file, naming it on failure."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SupervisorError(f"cannot parse {path}: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise SupervisorError(f"{path}: expected a JSON object")
-    try:
-        return behavior_from_obj(obj)
-    except KeyError as exc:
-        raise SupervisorError(f"{path}: missing key {exc}") from exc
+    return read_artifact(path, behavior_from_obj)
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +351,11 @@ def to_test_reference(b: ControllerBehavior, policy: str = POLICY_ERROR) -> Sfsm
     """SFSM over the reachable risk states, transitions labelled guard/output.
 
     Unreachable risk states are pruned; a warning is recorded on `b`.
+    `to_guarded_actions` decides whether `b` is deterministic; overlapping
+    guards in the SFSM are refused wherever it is stepped.
+    `policy` has no effect (an SFSM carries none; `abstract_to_fsm` applies
+    it) and stays for callers that pass it by position.
     """
-    to_guarded_actions(b, policy)  # refuses a nondeterministic behaviour
     factors = b.factors
     transitions = [
         SfsmTransition(

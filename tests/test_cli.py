@@ -182,7 +182,7 @@ class TestMutate:
         fsm = abstracted / "fsm.json"
         suite = abstracted / "suite-h.json"
         assert main(["generate", str(fsm), "--out", str(suite)]) == 0
-        code = main(["mutate", str(fsm), "--kind", "fsm",
+        code = main(["mutate", str(fsm),
                      "--suite", str(suite),
                      "--ops", OUTPUT_FAULT, "--limit", "25",
                      "--csv", str(abstracted / "mutants.csv")])
@@ -199,12 +199,12 @@ class TestMutate:
         doc = read(suite_path)
         doc["referenceFingerprint"] = "0" * 16
         suite_path.write_text(canonical_dumps(doc))
-        assert main(["mutate", str(fsm), "--kind", "fsm", "--suite", str(suite_path)]) == 2
+        assert main(["mutate", str(fsm), "--suite", str(suite_path)]) == 2
         assert "different reference" in capsys.readouterr().err
 
     def test_negative_limit_exits_2(self, abstracted, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["mutate", str(abstracted / "fsm.json"), "--kind", "fsm",
+            main(["mutate", str(abstracted / "fsm.json"),
                   "--suite", str(abstracted / "suite-h.json"), "--limit", "-1"])
         assert exc.value.code == 2
         assert "argument --limit: must be an int >= 0, got -1" in capsys.readouterr().err
@@ -228,6 +228,65 @@ class TestArtefactRead:
         command, *names = argv
         assert main([command, *(str(abstracted / name) for name in names)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {abstracted / culprit}: {cause}")
+
+    # (file, argv naming files in the artefact directory, edit of the
+    # file's document, cause); per file a wrong-typed entry, then an entry
+    # the format refuses
+    READERS = [
+        ("welding-cell.cb", ["translate", "welding-cell.cb", "--out", "out"],
+         lambda d: d.update(transitions=[1]), "'int' object is not subscriptable"),
+        ("welding-cell.cb", ["translate", "welding-cell.cb", "--out", "out"],
+         lambda d: d["initial"].update(HS="z"), "unknown phase 'z' for factor HS"),
+        ("program.gap", ["mutate", "program.gap", "--suite", "suite-h.json"],
+         lambda d: d.update(actions=[1]), "'int' object is not subscriptable"),
+        ("program.gap", ["mutate", "program.gap", "--suite", "suite-h.json"],
+         lambda d: d["actions"][0].update(guard="nope = 1"), "undeclared variable: nope"),
+        ("reference.sfsm", ["classes", "reference.sfsm", "--out", "p.json"],
+         lambda d: d.update(transitions=[1]), "'int' object is not subscriptable"),
+        ("reference.sfsm", ["classes", "reference.sfsm", "--out", "p.json"],
+         lambda d: d["transitions"][0].update(guard="nope = 1"), "undeclared variable: nope"),
+        ("fsm.json", ["generate", "fsm.json", "--out", "s.json"],
+         lambda d: d.update(transitions=[1]), "'int' object is not subscriptable"),
+        ("fsm.json", ["generate", "fsm.json", "--out", "s.json"],
+         lambda d: d["states"].append(d["states"][0]), "duplicate state identifiers"),
+        ("suite-h.json", ["check-suite", "fsm.json", "suite-h.json"],
+         lambda d: d.update(cases=5), "'int' object is not iterable"),
+        ("suite-h.json", ["check-suite", "fsm.json", "suite-h.json"],
+         lambda d: d["cases"][0].update(expectedOutputs=[]), "case 0 has"),
+        ("partition.json", ["concretize", "suite-h.json", "partition.json", "abstraction.json"],
+         lambda d: d.update(classes=[1]), "'int' object is not subscriptable"),
+        ("partition.json", ["concretize", "suite-h.json", "partition.json", "abstraction.json"],
+         lambda d: d["classes"][0].pop("representative"), "missing key 'representative'"),
+        ("abstraction.json", ["concretize", "suite-h.json", "partition.json", "abstraction.json"],
+         lambda d: d.update(label_to_output=5), "'int' object is not iterable"),
+        ("abstraction.json", ["concretize", "suite-h.json", "partition.json", "abstraction.json"],
+         lambda d: d.update(class_to_valuation=[["c0"]]), "dictionary update sequence"),
+        ("config.json", ["translate", "welding-cell.cb", "--out", "out"],
+         lambda d: d.update(m_extra="1"), "m_extra must be an int >= 0, got '1'"),
+        ("config.json", ["translate", "welding-cell.cb", "--out", "out"],
+         lambda d: d.update(policy="selfloop"), "unknown policy 'selfloop'"),
+    ]
+
+    @pytest.mark.parametrize("name, argv, edit, cause", READERS, ids=[
+        f"{name}-{kind}" for name, *_ in READERS[::2] for kind in ("type", "domain")])
+    def test_every_reader_names_the_file(self, abstracted, behaviour, monkeypatch, capsys,
+                                         name, argv, edit, cause):
+        assert main(["generate", str(abstracted / "fsm.json"),
+                     "--out", str(abstracted / "suite-h.json")]) == 0
+        shutil.copy(behaviour, abstracted / "welding-cell.cb")
+        path = abstracted / name
+        doc = read(path) if path.exists() else {}
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        culprit = path
+        if name == "config.json":
+            monkeypatch.setenv("SUPTEST_CONFIG", str(path))
+            culprit = f"SUPTEST_CONFIG={path}"
+        capsys.readouterr()
+        command, *rest = argv
+        assert main([command, *(a if a.startswith("-") else str(abstracted / a)
+                                for a in rest)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {culprit}: {cause}")
 
 
 class TestRender:
@@ -308,10 +367,10 @@ class TestPipeline:
                     if value is original:
                         monkeypatch.setattr(module, alias, counted)
         assert main(["pipeline", str(behaviour), "--out", str(tmp_path / "pipeline")]) == 0
-        # translate checks determinism twice, then `classes` and `abstract`
+        # translate checks determinism once, then `classes` and `abstract`
         # each compute the partition; DOT export's satisfiability search
         # is an early-exit walk and not counted
-        assert len([c for c in callers if c != "satisfiable"]) == 4
+        assert len([c for c in callers if c != "satisfiable"]) == 3
 
     def test_config_env_override(self, tmp_path, behaviour, monkeypatch):
         config = tmp_path / "config.json"

@@ -33,34 +33,6 @@ def duplicated_m0():
 
 
 class TestValidate:
-    def test_complete_machine(self):
-        report = m0().validate()
-        assert report.ok
-        assert report.complete
-        assert report.deterministic
-        assert report.unreachable == []
-
-    def test_missing_pair_listed(self):
-        m = m0()
-        transitions = dict(m.transitions)
-        del transitions[("s0", "a")]
-        partial = MealyMachine(m.states, m.initial, m.inputs, m.outputs, transitions)
-        report = partial.validate()
-        assert not report.complete
-        assert report.missing_pairs == [("s0", "a")]
-
-    def test_isolated_state_unreachable(self):
-        m = m0()
-        transitions = dict(m.transitions)
-        transitions[("s2", "a")] = ("s2", "0")
-        transitions[("s2", "b")] = ("s2", "0")
-        with_extra = MealyMachine(
-            ["s0", "s1", "s2"], "s0", m.inputs, m.outputs, transitions
-        )
-        report = with_extra.validate()
-        assert report.unreachable == ["s2"]
-        assert not report.ok
-
     def test_duplicate_pair_rejected_on_load(self):
         obj = m0().to_obj()
         obj["transitions"].append({"from": "s0", "input": "a", "to": "s0", "output": "0"})

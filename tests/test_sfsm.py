@@ -23,6 +23,7 @@ from suptest.sfsm import (
     DeterminismViolation,
     IncompleteState,
     Sfsm,
+    SfsmError,
     SfsmTransition,
     abstract_to_fsm,
     concretize_suite,
@@ -224,6 +225,14 @@ class TestConcretize:
                           "h", 2, "fp")
         concrete = concretize_suite(suite, p, amap)
         assert concrete.cases[0].inputs == ({"x": 2}, {"x": 2}, {"x": 0})
+
+    def test_names_unknown_class_id(self):
+        p = self.make_partition()
+        amap = AbstractionMap({c.id: c.representative for c in p.classes},
+                              {"o0": {"y": 1}})
+        suite = TestSuite([TestCase(("c0", "c99"), ("o0", "o0"))], "h", 2, "fp")
+        with pytest.raises(SfsmError, match=r"^unknown class id 'c99'$"):
+            concretize_suite(suite, p, amap)
 
 
 class TestHashLabel:

@@ -79,6 +79,16 @@ class TestHMethod:
         with pytest.raises(TestGenError):
             h_method(m0(), 1)
 
+    def test_rejects_incomplete_or_unreachable(self):
+        m = m0()
+        partial = dict(m.transitions)
+        del partial[("s0", "a")]
+        with pytest.raises(TestGenError, match="must be complete"):
+            h_method(MealyMachine(m.states, m.initial, m.inputs, m.outputs, partial), 2)
+        isolated = {**m.transitions, ("s2", "a"): ("s2", "0"), ("s2", "b"): ("s2", "0")}
+        with pytest.raises(TestGenError, match="has unreachable states"):
+            h_method(MealyMachine(["s0", "s1", "s2"], "s0", m.inputs, m.outputs, isolated), 3)
+
     def test_rejects_non_minimal(self):
         m = m0()
         transitions = dict(m.transitions)
