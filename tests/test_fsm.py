@@ -33,6 +33,29 @@ def duplicated_m0():
 
 
 class TestValidate:
+    def test_missing_pair_listed(self):
+        m = m0()
+        transitions = dict(m.transitions)
+        del transitions[("s0", "a")]
+        partial = MealyMachine(m.states, m.initial, m.inputs, m.outputs, transitions)
+        assert m.complete
+        assert not partial.complete
+        with pytest.raises(UndefinedTransition) as excinfo:
+            partial.step("s0", "a")
+        assert (excinfo.value.state, excinfo.value.symbol) == ("s0", "a")
+
+    def test_isolated_state_unreachable(self):
+        m = m0()
+        transitions = dict(m.transitions)
+        transitions[("s2", "a")] = ("s2", "0")
+        transitions[("s2", "b")] = ("s2", "0")
+        with_extra = MealyMachine(
+            ["s0", "s1", "s2"], "s0", m.inputs, m.outputs, transitions
+        )
+        assert with_extra.complete
+        assert "s2" not in with_extra.reachable_states()
+        assert set(with_extra.reachable_states()) == {"s0", "s1"}
+
     def test_duplicate_pair_rejected_on_load(self):
         obj = m0().to_obj()
         obj["transitions"].append({"from": "s0", "input": "a", "to": "s0", "output": "0"})
