@@ -232,7 +232,13 @@ def cmd_concretize(args, config) -> int:
     amap, a_fp = read_artifact(args.abstraction, with_sfsm_link(sfsm.AbstractionMap.from_obj))
     if p_fp and a_fp and p_fp != a_fp:
         raise CliError("partition and abstraction map come from different SFSMs")
-    concretize(load_suite(args.suite), partition, amap, args.out or "suite-concrete.json")
+    suite = load_suite(args.suite)
+    try:
+        concretize(suite, partition, amap, args.out or "suite-concrete.json")
+    except sfsm.UnknownClassId as exc:
+        raise CliError(f"{args.partition}: {exc}") from exc
+    except sfsm.UnknownOutputLabel as exc:
+        raise CliError(f"{args.abstraction}: {exc}") from exc
     return 0
 
 

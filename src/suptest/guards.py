@@ -2,9 +2,12 @@
 
 Guards are boolean combinations of variable-vs-literal comparisons over
 finite sorts (enumerations or bounded integer ranges).  Satisfiability and
-valuation enumeration are exhaustive: at desk scale this is exact, trivial
-to audit, and needs no constraint solver.  A valuation space larger than
-`ENUM_BOUND` is refused rather than walked.
+truth classes are decided exhaustively, with no constraint solver, but not
+value by value: the literals of the atoms over a variable split its sort
+into cells on which every atom is constant, and the walk goes over the
+product of the variables' cells, one least value per cell, which does not
+grow with the width of an integer sort.  A space to walk (valuations, or
+cell products) larger than `ENUM_BOUND` is refused rather than walked.
 
 Grammar::
 
@@ -18,11 +21,12 @@ Grammar::
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Iterator, Union
 
-ENUM_BOUND = 1_000_000  # largest valuation space walked
+ENUM_BOUND = 1_000_000  # largest valuation or cell-product space walked
 
 Value = Union[int, str]
 Valuation = dict  # name -> Value, total over a declaration set
@@ -43,7 +47,7 @@ class SortError(GuardError):
 
 
 class EnumerationOverflow(GuardError):
-    """Valuation space exceeds `ENUM_BOUND`."""
+    """Valuation space, or cell-product space, exceeds `ENUM_BOUND`."""
 
 
 # ---------------------------------------------------------------------------
@@ -215,14 +219,18 @@ def print_guard(g: GuardExpr) -> str:
     raise TypeError(f"not a guard expression: {g!r}")
 
 
-def guard_vars(g: GuardExpr) -> set[str]:
+def _atoms(g: GuardExpr) -> Iterator[Comparison]:
     if isinstance(g, Comparison):
-        return {g.var}
-    if isinstance(g, Not):
-        return guard_vars(g.operand)
-    if isinstance(g, (And, Or)):
-        return guard_vars(g.left) | guard_vars(g.right)
-    return set()
+        yield g
+    elif isinstance(g, Not):
+        yield from _atoms(g.operand)
+    elif isinstance(g, (And, Or)):
+        yield from _atoms(g.left)
+        yield from _atoms(g.right)
+
+
+def guard_vars(g: GuardExpr) -> set[str]:
+    return {a.var for a in _atoms(g)}
 
 
 # ---------------------------------------------------------------------------
@@ -429,23 +437,62 @@ def distinct_guards(guards) -> list[GuardExpr]:
     return list(seen.values())
 
 
+def _cells(d: VarDecl, atoms: list[Comparison]) -> dict[Value, int]:
+    """Least value -> size of each cell of `d`'s sort, in sort order.  Every
+    atom over `d` is constant on a cell.  An integer atom `x op c` changes
+    truth only between c-1 and c or between c and c+1, so integer cells are
+    the intervals between those cuts and the sort is never iterated."""
+    if isinstance(d.sort, IntSort):
+        lo, hi = d.sort.lo, d.sort.hi
+        cuts = sorted({lo, hi + 1} | {
+            x for a in atoms for x in (a.literal, a.literal + 1) if lo <= x <= hi})
+        return {start: end - start for start, end in zip(cuts, cuts[1:])}
+    cells: dict[tuple[bool, ...], list] = {}
+    for value in d.sort.values():
+        key = tuple(eval_guard(a, {d.name: value}) for a in atoms)
+        cells.setdefault(key, [value, 0])[1] += 1
+    return dict(cells.values())
+
+
+def _cell_decls(guards, decls: list[VarDecl]) -> tuple[list[VarDecl], dict]:
+    """Declarations whose sorts hold the least value of each cell of the
+    declared sorts under the atoms of `guards`, in sort order, and each
+    variable's cell sizes by least value.  Their valuations in enumeration
+    order are the least members of the cell products, in the order of the
+    valuations they stand for."""
+    atoms: dict[str, list[Comparison]] = {d.name: [] for d in decls}
+    for g in guards:
+        for a in _atoms(g):
+            if a.var in atoms:
+                atoms[a.var].append(a)
+    cells = {d.name: _cells(d, atoms[d.name]) for d in decls}
+    return [VarDecl(d.name, EnumSort(tuple(cells[d.name]))) for d in decls], cells
+
+
 def truth_classes(
     guards: list[GuardExpr], decls: list[VarDecl]
 ) -> list[tuple[tuple[bool, ...], Valuation, int]]:
     """(signature, least member, size) of each truth class of `guards`, in
     order of least member.  What reads an input only through these guards
     is decided exactly on the least members, and the first class showing a
-    property holds the least valuation showing it."""
+    property holds the least valuation showing it.
+
+    A class is a union of cell products (see `_cell_decls`): its first cell
+    product holds its least member, and its size sums theirs."""
+    corners, cells = _cell_decls(guards, decls)
     classes: dict[tuple[bool, ...], list] = {}
-    for v in enumerate_valuations(decls):
+    for v in enumerate_valuations(corners):
         sig = tuple(eval_guard(g, v) for g in guards)
-        classes.setdefault(sig, [v, 0])[1] += 1
+        size = math.prod(cells[name][value] for name, value in v.items())
+        classes.setdefault(sig, [v, 0])[1] += size
     return [(sig, rep, size) for sig, (rep, size) in classes.items()]
 
 
 def satisfiable(g: GuardExpr, decls: list[VarDecl]) -> Valuation | None:
-    """First satisfying valuation in enumeration order, or None."""
-    for v in enumerate_valuations(decls):
+    """First satisfying valuation in enumeration order, or None: the least
+    member of the first satisfying cell product."""
+    corners, _ = _cell_decls([g], decls)
+    for v in enumerate_valuations(corners):
         if eval_guard(g, v):
             return v
     return None

@@ -50,6 +50,14 @@ class DeterminismViolation(SfsmError):
         self.witness = witness
 
 
+class UnknownClassId(SfsmError):
+    """A suite input that the partition has no class for."""
+
+
+class UnknownOutputLabel(SfsmError):
+    """A suite output label that the abstraction map lacks."""
+
+
 class IncompleteState(SfsmError):
     def __init__(self, state: str, witness: Valuation):
         super().__init__(
@@ -295,11 +303,12 @@ def concretize_suite(suite, partition: InputClassPartition, amap: AbstractionMap
         try:
             inputs = tuple(representative[cid] for cid in case.inputs)
         except KeyError as exc:
-            raise SfsmError(f"unknown class id {exc.args[0]!r}") from None
+            raise UnknownClassId(f"unknown class id {exc.args[0]!r}") from None
         try:
             expected = tuple(amap.label_to_output[label] for label in case.expected)
         except KeyError as exc:
-            raise SfsmError(f"output label {exc.args[0]!r} is not in the abstraction map") from None
+            raise UnknownOutputLabel(
+                f"output label {exc.args[0]!r} is not in the abstraction map") from None
         cases.append(TestCase(inputs, expected))
     return TestSuite(
         cases=cases,

@@ -166,6 +166,17 @@ def random_sfsm(rng: random.Random) -> Sfsm:
     return Sfsm(decls, out_decls, states, states[0], transitions)
 
 
+def valuation_truth_classes(guards, decls) -> list[tuple[tuple[bool, ...], dict, int]]:
+    """(signature, least member, size) of each truth class of `guards`, in
+    order of least member, found by walking every valuation: the oracle
+    for `guards.truth_classes`, which walks one valuation per cell product."""
+    classes: dict[tuple[bool, ...], list] = {}
+    for v in enumerate_valuations(decls):
+        sig = tuple(eval_guard(g, v) for g in guards)
+        classes.setdefault(sig, [v, 0])[1] += 1
+    return [(sig, rep, size) for sig, (rep, size) in classes.items()]
+
+
 def valuation_determinism(p) -> None:
     """Walk every input valuation once per risk state with two or more
     actions, raising DeterminismViolation at the first that enables two:

@@ -129,7 +129,26 @@ class TestConcretize:
                      "--out", str(out / "concrete.json")])
         assert code == 2
         assert capsys.readouterr().err == (
-            "error: output label 'nil' is not in the abstraction map\n")
+            f"error: {abstracted / 'abstraction.json'}: "
+            "output label 'nil' is not in the abstraction map\n")
+
+    @pytest.mark.parametrize("name, edit, cause", [
+        ("partition.json", lambda d: d["classes"].pop(), "unknown class id 'c15'"),
+        ("abstraction.json", lambda d: d["label_to_output"].pop("o0"),
+         "output label 'o0' is not in the abstraction map"),
+    ], ids=["partition", "abstraction"])
+    def test_names_the_file_lacking_a_symbol(self, abstracted, capsys, name, edit, cause):
+        suite = abstracted / "suite-h.json"
+        assert main(["generate", str(abstracted / "fsm.json"), "--out", str(suite)]) == 0
+        path = abstracted / name
+        doc = read(path)
+        edit(doc)
+        path.write_text(canonical_dumps(doc))
+        capsys.readouterr()
+        assert main(["concretize", str(suite), str(abstracted / "partition.json"),
+                     str(abstracted / "abstraction.json"),
+                     "--out", str(abstracted / "concrete.json")]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {cause}\n"
 
 
 class TestRun:
@@ -327,6 +346,24 @@ class TestPipeline:
         path.write_text(json.dumps(obj))
         assert main(["pipeline", str(path), "--out", str(tmp_path / "pipeline")]) == 1
         assert "unreachable risk states dropped" in capsys.readouterr().err
+
+    def test_sort_width_does_not_matter(self, tmp_path, behaviour, monkeypatch, capsys):
+        # 10^24 valuations: classes are found over the literals' cells
+        obj = read(behaviour)
+        for d in obj["vars"]:
+            if d["kind"] == "monitored":
+                d["sort"] = {"int": [0, 999_999]}
+        path = tmp_path / "wide.cb"
+        path.write_text(json.dumps(obj))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"policy": "complete-with-selfloop"}))
+        monkeypatch.setenv("SUPTEST_CONFIG", str(config))
+        out = tmp_path / "wide"
+        assert main(["pipeline", str(path), "--out", str(out)]) == 0
+        assert "COMPLETE PASS" in capsys.readouterr().out
+        sizes = [c["size"] for c in read(out / "partition.json")["classes"]]
+        assert len(sizes) == 81
+        assert sum(sizes) == 10 ** 24
 
     def test_stage_chain_writes_pipeline_artefacts(self, tmp_path, behaviour):
         piped = tmp_path / "pipeline"

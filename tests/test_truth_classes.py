@@ -1,22 +1,26 @@
 """Truth classes against the valuation walks they replace.
 
-Determinism and program equivalence are decided on one representative per
-truth class of the guards involved; the oracles in `helpers` walk every
-valuation.  The welding cell's monitored sorts are widened to [0, 3], so
-that there are far fewer classes than valuations, and the
-`complete-with-selfloop` policy closes off the inputs that no guard covers.
+Truth classes and satisfiability are found over the product of each
+variable's literal cells; determinism and program equivalence are decided
+on one representative per truth class of the guards involved.  The oracles
+in `helpers` walk every valuation.  The welding cell's monitored sorts are
+widened to [0, 3], so that there are far fewer classes than valuations, and
+the `complete-with-selfloop` policy closes off the inputs that no guard
+covers.
 """
 
 import json
 from dataclasses import replace
 from importlib.resources import files
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import valuation_determinism, valuation_program_equivalent
+from helpers import valuation_determinism, valuation_program_equivalent, valuation_truth_classes
 from suptest.guards import (
-    TRUE, And, Comparison, Not, Or, parse_guard, truth_classes, valuation_count,
+    TRUE, And, BoolConst, Comparison, EnumerationOverflow, EnumSort, IntSort, Not, Or, VarDecl,
+    enumerate_valuations, eval_guard, parse_guard, satisfiable, truth_classes, valuation_count,
 )
 from suptest.mutation import GUARD_FLIP, generate_mutants, program_equivalent
 from suptest.sfsm import POLICY_SELFLOOP, DeterminismViolation
@@ -76,6 +80,60 @@ def test_fewer_classes_than_valuations():
     classes = truth_classes([a.guard for a in REFERENCE.actions], REFERENCE.input_vars)
     assert sum(size for _, _, size in classes) == valuation_count(REFERENCE.input_vars)
     assert len(classes) < valuation_count(REFERENCE.input_vars)
+
+
+# Declarations of up to three variables: integer sorts of width 1 to 5,
+# negative bounds included, and enumeration sorts in any literal order.
+int_sorts = st.builds(lambda lo, width: IntSort(lo, lo + width),
+                      st.integers(-4, 3), st.integers(0, 4))
+enum_sorts = st.lists(st.sampled_from("0amq"), min_size=1, max_size=4,
+                      unique=True).map(lambda literals: EnumSort(tuple(literals)))
+declarations = st.lists(st.one_of(int_sorts, enum_sorts), max_size=3).map(
+    lambda sorts: [VarDecl(f"v{i}", sort) for i, sort in enumerate(sorts)])
+
+
+def guards_over(decls):
+    """Nested guards over `decls`; integer literals reach past the sort."""
+    options = [st.builds(BoolConst, st.booleans())]
+    for d in decls:
+        if isinstance(d.sort, IntSort):
+            options.append(st.builds(Comparison, st.just(d.name),
+                                     st.sampled_from(["=", "!=", "<", "<=", ">", ">="]),
+                                     st.integers(d.sort.lo - 2, d.sort.hi + 2)))
+        else:
+            options.append(st.builds(Comparison, st.just(d.name), st.sampled_from(["=", "!="]),
+                                     st.sampled_from(d.sort.literals)))
+    return st.recursive(st.one_of(options), lambda sub: st.one_of(
+        st.builds(Not, sub), st.builds(And, sub, sub), st.builds(Or, sub, sub)), max_leaves=6)
+
+
+guard_sets = declarations.flatmap(
+    lambda decls: st.tuples(st.lists(guards_over(decls), max_size=4), st.just(decls)))
+
+
+class TestCells:
+    @given(guard_sets)
+    @example(([], []))
+    @example(([], [VarDecl("x", IntSort(-2, 1))]))
+    @settings(max_examples=120, deadline=None)
+    def test_truth_classes_agree_with_valuation_walk(self, case):
+        guards, decls = case
+        assert truth_classes(guards, decls) == valuation_truth_classes(guards, decls)
+
+    @given(guard_sets)
+    @settings(max_examples=60, deadline=None)
+    def test_satisfiable_finds_first_satisfying_valuation(self, case):
+        guards, decls = case
+        for g in guards:
+            first = next((v for v in enumerate_valuations(decls) if eval_guard(g, v)), None)
+            assert satisfiable(g, decls) == first
+
+    def test_cell_product_past_bound_overflows(self):
+        # 112 literals cut each variable into 223 cells: 223^3 > ENUM_BOUND
+        decls = [VarDecl(f"x{i}", IntSort(0, 999)) for i in range(3)]
+        guards = [Comparison(d.name, "=", c) for d in decls for c in range(0, 1000, 9)]
+        with pytest.raises(EnumerationOverflow):
+            truth_classes(guards, decls)
 
 
 def with_guards(p, changes):
