@@ -6,6 +6,10 @@ loads that stage's inputs from files, and `pipeline` chains the stages.
 Every artefact is written in the canonical encoding and embeds the
 fingerprints of the artefacts it was derived from, so a pipeline run is
 reproducible byte for byte.
+
+Only what `serve-reference` needs is imported at the top: each stage
+imports the modules it uses, so a SUT spawned as `python -m suptest
+serve-reference` loads the interpreter and not the generator stack.
 """
 
 from __future__ import annotations
@@ -14,11 +18,16 @@ import argparse
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import harness, mutation, sfsm, supervisor, testgen
+from . import harness
 from .encoding import ArtifactError, canonical_dumps, fingerprint, read_artifact
-from .fsm import MealyMachine
-from .sfsm import POLICY_ERROR, POLICY_SELFLOOP, Sfsm
+from .program import POLICY_ERROR, POLICY_SELFLOOP, GuardedActionProgram
+
+if TYPE_CHECKING:
+    from . import sfsm, supervisor, testgen
+    from .fsm import MealyMachine
+    from .sfsm import Sfsm
 
 CONFIG_ENV = "SUPTEST_CONFIG"
 
@@ -85,19 +94,22 @@ def write_artifact(path, payload: dict, inputs: dict | None = None) -> None:
 
 
 def load_machine(path) -> MealyMachine:
+    from .fsm import MealyMachine
     return read_artifact(path, MealyMachine.from_obj)
 
 
 def load_sfsm(path) -> Sfsm:
+    from .sfsm import Sfsm
     return read_artifact(path, Sfsm.from_obj)
 
 
-def load_program(path) -> supervisor.GuardedActionProgram:
-    return read_artifact(path, supervisor.GuardedActionProgram.from_obj)
+def load_program(path) -> GuardedActionProgram:
+    return read_artifact(path, GuardedActionProgram.from_obj)
 
 
 def load_suite(path) -> testgen.TestSuite:
-    return read_artifact(path, testgen.TestSuite.from_obj)
+    from .testgen import TestSuite
+    return read_artifact(path, TestSuite.from_obj)
 
 
 def with_sfsm_link(from_obj):
@@ -116,6 +128,7 @@ def by_key(key: str, if_present, otherwise):
 # ---------------------------------------------------------------------------
 
 def translate(behaviour_path, out: Path, config) -> tuple[Sfsm, supervisor.HypothesisReport]:
+    from . import supervisor
     behaviour = supervisor.load_behavior(behaviour_path)
     program = supervisor.to_guarded_actions(behaviour, config["policy"])
     reference = supervisor.to_test_reference(behaviour, config["policy"])
@@ -123,14 +136,15 @@ def translate(behaviour_path, out: Path, config) -> tuple[Sfsm, supervisor.Hypot
     for warning in behaviour.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     out.mkdir(parents=True, exist_ok=True)
-    behaviour_fp = fingerprint(read_artifact(behaviour_path, dict))
-    write_artifact(out / "program.gap", program.to_obj(), {"behaviour": behaviour_fp})
-    write_artifact(out / "reference.sfsm", reference.to_obj(), {"behaviour": behaviour_fp})
+    derived = {"behaviour": behaviour.fingerprint}
+    write_artifact(out / "program.gap", program.to_obj(), derived)
+    write_artifact(out / "reference.sfsm", reference.to_obj(), derived)
     print(report.summary())
     return reference, report
 
 
 def classes(reference: Sfsm, path) -> sfsm.InputClassPartition:
+    from . import sfsm
     partition = sfsm.input_classes(reference)
     write_artifact(path, partition.to_obj(), {"sfsm": reference.fingerprint()})
     print(f"{len(partition.classes)} input equivalence classes")
@@ -138,6 +152,7 @@ def classes(reference: Sfsm, path) -> sfsm.InputClassPartition:
 
 
 def abstract(reference: Sfsm, out: Path, config) -> tuple[MealyMachine, sfsm.AbstractionMap]:
+    from . import sfsm
     machine, amap = sfsm.abstract_to_fsm(reference, config["policy"])
     out.mkdir(parents=True, exist_ok=True)
     ref_fp = reference.fingerprint()
@@ -150,6 +165,7 @@ def abstract(reference: Sfsm, out: Path, config) -> tuple[MealyMachine, sfsm.Abs
 
 def generate(machine: MealyMachine, method: str, m_bound, path, config) -> testgen.TestSuite:
     """`m_bound` None means the state count plus the configured `m_extra`."""
+    from . import testgen
     if m_bound is None:
         m_bound = len(machine.states) + config["m_extra"]
     derive = testgen.h_method if method == "h" else testgen.w_method
@@ -168,6 +184,7 @@ def require_suite_of(machine: MealyMachine, suite: testgen.TestSuite) -> None:
 
 
 def check_suite(machine: MealyMachine, suite: testgen.TestSuite) -> testgen.CompletenessReport:
+    from . import testgen
     require_suite_of(machine, suite)
     report = testgen.check_h_completeness(machine, suite.m_bound, suite)
     print(report.summary())
@@ -175,6 +192,7 @@ def check_suite(machine: MealyMachine, suite: testgen.TestSuite) -> testgen.Comp
 
 
 def concretize(suite: testgen.TestSuite, partition, amap, path) -> testgen.TestSuite:
+    from . import sfsm
     concrete = sfsm.concretize_suite(suite, partition, amap)
     write_artifact(path, concrete.to_obj(), {"suite": fingerprint(suite.to_obj())})
     print(f"concretized {len(concrete.cases)} cases")
@@ -191,7 +209,8 @@ def run(suite: testgen.TestSuite, sut_command: str, path, config) -> harness.Tes
 
 
 def render(model: Sfsm | MealyMachine, path) -> None:
-    if isinstance(model, Sfsm):
+    from . import sfsm
+    if isinstance(model, sfsm.Sfsm):
         text = sfsm.export_dot(model)
     else:
         text = model.to_dot()
@@ -227,6 +246,7 @@ def cmd_generate(args, config) -> int:
 
 
 def cmd_concretize(args, config) -> int:
+    from . import sfsm
     partition, p_fp = read_artifact(args.partition,
                                     with_sfsm_link(sfsm.InputClassPartition.from_obj))
     amap, a_fp = read_artifact(args.abstraction, with_sfsm_link(sfsm.AbstractionMap.from_obj))
@@ -265,9 +285,11 @@ def cmd_serve_machine(args, config) -> int:
 
 
 def cmd_mutate(args, config) -> int:
+    from . import mutation
+    from .fsm import MealyMachine
     suite = load_suite(args.suite)
     target = read_artifact(args.target, by_key(
-        "actions", supervisor.GuardedActionProgram.from_obj, MealyMachine.from_obj))
+        "actions", GuardedActionProgram.from_obj, MealyMachine.from_obj))
     if isinstance(target, MealyMachine):
         require_suite_of(target, suite)
     operators = args.ops.split(",") if args.ops else None
@@ -284,6 +306,8 @@ def cmd_mutate(args, config) -> int:
 
 
 def cmd_render(args, config) -> int:
+    from .fsm import MealyMachine
+    from .sfsm import Sfsm
     model = read_artifact(args.model, by_key("input_vars", Sfsm.from_obj, MealyMachine.from_obj))
     render(model, args.out)
     return 0

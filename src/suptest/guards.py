@@ -469,6 +469,16 @@ def _cell_decls(guards, decls: list[VarDecl]) -> tuple[list[VarDecl], dict]:
     return [VarDecl(d.name, EnumSort(tuple(cells[d.name]))) for d in decls], cells
 
 
+def _check_cell_products(corners: list[VarDecl], decls: list[VarDecl]) -> None:
+    """Refuse a cell-product space larger than `ENUM_BOUND`, naming its size."""
+    products = valuation_count(corners)
+    if products > ENUM_BOUND:
+        raise EnumerationOverflow(
+            f"{products} cell products (of {valuation_count(decls)} valuations) "
+            f"exceed bound {ENUM_BOUND}"
+        )
+
+
 def truth_classes(
     guards: list[GuardExpr], decls: list[VarDecl]
 ) -> list[tuple[tuple[bool, ...], Valuation, int]]:
@@ -480,6 +490,7 @@ def truth_classes(
     A class is a union of cell products (see `_cell_decls`): its first cell
     product holds its least member, and its size sums theirs."""
     corners, cells = _cell_decls(guards, decls)
+    _check_cell_products(corners, decls)
     classes: dict[tuple[bool, ...], list] = {}
     for v in enumerate_valuations(corners):
         sig = tuple(eval_guard(g, v) for g in guards)
@@ -492,6 +503,7 @@ def satisfiable(g: GuardExpr, decls: list[VarDecl]) -> Valuation | None:
     """First satisfying valuation in enumeration order, or None: the least
     member of the first satisfying cell product."""
     corners, _ = _cell_decls([g], decls)
+    _check_cell_products(corners, decls)
     for v in enumerate_valuations(corners):
         if eval_guard(g, v):
             return v

@@ -8,24 +8,35 @@ Wire protocol (UTF-8, newline-delimited):
 where <valuation> is the canonical single-line encoding with keys sorted
 ascending (or the bare token ``nil``).  The adapter boundary is a child
 process, so any generated controller can be wrapped regardless of language.
+
+A SUT answers every line, in order.  The harness may send RESET and all of
+a case's IN lines before it reads the first reply, so a session costs the
+SUT's own work rather than one round trip per step; the replies that follow
+a case's first mismatch are read and discarded.
 """
 
 from __future__ import annotations
 
-import queue
+import os
+import select
 import shlex
 import subprocess
 import sys
-import threading
 import time
+from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .encoding import decode_step, decode_valuation, encode_step, encode_valuation
 from .guards import check_valuation
-from .supervisor import GuardedActionProgram, Interpreter
+from .program import GuardedActionProgram, Interpreter
 
 DEFAULT_STEP_TIMEOUT = 5.0
+
+# Bytes written to a SUT and not yet answered stay below this, half the
+# 64 KiB capacity of a pipe, so a write never waits on a full pipe while
+# the SUT waits for its replies to be read.
+WRITE_AHEAD_BYTES = 32 * 1024
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -110,7 +121,7 @@ class TestReport:
 
 
 # ---------------------------------------------------------------------------
-# SUTs: anything with reset(), step(input) and restart()
+# SUTs: anything with reset(inputs), step(input) and restart()
 # ---------------------------------------------------------------------------
 
 class MachineSut:
@@ -120,7 +131,7 @@ class MachineSut:
         self.machine = machine
         self.state = machine.initial
 
-    def reset(self) -> None:
+    def reset(self, inputs=()) -> None:
         self.state = self.machine.initial
 
     restart = reset  # nothing to respawn in-process
@@ -134,14 +145,31 @@ class MachineSut:
 
 
 class SutAdapter:
-    """Spawns and talks to one SUT process; restarted after protocol errors."""
+    """Spawns and talks to one SUT process; restarted after protocol errors.
+
+    `reset(inputs)` announces a case: RESET and the case's IN lines go out
+    in one write, and each `step` reads the next reply.  At most
+    `WRITE_AHEAD_BYTES` are written and not yet answered, so a long case
+    goes out in chunks between reads and no write waits on a full pipe.
+    Replies a case leaves unread, because it stopped at a mismatch, are
+    read and discarded at the next `reset`; a SUT that exits, answers ERR
+    or times out meanwhile is restarted, which changes no verdict.  A
+    `step` with no announced input is written on its own.
+    """
 
     def __init__(self, command: str | list[str], step_timeout: float = DEFAULT_STEP_TIMEOUT):
         self.command = shlex.split(command) if isinstance(command, str) else list(command)
         self.step_timeout = step_timeout
         self.process: subprocess.Popen | None = None
-        self._lines: queue.Queue = queue.Queue()
-        self._reader: threading.Thread | None = None
+        self._clear()
+
+    def _clear(self) -> None:
+        self._announced: deque = deque()  # inputs announced at reset, not yet stepped
+        self._unsent: deque[bytes] = deque()  # lines not yet written
+        self._in_flight: deque[int] = deque()  # sizes of lines written, not yet answered
+        self._in_flight_bytes = 0
+        self._replies: deque[str] = deque()  # replies read, not yet taken
+        self._partial = b""  # the start of a reply whose newline is still to come
 
     def start(self) -> None:
         self.stop()
@@ -151,22 +179,9 @@ class SutAdapter:
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
                 stderr=subprocess.DEVNULL,
-                text=True,
-                bufsize=1,
             )
         except OSError as exc:
             raise HarnessError(f"cannot start SUT {shlex.join(self.command)}: {exc}") from exc
-        self._lines = queue.Queue()
-
-        def pump(proc, sink):
-            for line in proc.stdout:
-                sink.put(line.rstrip("\n"))
-            sink.put(None)  # end of output: the SUT closed it or exited
-
-        self._reader = threading.Thread(
-            target=pump, args=(self.process, self._lines), daemon=True
-        )
-        self._reader.start()
 
     def stop(self) -> None:
         if self.process is not None:
@@ -180,30 +195,67 @@ class SutAdapter:
             except subprocess.TimeoutExpired:
                 self.process.kill()
                 self.process.wait()
+            self.process.stdout.close()
             self.process = None
+        self._clear()
 
     def restart(self) -> None:
         self.start()
 
-    def send(self, line: str) -> None:
-        if self.process is None or self.process.stdin is None:
+    def _write_ahead(self) -> None:
+        """Write the unsent lines that fit in the window, in one write; the
+        first line always fits when nothing is unanswered."""
+        chunk = []
+        while self._unsent and (not self._in_flight or self._in_flight_bytes
+                                + len(self._unsent[0]) <= WRITE_AHEAD_BYTES):
+            line = self._unsent.popleft()
+            chunk.append(line)
+            self._in_flight.append(len(line))
+            self._in_flight_bytes += len(line)
+        if not chunk:
+            return
+        if self.process is None:
             raise HarnessError("SUT process not running")
         try:
-            self.process.stdin.write(line + "\n")
+            self.process.stdin.write(b"".join(chunk))
             self.process.stdin.flush()
         except OSError:
             raise self._gone() from None
 
-    def receive(self) -> str:
+    def _receive(self) -> str:
+        """The next reply, waiting at most `step_timeout` for it."""
+        if self._unsent:
+            self._write_ahead()
+        if not self._replies:
+            fd = self.process.stdout.fileno()
+            deadline = time.monotonic() + self.step_timeout
+            while not self._replies:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0 or not select.select([fd], [], [], remaining)[0]:
+                    raise HarnessError(f"SUT did not answer within {self.step_timeout}s")
+                data = os.read(fd, 65536)
+                if not data and not self._partial:
+                    raise self._gone()
+                # at the end of output, a last reply without its newline still counts
+                *lines, self._partial = (self._partial + (data or b"\n")).split(b"\n")
+                for line in lines:
+                    self._replies.append(line.decode("utf-8", "replace").rstrip("\r"))
+                    if self._in_flight:
+                        self._in_flight_bytes -= self._in_flight.popleft()
+        return self._replies.popleft()
+
+    def _drain(self) -> bool:
+        """Read and discard every reply still owed; False if the SUT exited,
+        answered ERR or timed out meanwhile."""
+        self._announced.clear()
+        self._unsent.clear()
         try:
-            line = self._lines.get(timeout=self.step_timeout)
-        except queue.Empty:
-            raise HarnessError(
-                f"SUT did not answer within {self.step_timeout}s"
-            ) from None
-        if line is None:
-            raise self._gone()
-        return line
+            while self._replies or self._in_flight:
+                if self._receive().startswith("ERR "):
+                    return False
+        except HarnessError:
+            return False
+        return True
 
     def _gone(self) -> HarnessError:
         """The error for a SUT whose pipes have closed, naming its exit code."""
@@ -213,15 +265,23 @@ class SutAdapter:
             return HarnessError("SUT closed its pipes but did not exit")
         return HarnessError(f"SUT exited with code {code}")
 
-    def reset(self) -> None:
-        self.send("RESET")
-        reply = self.receive()
+    def reset(self, inputs=()) -> None:
+        """RESET, with the inputs of the case that follows written ahead."""
+        if not self._drain():
+            self.restart()
+        self._unsent.append(b"RESET\n")
+        self._unsent.extend(("IN " + encode_step(v) + "\n").encode() for v in inputs)
+        self._announced.extend(inputs)
+        reply = self._receive()
         if reply != "READY":
             raise HarnessError(f"expected READY after RESET, got {reply!r}")
 
     def step(self, v) -> dict | str | None:
-        self.send("IN " + encode_step(v))
-        reply = self.receive()
+        if not self._announced:
+            self._unsent.append(("IN " + encode_step(v) + "\n").encode())
+        elif self._announced.popleft() != v:
+            raise HarnessError(f"input {encode_step(v)} is not the one announced at RESET")
+        reply = self._receive()
         if reply.startswith("OUT "):
             try:
                 return decode_step(reply[4:])
@@ -246,14 +306,14 @@ class SutAdapter:
 def verdicts(sut, ts) -> Iterator[Verdict]:
     """Run a suite case by case, yielding each case's verdict as it is consumed.
 
-    `sut` is any object with reset(), step(input) and restart().  Each case
-    resets it and checks every intermediate output; a case stops at its
-    first mismatch.  An exception from the SUT yields ERROR with its text,
-    then a restart.
+    `sut` is any object with reset(inputs), step(input) and restart().  Each
+    case resets it, announcing the case's inputs, and checks every
+    intermediate output; a case stops at its first mismatch.  An exception
+    from the SUT yields ERROR with its text, then a restart.
     """
     for index, case in enumerate(ts.cases):
         try:
-            sut.reset()
+            sut.reset(case.inputs)
             verdict = Verdict(index, PASS)
             for step_index, (inp, expected) in enumerate(zip(case.inputs, case.expected)):
                 observed = sut.step(inp)

@@ -19,8 +19,7 @@ from .encoding import encode_valuation
 from .fsm import MealyMachine
 from .guards import And, Comparison, Not, Or, distinct_guards, truth_classes
 from .harness import PASS, MachineSut, SutAdapter, verdicts
-from .sfsm import POLICY_SELFLOOP
-from .supervisor import GuardedActionProgram, Interpreter, interpret_step
+from .program import POLICY_SELFLOOP, GuardedActionProgram, Interpreter, interpret_step
 
 OUTPUT_FAULT = "output-fault"
 TRANSFER_FAULT = "transfer-fault"

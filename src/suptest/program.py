@@ -1,0 +1,190 @@
+"""The guarded-action program and its interpreter.
+
+A guarded-action program is the executable stand-in for generated
+controller code: per risk state, a list of actions, each a guard over the
+monitored variables with an output valuation and a next risk state.  The
+interpreter steps it; it is what `serve-reference` runs as a SUT, so this
+module imports nothing of the toolkit beyond the encoding and the guard
+language.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .encoding import encode_valuation
+from .guards import (
+    GuardExpr,
+    Valuation,
+    VarDecl,
+    decl_from_obj,
+    eval_guard,
+    parse_guard,
+    print_guard,
+)
+
+# Incomplete-state policies: an input no action covers is refused, or
+# answered with the nil output and no change of risk state.
+POLICY_ERROR = "error"
+POLICY_SELFLOOP = "complete-with-selfloop"
+
+
+class SupervisorError(Exception):
+    pass
+
+
+class NoEnabledAction(SupervisorError):
+    def __init__(self, risk_state, v):
+        super().__init__(
+            f"no action enabled in risk state {risk_state} on input {encode_valuation(v)}"
+        )
+        self.risk_state = risk_state
+        self.v = v
+
+
+class MultipleEnabledActions(SupervisorError):
+    pass
+
+
+RiskState = dict  # factor name -> phase, total over F
+
+
+def risk_state_name(r: RiskState, factors: list[str]) -> str:
+    """Stable readable identifier, e.g. HS0_HCa_HRW0 (factor decl order)."""
+    return "_".join(f"{f}{r[f]}" for f in factors)
+
+
+@dataclass(frozen=True)
+class GuardedAction:
+    name: str
+    guard: GuardExpr
+    source: tuple  # risk state as sorted (factor, phase) pairs
+    output: Valuation | None
+    target: tuple
+
+    def source_state(self) -> RiskState:
+        return dict(self.source)
+
+    def target_state(self) -> RiskState:
+        return dict(self.target)
+
+
+def _freeze(r: RiskState) -> tuple:
+    return tuple(sorted(r.items()))
+
+
+@dataclass
+class GuardedActionProgram:
+    """Executable IR of the controller: a deterministic guarded-action list."""
+
+    input_vars: list[VarDecl]
+    output_vars: list[VarDecl]
+    factors: list[str]
+    initial: RiskState
+    actions: list[GuardedAction]
+    policy: str = POLICY_ERROR
+    # "strict" rejects overlapping guards at run time; "first" picks the
+    # first enabled action in declaration order (used for mutants, whose
+    # perturbed guards may overlap).
+    resolution: str = "strict"
+
+    def risk_states(self) -> list[RiskState]:
+        """Distinct risk states used by the program (sources, targets,
+        initial), in first-occurrence order."""
+        seen = []
+        for r in [self.initial] + [
+            s for a in self.actions for s in (a.source_state(), a.target_state())
+        ]:
+            if r not in seen:
+                seen.append(r)
+        return seen
+
+    def to_obj(self) -> dict:
+        return {
+            "input_vars": [d.to_obj() for d in self.input_vars],
+            "output_vars": [d.to_obj() for d in self.output_vars],
+            "factors": list(self.factors),
+            "initial": dict(self.initial),
+            "policy": self.policy,
+            "resolution": self.resolution,
+            "actions": [
+                {
+                    "name": a.name,
+                    "guard": print_guard(a.guard),
+                    "source": dict(a.source),
+                    "output": a.output,
+                    "target": dict(a.target),
+                }
+                for a in self.actions
+            ],
+        }
+
+    @classmethod
+    def from_obj(cls, obj: dict) -> "GuardedActionProgram":
+        input_vars = [decl_from_obj(d) for d in obj["input_vars"]]
+        output_vars = [decl_from_obj(d) for d in obj["output_vars"]]
+        actions = [
+            GuardedAction(
+                a["name"],
+                parse_guard(a["guard"], input_vars),
+                _freeze(a["source"]),
+                a["output"],
+                _freeze(a["target"]),
+            )
+            for a in obj["actions"]
+        ]
+        return cls(
+            input_vars,
+            output_vars,
+            list(obj["factors"]),
+            dict(obj["initial"]),
+            actions,
+            obj.get("policy", POLICY_ERROR),
+            obj.get("resolution", "strict"),
+        )
+
+
+class Interpreter:
+    """Steps a guarded-action program; the stand-in for deployed code.
+
+    Holds the current risk state; one instance per SUT session.
+    """
+
+    def __init__(self, program: GuardedActionProgram):
+        self.program = program
+        self.risk_state: RiskState = dict(program.initial)
+
+    def reset(self, inputs=()) -> None:
+        """Back to the initial risk state; the case's `inputs` are not needed."""
+        self.risk_state = dict(self.program.initial)
+
+    restart = reset  # nothing to respawn in-process
+
+    def step(self, v: Valuation) -> Valuation | None:
+        output, self.risk_state = interpret_step(self.program, v, self.risk_state)
+        return output
+
+
+def interpret_step(
+    p: GuardedActionProgram, v: Valuation, r: RiskState
+) -> tuple[Valuation | None, RiskState]:
+    """Output and next risk state of the unique enabled action.
+
+    With the `complete-with-selfloop` policy an uncovered input yields the
+    nil output and leaves the risk state unchanged.
+    """
+    frozen = _freeze(r)
+    enabled = [
+        a for a in p.actions if a.source == frozen and eval_guard(a.guard, v)
+    ]
+    if len(enabled) > 1 and p.resolution == "strict":
+        raise MultipleEnabledActions(
+            f"actions {enabled[0].name!r} and {enabled[1].name!r} both enabled "
+            f"in {risk_state_name(r, p.factors)} on {encode_valuation(v)}"
+        )
+    if not enabled:
+        if p.policy == POLICY_SELFLOOP:
+            return None, dict(r)
+        raise NoEnabledAction(r, v)
+    a = enabled[0]
+    return a.output, a.target_state()

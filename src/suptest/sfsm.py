@@ -26,10 +26,7 @@ from .guards import (
     print_guard,
     truth_classes,
 )
-
-# Policy for states whose guards do not cover the whole input space.
-POLICY_ERROR = "error"
-POLICY_SELFLOOP = "complete-with-selfloop"
+from .program import POLICY_ERROR, POLICY_SELFLOOP
 
 NIL_LABEL = NIL_TEXT  # reserved FSM output label for policy self-loops
 

@@ -4,8 +4,8 @@ A synthesised controller behaviour (risk-state transitions with guards over
 monitored variables and output valuations over controlled variables) is
 translated into
 
-* a guarded-action program, the executable stand-in for generated
-  controller code, and
+* a guarded-action program (`suptest.program`), the executable stand-in
+  for generated controller code, and
 * a symbolic FSM test reference over the reachable risk states,
 
 plus static hypothesis checks comparing the two.
@@ -15,13 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .encoding import encode_valuation, read_artifact
+from .encoding import fingerprint, read_artifact
 from .guards import (
     CONTROLLED,
     FACTOR,
     MONITORED,
-    GuardExpr,
-    Valuation,
     VarDecl,
     check_decls,
     check_valuation,
@@ -32,22 +30,27 @@ from .guards import (
     print_guard,
     truth_classes,
 )
-from .sfsm import (
+# The program and its interpreter live in `program`; their names resolve here too.
+from .program import (
     POLICY_ERROR,
     POLICY_SELFLOOP,
-    DeterminismViolation,
-    Sfsm,
-    SfsmTransition,
+    GuardedAction,
+    GuardedActionProgram,
+    Interpreter,
+    MultipleEnabledActions,
+    NoEnabledAction,
+    RiskState,
+    SupervisorError,
+    _freeze,
+    interpret_step,
+    risk_state_name,
 )
+from .sfsm import DeterminismViolation, Sfsm, SfsmTransition
 
 PHASES = ("0", "a", "m")
 
 # Factor life-cycle: inactive -> active -> mitigated -> inactive, plus stay.
 _ALLOWED_PHASE_STEPS = {("0", "a"), ("a", "m"), ("m", "0")}
-
-
-class SupervisorError(Exception):
-    pass
 
 
 class DisjointnessViolation(SupervisorError):
@@ -56,27 +59,6 @@ class DisjointnessViolation(SupervisorError):
 
 class LifecycleViolation(SupervisorError):
     """A factor phase change outside 0->a->m->0 (with stutter)."""
-
-
-class NoEnabledAction(SupervisorError):
-    def __init__(self, risk_state, v):
-        super().__init__(
-            f"no action enabled in risk state {risk_state} on input {encode_valuation(v)}"
-        )
-        self.risk_state = risk_state
-        self.v = v
-
-
-class MultipleEnabledActions(SupervisorError):
-    pass
-
-
-RiskState = dict  # factor name -> phase, total over F
-
-
-def risk_state_name(r: RiskState, factors: list[str]) -> str:
-    """Stable readable identifier, e.g. HS0_HCa_HRW0 (factor decl order)."""
-    return "_".join(f"{f}{r[f]}" for f in factors)
 
 
 def check_lifecycle(r: RiskState, r2: RiskState, factors: list[str]) -> None:
@@ -94,141 +76,6 @@ def derive_action_name(factors: list[str], r: RiskState, r2: RiskState) -> str:
     return "_".join(parts) if parts else "nop"
 
 
-@dataclass(frozen=True)
-class GuardedAction:
-    name: str
-    guard: GuardExpr
-    source: tuple  # risk state as sorted (factor, phase) pairs
-    output: Valuation | None
-    target: tuple
-
-    def source_state(self) -> RiskState:
-        return dict(self.source)
-
-    def target_state(self) -> RiskState:
-        return dict(self.target)
-
-
-def _freeze(r: RiskState) -> tuple:
-    return tuple(sorted(r.items()))
-
-
-@dataclass
-class GuardedActionProgram:
-    """Executable IR of the controller: a deterministic guarded-action list."""
-
-    input_vars: list[VarDecl]
-    output_vars: list[VarDecl]
-    factors: list[str]
-    initial: RiskState
-    actions: list[GuardedAction]
-    policy: str = POLICY_ERROR
-    # "strict" rejects overlapping guards at run time; "first" picks the
-    # first enabled action in declaration order (used for mutants, whose
-    # perturbed guards may overlap).
-    resolution: str = "strict"
-
-    def risk_states(self) -> list[RiskState]:
-        """Distinct risk states used by the program (sources, targets,
-        initial), in first-occurrence order."""
-        seen = []
-        for r in [self.initial] + [
-            s for a in self.actions for s in (a.source_state(), a.target_state())
-        ]:
-            if r not in seen:
-                seen.append(r)
-        return seen
-
-    def to_obj(self) -> dict:
-        return {
-            "input_vars": [d.to_obj() for d in self.input_vars],
-            "output_vars": [d.to_obj() for d in self.output_vars],
-            "factors": list(self.factors),
-            "initial": dict(self.initial),
-            "policy": self.policy,
-            "resolution": self.resolution,
-            "actions": [
-                {
-                    "name": a.name,
-                    "guard": print_guard(a.guard),
-                    "source": dict(a.source),
-                    "output": a.output,
-                    "target": dict(a.target),
-                }
-                for a in self.actions
-            ],
-        }
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> "GuardedActionProgram":
-        input_vars = [decl_from_obj(d) for d in obj["input_vars"]]
-        output_vars = [decl_from_obj(d) for d in obj["output_vars"]]
-        actions = [
-            GuardedAction(
-                a["name"],
-                parse_guard(a["guard"], input_vars),
-                _freeze(a["source"]),
-                a["output"],
-                _freeze(a["target"]),
-            )
-            for a in obj["actions"]
-        ]
-        return cls(
-            input_vars,
-            output_vars,
-            list(obj["factors"]),
-            dict(obj["initial"]),
-            actions,
-            obj.get("policy", POLICY_ERROR),
-            obj.get("resolution", "strict"),
-        )
-
-
-class Interpreter:
-    """Steps a guarded-action program; the stand-in for deployed code.
-
-    Holds the current risk state; one instance per SUT session.
-    """
-
-    def __init__(self, program: GuardedActionProgram):
-        self.program = program
-        self.risk_state: RiskState = dict(program.initial)
-
-    def reset(self) -> None:
-        self.risk_state = dict(self.program.initial)
-
-    restart = reset  # nothing to respawn in-process
-
-    def step(self, v: Valuation) -> Valuation | None:
-        output, self.risk_state = interpret_step(self.program, v, self.risk_state)
-        return output
-
-
-def interpret_step(
-    p: GuardedActionProgram, v: Valuation, r: RiskState
-) -> tuple[Valuation | None, RiskState]:
-    """Output and next risk state of the unique enabled action.
-
-    With the `complete-with-selfloop` policy an uncovered input yields the
-    nil output and leaves the risk state unchanged.
-    """
-    frozen = _freeze(r)
-    enabled = [
-        a for a in p.actions if a.source == frozen and eval_guard(a.guard, v)
-    ]
-    if len(enabled) > 1 and p.resolution == "strict":
-        raise MultipleEnabledActions(
-            f"actions {enabled[0].name!r} and {enabled[1].name!r} both enabled "
-            f"in {risk_state_name(r, p.factors)} on {encode_valuation(v)}"
-        )
-    if not enabled:
-        if p.policy == POLICY_SELFLOOP:
-            return None, dict(r)
-        raise NoEnabledAction(r, v)
-    a = enabled[0]
-    return a.output, a.target_state()
-
-
 # ---------------------------------------------------------------------------
 # Controller behaviour loading
 # ---------------------------------------------------------------------------
@@ -243,6 +90,7 @@ class ControllerBehavior:
     initial: RiskState
     transitions: list[dict]  # {source, guard: GuardExpr, output, target}
     warnings: list[str] = field(default_factory=list)
+    fingerprint: str | None = None  # of the document it was read from, if any
 
     @property
     def factors(self) -> list[str]:
@@ -300,8 +148,14 @@ def _check_risk_state(r: RiskState, factors: list[str]) -> None:
 
 
 def load_behavior(path) -> ControllerBehavior:
-    """Parse and validate a `.cb` behaviour file, naming it on failure."""
-    return read_artifact(path, behavior_from_obj)
+    """Parse and validate a `.cb` behaviour file, naming it on failure, and
+    record the fingerprint of its document: one read serves both."""
+    def from_obj(doc: dict) -> ControllerBehavior:
+        behaviour = behavior_from_obj(doc)
+        behaviour.fingerprint = fingerprint(doc)
+        return behaviour
+
+    return read_artifact(path, from_obj)
 
 
 # ---------------------------------------------------------------------------

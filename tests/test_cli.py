@@ -1,14 +1,16 @@
 """End-to-end CLI behaviour: artefacts, exit codes, fingerprint checks."""
 
+import ast
 import json
 import shutil
+import subprocess
 import sys
 
 import pytest
 
 from suptest import guards
 from suptest.cli import main
-from suptest.encoding import canonical_dumps
+from suptest.encoding import canonical_dumps, fingerprint, read_artifact
 from suptest.mutation import OUTPUT_FAULT, generate_mutants
 from suptest.supervisor import load_behavior, to_guarded_actions
 from test_harness import behaviour_obj
@@ -64,6 +66,23 @@ class TestTranslate:
         path.write_text(content)
         assert main(["translate", str(path), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: {cause}")
+
+
+    def test_reads_the_behaviour_once(self, tmp_path, behaviour, monkeypatch):
+        from suptest import cli, supervisor
+        reads = []
+
+        def counted(path, from_obj):
+            reads.append(path)
+            return read_artifact(path, from_obj)
+
+        for module in (cli, supervisor):
+            monkeypatch.setattr(module, "read_artifact", counted)
+        out = tmp_path / "once"
+        assert main(["translate", str(behaviour), "--out", str(out)]) == 0
+        assert reads == [str(behaviour)]
+        for name in ("program.gap", "reference.sfsm"):
+            assert read(out / name)["derivedFrom"] == {"behaviour": fingerprint(read(behaviour))}
 
 
 class TestGenerateAndCheck:
@@ -194,6 +213,25 @@ class TestRun:
         inputs = len(doc["cases"][1]["inputs"])
         assert capsys.readouterr().err == (
             f"error: {concrete}: case 1 has {inputs} inputs but 0 expected outputs\n")
+
+
+class TestServeReference:
+    def test_loads_no_generator_module(self, translated):
+        # `python -m suptest serve-reference`, reporting the loaded modules at exit
+        script = (
+            "import atexit, runpy, sys\n"
+            "atexit.register(lambda: print(sorted(sys.modules), file=sys.stderr))\n"
+            f"sys.argv = ['suptest', 'serve-reference', {str(translated / 'program.gap')!r}]\n"
+            "runpy.run_module('suptest', run_name='__main__', alter_sys=True)\n"
+        )
+        done = subprocess.run([sys.executable, "-c", script], input="RESET\n",
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (0, "READY\n")
+        loaded = set(ast.literal_eval(done.stderr.strip().splitlines()[-1]))
+        assert {"suptest.cli", "suptest.program", "suptest.harness"} <= loaded
+        generator = {"suptest.sfsm", "suptest.fsm", "suptest.testgen", "suptest.mutation",
+                     "suptest.supervisor"}
+        assert not generator & loaded
 
 
 class TestMutate:

@@ -3,13 +3,14 @@
 import io
 import shlex
 import sys
+import threading
 import time
 from dataclasses import replace
 
 import pytest
 
 from suptest.cli import main
-from suptest.encoding import canonical_dumps
+from suptest.encoding import canonical_dumps, encode_step
 from suptest.harness import (
     ERROR,
     FAIL,
@@ -209,6 +210,111 @@ class TestSutFailures:
         path = tmp_path / "suite.json"
         path.write_text(canonical_dumps(suite.to_obj()))
         assert main(["run", str(path), "--sut", shlex.join(command)]) == 1
+
+
+def echo_suite(*cases) -> TestSuite:
+    """A concrete suite over `x` whose cases expect `y` to echo `x`, except
+    where a case gives its expected output as `(x, y)`."""
+    built = []
+    for case in cases:
+        steps = [step if isinstance(step, tuple) else (step, step) for step in case]
+        built.append(TestCase(tuple({"x": x} for x, _ in steps),
+                              tuple({"y": y} for _, y in steps)))
+    return TestSuite(built, "h", 2, "fp", concrete=True)
+
+
+ECHO = "print('OUT ' + line[3:].strip().replace('x', 'y'), flush=True)"
+
+
+class TestPipelinedCases:
+    """A case's lines go out before its replies are read; replies after a
+    mismatch are discarded, and a SUT that fails meanwhile is restarted
+    without changing any verdict."""
+
+    def run_with_pids(self, sut, suite) -> tuple[int, list[tuple]]:
+        """The SUT's first pid, and (status, step, observed, pid of the SUT
+        once the case's verdict is out) per case."""
+        first = sut.process.pid
+        return first, [(v.status, v.step_index, v.observed_output, sut.process.pid)
+                       for v in verdicts(sut, suite)]
+
+    @pytest.mark.parametrize("on_input", [
+        # exits right after its mismatching reply
+        f"{ECHO}; sys.exit(5) if '9' in line else None",
+        # exits on the input after the mismatch
+        f"sys.exit(5) if '8' in line else {ECHO}",
+        # answers ERR to the input after the mismatch
+        f"print('ERR no', flush=True) if '8' in line else {ECHO}",
+        # hangs on the input after the mismatch
+        f"__import__('time').sleep(30) if '8' in line else {ECHO}",
+    ], ids=["exit-after-mismatch", "exit-on-next-input", "err-on-next-input",
+            "hang-on-next-input"])
+    def test_failure_after_mismatch_restarts_quietly(self, tmp_path, on_input):
+        suite = echo_suite([1, (9, 0), 8, 2], [3, 4])
+        started = time.monotonic()
+        with SutAdapter(fake_sut(tmp_path, on_input), step_timeout=0.5) as sut:
+            first, results = self.run_with_pids(sut, suite)
+        assert results[0] == (FAIL, 1, {"y": 9}, first)
+        assert results[1][:3] == (PASS, None, None) and results[1][3] != first
+        assert time.monotonic() - started < 5
+
+    def test_err_mid_case_is_an_error_then_a_restart(self, tmp_path):
+        suite = echo_suite([1, 7, 2], [3, 4])
+        command = fake_sut(tmp_path, f"print('ERR no', flush=True) if '7' in line else {ECHO}")
+        with SutAdapter(command) as sut:
+            first, results = self.run_with_pids(sut, suite)
+        assert [r[:3] for r in results] == [(ERROR, None, None), (PASS, None, None)]
+        assert results[1][3] != first
+
+    def test_mismatch_then_next_case_on_same_sut(self, tmp_path):
+        suite = echo_suite([1, (9, 0), 8, 2], [3, 4])
+        with SutAdapter(fake_sut(tmp_path, ECHO)) as sut:
+            first, results = self.run_with_pids(sut, suite)
+        assert results == [(FAIL, 1, {"y": 9}, first), (PASS, None, None, first)]
+
+    def test_program_mutants_match_plain_loop_over_the_wire(
+            self, tmp_path, program, concrete_suite):
+        for mu in generate_mutants(program):
+            path = tmp_path / f"{mu.id}.gap"
+            path.write_text(canonical_dumps(mu.target.to_obj()))
+            command = [sys.executable, "-m", "suptest", "serve-reference", str(path)]
+            with SutAdapter(command) as sut:
+                online = [(v.status, v.step_index, v.observed_output)
+                          for v in verdicts(sut, concrete_suite)]
+            assert online == plain_verdicts(mu.target, concrete_suite), mu.id
+
+    def test_case_longer_than_a_pipe_passes(self, tmp_path):
+        # long names: written without reading replies in between, the case
+        # fills the 64 KiB pipe of replies, and then the pipe of inputs
+        x, y = "x" * 40, "y" * 200
+        behaviour = {
+            "vars": [
+                {"name": x, "sort": {"int": [0, 1]}, "kind": "monitored"},
+                {"name": y, "sort": {"int": [0, 1]}, "kind": "controlled"},
+                {"name": "F", "sort": {"enum": ["0", "a", "m"]}, "kind": "factor"},
+            ],
+            "initial": {"F": "0"},
+            "transitions": [{"source": {"F": "0"}, "guard": "true",
+                             "output": {y: 1}, "target": {"F": "0"}}],
+        }
+        one_state = to_guarded_actions(behavior_from_obj(behaviour))
+        steps = 3_000
+        case = TestCase(tuple({x: i % 2} for i in range(steps)), ({y: 1},) * steps)
+        suite = TestSuite([case], "h", 1, "fp", concrete=True)
+        assert sum(len(f"IN {encode_step(v)}\n") for v in case.inputs) > 65_536
+        path = tmp_path / "one-state.gap"
+        path.write_text(canonical_dumps(one_state.to_obj()))
+        results = []
+        with SutAdapter([sys.executable, "-m", "suptest", "serve-reference",
+                         str(path)]) as sut:
+            worker = threading.Thread(
+                target=lambda: results.extend(verdicts(sut, suite)), daemon=True)
+            worker.start()
+            worker.join(timeout=30)
+            if worker.is_alive():  # deadlocked: the case ends in ERROR
+                sut.process.kill()
+                worker.join()
+        assert [v.status for v in results] == [PASS]
 
 
 class TestRunSuite:

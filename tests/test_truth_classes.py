@@ -11,6 +11,7 @@ covers.
 
 import json
 from dataclasses import replace
+from functools import reduce
 from importlib.resources import files
 
 import pytest
@@ -134,6 +135,15 @@ class TestCells:
         guards = [Comparison(d.name, "=", c) for d in decls for c in range(0, 1000, 9)]
         with pytest.raises(EnumerationOverflow):
             truth_classes(guards, decls)
+
+    def test_cell_product_overflow_names_cells(self):
+        decls = [VarDecl(f"x{i}", IntSort(0, 999)) for i in range(3)]
+        guards = [Comparison(d.name, "=", c) for d in decls for c in range(0, 1000, 9)]
+        message = r"^11089567 cell products \(of 1000000000 valuations\) exceed bound 1000000$"
+        with pytest.raises(EnumerationOverflow, match=message):
+            truth_classes(guards, decls)
+        with pytest.raises(EnumerationOverflow, match=message):
+            satisfiable(reduce(Or, guards), decls)
 
 
 def with_guards(p, changes):
