@@ -9,7 +9,11 @@ reproducible byte for byte.
 
 Only what `serve-reference` needs is imported at the top: each stage
 imports the modules it uses, so a SUT spawned as `python -m suptest
-serve-reference` loads the interpreter and not the generator stack.
+serve-reference` loads the interpreter and its protocol server, and neither
+the generator stack nor the client harness.
+
+A failing command prints one `error: ...` line and exits 2; with
+`SUPTEST_DEBUG=1` set it raises instead, showing the traceback.
 """
 
 from __future__ import annotations
@@ -20,21 +24,27 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import harness
 from .encoding import ArtifactError, canonical_dumps, fingerprint, read_artifact
-from .program import POLICY_ERROR, POLICY_SELFLOOP, GuardedActionProgram
+from .program import (
+    DEFAULT_STEP_TIMEOUT,
+    POLICY_ERROR,
+    POLICY_SELFLOOP,
+    GuardedActionProgram,
+    serve_reference,
+)
 
 if TYPE_CHECKING:
-    from . import sfsm, supervisor, testgen
+    from . import harness, sfsm, supervisor, testgen
     from .fsm import MealyMachine
     from .sfsm import Sfsm
 
 CONFIG_ENV = "SUPTEST_CONFIG"
+DEBUG_ENV = "SUPTEST_DEBUG"  # "1": a failing command raises, with its traceback
 
 DEFAULTS = {
     "policy": POLICY_ERROR,
     "m_extra": 0,  # mBound = n + m_extra unless --m given
-    "step_timeout": harness.DEFAULT_STEP_TIMEOUT,
+    "step_timeout": DEFAULT_STEP_TIMEOUT,
     "mutation_seed": 0,
 }
 
@@ -200,6 +210,7 @@ def concretize(suite: testgen.TestSuite, partition, amap, path) -> testgen.TestS
 
 
 def run(suite: testgen.TestSuite, sut_command: str, path, config) -> harness.TestReport:
+    from . import harness
     with harness.SutAdapter(sut_command, config["step_timeout"]) as sut:
         report = harness.run_suite(sut, suite)
     if path:
@@ -273,14 +284,13 @@ def cmd_run(args, config) -> int:
 
 
 def cmd_serve_reference(args, config) -> int:
-    program = load_program(args.program)
-    harness.serve_reference(program)
+    serve_reference(load_program(args.program))
     return 0
 
 
 def cmd_serve_machine(args, config) -> int:
-    machine = load_machine(args.fsm)
-    harness.serve_machine(machine)
+    from . import harness
+    harness.serve_machine(load_machine(args.fsm))
     return 0
 
 
@@ -419,6 +429,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args, load_config())
     except Exception as exc:
+        if os.environ.get(DEBUG_ENV) == "1":
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,6 +17,12 @@ from typing import Any
 NIL_TEXT = "nil"
 
 
+# The wire's valuation encoder, built once: `json.dumps` with any non-default
+# argument builds a new encoder on every call.
+_VALUATION_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                                      ensure_ascii=False)
+
+
 class ArtifactError(Exception):
     """An input file refused; the message reads `<path>: <cause>`."""
 
@@ -46,7 +52,7 @@ def encode_valuation(v: dict | None) -> str:
     """
     if v is None:
         return NIL_TEXT
-    return json.dumps(v, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    return _VALUATION_ENCODER.encode(v)
 
 
 def decode_valuation(text: str) -> dict | None:

@@ -9,6 +9,11 @@ product of the variables' cells, one least value per cell, which does not
 grow with the width of an integer sort.  A space to walk (valuations, or
 cell products) larger than `ENUM_BOUND` is refused rather than walked.
 
+Sorts, declarations and guard expressions are `Record` values: immutable,
+compared and hashed by their fields.  `Record` gives what a frozen
+dataclass gives without importing `dataclasses` (and with it `inspect`),
+because every SUT spawned as `serve-reference` loads this module.
+
 Grammar::
 
     guard  := orExpr
@@ -23,7 +28,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import Iterator, Union
 
 ENUM_BOUND = 1_000_000  # largest valuation or cell-product space walked
@@ -51,11 +55,86 @@ class EnumerationOverflow(GuardError):
 
 
 # ---------------------------------------------------------------------------
+# Immutable values
+# ---------------------------------------------------------------------------
+
+class Record:
+    """An immutable value whose fields are its class's `__slots__`, in order.
+
+    Built by position or keyword, a missing field taking its value from
+    `_defaults`, then checked by `__post_init__`.  Equal to an instance of
+    the same class with equal fields, hashed as its field tuple, shown as
+    ``Name(field=value, ...)``, and refusing assignment: what a frozen
+    dataclass gives.
+    """
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs or len(args) != len(names):
+            args = self._bind(args, kwargs)
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """Field values in field order from positional and keyword arguments."""
+        names = cls.__slots__
+        where = f"{cls.__qualname__}.__init__()"
+        if len(args) > len(names):
+            raise TypeError(f"{where} takes {len(names)} positional arguments "
+                            f"but {len(args)} were given")
+        values = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names:
+                raise TypeError(f"{where} got an unexpected keyword argument {name!r}")
+            if name in values:
+                raise TypeError(f"{where} got multiple values for argument {name!r}")
+            values[name] = value
+        missing = [name for name in names if name not in values and name not in cls._defaults]
+        if missing:
+            raise TypeError(f"{where} missing required arguments: "
+                            f"{', '.join(map(repr, missing))}")
+        return [values[name] if name in values else cls._defaults[name] for name in names]
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def replace(self, **changes):
+        """A copy with `changes` to some fields, checked as a new value is."""
+        return type(self)(**dict(zip(self.__slots__, self._fields()), **changes))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+# ---------------------------------------------------------------------------
 # Sorts and declarations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EnumSort:
+class EnumSort(Record):
+    __slots__ = ("literals",)
     literals: tuple[str, ...]
 
     def __post_init__(self):
@@ -77,8 +156,8 @@ class EnumSort:
         return {"enum": list(self.literals)}
 
 
-@dataclass(frozen=True)
-class IntSort:
+class IntSort(Record):
+    __slots__ = ("lo", "hi")
     lo: int
     hi: int
 
@@ -109,11 +188,12 @@ CONTROLLED = "controlled"
 FACTOR = "factor"
 
 
-@dataclass(frozen=True)
-class VarDecl:
+class VarDecl(Record):
+    __slots__ = ("name", "sort", "kind")
+    _defaults = {"kind": MONITORED}
     name: str
     sort: Sort
-    kind: str = MONITORED
+    kind: str
 
     def __post_init__(self):
         if self.kind not in (MONITORED, CONTROLLED, FACTOR):
@@ -163,33 +243,33 @@ def check_valuation(v: Valuation, decls: list[VarDecl]) -> None:
 # Expression AST
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoolConst:
+class BoolConst(Record):
+    __slots__ = ("value",)
     value: bool
 
 
-@dataclass(frozen=True)
-class Comparison:
+class Comparison(Record):
+    __slots__ = ("var", "op", "literal")
     var: str
     op: str  # = != < <= > >=
     literal: Value
 
 
-@dataclass(frozen=True)
-class Not:
-    operand: "GuardExpr"
+class Not(Record):
+    __slots__ = ("operand",)
+    operand: GuardExpr
 
 
-@dataclass(frozen=True)
-class And:
-    left: "GuardExpr"
-    right: "GuardExpr"
+class And(Record):
+    __slots__ = ("left", "right")
+    left: GuardExpr
+    right: GuardExpr
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "GuardExpr"
-    right: "GuardExpr"
+class Or(Record):
+    __slots__ = ("left", "right")
+    left: GuardExpr
+    right: GuardExpr
 
 
 GuardExpr = Union[BoolConst, Comparison, Not, And, Or]
@@ -244,8 +324,8 @@ _TOKEN_RE = re.compile(
 _KEYWORDS = {"and", "or", "not", "true", "false"}
 
 
-@dataclass
-class _Token:
+class _Token(Record):
+    __slots__ = ("kind", "text", "pos")
     kind: str  # op | int | ident | kw | end
     text: str
     pos: int

@@ -1,4 +1,4 @@
-"""Test execution against a system under test over a line-oriented protocol.
+"""Test execution against a system under test: the client side of the wire protocol.
 
 Wire protocol (UTF-8, newline-delimited):
 
@@ -8,6 +8,9 @@ Wire protocol (UTF-8, newline-delimited):
 where <valuation> is the canonical single-line encoding with keys sorted
 ascending (or the bare token ``nil``).  The adapter boundary is a child
 process, so any generated controller can be wrapped regardless of language.
+The SUT side, `serve_reference` and its loop, lives in `program`, so that
+a spawned reference SUT loads none of this module; the names are
+re-exported here.
 
 A SUT answers every line, in order.  The harness may send RESET and all of
 a case's IN lines before it reads the first reply, so a session costs the
@@ -21,17 +24,20 @@ import os
 import select
 import shlex
 import subprocess
-import sys
 import time
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .encoding import decode_step, decode_valuation, encode_step, encode_valuation
-from .guards import check_valuation
-from .program import GuardedActionProgram, Interpreter
-
-DEFAULT_STEP_TIMEOUT = 5.0
+from .encoding import decode_step, encode_step, encode_valuation
+# The SUT side lives in `program`; its names resolve here too.
+from .program import (
+    DEFAULT_STEP_TIMEOUT,
+    GuardedActionProgram,
+    Interpreter,
+    _serve,
+    serve_reference,
+)
 
 # Bytes written to a SUT and not yet answered stay below this, half the
 # 64 KiB capacity of a pipe, so a write never waits on a full pipe while
@@ -347,51 +353,8 @@ def run_suite_offline(program: GuardedActionProgram, ts) -> TestReport:
 
 
 # ---------------------------------------------------------------------------
-# Reference SUT
+# Symbolic SUT
 # ---------------------------------------------------------------------------
-
-def _serve(sut, decode, stdin, stdout) -> None:
-    """Protocol loop until EOF; `decode` maps IN text to an input or raises for ERR."""
-    stdin = stdin if stdin is not None else sys.stdin
-    stdout = stdout if stdout is not None else sys.stdout
-
-    def reply(line: str) -> None:
-        stdout.write(line + "\n")
-        stdout.flush()
-
-    for line in stdin:
-        line = line.strip()
-        if not line:
-            continue
-        if line == "RESET":
-            sut.reset()
-            reply("READY")
-        elif line.startswith("IN "):
-            try:
-                output = sut.step(decode(line[3:]))
-            except Exception as exc:
-                reply(f"ERR {exc}")
-                continue
-            reply("OUT " + encode_step(output))
-        else:
-            reply(f"ERR unknown command {line!r}")
-
-
-def serve_reference(program: GuardedActionProgram, stdin=None, stdout=None) -> None:
-    """Speak the wire protocol on standard streams until EOF.
-
-    Malformed input, and input outside the declared variables or their
-    sorts, produces an ERR reply and leaves the state unchanged.
-    """
-    def decode(text: str) -> dict:
-        v = decode_valuation(text)
-        if v is None:
-            raise ValueError("nil is not a valid input")
-        check_valuation(v, program.input_vars)
-        return v
-
-    _serve(Interpreter(program), decode, stdin, stdout)
-
 
 def serve_machine(machine, stdin=None, stdout=None) -> None:
     """Serve a Mealy machine over the wire protocol with bare symbols."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain
 
 from .encoding import encode_valuation
@@ -131,9 +131,7 @@ def _program_mutants(p: GuardedActionProgram, operators) -> list[Mutant]:
 
     def emit(operator, locus, actions):
         mid = f"m{len(mutants)}"
-        mutant = replace(
-            p, actions=actions, policy=POLICY_SELFLOOP, resolution="first"
-        )
+        mutant = p.replace(actions=actions, policy=POLICY_SELFLOOP, resolution="first")
         mutants.append(Mutant(mid, operator, locus, mutant))
 
     distinct_outputs = []
@@ -148,7 +146,7 @@ def _program_mutants(p: GuardedActionProgram, operators) -> list[Mutant]:
                 if out == a.output:
                     continue
                 actions = list(p.actions)
-                actions[i] = replace(a, output=out)
+                actions[i] = a.replace(output=out)
                 emit(OUTPUT_FAULT,
                      f"action {i} ({a.name}) output -> {encode_valuation(out)}",
                      actions)
@@ -158,14 +156,14 @@ def _program_mutants(p: GuardedActionProgram, operators) -> list[Mutant]:
                 if r == a.target:
                     continue
                 actions = list(p.actions)
-                actions[i] = replace(a, target=r)
+                actions[i] = a.replace(target=r)
                 emit(TRANSFER_FAULT,
                      f"action {i} ({a.name}) target -> {dict(r)}", actions)
     if GUARD_FLIP in operators:
         for i, a in enumerate(p.actions):
             for n, flipped in enumerate(_flips(a.guard)):
                 actions = list(p.actions)
-                actions[i] = replace(a, guard=flipped)
+                actions[i] = a.replace(guard=flipped)
                 emit(GUARD_FLIP, f"action {i} ({a.name}) comparison {n} flipped",
                      actions)
     return mutants

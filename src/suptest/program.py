@@ -1,27 +1,37 @@
-"""The guarded-action program and its interpreter.
+"""The guarded-action program, its interpreter and the protocol server.
 
 A guarded-action program is the executable stand-in for generated
 controller code: per risk state, a list of actions, each a guard over the
 monitored variables with an output valuation and a next risk state.  The
-interpreter steps it; it is what `serve-reference` runs as a SUT, so this
-module imports nothing of the toolkit beyond the encoding and the guard
-language.
+interpreter steps it, and `serve_reference` speaks the SUT side of the wire
+protocol (see `harness`, the client side) for it on standard streams.
+
+This is what `python -m suptest serve-reference` runs, once per SUT
+session, so it imports nothing of the toolkit beyond the encoding and the
+guard language, and through them no `dataclasses` and none of the client's
+process machinery (`subprocess`, `select`, `shlex`): only `json` and `re`
+besides `math`, `sys` and `typing`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
 
-from .encoding import encode_valuation
+from .encoding import decode_valuation, encode_step, encode_valuation
 from .guards import (
     GuardExpr,
+    Record,
     Valuation,
     VarDecl,
+    check_valuation,
     decl_from_obj,
     eval_guard,
     parse_guard,
     print_guard,
 )
+
+# Seconds a SUT may take to answer one line, unless configured otherwise.
+DEFAULT_STEP_TIMEOUT = 5.0
 
 # Incomplete-state policies: an input no action covers is refused, or
 # answered with the nil output and no change of risk state.
@@ -54,8 +64,8 @@ def risk_state_name(r: RiskState, factors: list[str]) -> str:
     return "_".join(f"{f}{r[f]}" for f in factors)
 
 
-@dataclass(frozen=True)
-class GuardedAction:
+class GuardedAction(Record):
+    __slots__ = ("name", "guard", "source", "output", "target")
     name: str
     guard: GuardExpr
     source: tuple  # risk state as sorted (factor, phase) pairs
@@ -73,20 +83,26 @@ def _freeze(r: RiskState) -> tuple:
     return tuple(sorted(r.items()))
 
 
-@dataclass
-class GuardedActionProgram:
-    """Executable IR of the controller: a deterministic guarded-action list."""
+class GuardedActionProgram(Record):
+    """Executable IR of the controller: a deterministic guarded-action list.
 
+    `resolution` "strict" rejects overlapping guards at run time; "first"
+    picks the first enabled action in declaration order (used for mutants,
+    whose perturbed guards may overlap).  Unhashable, as its fields are
+    lists.
+    """
+
+    __slots__ = ("input_vars", "output_vars", "factors", "initial", "actions",
+                 "policy", "resolution")
+    _defaults = {"policy": POLICY_ERROR, "resolution": "strict"}
+    __hash__ = None
     input_vars: list[VarDecl]
     output_vars: list[VarDecl]
     factors: list[str]
     initial: RiskState
     actions: list[GuardedAction]
-    policy: str = POLICY_ERROR
-    # "strict" rejects overlapping guards at run time; "first" picks the
-    # first enabled action in declaration order (used for mutants, whose
-    # perturbed guards may overlap).
-    resolution: str = "strict"
+    policy: str
+    resolution: str
 
     def risk_states(self) -> list[RiskState]:
         """Distinct risk states used by the program (sources, targets,
@@ -188,3 +204,50 @@ def interpret_step(
         raise NoEnabledAction(r, v)
     a = enabled[0]
     return a.output, a.target_state()
+
+
+# ---------------------------------------------------------------------------
+# The SUT side of the wire protocol
+# ---------------------------------------------------------------------------
+
+def _serve(sut, decode, stdin, stdout) -> None:
+    """Protocol loop until EOF; `decode` maps IN text to an input or raises for ERR."""
+    stdin = stdin if stdin is not None else sys.stdin
+    stdout = stdout if stdout is not None else sys.stdout
+
+    def reply(line: str) -> None:
+        stdout.write(line + "\n")
+        stdout.flush()
+
+    for line in stdin:
+        line = line.strip()
+        if not line:
+            continue
+        if line == "RESET":
+            sut.reset()
+            reply("READY")
+        elif line.startswith("IN "):
+            try:
+                output = sut.step(decode(line[3:]))
+            except Exception as exc:
+                reply(f"ERR {exc}")
+                continue
+            reply("OUT " + encode_step(output))
+        else:
+            reply(f"ERR unknown command {line!r}")
+
+
+def serve_reference(program: GuardedActionProgram, stdin=None, stdout=None) -> None:
+    """Speak the wire protocol on standard streams until EOF.
+
+    Malformed input, and input outside the declared variables or their
+    sorts, produces an ERR reply and leaves the state unchanged.
+    """
+    def decode(text: str) -> dict:
+        v = decode_valuation(text)
+        if v is None:
+            raise ValueError("nil is not a valid input")
+        check_valuation(v, program.input_vars)
+        return v
+
+    _serve(Interpreter(program), decode, stdin, stdout)

@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from dataclasses import make_dataclass
 from itertools import product
 
 from suptest.fsm import MealyMachine
 from suptest.guards import EnumSort, IntSort, VarDecl, enumerate_valuations, eval_guard
 from suptest.sfsm import DeterminismViolation, Sfsm, SfsmTransition
-from suptest.guards import And, BoolConst, Comparison, Not, Or
+from suptest.guards import And, BoolConst, Comparison, Not, Or, Record
 from suptest.supervisor import interpret_step, risk_state_name
 from suptest.testgen import CompletenessReport, _require_testable, _trace_key
 
@@ -321,3 +322,62 @@ def scan_check_h_completeness(m: MealyMachine, m_bound: int, ts) -> Completeness
                         f"H3(c): prefixes ({omega[:i]}, {omega[:j]}) of {omega} not distinguished"
                     )
     return report
+
+
+# ---------------------------------------------------------------------------
+# Frozen-dataclass twins of the `Record` value classes
+# ---------------------------------------------------------------------------
+
+def _check_enum_sort(self):
+    if not self.literals:
+        raise ValueError("empty enumeration sort")
+    if len(set(self.literals)) != len(self.literals):
+        raise ValueError(f"duplicate enumeration literals: {self.literals}")
+
+
+def _check_int_sort(self):
+    if self.lo > self.hi:
+        raise ValueError(f"empty integer range [{self.lo}, {self.hi}]")
+
+
+def _check_var_decl(self):
+    if self.kind not in ("monitored", "controlled", "factor"):
+        raise ValueError(f"unknown variable kind: {self.kind}")
+    if self.kind == "factor" and self.sort != TWINS["EnumSort"](("0", "a", "m")):
+        raise ValueError(f"factor variable {self.name} must have the phase sort")
+
+
+def _twin(name, fields, check=None, hashable=True):
+    namespace = {} if check is None else {"__post_init__": check}
+    if not hashable:
+        namespace["__hash__"] = None  # kept by dataclass(), as an explicit hash
+    return make_dataclass(name, fields, namespace=namespace, frozen=True)
+
+
+# The guard language's and the program's value classes as frozen
+# dataclasses, with the validation they had as such: the oracle for what
+# `Record` gives them.  A twin has its class's name, so reprs compare.
+TWINS = {twin.__name__: twin for twin in [
+    _twin("EnumSort", ["literals"], _check_enum_sort),
+    _twin("IntSort", ["lo", "hi"], _check_int_sort),
+    _twin("VarDecl", ["name", "sort", ("kind", str, "monitored")], _check_var_decl),
+    _twin("BoolConst", ["value"]),
+    _twin("Comparison", ["var", "op", "literal"]),
+    _twin("Not", ["operand"]),
+    _twin("And", ["left", "right"]),
+    _twin("Or", ["left", "right"]),
+    _twin("GuardedAction", ["name", "guard", "source", "output", "target"]),
+    _twin("GuardedActionProgram", [
+        "input_vars", "output_vars", "factors", "initial", "actions",
+        ("policy", str, "error"), ("resolution", str, "strict")], hashable=False),
+]}
+
+
+def twin_of(x):
+    """`x` with every `Record` in it, however nested in lists and tuples,
+    rebuilt as its twin from the same field values."""
+    if isinstance(x, Record):
+        return TWINS[type(x).__name__](*(twin_of(getattr(x, f)) for f in x.__slots__))
+    if isinstance(x, (list, tuple)):
+        return type(x)(twin_of(item) for item in x)
+    return x

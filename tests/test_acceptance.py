@@ -323,15 +323,13 @@ class TestCriterion6EndToEnd:
 
 class TestCriterion7HypothesisChecks:
     def test_pass_and_fail_fixtures(self, welding_cell):
-        from dataclasses import replace
         program = to_guarded_actions(welding_cell)
         reference = to_test_reference(welding_cell)
         derived_ok = check_hypotheses(program, reference).ok
 
         actions = list(program.actions)
         index = next(i for i, a in enumerate(actions) if a.name == "HSa")
-        actions[index] = replace(
-            actions[index],
+        actions[index] = actions[index].replace(
             guard=parse_guard("hs_det = 1 and ack = 1", program.input_vars),
         )
         perturbed_guard = GuardedActionProgram(

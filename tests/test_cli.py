@@ -10,7 +10,7 @@ import pytest
 
 from suptest import guards
 from suptest.cli import main
-from suptest.encoding import canonical_dumps, fingerprint, read_artifact
+from suptest.encoding import ArtifactError, canonical_dumps, fingerprint, read_artifact
 from suptest.mutation import OUTPUT_FAULT, generate_mutants
 from suptest.supervisor import load_behavior, to_guarded_actions
 from test_harness import behaviour_obj
@@ -215,23 +215,34 @@ class TestRun:
             f"error: {concrete}: case 1 has {inputs} inputs but 0 expected outputs\n")
 
 
+def serve_reference_modules(program) -> set:
+    """The modules loaded when `python -m suptest serve-reference` has
+    answered RESET and exits."""
+    script = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(lambda: print(sorted(sys.modules), file=sys.stderr))\n"
+        f"sys.argv = ['suptest', 'serve-reference', {str(program)!r}]\n"
+        "runpy.run_module('suptest', run_name='__main__', alter_sys=True)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], input="RESET\n",
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "READY\n")
+    return set(ast.literal_eval(done.stderr.strip().splitlines()[-1]))
+
+
 class TestServeReference:
     def test_loads_no_generator_module(self, translated):
-        # `python -m suptest serve-reference`, reporting the loaded modules at exit
-        script = (
-            "import atexit, runpy, sys\n"
-            "atexit.register(lambda: print(sorted(sys.modules), file=sys.stderr))\n"
-            f"sys.argv = ['suptest', 'serve-reference', {str(translated / 'program.gap')!r}]\n"
-            "runpy.run_module('suptest', run_name='__main__', alter_sys=True)\n"
-        )
-        done = subprocess.run([sys.executable, "-c", script], input="RESET\n",
-                              capture_output=True, text=True, timeout=60)
-        assert (done.returncode, done.stdout) == (0, "READY\n")
-        loaded = set(ast.literal_eval(done.stderr.strip().splitlines()[-1]))
-        assert {"suptest.cli", "suptest.program", "suptest.harness"} <= loaded
+        loaded = serve_reference_modules(translated / "program.gap")
+        assert {"suptest.cli", "suptest.program"} <= loaded
         generator = {"suptest.sfsm", "suptest.fsm", "suptest.testgen", "suptest.mutation",
                      "suptest.supervisor"}
         assert not generator & loaded
+
+    def test_loads_neither_dataclasses_nor_client(self, translated):
+        loaded = serve_reference_modules(translated / "program.gap")
+        client = {"dataclasses", "inspect", "subprocess", "select", "shlex",
+                  "suptest.harness"}
+        assert not client & loaded
 
 
 class TestMutate:
@@ -489,3 +500,23 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith(f"error: SUPTEST_CONFIG={config}: ")
         assert cause in err
+
+
+class TestDebug:
+    @pytest.mark.parametrize("debug", [None, "0"], ids=["unset", "zero"])
+    def test_one_error_line(self, tmp_path, monkeypatch, capsys, debug):
+        if debug is None:
+            monkeypatch.delenv("SUPTEST_DEBUG", raising=False)
+        else:
+            monkeypatch.setenv("SUPTEST_DEBUG", debug)
+        missing = tmp_path / "nope.cb"
+        assert main(["translate", str(missing)]) == 2
+        assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
+
+    def test_debug_raises_with_traceback(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SUPTEST_DEBUG", "1")
+        missing = tmp_path / "nope.cb"
+        with pytest.raises(ArtifactError, match="No such file") as exc:
+            main(["translate", str(missing)])
+        assert isinstance(exc.value.__cause__, FileNotFoundError)
+        assert capsys.readouterr().err == ""

@@ -120,7 +120,7 @@ class TestProtocol:
         'IN {}',                 # partial valuation
     ])
     def test_input_outside_declaration_err_state_unchanged(self, program, policy, line):
-        replies = serve_lines(replace(program, policy=policy),
+        replies = serve_lines(program.replace(policy=policy),
                               ["RESET", line, 'IN {"x": 1}', 'IN {"x": 1}'])
         assert replies[1].startswith("ERR ")
         assert replies[2:] == ['OUT {"y":1}', 'OUT {"y":0}']

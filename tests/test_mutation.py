@@ -141,7 +141,6 @@ class TestProgramEquivalence:
         assert not program_equivalent(program, mu.target)
 
     def test_accepts_renamed_guard(self, program):
-        from dataclasses import replace
         from suptest.guards import parse_guard
         actions = list(program.actions)
         # x != 0 is x = 1 over the [0, 1] sort: semantically identical
@@ -151,8 +150,8 @@ class TestProgramEquivalence:
         original = actions[target]
         from suptest.guards import eval_guard
         if eval_guard(original.guard, {"x": 1}) and not eval_guard(original.guard, {"x": 0}):
-            actions[target] = replace(original, guard=rewritten)
-            p2 = replace(program, actions=actions)
+            actions[target] = original.replace(guard=rewritten)
+            p2 = program.replace(actions=actions)
             assert program_equivalent(program, p2)
 
 

@@ -208,15 +208,13 @@ class TestCheckHypotheses:
         assert check_hypotheses(p, r).ok
 
     def test_strengthened_guard_fails(self, welding_cell):
-        from dataclasses import replace
         p = to_guarded_actions(welding_cell)
         r = to_test_reference(welding_cell)
         decls = p.input_vars
         weak = next(i for i, a in enumerate(p.actions)
                     if a.name == "HSa")
         actions = list(p.actions)
-        actions[weak] = replace(
-            actions[weak],
+        actions[weak] = actions[weak].replace(
             guard=parse_guard("hs_det = 1 and ack = 1", decls),
         )
         p2 = GuardedActionProgram(p.input_vars, p.output_vars, p.factors,

@@ -46,21 +46,21 @@ MONITORED = [d.name for d in REFERENCE.input_vars]
 
 def double_negated(p, i):
     actions = list(p.actions)
-    actions[i] = replace(actions[i], guard=Not(Not(actions[i].guard)))
-    return replace(p, actions=actions)
+    actions[i] = actions[i].replace(guard=Not(Not(actions[i].guard)))
+    return p.replace(actions=actions)
 
 
 def with_unreachable_action(p, i):
     """One more action, from a risk state that no action enters."""
     unreached = tuple(sorted((f, "m") for f in p.factors))
     extra = GuardedAction("nop", TRUE, unreached, p.actions[i].output, unreached)
-    return replace(p, actions=list(p.actions) + [extra])
+    return p.replace(actions=list(p.actions) + [extra])
 
 
 # Rewrites that keep a program's observable behaviour: applied to the
 # reference they give equivalent mutants, which the generator never emits.
 REWRITES = {
-    "reordered": lambda p, i: replace(p, actions=p.actions[::-1]),
+    "reordered": lambda p, i: p.replace(actions=p.actions[::-1]),
     "double-negated": double_negated,
     "unreachable-action": with_unreachable_action,
 }
@@ -151,8 +151,8 @@ def with_guards(p, changes):
     enabled action wins where the new guards overlap."""
     actions = list(p.actions)
     for i, guard in changes:
-        actions[i] = replace(actions[i], guard=guard)
-    return replace(p, actions=actions, resolution="first")
+        actions[i] = actions[i].replace(guard=guard)
+    return p.replace(actions=actions, resolution="first")
 
 
 class TestProgramEquivalent:
