@@ -3,7 +3,7 @@
 Each stage is one function that takes in-memory inputs, writes its
 artefacts, prints its summary line and returns its result; a subcommand
 loads that stage's inputs from files, and `pipeline` chains the stages.
-Every artefact is written in the canonical encoding and embeds the
+Every artefact is written in the compact canonical encoding and embeds the
 fingerprints of the artefacts it was derived from, so a pipeline run is
 reproducible byte for byte.
 
@@ -100,7 +100,7 @@ def write_artifact(path, payload: dict, inputs: dict | None = None) -> None:
     doc = dict(payload)
     if inputs:
         doc["derivedFrom"] = inputs
-    Path(path).write_text(canonical_dumps(doc), encoding="utf-8")
+    Path(path).write_text(canonical_dumps(doc, compact=True), encoding="utf-8")
 
 
 def load_machine(path) -> MealyMachine:

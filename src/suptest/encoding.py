@@ -1,10 +1,13 @@
 """Canonical textual encoding, fingerprints and the one input reader.
 
-Every artefact written by the toolkit goes through :func:`canonical_dumps`
-so that repeated runs with the same configuration produce byte-identical
-files, and fingerprints computed over those files are stable.  Every JSON
-file the toolkit reads goes through :func:`read_artifact`, so every refusal
-of an input names its file.
+Every artefact written by the toolkit is compact canonical JSON (sorted
+keys, no whitespace, one trailing newline) from :func:`canonical_dumps`, so
+repeated runs with the same configuration produce byte-identical files.  A
+fingerprint is the blake2b-64 of an object's compact canonical encoding: of
+an artefact's payload, which is its file without the `derivedFrom` key.
+FNV-1a (:func:`fnv1a64`) only labels DOT edges.  Every JSON file the toolkit
+reads goes through :func:`read_artifact`, so every refusal of an input names
+its file.
 """
 
 from __future__ import annotations
@@ -17,10 +20,11 @@ from typing import Any
 NIL_TEXT = "nil"
 
 
-# The wire's valuation encoder, built once: `json.dumps` with any non-default
-# argument builds a new encoder on every call.
-_VALUATION_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
-                                      ensure_ascii=False)
+# The compact canonical encoder of wire valuations and artefacts, built once:
+# `json.dumps` with any non-default argument builds a new encoder on every
+# call.  Without `indent` it runs json's C encoder.
+_COMPACT_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                                    ensure_ascii=False)
 
 
 class ArtifactError(Exception):
@@ -40,8 +44,12 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
-def canonical_dumps(obj: Any) -> str:
-    """Stable multi-line JSON: sorted object keys, two-space indent."""
+def canonical_dumps(obj: Any, compact: bool = False) -> str:
+    """Stable JSON with sorted object keys and one trailing newline: with a
+    two-space indent, or with `compact` on one line without whitespace (the
+    form of artefact files and fingerprints)."""
+    if compact:
+        return _COMPACT_ENCODER.encode(obj) + "\n"
     return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
@@ -52,7 +60,7 @@ def encode_valuation(v: dict | None) -> str:
     """
     if v is None:
         return NIL_TEXT
-    return _VALUATION_ENCODER.encode(v)
+    return _COMPACT_ENCODER.encode(v)
 
 
 def decode_valuation(text: str) -> dict | None:
@@ -84,8 +92,11 @@ def decode_step(text: str) -> dict | str | None:
 
 
 def fingerprint(obj: Any) -> str:
-    """Hex fingerprint of an object's canonical encoding."""
-    return format(fnv1a64(canonical_dumps(obj).encode("utf-8")), "016x")
+    """16 hex digits: blake2b-64 of an object's compact canonical encoding."""
+    import hashlib  # here, not above: a spawned SUT never fingerprints
+
+    data = canonical_dumps(obj, compact=True).encode("utf-8")
+    return hashlib.blake2b(data, digest_size=8).hexdigest()
 
 
 def read_artifact(path, from_obj):
