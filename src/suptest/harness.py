@@ -24,6 +24,7 @@ import os
 import select
 import shlex
 import subprocess
+import tempfile
 import time
 from collections import deque
 from collections.abc import Iterator
@@ -43,6 +44,8 @@ from .program import (
 # 64 KiB capacity of a pipe, so a write never waits on a full pipe while
 # the SUT waits for its replies to be read.
 WRITE_AHEAD_BYTES = 32 * 1024
+# Lines of a SUT's standard error quoted when it fails to start.
+STDERR_TAIL_LINES = 5
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -51,6 +54,12 @@ ERROR = "ERROR"
 
 class HarnessError(Exception):
     pass
+
+
+class SutStartError(HarnessError):
+    """A freshly started SUT exited or answered its first RESET with
+    something other than READY: no case can run, so the run ends instead of
+    yielding verdicts."""
 
 
 @dataclass
@@ -161,12 +170,20 @@ class SutAdapter:
     read and discarded at the next `reset`; a SUT that exits, answers ERR
     or times out meanwhile is restarted, which changes no verdict.  A
     `step` with no announced input is written on its own.
+
+    A freshly started SUT that exits, or answers its first RESET with
+    anything but READY, raises SutStartError naming the command, the
+    failure and the end of the SUT's standard error, which goes to a
+    temporary file so that no pipe can fill up.  One that stays silent is
+    timed out like any reply.
     """
 
     def __init__(self, command: str | list[str], step_timeout: float = DEFAULT_STEP_TIMEOUT):
         self.command = shlex.split(command) if isinstance(command, str) else list(command)
         self.step_timeout = step_timeout
         self.process: subprocess.Popen | None = None
+        self._stderr = None  # the SUT's standard error, a temporary file
+        self._fresh = False  # started, and not yet answered READY
         self._clear()
 
     def _clear(self) -> None:
@@ -179,15 +196,17 @@ class SutAdapter:
 
     def start(self) -> None:
         self.stop()
+        self._stderr = tempfile.TemporaryFile()
         try:
             self.process = subprocess.Popen(
                 self.command,
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
-                stderr=subprocess.DEVNULL,
+                stderr=self._stderr,
             )
         except OSError as exc:
             raise HarnessError(f"cannot start SUT {shlex.join(self.command)}: {exc}") from exc
+        self._fresh = True
 
     def stop(self) -> None:
         if self.process is not None:
@@ -203,6 +222,9 @@ class SutAdapter:
                 self.process.wait()
             self.process.stdout.close()
             self.process = None
+        if self._stderr is not None:
+            self._stderr.close()
+            self._stderr = None
         self._clear()
 
     def restart(self) -> None:
@@ -271,6 +293,17 @@ class SutAdapter:
             return HarnessError("SUT closed its pipes but did not exit")
         return HarnessError(f"SUT exited with code {code}")
 
+    def _start_failure(self, cause: str) -> SutStartError:
+        """The error for a fresh SUT that failed its first RESET with `cause`,
+        quoting the last lines of its standard error."""
+        self._stderr.seek(0, os.SEEK_END)
+        self._stderr.seek(max(0, self._stderr.tell() - 4096))
+        lines = self._stderr.read().decode("utf-8", "replace").splitlines()
+        tail = [line for line in lines if line.strip()][-STDERR_TAIL_LINES:]
+        quoted = "".join("\n  " + line for line in tail) if tail else " (nothing)"
+        return SutStartError(f"SUT {shlex.join(self.command)} did not start: {cause}; "
+                             f"its standard error ends with:{quoted}")
+
     def reset(self, inputs=()) -> None:
         """RESET, with the inputs of the case that follows written ahead."""
         if not self._drain():
@@ -278,9 +311,16 @@ class SutAdapter:
         self._unsent.append(b"RESET\n")
         self._unsent.extend(("IN " + encode_step(v) + "\n").encode() for v in inputs)
         self._announced.extend(inputs)
-        reply = self._receive()
+        try:
+            reply = self._receive()
+        except HarnessError as exc:
+            if self._fresh and self.process.poll() is not None:
+                raise self._start_failure(str(exc)) from None
+            raise  # a silent SUT times out like any reply
         if reply != "READY":
-            raise HarnessError(f"expected READY after RESET, got {reply!r}")
+            error = f"expected READY after RESET, got {reply!r}"
+            raise self._start_failure(error) if self._fresh else HarnessError(error)
+        self._fresh = False
 
     def step(self, v) -> dict | str | None:
         if not self._announced:
@@ -315,7 +355,8 @@ def verdicts(sut, ts) -> Iterator[Verdict]:
     `sut` is any object with reset(inputs), step(input) and restart().  Each
     case resets it, announcing the case's inputs, and checks every
     intermediate output; a case stops at its first mismatch.  An exception
-    from the SUT yields ERROR with its text, then a restart.
+    from the SUT yields ERROR with its text, then a restart; a SUT that
+    cannot start (SutStartError) ends the run instead.
     """
     for index, case in enumerate(ts.cases):
         try:
@@ -326,6 +367,8 @@ def verdicts(sut, ts) -> Iterator[Verdict]:
                 if observed != expected:
                     verdict = Verdict(index, FAIL, step_index, inp, expected, observed)
                     break
+        except SutStartError:
+            raise
         except Exception as exc:
             verdict = Verdict(index, ERROR, detail=str(exc))
             sut.restart()

@@ -27,6 +27,7 @@ from suptest.harness import (
     verdicts,
 )
 from suptest.mutation import KILLED, OUTPUT_FAULT, classify, generate_mutants
+from suptest.program import DEFAULT_STEP_TIMEOUT
 from suptest.sfsm import (
     POLICY_ERROR, POLICY_SELFLOOP, abstract_to_fsm, concretize_suite, input_classes,
 )
@@ -199,6 +200,23 @@ class TestSutFailures:
         assert time.monotonic() - started < 5
         assert [v.status for v in report.verdicts] == [ERROR] * 3
         assert all("code 3" in v.detail for v in report.verdicts)
+
+    def test_sut_that_cannot_start_ends_the_run(self, tmp_path, concrete_suite, capsys):
+        script = tmp_path / "broken_sut.py"
+        script.write_text("import sys\n"
+                          "print('ImportError: no module named suptest', file=sys.stderr)\n"
+                          "sys.exit(3)\n")
+        path = tmp_path / "suite.json"
+        path.write_text(canonical_dumps(concrete_suite.to_obj()))
+        started = time.monotonic()
+        code = main(["run", str(path), "--sut", shlex.join([sys.executable, str(script)]),
+                     "--out", str(tmp_path / "report.json")])
+        assert time.monotonic() - started < DEFAULT_STEP_TIMEOUT
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "exited with code 3" in err
+        assert "ImportError: no module named suptest" in err
+        assert not (tmp_path / "report.json").exists()
 
     def test_malformed_reply_is_an_error_verdict(self, tmp_path, concrete_suite):
         suite = replace(concrete_suite, cases=concrete_suite.cases[:3])
