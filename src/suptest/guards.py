@@ -446,6 +446,17 @@ def parse_guard(text: str, decls: list[VarDecl]) -> GuardExpr:
     return _Parser(text, decls).parse()
 
 
+def sample_decls(sample: Valuation, texts) -> list[VarDecl]:
+    """Declarations of `sample`'s variables under which the guard `texts`
+    parse when the sorts are not known: a variable holding an int gets an
+    integer sort, any other an enumeration of every word in the texts."""
+    words = {tok.text for text in texts for tok in _tokenize(text)
+             if tok.kind in ("int", "ident")}
+    return [VarDecl(name, IntSort(value, value) if type(value) is int
+                    else EnumSort(tuple(words | {value})))
+            for name, value in sample.items()]
+
+
 # ---------------------------------------------------------------------------
 # Evaluation and enumeration
 # ---------------------------------------------------------------------------

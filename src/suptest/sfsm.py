@@ -8,6 +8,7 @@ each class becomes one atomic input of the abstracted Mealy machine.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .encoding import NIL_TEXT, encode_valuation, fingerprint, fnv1a64
@@ -24,6 +25,7 @@ from .guards import (
     guard_vars,
     parse_guard,
     print_guard,
+    sample_decls,
     truth_classes,
 )
 from .program import POLICY_ERROR, POLICY_SELFLOOP
@@ -189,7 +191,7 @@ class InputClassPartition:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "InputClassPartition":
-        return cls(
+        partition = cls(
             guards=list(obj["guards"]),
             classes=[
                 InputClass(
@@ -199,6 +201,29 @@ class InputClassPartition:
                 for c in obj["classes"]
             ],
         )
+        partition.check_representatives()
+        return partition
+
+    def check_representatives(self) -> None:
+        """Every representative assigns the variables that most of them
+        assign, and has its class's signature under the guards."""
+        if not self.classes:
+            return
+        shared = Counter(frozenset(c.representative) for c in self.classes).most_common(1)[0][0]
+        sample = next(c.representative for c in self.classes if set(c.representative) == shared)
+        decls = sample_decls(sample, self.guards)
+        parsed = [parse_guard(text, decls) for text in self.guards]
+        for c in self.classes:
+            if set(c.representative) != shared:
+                raise SfsmError(f"class {c.id}: representative assigns "
+                                f"{sorted(c.representative)}, not {sorted(shared)}")
+            try:
+                own = tuple(eval_guard(g, c.representative) for g in parsed) == c.signature
+            except TypeError:  # a value of another type than the sample's
+                own = False
+            if not own:
+                raise SfsmError(f"class {c.id}: representative "
+                                f"{encode_valuation(c.representative)} is not in the class")
 
 
 def input_classes(r: Sfsm) -> InputClassPartition:

@@ -169,6 +169,25 @@ class TestConcretize:
                      "--out", str(abstracted / "concrete.json")]) == 2
         assert capsys.readouterr().err == f"error: {path}: {cause}\n"
 
+    @pytest.mark.parametrize("edit, cause", [
+        (lambda classes: classes[0].update(representative={"zz": 7}),
+         "class c0: representative assigns ['zz'], not "),
+        (lambda classes: classes[0].update(representative=classes[1]["representative"]),
+         "class c0: representative {"),
+    ], ids=["variables", "signature"])
+    def test_refuses_inconsistent_partition(self, abstracted, capsys, edit, cause):
+        suite = abstracted / "suite-h.json"
+        assert main(["generate", str(abstracted / "fsm.json"), "--out", str(suite)]) == 0
+        path = abstracted / "partition.json"
+        doc = read(path)
+        edit(doc["classes"])
+        path.write_text(canonical_dumps(doc))
+        capsys.readouterr()
+        assert main(["concretize", str(suite), str(path), str(abstracted / "abstraction.json"),
+                     "--out", str(abstracted / "concrete.json")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: {cause}")
+        assert not (abstracted / "concrete.json").exists()
+
 
 class TestRun:
     def concrete_suite(self, abstracted):
