@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: artefacts, exit codes, fingerprint checks."""
 
 import ast
+import hashlib
 import json
 import shutil
 import subprocess
@@ -385,7 +386,57 @@ class TestRender:
             assert out.read_text().startswith("digraph")
 
 
+# SHA-256 of each JSON artefact of the welding cell's pipeline, re-encoded
+# with the indented canonical_dumps and without its fingerprint keys,
+# measured when artefacts were still written indented and fingerprinted
+# with FNV-1a: the file format and the fingerprints changed, the content
+# did not.
+PIPELINE_CONTENT = {
+    "abstraction.json": "80d3181ffbd80086fab004ea4714cd2434e902885dc427b06436e33840fd3a1e",
+    "fsm.json": "b2c565d68e6dd6075f1f2d37339203dc1093e839bb7874fd00d23c830dcdedff",
+    "partition.json": "4b03cbab9b4a001b8c4932599863ff037bd8deaae7a13645e9359ec6e33635db",
+    "program.gap": "64e4c978902101abb6eb58e25b939477d03a7a96615cfc0c7f0f27869c3d7f73",
+    "reference.sfsm": "84d96dd7d0ecb9d892650cee99d41724786e9e337c7f6312e11836f54468d21b",
+    "report.json": "1d1867bf8beb3c523556b254d604642302236c2fb876630deb56c66af65e0995",
+    "suite-concrete.json": "5ffe9edbd88ef751f7e6124137843db619d76c6fb005eb7617677a02f983178e",
+    "suite-h.json": "aca01b32aa05e09a9e7bebb82267adc0d4c505671088f5f271059602336db0fe",
+}
+
+
+def blake2b64(doc: dict) -> str:
+    """The fingerprint of an artefact's document: blake2b-64 of the compact
+    encoding of all but its `derivedFrom`."""
+    payload = {k: v for k, v in doc.items() if k != "derivedFrom"}
+    data = canonical_dumps(payload, compact=True).encode()
+    return hashlib.blake2b(data, digest_size=8).hexdigest()
+
+
 class TestPipeline:
+    def test_artefacts_compact_with_checked_chain(self, tmp_path, behaviour):
+        out = tmp_path / "pipeline"
+        assert main(["pipeline", str(behaviour), "--out", str(out)]) == 0
+        docs = {}
+        for path in sorted(out.iterdir()):
+            if path.suffix == ".dot":
+                continue
+            text = path.read_text(encoding="utf-8")
+            doc = docs[path.name] = json.loads(text)
+            assert text == canonical_dumps(doc, compact=True), path.name
+            content = {k: v for k, v in doc.items()
+                       if k not in ("derivedFrom", "referenceFingerprint")}
+            digest = hashlib.sha256(canonical_dumps(content).encode()).hexdigest()
+            assert digest == PIPELINE_CONTENT[path.name], path.name
+        assert set(docs) == set(PIPELINE_CONTENT)
+        parent = {"behaviour": read(behaviour), "sfsm": docs["reference.sfsm"],
+                  "fsm": docs["fsm.json"]}
+        suite_of = {"suite-concrete.json": "suite-h.json", "report.json": "suite-concrete.json"}
+        for name, doc in docs.items():
+            for key, value in doc["derivedFrom"].items():
+                source = docs[suite_of[name]] if key == "suite" else parent[key]
+                assert value == blake2b64(source), (name, key)
+            if "referenceFingerprint" in doc:
+                assert doc["referenceFingerprint"] == blake2b64(docs["fsm.json"]), name
+
     def test_complete_pass_and_artefacts(self, tmp_path, behaviour, capsys):
         out = tmp_path / "pipeline"
         assert main(["pipeline", str(behaviour), "--out", str(out)]) == 0
