@@ -205,6 +205,7 @@ class SutAdapter:
                 stderr=self._stderr,
             )
         except OSError as exc:
+            self.stop()  # closes the temporary file
             raise HarnessError(f"cannot start SUT {shlex.join(self.command)}: {exc}") from exc
         self._fresh = True
 
