@@ -3,9 +3,11 @@
 Each stage is one function that takes in-memory inputs, writes its
 artefacts, prints its summary line and returns its result; a subcommand
 loads that stage's inputs from files, and `pipeline` chains the stages.
-Every artefact is written in the compact canonical encoding and embeds the
-fingerprints of the artefacts it was derived from, so a pipeline run is
-reproducible byte for byte.
+Every artefact is written in the compact canonical encoding and embeds, as
+`derivedFrom`, the fingerprints of the artefacts it was derived from, so a
+pipeline run is reproducible byte for byte.  This module alone writes and
+checks those links: a suite is checked or mutated only against the FSM it
+names, and artefacts that name different SFSMs or FSMs are not combined.
 
 Only what `serve-reference` needs is imported at the top: each stage
 imports the modules it uses, so a SUT spawned as `python -m suptest
@@ -122,10 +124,27 @@ def load_suite(path) -> testgen.TestSuite:
     return read_artifact(path, TestSuite.from_obj)
 
 
-def with_sfsm_link(from_obj):
-    """`from_obj` that also returns the fingerprint of the SFSM the
-    document was derived from, or None."""
-    return lambda doc: (from_obj(doc), doc.get("derivedFrom", {}).get("sfsm"))
+def with_links(from_obj):
+    """`from_obj` that also returns the document's `derivedFrom`: the
+    fingerprints of the artefacts it was derived from, by kind."""
+    def read(doc):
+        links = doc.get("derivedFrom", {})
+        if not isinstance(links, dict):
+            raise ValueError(f"derivedFrom must be an object, got {links!r}")
+        return from_obj(doc), links
+    return read
+
+
+def load_suite_of(machine: MealyMachine, path) -> testgen.TestSuite:
+    """The suite in `path`, refused unless it names `machine` as the FSM it
+    was generated from."""
+    from .testgen import TestSuite
+    suite, links = read_artifact(path, with_links(TestSuite.from_obj))
+    if "fsm" not in links:
+        raise CliError(f"{path}: suite does not name the FSM it was generated from")
+    if links["fsm"] != fingerprint(machine.to_obj()):
+        raise CliError(f"{path}: suite was generated from a different reference machine")
+    return suite
 
 
 def by_key(key: str, if_present, otherwise):
@@ -156,7 +175,7 @@ def translate(behaviour_path, out: Path, config) -> tuple[Sfsm, supervisor.Hypot
 def classes(reference: Sfsm, path) -> sfsm.InputClassPartition:
     from . import sfsm
     partition = sfsm.input_classes(reference)
-    write_artifact(path, partition.to_obj(), {"sfsm": reference.fingerprint()})
+    write_artifact(path, partition.to_obj(), {"sfsm": fingerprint(reference.to_obj())})
     print(f"{len(partition.classes)} input equivalence classes")
     return partition
 
@@ -165,9 +184,10 @@ def abstract(reference: Sfsm, out: Path, config) -> tuple[MealyMachine, sfsm.Abs
     from . import sfsm
     machine, amap = sfsm.abstract_to_fsm(reference, config["policy"])
     out.mkdir(parents=True, exist_ok=True)
-    ref_fp = reference.fingerprint()
+    ref_fp = fingerprint(reference.to_obj())
     write_artifact(out / "fsm.json", machine.to_obj(), {"sfsm": ref_fp})
-    write_artifact(out / "abstraction.json", amap.to_obj(), {"sfsm": ref_fp})
+    write_artifact(out / "abstraction.json", amap.to_obj(),
+                   {"sfsm": ref_fp, "fsm": fingerprint(machine.to_obj())})
     print(f"FSM: {len(machine.states)} states, {len(machine.inputs)} inputs, "
           f"{len(machine.outputs)} outputs")
     return machine, amap
@@ -180,7 +200,7 @@ def generate(machine: MealyMachine, method: str, m_bound, path, config) -> testg
         m_bound = len(machine.states) + config["m_extra"]
     derive = testgen.h_method if method == "h" else testgen.w_method
     suite = derive(machine, m_bound)
-    write_artifact(path, suite.to_obj(), {"fsm": machine.fingerprint()})
+    write_artifact(path, suite.to_obj(), {"fsm": fingerprint(machine.to_obj())})
     stats = testgen.suite_stats(suite)
     print(f"{method}-suite: {stats['cases']} cases, "
           f"{stats['total_input_symbols']} input symbols, "
@@ -188,14 +208,8 @@ def generate(machine: MealyMachine, method: str, m_bound, path, config) -> testg
     return suite
 
 
-def require_suite_of(machine: MealyMachine, suite: testgen.TestSuite) -> None:
-    if suite.reference_fingerprint != machine.fingerprint():
-        raise CliError("suite was generated from a different reference machine")
-
-
 def check_suite(machine: MealyMachine, suite: testgen.TestSuite) -> testgen.CompletenessReport:
     from . import testgen
-    require_suite_of(machine, suite)
     report = testgen.check_h_completeness(machine, suite.m_bound, suite)
     print(report.summary())
     return report
@@ -258,12 +272,16 @@ def cmd_generate(args, config) -> int:
 
 def cmd_concretize(args, config) -> int:
     from . import sfsm
-    partition, p_fp = read_artifact(args.partition,
-                                    with_sfsm_link(sfsm.InputClassPartition.from_obj))
-    amap, a_fp = read_artifact(args.abstraction, with_sfsm_link(sfsm.AbstractionMap.from_obj))
-    if p_fp and a_fp and p_fp != a_fp:
-        raise CliError("partition and abstraction map come from different SFSMs")
-    suite = load_suite(args.suite)
+    from .testgen import TestSuite
+    partition, p_links = read_artifact(args.partition,
+                                       with_links(sfsm.InputClassPartition.from_obj))
+    amap, a_links = read_artifact(args.abstraction, with_links(sfsm.AbstractionMap.from_obj))
+    suite, s_links = read_artifact(args.suite, with_links(TestSuite.from_obj))
+    # the partition and the map come from one SFSM, the suite and the map from one FSM
+    for path, links, key, kind in ((args.partition, p_links, "sfsm", "SFSMs"),
+                                   (args.suite, s_links, "fsm", "FSMs")):
+        if key in links and key in a_links and links[key] != a_links[key]:
+            raise CliError(f"{path} and {args.abstraction} come from different {kind}")
     try:
         concretize(suite, partition, amap, args.out or "suite-concrete.json")
     except sfsm.UnknownClassId as exc:
@@ -274,7 +292,8 @@ def cmd_concretize(args, config) -> int:
 
 
 def cmd_check_suite(args, config) -> int:
-    report = check_suite(load_machine(args.fsm), load_suite(args.suite))
+    machine = load_machine(args.fsm)
+    report = check_suite(machine, load_suite_of(machine, args.suite))
     return 0 if report.ok else 1
 
 
@@ -297,11 +316,10 @@ def cmd_serve_machine(args, config) -> int:
 def cmd_mutate(args, config) -> int:
     from . import mutation
     from .fsm import MealyMachine
-    suite = load_suite(args.suite)
     target = read_artifact(args.target, by_key(
         "actions", GuardedActionProgram.from_obj, MealyMachine.from_obj))
-    if isinstance(target, MealyMachine):
-        require_suite_of(target, suite)
+    suite = (load_suite_of(target, args.suite) if isinstance(target, MealyMachine)
+             else load_suite(args.suite))
     operators = args.ops.split(",") if args.ops else None
     mutants = mutation.generate_mutants(target, operators, args.limit,
                                         config["mutation_seed"])

@@ -11,8 +11,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .encoding import fingerprint
-
 
 class FsmError(Exception):
     pass
@@ -114,9 +112,6 @@ class MealyMachine:
         if len(transitions) != len(obj["transitions"]):
             raise FsmError("duplicate (state, input) pair: machine not deterministic")
         return cls(obj["states"], obj["initial"], obj["inputs"], obj["outputs"], transitions)
-
-    def fingerprint(self) -> str:
-        return fingerprint(self.to_obj())
 
     def to_dot(self, name: str = "fsm") -> str:
         lines = [f"digraph {name} {{", "  rankdir=LR;", '  __start [shape=point];',

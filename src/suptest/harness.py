@@ -9,8 +9,7 @@ where <valuation> is the canonical single-line encoding with keys sorted
 ascending (or the bare token ``nil``).  The adapter boundary is a child
 process, so any generated controller can be wrapped regardless of language.
 The SUT side, `serve_reference` and its loop, lives in `program`, so that
-a spawned reference SUT loads none of this module; the names are
-re-exported here.
+a spawned reference SUT loads none of this module.
 
 A SUT answers every line, in order.  The harness may send RESET and all of
 a case's IN lines before it reads the first reply, so a session costs the
@@ -31,14 +30,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .encoding import decode_step, encode_step, encode_valuation
-# The SUT side lives in `program`; its names resolve here too.
-from .program import (
-    DEFAULT_STEP_TIMEOUT,
-    GuardedActionProgram,
-    Interpreter,
-    _serve,
-    serve_reference,
-)
+from .program import DEFAULT_STEP_TIMEOUT, GuardedActionProgram, Interpreter, _serve
 
 # Bytes written to a SUT and not yet answered stay below this, half the
 # 64 KiB capacity of a pipe, so a write never waits on a full pipe while
@@ -90,7 +82,6 @@ class TestReport:
 
     method: str
     m_bound: int
-    reference_fingerprint: str
     verdicts: list[Verdict] = field(default_factory=list)
     duration: float = 0.0
 
@@ -109,7 +100,6 @@ class TestReport:
         return {
             "method": self.method,
             "mBound": self.m_bound,
-            "referenceFingerprint": self.reference_fingerprint,
             "verdicts": [v.to_obj() for v in self.verdicts],
             "counts": self.counts,
             "completePass": self.complete_pass,
@@ -378,7 +368,7 @@ def verdicts(sut, ts) -> Iterator[Verdict]:
 
 def run_suite(sut, ts) -> TestReport:
     """Every case's verdict against `sut`, collected into a report."""
-    report = TestReport(ts.method, ts.m_bound, ts.reference_fingerprint)
+    report = TestReport(ts.method, ts.m_bound)
     started = time.monotonic()
     report.verdicts = list(verdicts(sut, ts))
     report.duration = time.monotonic() - started

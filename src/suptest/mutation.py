@@ -18,7 +18,7 @@ from itertools import chain
 from .encoding import encode_valuation
 from .fsm import MealyMachine
 from .guards import And, Comparison, Not, Or, distinct_guards, truth_classes
-from .harness import PASS, MachineSut, SutAdapter, verdicts
+from .harness import ERROR, PASS, MachineSut, SutAdapter, verdicts
 from .program import POLICY_SELFLOOP, GuardedActionProgram, Interpreter, interpret_step
 
 OUTPUT_FAULT = "output-fault"
@@ -236,7 +236,9 @@ def classify(reference, suite, mutant: Mutant, via: str = "oracle",
     `oracle` mode runs the suite in-memory; `harness` mode serves the
     mutant over the wire protocol (requires `sut_command`, a callable
     mapping the mutant to an adapter command line).  Either way the suite
-    runs only up to the first case that does not pass.
+    runs only up to the first case that does not pass.  Only a FAIL verdict
+    kills: an ERROR verdict is a fault of the set-up, not evidence, and
+    makes the outcome ERROR with the verdict's detail.
     """
     machine = isinstance(mutant.target, MealyMachine)
     if suite.concrete == machine:
@@ -257,17 +259,17 @@ def classify(reference, suite, mutant: Mutant, via: str = "oracle",
     else:
         raise ValueError(f"unknown classification mode {via!r}")
     with session as sut:
-        failing = next((v.case_index for v in verdicts(sut, suite) if v.status != PASS), None)
+        failing = next((v for v in verdicts(sut, suite) if v.status != PASS), None)
 
+    if failing is None:
+        return MutationOutcome(mutant.id, EQUIVALENT if equivalent else ESCAPED)
+    if failing.status == ERROR:
+        return MutationOutcome(mutant.id, ERROR, failing.case_index, failing.detail)
     if equivalent:
-        if failing is not None:
-            # a test failing on an equivalent mutant is a tooling fault
-            return MutationOutcome(mutant.id, "ERROR", failing,
-                                   "equivalent mutant failed a test")
-        return MutationOutcome(mutant.id, EQUIVALENT)
-    if failing is not None:
-        return MutationOutcome(mutant.id, KILLED, failing)
-    return MutationOutcome(mutant.id, ESCAPED)
+        # a test failing on an equivalent mutant is a tooling fault
+        return MutationOutcome(mutant.id, ERROR, failing.case_index,
+                               "equivalent mutant failed a test")
+    return MutationOutcome(mutant.id, KILLED, failing.case_index)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +282,7 @@ class MutationReport:
 
     @property
     def counts(self) -> dict:
-        c = {EQUIVALENT: 0, KILLED: 0, ESCAPED: 0, "ERROR": 0}
+        c = {EQUIVALENT: 0, KILLED: 0, ESCAPED: 0, ERROR: 0}
         for o in self.outcomes:
             c[o.status] += 1
         return c
@@ -321,10 +323,10 @@ class MutationReport:
         lines = [
             f"mutants: {len(self.outcomes)}  killed: {c[KILLED]}  "
             f"equivalent: {c[EQUIVALENT]}  escaped: {c[ESCAPED]}  "
-            f"errors: {c['ERROR']}  score: {score}",
+            f"errors: {c[ERROR]}  score: {score}",
         ]
         for o in self.outcomes:
-            if o.status in (ESCAPED, "ERROR"):
+            if o.status in (ESCAPED, ERROR):
                 lines.append(f"  {o.mutant_id}: {o.status} {o.detail or ''}".rstrip())
         return "\n".join(lines)
 

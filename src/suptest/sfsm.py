@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .encoding import NIL_TEXT, encode_valuation, fingerprint, fnv1a64
+from .encoding import NIL_TEXT, encode_valuation, fnv1a64
 from .fsm import MealyMachine
 from .guards import (
     GuardExpr,
@@ -134,9 +134,6 @@ class Sfsm:
             for t in obj["transitions"]
         ]
         return cls(input_vars, output_vars, obj["states"], obj["initial"], transitions)
-
-    def fingerprint(self) -> str:
-        return fingerprint(self.to_obj())
 
     # -- helpers ------------------------------------------------------------
 
@@ -332,13 +329,7 @@ def concretize_suite(suite, partition: InputClassPartition, amap: AbstractionMap
             raise UnknownOutputLabel(
                 f"output label {exc.args[0]!r} is not in the abstraction map") from None
         cases.append(TestCase(inputs, expected))
-    return TestSuite(
-        cases=cases,
-        method=suite.method,
-        m_bound=suite.m_bound,
-        reference_fingerprint=suite.reference_fingerprint,
-        concrete=True,
-    )
+    return TestSuite(cases, suite.method, suite.m_bound, concrete=True)
 
 
 # ---------------------------------------------------------------------------

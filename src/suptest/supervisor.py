@@ -30,19 +30,13 @@ from .guards import (
     print_guard,
     truth_classes,
 )
-# The program and its interpreter live in `program`; their names resolve here too.
 from .program import (
     POLICY_ERROR,
-    POLICY_SELFLOOP,
     GuardedAction,
     GuardedActionProgram,
-    Interpreter,
-    MultipleEnabledActions,
-    NoEnabledAction,
     RiskState,
     SupervisorError,
     _freeze,
-    interpret_step,
     risk_state_name,
 )
 from .sfsm import DeterminismViolation, Sfsm, SfsmTransition

@@ -36,14 +36,12 @@ class TestSuite:
     cases: list[TestCase]
     method: str  # "h" | "w"
     m_bound: int
-    reference_fingerprint: str
     concrete: bool = False
 
     def to_obj(self) -> dict:
         return {
             "method": self.method,
             "mBound": self.m_bound,
-            "referenceFingerprint": self.reference_fingerprint,
             "concrete": self.concrete,
             "cases": [
                 {"inputs": list(c.inputs), "expectedOutputs": list(c.expected)}
@@ -58,8 +56,7 @@ class TestSuite:
             if len(c.inputs) != len(c.expected):
                 raise TestGenError(f"case {i} has {len(c.inputs)} inputs but "
                                    f"{len(c.expected)} expected outputs")
-        return cls(cases, obj["method"], obj["mBound"], obj["referenceFingerprint"],
-                   obj.get("concrete", False))
+        return cls(cases, obj["method"], obj["mBound"], obj.get("concrete", False))
 
 
 def suite_stats(ts: TestSuite) -> dict:
@@ -137,7 +134,7 @@ def _to_suite(m: MealyMachine, closure: set[tuple], method: str, m_bound: int) -
             continue
         outputs, _ = m.run(trace)
         cases.append(TestCase(trace, outputs))
-    return TestSuite(cases, method, m_bound, m.fingerprint())
+    return TestSuite(cases, method, m_bound)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from suptest.fsm import MealyMachine
 from suptest.guards import EnumSort, IntSort, VarDecl, enumerate_valuations, eval_guard
 from suptest.sfsm import DeterminismViolation, Sfsm, SfsmTransition
 from suptest.guards import And, BoolConst, Comparison, Not, Or, Record
-from suptest.supervisor import interpret_step, risk_state_name
+from suptest.program import interpret_step, risk_state_name
 from suptest.testgen import CompletenessReport, _require_testable, _trace_key
 
 

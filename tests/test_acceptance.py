@@ -95,7 +95,7 @@ class TestCriterion1Completeness:
     def test_zero_escapes(self, population):
         total = sum(b.mutants_in_model for b in population)
         escapes = [
-            (b.machine.fingerprint(), mu.id)
+            (fingerprint(b.machine.to_obj()), mu.id)
             for b in population
             for mu, outcome in b.outcomes
             if outcome.status == mutation.ESCAPED
@@ -118,7 +118,7 @@ class TestCriterion2Soundness:
                 if b.machine.equivalent(mu.target) is None:
                     total_equivalent += 1
                     if outcome.status != mutation.EQUIVALENT:
-                        false_failures.append((b.machine.fingerprint(), mu.id))
+                        false_failures.append((fingerprint(b.machine.to_obj()), mu.id))
         ok = verdict(
             "2 soundness",
             not false_failures,
@@ -153,7 +153,6 @@ class TestCriterion3Orthogonality:
             weakened = testgen.TestSuite(
                 [c for i, c in enumerate(b.h_suite.cases) if i != drop],
                 b.h_suite.method, b.h_suite.m_bound,
-                b.h_suite.reference_fingerprint,
             )
             attempted += 1
             report = testgen.check_h_completeness(b.machine, b.m_bound, weakened)
@@ -305,7 +304,8 @@ class TestCriterion6EndToEnd:
             oracle = mutation.classify(program, suite, mu)
             harness = mutation.classify(program, suite, mu, via="harness",
                                         sut_command=sut_command)
-            if oracle.status != harness.status:
+            if (oracle.status, oracle.first_failing_case) != \
+                    (harness.status, harness.first_failing_case):
                 disagreements += 1
             equivalent = mutation.program_equivalent(program, mu.target)
             if not equivalent and oracle.status != mutation.KILLED:

@@ -106,10 +106,28 @@ class TestGenerateAndCheck:
         suite_path = abstracted / "suite-h.json"
         assert main(["generate", str(fsm), "--out", str(suite_path)]) == 0
         doc = read(suite_path)
-        doc["referenceFingerprint"] = "0" * 16
+        doc["derivedFrom"]["fsm"] = "0" * 16
         suite_path.write_text(canonical_dumps(doc))
         assert main(["check-suite", str(fsm), str(suite_path)]) == 2
         assert "different reference" in capsys.readouterr().err
+
+    def test_check_refuses_suite_naming_no_fsm(self, abstracted, capsys):
+        fsm = abstracted / "fsm.json"
+        suite_path = abstracted / "suite-h.json"
+        assert main(["generate", str(fsm), "--out", str(suite_path)]) == 0
+        doc = read(suite_path)
+        assert "referenceFingerprint" not in doc
+        del doc["derivedFrom"]
+        suite_path.write_text(canonical_dumps(doc))
+        capsys.readouterr()
+        assert main(["check-suite", str(fsm), str(suite_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {suite_path}: suite does not name the FSM it was generated from\n")
+        doc["derivedFrom"] = 7
+        suite_path.write_text(canonical_dumps(doc))
+        assert main(["check-suite", str(fsm), str(suite_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {suite_path}: derivedFrom must be an object, got 7\n")
 
 
 class TestConcretize:
@@ -127,6 +145,27 @@ class TestConcretize:
         assert code == 2
         assert "different SFSMs" in capsys.readouterr().err
 
+    def test_refuses_suite_of_another_fsm(self, tmp_path, abstracted, behaviour, capsys):
+        # the welding cell with one transition's output changed
+        obj = read(behaviour)
+        obj["transitions"][0]["output"] = obj["transitions"][1]["output"]
+        path = tmp_path / "other.cb"
+        path.write_text(json.dumps(obj))
+        other = tmp_path / "other"
+        assert main(["translate", str(path), "--out", str(other)]) == 0
+        assert main(["abstract", str(other / "reference.sfsm"), "--out", str(other)]) == 0
+        assert main(["classes", str(other / "reference.sfsm"),
+                     "--out", str(other / "partition.json")]) == 0
+        suite = abstracted / "suite-h.json"
+        assert main(["generate", str(abstracted / "fsm.json"), "--out", str(suite)]) == 0
+        capsys.readouterr()
+        code = main(["concretize", str(suite), str(other / "partition.json"),
+                     str(other / "abstraction.json"), "--out", str(other / "concrete.json")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {suite} and {other / 'abstraction.json'} come from different FSMs\n")
+        assert not (other / "concrete.json").exists()
+
     def test_names_label_missing_from_abstraction(self, tmp_path, abstracted, monkeypatch,
                                                   capsys):
         # a three-state behaviour whose uncovered input closes off with "nil"
@@ -143,6 +182,10 @@ class TestConcretize:
         assert main(["abstract", str(out / "reference.sfsm"), "--out", str(out)]) == 0
         assert main(["generate", str(out / "fsm.json"), "--out", str(out / "suite.json")]) == 0
         assert "nil" in read(out / "abstraction.json")["label_to_output"]
+        # unlinked, so that the suite of another FSM reaches the label lookup
+        doc = read(out / "suite.json")
+        del doc["derivedFrom"]
+        (out / "suite.json").write_text(canonical_dumps(doc))
         capsys.readouterr()
         code = main(["concretize", str(out / "suite.json"),
                      str(abstracted / "partition.json"), str(abstracted / "abstraction.json"),
@@ -285,7 +328,7 @@ class TestMutate:
         suite_path = abstracted / "suite-h.json"
         assert main(["generate", str(fsm), "--out", str(suite_path)]) == 0
         doc = read(suite_path)
-        doc["referenceFingerprint"] = "0" * 16
+        doc["derivedFrom"]["fsm"] = "0" * 16
         suite_path.write_text(canonical_dumps(doc))
         assert main(["mutate", str(fsm), "--suite", str(suite_path)]) == 2
         assert "different reference" in capsys.readouterr().err

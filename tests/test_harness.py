@@ -23,16 +23,17 @@ from suptest.harness import (
     run_suite,
     run_suite_offline,
     serve_machine,
-    serve_reference,
     verdicts,
 )
-from suptest.mutation import KILLED, OUTPUT_FAULT, classify, generate_mutants
-from suptest.program import DEFAULT_STEP_TIMEOUT
+from suptest.mutation import (
+    KILLED, OUTPUT_FAULT, MutationOutcome, classify, generate_mutants,
+)
+from suptest.program import DEFAULT_STEP_TIMEOUT, Interpreter, serve_reference
 from suptest.sfsm import (
     POLICY_ERROR, POLICY_SELFLOOP, abstract_to_fsm, concretize_suite, input_classes,
 )
 from suptest.supervisor import (
-    Interpreter, behavior_from_obj, to_guarded_actions, to_test_reference,
+    behavior_from_obj, to_guarded_actions, to_test_reference,
 )
 from suptest.testgen import TestCase, TestSuite, h_method
 
@@ -218,6 +219,13 @@ class TestSutFailures:
         assert "ImportError: no module named suptest" in err
         assert not (tmp_path / "report.json").exists()
 
+    def test_sut_that_dies_kills_no_mutant(self, tmp_path, program, concrete_suite):
+        mutant = generate_mutants(program, operators=[OUTPUT_FAULT], limit=1)[0]
+        command = fake_sut(tmp_path, "sys.exit(3)")
+        outcome = classify(program, concrete_suite, mutant, via="harness",
+                           sut_command=lambda mu: command)
+        assert outcome == MutationOutcome(mutant.id, ERROR, 0, "SUT exited with code 3")
+
     def test_malformed_reply_is_an_error_verdict(self, tmp_path, concrete_suite):
         suite = replace(concrete_suite, cases=concrete_suite.cases[:3])
         command = fake_sut(tmp_path, "print('OUT {bad', flush=True)")
@@ -238,7 +246,7 @@ def echo_suite(*cases) -> TestSuite:
         steps = [step if isinstance(step, tuple) else (step, step) for step in case]
         built.append(TestCase(tuple({"x": x} for x, _ in steps),
                               tuple({"y": y} for _, y in steps)))
-    return TestSuite(built, "h", 2, "fp", concrete=True)
+    return TestSuite(built, "h", 2, concrete=True)
 
 
 ECHO = "print('OUT ' + line[3:].strip().replace('x', 'y'), flush=True)"
@@ -318,7 +326,7 @@ class TestPipelinedCases:
         one_state = to_guarded_actions(behavior_from_obj(behaviour))
         steps = 3_000
         case = TestCase(tuple({x: i % 2} for i in range(steps)), ({y: 1},) * steps)
-        suite = TestSuite([case], "h", 1, "fp", concrete=True)
+        suite = TestSuite([case], "h", 1, concrete=True)
         assert sum(len(f"IN {encode_step(v)}\n") for v in case.inputs) > 65_536
         path = tmp_path / "one-state.gap"
         path.write_text(canonical_dumps(one_state.to_obj()))
@@ -424,7 +432,7 @@ class TestSharedLoop:
 
 class TestOfflineRun:
     def test_requires_concrete_suite(self, program):
-        abstract = TestSuite([TestCase(("c0",), ("o0",))], "h", 2, "fp")
+        abstract = TestSuite([TestCase(("c0",), ("o0",))], "h", 2)
         with pytest.raises(HarnessError):
             run_suite_offline(program, abstract)
 
@@ -434,16 +442,16 @@ class TestOfflineRun:
 
 class TestReportShape:
     def test_counts_and_complete_pass(self):
-        report = TestReport("h", 3, "fp", [Verdict(0, PASS), Verdict(1, FAIL, 2)])
+        report = TestReport("h", 3, [Verdict(0, PASS), Verdict(1, FAIL, 2)])
         assert report.counts == {PASS: 1, FAIL: 1, ERROR: 0}
         assert not report.complete_pass
         assert "NOT CONFORMING" in report.summary()
 
     def test_empty_report_is_not_a_pass(self):
-        assert not TestReport("h", 3, "fp").complete_pass
+        assert not TestReport("h", 3).complete_pass
 
     def test_to_obj_omits_duration(self):
-        report = TestReport("h", 3, "fp", [Verdict(0, PASS)], duration=1.23)
+        report = TestReport("h", 3, [Verdict(0, PASS)], duration=1.23)
         obj = report.to_obj()
         assert "duration" not in obj
         assert obj["completePass"] is True

@@ -205,7 +205,7 @@ class TestConcretize:
         p = self.make_partition()
         amap = AbstractionMap({c.id: c.representative for c in p.classes},
                               {"o0": {"y": 1}})
-        suite = TestSuite([TestCase(("c0",), ("o0",))], "h", 2, "fp")
+        suite = TestSuite([TestCase(("c0",), ("o0",))], "h", 2)
         concrete = concretize_suite(suite, p, amap)
         assert concrete.cases[0].inputs == ({"x": 0},)
         assert concrete.cases[0].expected == ({"y": 1},)
@@ -214,7 +214,7 @@ class TestConcretize:
     def test_empty_suite(self):
         p = self.make_partition()
         amap = AbstractionMap({}, {})
-        suite = TestSuite([], "h", 2, "fp")
+        suite = TestSuite([], "h", 2)
         assert concretize_suite(suite, p, amap).cases == []
 
     def test_repeated_symbols(self):
@@ -222,7 +222,7 @@ class TestConcretize:
         amap = AbstractionMap({c.id: c.representative for c in p.classes},
                               {"o0": {"y": 1}})
         suite = TestSuite([TestCase(("c1", "c1", "c0"), ("o0", "o0", "o0"))],
-                          "h", 2, "fp")
+                          "h", 2)
         concrete = concretize_suite(suite, p, amap)
         assert concrete.cases[0].inputs == ({"x": 2}, {"x": 2}, {"x": 0})
 
@@ -230,7 +230,7 @@ class TestConcretize:
         p = self.make_partition()
         amap = AbstractionMap({c.id: c.representative for c in p.classes},
                               {"o0": {"y": 1}})
-        suite = TestSuite([TestCase(("c0", "c99"), ("o0", "o0"))], "h", 2, "fp")
+        suite = TestSuite([TestCase(("c0", "c99"), ("o0", "o0"))], "h", 2)
         with pytest.raises(SfsmError, match=r"^unknown class id 'c99'$"):
             concretize_suite(suite, p, amap)
 

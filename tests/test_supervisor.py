@@ -5,6 +5,7 @@ import json
 import pytest
 
 from suptest.guards import enumerate_valuations, parse_guard
+from suptest.program import Interpreter, NoEnabledAction, interpret_step
 from suptest.sfsm import (
     POLICY_SELFLOOP,
     DeterminismViolation,
@@ -13,13 +14,10 @@ from suptest.sfsm import (
 from suptest.supervisor import (
     DisjointnessViolation,
     GuardedActionProgram,
-    Interpreter,
     LifecycleViolation,
-    NoEnabledAction,
     behavior_from_obj,
     check_hypotheses,
     derive_action_name,
-    interpret_step,
     load_behavior,
     risk_state_name,
     to_guarded_actions,

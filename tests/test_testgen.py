@@ -170,7 +170,7 @@ class TestCheckCompleteness:
         for drop in range(len(suite.cases)):
             weakened = TestSuite(
                 [c for i, c in enumerate(suite.cases) if i != drop],
-                suite.method, suite.m_bound, suite.reference_fingerprint,
+                suite.method, suite.m_bound,
             )
             report = check_h_completeness(m, 2, weakened)
             if not report.ok:
@@ -185,14 +185,14 @@ class TestCheckCompleteness:
         first = bad_cases[0]
         flipped = tuple("1" if y == "0" else "0" for y in first.expected)
         bad_cases[0] = type(first)(first.inputs, flipped)
-        bad = TestSuite(bad_cases, "h", 2, suite.reference_fingerprint)
+        bad = TestSuite(bad_cases, "h", 2)
         report = check_h_completeness(m, 2, bad)
         assert any("disagree" in v for v in report.violations)
 
 
 class TestSuiteStats:
     def test_empty(self):
-        suite = TestSuite([], "h", 2, "fp")
+        suite = TestSuite([], "h", 2)
         assert suite_stats(suite) == {
             "cases": 0, "total_input_symbols": 0, "max_length": 0
         }
@@ -203,9 +203,7 @@ class TestSuiteStats:
 
     def test_monotone_under_added_trace(self):
         suite = w_method(m0(), 2)
-        bigger = TestSuite(
-            suite.cases + [suite.cases[0]], "w", 2, suite.reference_fingerprint
-        )
+        bigger = TestSuite(suite.cases + [suite.cases[0]], "w", 2)
         s1, s2 = suite_stats(suite), suite_stats(bigger)
         assert s2["cases"] > s1["cases"]
         assert s2["total_input_symbols"] > s1["total_input_symbols"]
@@ -246,7 +244,7 @@ class TestWalkAgainstScan:
                 suite = h_method(m, bound)
                 for drop in [None, *range(len(suite.cases))]:
                     cases = [c for i, c in enumerate(suite.cases) if i != drop]
-                    ts = TestSuite(cases, "h", bound, suite.reference_fingerprint)
+                    ts = TestSuite(cases, "h", bound)
                     violations = check_h_completeness(m, bound, ts).violations
                     assert violations == scan_check_h_completeness(m, bound, ts).violations
                     rejected += bool(violations)
@@ -254,11 +252,8 @@ class TestWalkAgainstScan:
 
 
 def suite_content(suite) -> bytes:
-    """A suite's canonical encoding without the fingerprint of its reference,
-    which changes with the fingerprint function and not with the suite."""
-    obj = suite.to_obj()
-    del obj["referenceFingerprint"]
-    return canonical_dumps(obj).encode()
+    """A suite's indented canonical encoding, the form its pins hash."""
+    return canonical_dumps(suite.to_obj()).encode()
 
 
 class TestPinnedSuites:
