@@ -13,8 +13,9 @@ a spawned reference SUT loads none of this module.
 
 A SUT answers every line, in order.  The harness may send RESET and all of
 a case's IN lines before it reads the first reply, so a session costs the
-SUT's own work rather than one round trip per step; the replies that follow
-a case's first mismatch are read and discarded.
+SUT's own work rather than one round trip per step; it writes them without
+blocking while it reads, so a case may be longer than a pipe holds.  The
+replies that follow a case's first mismatch are read and discarded.
 """
 
 from __future__ import annotations
@@ -32,10 +33,6 @@ from dataclasses import dataclass, field
 from .encoding import decode_step, encode_step, encode_valuation
 from .program import DEFAULT_STEP_TIMEOUT, GuardedActionProgram, Interpreter, _serve
 
-# Bytes written to a SUT and not yet answered stay below this, half the
-# 64 KiB capacity of a pipe, so a write never waits on a full pipe while
-# the SUT waits for its replies to be read.
-WRITE_AHEAD_BYTES = 32 * 1024
 # Lines of a SUT's standard error quoted when it fails to start.
 STDERR_TAIL_LINES = 5
 
@@ -152,20 +149,20 @@ class MachineSut:
 class SutAdapter:
     """Spawns and talks to one SUT process; restarted after protocol errors.
 
-    `reset(inputs)` announces a case: RESET and the case's IN lines go out
-    in one write, and each `step` reads the next reply.  At most
-    `WRITE_AHEAD_BYTES` are written and not yet answered, so a long case
-    goes out in chunks between reads and no write waits on a full pipe.
-    Replies a case leaves unread, because it stopped at a mismatch, are
-    read and discarded at the next `reset`; a SUT that exits, answers ERR
-    or times out meanwhile is restarted, which changes no verdict.  A
-    `step` with no announced input is written on its own.
+    `reset(inputs)` announces a case: RESET and the case's IN lines are
+    queued together, and each `step` reads the next reply.  While it waits
+    for a reply, the adapter writes as much of the queue as the SUT's
+    input pipe takes, without blocking, so a case longer than a pipe holds
+    goes out as the SUT reads it, and `step_timeout` bounds the write as
+    well as the wait.  Replies a case leaves unread, because it stopped at
+    a mismatch, are read and discarded at the next `reset`; a SUT that
+    exits, answers ERR or times out meanwhile is restarted, which changes
+    no verdict.  A `step` with no announced input is sent on its own.
 
-    A freshly started SUT that exits, or answers its first RESET with
-    anything but READY, raises SutStartError naming the command, the
-    failure and the end of the SUT's standard error, which goes to a
-    temporary file so that no pipe can fill up.  One that stays silent is
-    timed out like any reply.
+    A freshly started SUT that exits, stays silent, or answers its first
+    RESET with anything but READY raises SutStartError naming the command,
+    the failure and the end of the SUT's standard error, which goes to a
+    temporary file so that no pipe can fill up.
     """
 
     def __init__(self, command: str | list[str], step_timeout: float = DEFAULT_STEP_TIMEOUT):
@@ -178,9 +175,8 @@ class SutAdapter:
 
     def _clear(self) -> None:
         self._announced: deque = deque()  # inputs announced at reset, not yet stepped
-        self._unsent: deque[bytes] = deque()  # lines not yet written
-        self._in_flight: deque[int] = deque()  # sizes of lines written, not yet answered
-        self._in_flight_bytes = 0
+        self._outbox = bytearray()  # lines queued, not yet written
+        self._owed = 0  # replies to the lines queued or written, not yet taken
         self._replies: deque[str] = deque()  # replies read, not yet taken
         self._partial = b""  # the start of a reply whose newline is still to come
 
@@ -197,6 +193,7 @@ class SutAdapter:
         except OSError as exc:
             self.stop()  # closes the temporary file
             raise HarnessError(f"cannot start SUT {shlex.join(self.command)}: {exc}") from exc
+        os.set_blocking(self.process.stdin.fileno(), False)
         self._fresh = True
 
     def stop(self) -> None:
@@ -221,55 +218,43 @@ class SutAdapter:
     def restart(self) -> None:
         self.start()
 
-    def _write_ahead(self) -> None:
-        """Write the unsent lines that fit in the window, in one write; the
-        first line always fits when nothing is unanswered."""
-        chunk = []
-        while self._unsent and (not self._in_flight or self._in_flight_bytes
-                                + len(self._unsent[0]) <= WRITE_AHEAD_BYTES):
-            line = self._unsent.popleft()
-            chunk.append(line)
-            self._in_flight.append(len(line))
-            self._in_flight_bytes += len(line)
-        if not chunk:
-            return
+    def _receive(self) -> str:
+        """The next reply, waiting at most `step_timeout` for it and writing
+        the queued lines meanwhile."""
         if self.process is None:
             raise HarnessError("SUT process not running")
-        try:
-            self.process.stdin.write(b"".join(chunk))
-            self.process.stdin.flush()
-        except OSError:
-            raise self._gone() from None
-
-    def _receive(self) -> str:
-        """The next reply, waiting at most `step_timeout` for it."""
-        if self._unsent:
-            self._write_ahead()
-        if not self._replies:
-            fd = self.process.stdout.fileno()
-            deadline = time.monotonic() + self.step_timeout
-            while not self._replies:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or not select.select([fd], [], [], remaining)[0]:
-                    raise HarnessError(f"SUT did not answer within {self.step_timeout}s")
-                data = os.read(fd, 65536)
-                if not data and not self._partial:
-                    raise self._gone()
-                # at the end of output, a last reply without its newline still counts
-                *lines, self._partial = (self._partial + (data or b"\n")).split(b"\n")
-                for line in lines:
-                    self._replies.append(line.decode("utf-8", "replace").rstrip("\r"))
-                    if self._in_flight:
-                        self._in_flight_bytes -= self._in_flight.popleft()
+        sut_in, sut_out = self.process.stdin.fileno(), self.process.stdout.fileno()
+        deadline = time.monotonic() + self.step_timeout
+        while not self._replies:
+            if self._outbox:
+                try:
+                    del self._outbox[:os.write(sut_in, self._outbox)]
+                except BlockingIOError:
+                    pass  # the pipe is full
+                except OSError:
+                    raise self._gone() from None
+            readable, writable, _ = select.select(
+                [sut_out], [sut_in] if self._outbox else [], [],
+                max(0.0, deadline - time.monotonic()))
+            if not readable:
+                if writable and time.monotonic() < deadline:
+                    continue  # room for more of the queue
+                raise HarnessError(f"SUT did not answer within {self.step_timeout}s")
+            data = os.read(sut_out, 65536)
+            if not data and not self._partial:
+                raise self._gone()
+            # at the end of output, a last reply without its newline still counts
+            *lines, self._partial = (self._partial + (data or b"\n")).split(b"\n")
+            self._replies.extend(line.decode("utf-8", "replace").rstrip("\r") for line in lines)
+        self._owed -= 1
         return self._replies.popleft()
 
     def _drain(self) -> bool:
-        """Read and discard every reply still owed; False if the SUT exited,
-        answered ERR or timed out meanwhile."""
+        """Send the rest of the queue, and read and discard every reply still
+        owed; False if the SUT exited, answered ERR or timed out meanwhile."""
         self._announced.clear()
-        self._unsent.clear()
         try:
-            while self._replies or self._in_flight:
+            while self._owed:
                 if self._receive().startswith("ERR "):
                     return False
         except HarnessError:
@@ -296,26 +281,26 @@ class SutAdapter:
                              f"its standard error ends with:{quoted}")
 
     def reset(self, inputs=()) -> None:
-        """RESET, with the inputs of the case that follows written ahead."""
+        """RESET, with the inputs of the case that follows sent ahead."""
         if not self._drain():
             self.restart()
-        self._unsent.append(b"RESET\n")
-        self._unsent.extend(("IN " + encode_step(v) + "\n").encode() for v in inputs)
+        self._outbox += b"RESET\n" + "".join(f"IN {encode_step(v)}\n" for v in inputs).encode()
+        self._owed += 1 + len(inputs)
         self._announced.extend(inputs)
         try:
             reply = self._receive()
+            if reply != "READY":
+                raise HarnessError(f"expected READY after RESET, got {reply!r}")
         except HarnessError as exc:
-            if self._fresh and self.process.poll() is not None:
+            if self._fresh:
                 raise self._start_failure(str(exc)) from None
-            raise  # a silent SUT times out like any reply
-        if reply != "READY":
-            error = f"expected READY after RESET, got {reply!r}"
-            raise self._start_failure(error) if self._fresh else HarnessError(error)
+            raise
         self._fresh = False
 
     def step(self, v) -> dict | str | None:
         if not self._announced:
-            self._unsent.append(("IN " + encode_step(v) + "\n").encode())
+            self._outbox += f"IN {encode_step(v)}\n".encode()
+            self._owed += 1
         elif self._announced.popleft() != v:
             raise HarnessError(f"input {encode_step(v)} is not the one announced at RESET")
         reply = self._receive()

@@ -18,6 +18,7 @@ from suptest.harness import (
     HarnessError,
     MachineSut,
     SutAdapter,
+    SutStartError,
     TestReport,
     Verdict,
     run_suite,
@@ -38,6 +39,11 @@ from suptest.supervisor import (
 from suptest.testgen import TestCase, TestSuite, h_method
 
 from helpers import m0, plain_verdicts
+
+try:
+    import fcntl
+except ImportError:  # not POSIX
+    fcntl = None
 
 
 def behaviour_obj():
@@ -252,6 +258,34 @@ def echo_suite(*cases) -> TestSuite:
 ECHO = "print('OUT ' + line[3:].strip().replace('x', 'y'), flush=True)"
 
 
+class OnePageSutAdapter(SutAdapter):
+    """A SutAdapter whose SUT's input and output pipes hold one page each,
+    as Linux hands them out once a user passes `pipe-user-pages-soft`."""
+
+    def start(self) -> None:
+        super().start()
+        for pipe in (self.process.stdin, self.process.stdout):
+            fcntl.fcntl(pipe.fileno(), fcntl.F_SETPIPE_SZ, 4096)
+
+
+one_page_pipes = pytest.mark.skipif(not hasattr(fcntl, "F_SETPIPE_SZ"),
+                                    reason="pipe capacity cannot be set here")
+
+
+def guarded_verdicts(sut, suite, timeout=30) -> list[Verdict]:
+    """`verdicts(sut, suite)`, or, if the run is still going after `timeout`
+    seconds, deadlocked, the verdicts it gives once the SUT is killed."""
+    results = []
+    worker = threading.Thread(target=lambda: results.extend(verdicts(sut, suite)),
+                              daemon=True)
+    worker.start()
+    worker.join(timeout=timeout)
+    if worker.is_alive():
+        sut.process.kill()
+        worker.join()
+    return results
+
+
 class TestPipelinedCases:
     """A case's lines go out before its replies are read; replies after a
     mismatch are discarded, and a SUT that fails meanwhile is restarted
@@ -309,9 +343,13 @@ class TestPipelinedCases:
                           for v in verdicts(sut, concrete_suite)]
             assert online == plain_verdicts(mu.target, concrete_suite), mu.id
 
-    def test_case_longer_than_a_pipe_passes(self, tmp_path):
+    @pytest.mark.parametrize("adapter", [
+        pytest.param(SutAdapter, id="default"),
+        pytest.param(OnePageSutAdapter, id="one-page", marks=one_page_pipes),
+    ])
+    def test_case_longer_than_a_pipe_passes(self, tmp_path, adapter):
         # long names: written without reading replies in between, the case
-        # fills the 64 KiB pipe of replies, and then the pipe of inputs
+        # fills the pipe of replies, and then the pipe of inputs
         x, y = "x" * 40, "y" * 200
         behaviour = {
             "vars": [
@@ -330,17 +368,22 @@ class TestPipelinedCases:
         assert sum(len(f"IN {encode_step(v)}\n") for v in case.inputs) > 65_536
         path = tmp_path / "one-state.gap"
         path.write_text(canonical_dumps(one_state.to_obj()))
-        results = []
-        with SutAdapter([sys.executable, "-m", "suptest", "serve-reference",
-                         str(path)]) as sut:
-            worker = threading.Thread(
-                target=lambda: results.extend(verdicts(sut, suite)), daemon=True)
-            worker.start()
-            worker.join(timeout=30)
-            if worker.is_alive():  # deadlocked: the case ends in ERROR
-                sut.process.kill()
-                worker.join()
+        with adapter([sys.executable, "-m", "suptest", "serve-reference", str(path)]) as sut:
+            results = guarded_verdicts(sut, suite)
         assert [v.status for v in results] == [PASS]
+
+    @one_page_pipes
+    def test_step_timeout_bounds_writes(self, tmp_path):
+        # the SUT stops reading with most of the case unwritten
+        suite = echo_suite([1] * 10_000)
+        assert sum(len(f"IN {encode_step(v)}\n") for v in suite.cases[0].inputs) > 65_536
+        started = time.monotonic()
+        command = fake_sut(tmp_path, "__import__('time').sleep(60)")
+        with OnePageSutAdapter(command, step_timeout=0.5) as sut:
+            results = guarded_verdicts(sut, suite, timeout=10)
+        assert [(v.status, v.detail) for v in results] == \
+            [(ERROR, "SUT did not answer within 0.5s")]
+        assert time.monotonic() - started < 5
 
 
 class TestRunSuite:
@@ -367,12 +410,13 @@ class TestRunSuite:
         assert first.step_index is not None
         assert first.observed_output != first.expected_output
 
-    def test_timeout_errors_and_restart(self, concrete_suite):
+    def test_silent_sut_ends_the_run(self, concrete_suite):
         command = [sys.executable, "-c", "import time; time.sleep(30)"]
-        with SutAdapter(command, step_timeout=0.2) as sut:
-            report = run_suite(sut, concrete_suite)
-        # every case errors out, and the restart path never raises
-        assert report.counts[ERROR] == len(concrete_suite.cases)
+        started = time.monotonic()
+        with SutAdapter(command, step_timeout=0.5) as sut:
+            with pytest.raises(SutStartError, match="did not answer within 0.5s"):
+                run_suite(sut, concrete_suite)
+        assert time.monotonic() - started < 2.5  # one timeout, not one per case
 
     def test_agrees_with_offline_run(self, tmp_path, program, concrete_suite):
         mutant = generate_mutants(program, operators=[OUTPUT_FAULT])[2]
