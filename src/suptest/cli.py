@@ -9,13 +9,15 @@ pipeline run is reproducible byte for byte.  This module alone writes and
 checks those links: a suite is checked or mutated only against the FSM it
 names, and artefacts that name different SFSMs or FSMs are not combined.
 
-Only what `serve-reference` needs is imported at the top: each stage
-imports the modules it uses, so a SUT spawned as `python -m suptest
-serve-reference` loads the interpreter and its protocol server, and neither
-the generator stack nor the client harness.
+A spawned SUT does not come through here: `python -m suptest
+serve-reference PROGRAM` goes from `__main__` straight to
+`program.serve_program`, which the `serve-reference` subcommand calls too.
+Each stage imports the modules it uses, so this module loads neither the
+generator stack nor the client harness until a command needs them.
 
 A failing command prints one `error: ...` line and exits 2; with
-`SUPTEST_DEBUG=1` set it raises instead, showing the traceback.
+`SUPTEST_DEBUG=1` set it raises instead, showing the traceback
+(`program.exit_code`, shared with the SUT's route).
 """
 
 from __future__ import annotations
@@ -32,7 +34,9 @@ from .program import (
     POLICY_ERROR,
     POLICY_SELFLOOP,
     GuardedActionProgram,
-    serve_reference,
+    exit_code,
+    load_program,  # beside the other load_* functions; perfbench reads cli.load_program
+    serve_program,
 )
 
 if TYPE_CHECKING:
@@ -41,7 +45,6 @@ if TYPE_CHECKING:
     from .sfsm import Sfsm
 
 CONFIG_ENV = "SUPTEST_CONFIG"
-DEBUG_ENV = "SUPTEST_DEBUG"  # "1": a failing command raises, with its traceback
 
 DEFAULTS = {
     "policy": POLICY_ERROR,
@@ -113,10 +116,6 @@ def load_machine(path) -> MealyMachine:
 def load_sfsm(path) -> Sfsm:
     from .sfsm import Sfsm
     return read_artifact(path, Sfsm.from_obj)
-
-
-def load_program(path) -> GuardedActionProgram:
-    return read_artifact(path, GuardedActionProgram.from_obj)
 
 
 def load_suite(path) -> testgen.TestSuite:
@@ -223,7 +222,7 @@ def concretize(suite: testgen.TestSuite, partition, amap, path) -> testgen.TestS
     return concrete
 
 
-def run(suite: testgen.TestSuite, sut_command: str, path, config) -> harness.TestReport:
+def run(suite: testgen.TestSuite, sut_command: str | list[str], path, config) -> harness.TestReport:
     from . import harness
     with harness.SutAdapter(sut_command, config["step_timeout"]) as sut:
         report = harness.run_suite(sut, suite)
@@ -302,11 +301,6 @@ def cmd_run(args, config) -> int:
     return 0 if report.complete_pass else 1
 
 
-def cmd_serve_reference(args, config) -> int:
-    serve_reference(load_program(args.program))
-    return 0
-
-
 def cmd_serve_machine(args, config) -> int:
     from . import harness
     harness.serve_machine(load_machine(args.fsm))
@@ -354,7 +348,8 @@ def cmd_pipeline(args, config) -> int:
     concrete = concretize(suite, partition, amap, out / "suite-concrete.json")
     render(reference, out / "reference.dot")
     render(machine, out / "fsm.dot")
-    sut_command = args.sut or f"{sys.executable} -m suptest serve-reference {out / 'program.gap'}"
+    sut_command = args.sut or [sys.executable, "-m", "suptest", "serve-reference",
+                               str(out / "program.gap")]
     report = run(concrete, sut_command, out / "report.json", config)
     return 0 if report.complete_pass else 1
 
@@ -412,7 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("serve-reference", help="run a program as reference SUT")
     p.add_argument("program")
-    p.set_defaults(func=cmd_serve_reference)
 
     p = sub.add_parser("serve-machine", help="run an FSM as a symbolic SUT")
     p.add_argument("fsm")
@@ -444,13 +438,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args, load_config())
-    except Exception as exc:
-        if os.environ.get(DEBUG_ENV) == "1":
-            raise
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.command == "serve-reference":  # takes no setting, as on `__main__`'s route
+        return exit_code(serve_program, args.program)
+    return exit_code(lambda: args.func(args, load_config()))
 
 
 if __name__ == "__main__":

@@ -377,4 +377,13 @@ def run_suite_offline(program: GuardedActionProgram, ts) -> TestReport:
 
 def serve_machine(machine, stdin=None, stdout=None) -> None:
     """Serve a Mealy machine over the wire protocol with bare symbols."""
-    _serve(MachineSut(machine), str.strip, stdin, stdout)
+    sut = MachineSut(machine)
+
+    def answer(text: str) -> str:
+        try:
+            output = sut.step(text.strip())
+        except Exception as exc:
+            return f"ERR {exc}"
+        return "OUT " + encode_step(output)
+
+    _serve(sut.reset, answer, stdin, stdout)

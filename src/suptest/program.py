@@ -6,18 +6,22 @@ monitored variables with an output valuation and a next risk state.  The
 interpreter steps it, and `serve_reference` speaks the SUT side of the wire
 protocol (see `harness`, the client side) for it on standard streams.
 
-This is what `python -m suptest serve-reference` runs, once per SUT
-session, so it imports nothing of the toolkit beyond the encoding and the
-guard language, and through them no `dataclasses` and none of the client's
-process machinery (`subprocess`, `select`, `shlex`): only `json` and `re`
-besides `math`, `sys` and `typing`.
+This is what `python -m suptest serve-reference PROGRAM` runs, once per SUT
+session.  `__main__` sends that command line straight to `serve_program`,
+without `cli` or `argparse`, and `cli` calls the same function, so a failure
+ends the same way on both routes (`exit_code`).  This module imports nothing
+of the toolkit beyond the encoding and the guard language, and through them
+no `dataclasses` and none of the client's process machinery (`subprocess`,
+`select`, `shlex`): only `json` and `re` besides `math`, `os`, `sys` and
+`typing`.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 
-from .encoding import decode_valuation, encode_step, encode_valuation
+from .encoding import decode_valuation, encode_step, encode_valuation, read_artifact
 from .guards import (
     GuardExpr,
     Record,
@@ -32,6 +36,12 @@ from .guards import (
 
 # Seconds a SUT may take to answer one line, unless configured otherwise.
 DEFAULT_STEP_TIMEOUT = 5.0
+
+DEBUG_ENV = "SUPTEST_DEBUG"  # "1": a failing command raises, with its traceback
+
+# Steps `serve_reference` remembers per session, as (risk state, IN payload)
+# pairs; a suite repeats few of them, and past this many it stops storing.
+MEMO_SIZE = 4096
 
 # Incomplete-state policies: an input no action covers is refused, or
 # answered with the nil output and no change of risk state.
@@ -210,8 +220,9 @@ def interpret_step(
 # The SUT side of the wire protocol
 # ---------------------------------------------------------------------------
 
-def _serve(sut, decode, stdin, stdout) -> None:
-    """Protocol loop until EOF; `decode` maps IN text to an input or raises for ERR."""
+def _serve(reset, answer, stdin, stdout) -> None:
+    """Protocol loop until EOF: RESET calls `reset`, and `answer` maps an IN
+    payload to its reply line."""
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
 
@@ -224,30 +235,79 @@ def _serve(sut, decode, stdin, stdout) -> None:
         if not line:
             continue
         if line == "RESET":
-            sut.reset()
+            reset()
             reply("READY")
         elif line.startswith("IN "):
-            try:
-                output = sut.step(decode(line[3:]))
-            except Exception as exc:
-                reply(f"ERR {exc}")
-                continue
-            reply("OUT " + encode_step(output))
+            reply(answer(line[3:]))
         else:
             reply(f"ERR unknown command {line!r}")
+
+
+def _step_reply(program: GuardedActionProgram, state: tuple, text: str) -> tuple[str, tuple]:
+    """The reply to `IN text` in the risk state whose items are `state`, and
+    the items of the next risk state: `state` itself after an ERR reply."""
+    try:
+        v = decode_valuation(text)
+        if v is None:
+            raise ValueError("nil is not a valid input")
+        check_valuation(v, program.input_vars)
+        output, r = interpret_step(program, v, dict(state))
+    except Exception as exc:
+        return f"ERR {exc}", state
+    return "OUT " + encode_step(output), tuple(r.items())
 
 
 def serve_reference(program: GuardedActionProgram, stdin=None, stdout=None) -> None:
     """Speak the wire protocol on standard streams until EOF.
 
     Malformed input, and input outside the declared variables or their
-    sorts, produces an ERR reply and leaves the state unchanged.
+    sorts, produces an ERR reply and leaves the state unchanged.  A reply
+    and the next risk state depend only on the risk state and the payload,
+    so the first `MEMO_SIZE` distinct pairs are remembered, and a repeated
+    step is answered without decoding, checking, interpreting or encoding.
     """
-    def decode(text: str) -> dict:
-        v = decode_valuation(text)
-        if v is None:
-            raise ValueError("nil is not a valid input")
-        check_valuation(v, program.input_vars)
-        return v
+    # a risk state is held as its items in order, which an ERR reply may print
+    initial = tuple(program.initial.items())
+    state = initial
+    answered: dict = {}  # (risk state, payload) -> (reply, next risk state)
 
-    _serve(Interpreter(program), decode, stdin, stdout)
+    def reset() -> None:
+        nonlocal state
+        state = initial
+
+    def answer(text: str) -> str:
+        nonlocal state
+        key = (state, text)
+        known = answered.get(key)
+        if known is None:
+            known = _step_reply(program, state, text)
+            if len(answered) < MEMO_SIZE:
+                answered[key] = known
+        reply, state = known
+        return reply
+
+    _serve(reset, answer, stdin, stdout)
+
+
+def load_program(path) -> GuardedActionProgram:
+    return read_artifact(path, GuardedActionProgram.from_obj)
+
+
+def serve_program(path) -> int:
+    """`serve-reference PROGRAM`: serve the program held in the file `path`
+    on standard streams."""
+    serve_reference(load_program(path))
+    return 0
+
+
+def exit_code(command, *args) -> int:
+    """`command(*args)`, whose result is an exit code; a failure prints one
+    `error: ...` line and gives 2, or is raised again with its traceback when
+    `SUPTEST_DEBUG=1` is set."""
+    try:
+        return command(*args)
+    except Exception as exc:
+        if os.environ.get(DEBUG_ENV) == "1":
+            raise
+        print(f"error: {exc}", file=sys.stderr)
+        return 2

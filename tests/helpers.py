@@ -11,8 +11,11 @@ from collections import deque
 from dataclasses import make_dataclass
 from itertools import product
 
+from suptest.encoding import decode_valuation, encode_step
 from suptest.fsm import MealyMachine
-from suptest.guards import EnumSort, IntSort, VarDecl, enumerate_valuations, eval_guard
+from suptest.guards import (
+    EnumSort, IntSort, VarDecl, check_valuation, enumerate_valuations, eval_guard,
+)
 from suptest.sfsm import DeterminismViolation, Sfsm, SfsmTransition
 from suptest.guards import And, BoolConst, Comparison, Not, Or, Record
 from suptest.program import interpret_step, risk_state_name
@@ -239,6 +242,35 @@ def plain_verdicts(target, ts) -> list[tuple]:
                     None)
         results.append(("PASS", None, None) if step is None else ("FAIL", step, observed[step]))
     return results
+
+
+def stepwise_replies(program, lines) -> list[str]:
+    """The reference SUT's reply to each protocol line, worked out line by
+    line with no memo: decode, check, `interpret_step` and encode.  The
+    oracle for `program.serve_reference`, which answers a repeated step
+    from its memo."""
+    r, replies = dict(program.initial), []
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        if line == "RESET":
+            r = dict(program.initial)
+            replies.append("READY")
+        elif line.startswith("IN "):
+            try:
+                v = decode_valuation(line[3:])
+                if v is None:
+                    raise ValueError("nil is not a valid input")
+                check_valuation(v, program.input_vars)
+                output, r = interpret_step(program, v, r)
+            except Exception as exc:
+                replies.append(f"ERR {exc}")
+            else:
+                replies.append("OUT " + encode_step(output))
+        else:
+            replies.append(f"ERR unknown command {line!r}")
+    return replies
 
 
 def scan_check_h_completeness(m: MealyMachine, m_bound: int, ts) -> CompletenessReport:

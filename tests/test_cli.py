@@ -296,7 +296,8 @@ def serve_reference_modules(program) -> set:
 class TestServeReference:
     def test_loads_no_generator_module(self, translated):
         loaded = serve_reference_modules(translated / "program.gap")
-        assert {"suptest.cli", "suptest.program"} <= loaded
+        assert "suptest.program" in loaded
+        assert not {"suptest.cli", "argparse"} & loaded
         generator = {"suptest.sfsm", "suptest.fsm", "suptest.testgen", "suptest.mutation",
                      "suptest.supervisor"}
         assert not generator & loaded
@@ -306,6 +307,23 @@ class TestServeReference:
         client = {"dataclasses", "inspect", "subprocess", "select", "shlex",
                   "suptest.harness", "hashlib", "_hashlib"}
         assert not client & loaded
+
+    @pytest.mark.parametrize("content, cause", [
+        (None, "No such file or directory"),
+        ("{", "Expecting property name"),
+        ('{"input_vars": []}', "missing key 'output_vars'"),
+    ], ids=["missing", "malformed", "missing-key"])
+    def test_both_routes_fail_alike(self, tmp_path, capsys, content, cause):
+        path = tmp_path / "program.gap"
+        if content is not None:
+            path.write_text(content)
+        spawned = subprocess.run([sys.executable, "-m", "suptest", "serve-reference", str(path)],
+                                 input="RESET\n", capture_output=True, text=True, timeout=60)
+        capsys.readouterr()
+        assert main(["serve-reference", str(path)]) == 2 == spawned.returncode
+        err = capsys.readouterr().err
+        assert err == spawned.stderr
+        assert err.startswith(f"error: {path}: {cause}") and err.count("\n") == 1
 
 
 class TestMutate:
@@ -489,6 +507,17 @@ class TestPipeline:
                      "suite-concrete.json", "reference.dot", "fsm.dot",
                      "report.json"):
             assert (out / name).exists(), name
+
+    def test_spaced_paths(self, tmp_path, behaviour, monkeypatch, capsys):
+        # the default SUT command is an argv list, not a line split at spaces
+        python = tmp_path / "py thon" / "python"
+        python.parent.mkdir()
+        python.symlink_to(sys.executable)
+        monkeypatch.setattr(sys, "executable", str(python))
+        out = tmp_path / "sp ace" / "out"
+        assert main(["pipeline", str(behaviour), "--out", str(out)]) == 0
+        assert "COMPLETE PASS" in capsys.readouterr().out
+        assert read(out / "report.json")["completePass"] is True
 
     def test_repeat_runs_byte_identical(self, tmp_path, behaviour):
         out1 = tmp_path / "run1"

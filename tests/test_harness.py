@@ -8,7 +8,10 @@ import time
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from suptest import program as program_module
 from suptest.cli import main
 from suptest.encoding import canonical_dumps, encode_step
 from suptest.harness import (
@@ -29,7 +32,10 @@ from suptest.harness import (
 from suptest.mutation import (
     KILLED, OUTPUT_FAULT, MutationOutcome, classify, generate_mutants,
 )
-from suptest.program import DEFAULT_STEP_TIMEOUT, Interpreter, serve_reference
+from suptest.guards import parse_guard
+from suptest.program import (
+    DEFAULT_STEP_TIMEOUT, MEMO_SIZE, GuardedAction, Interpreter, serve_reference,
+)
 from suptest.sfsm import (
     POLICY_ERROR, POLICY_SELFLOOP, abstract_to_fsm, concretize_suite, input_classes,
 )
@@ -38,7 +44,7 @@ from suptest.supervisor import (
 )
 from suptest.testgen import TestCase, TestSuite, h_method
 
-from helpers import m0, plain_verdicts
+from helpers import m0, plain_verdicts, stepwise_replies
 
 try:
     import fcntl
@@ -137,6 +143,76 @@ class TestProtocol:
         out = io.StringIO()
         serve_reference(program, stdin=io.StringIO("\n\nRESET\n"), stdout=out)
         assert out.getvalue().splitlines() == ["READY"]
+
+
+def memo_programs(program) -> list:
+    """Programs whose replies exercise every path of the memo: both
+    policies with an uncovered input, a strict overlap, risk-state items
+    out of sorted order, and `first`-resolution mutants."""
+    # no action for x = 1 in risk state a
+    incomplete = program.replace(actions=[a for a in program.actions if a.name != "Fm"])
+    assert len(incomplete.actions) == len(program.actions) - 1
+    # two actions enabled by x = 0 in risk state m
+    overlap = program.replace(actions=program.actions + [GuardedAction(
+        "overlap", parse_guard("x = 0", program.input_vars), (("F", "m"),), {"y": 1},
+        (("F", "a"),))])
+
+    def with_g(r):
+        return tuple(sorted(dict(r, G="g").items()))
+
+    # no action for x = 0 in risk state 0, whose items are out of sorted
+    # order initially and sorted once it is entered again from m
+    two_factors = program.replace(
+        factors=["G", "F"], initial={"G": "g", "F": "0"},
+        actions=[a.replace(source=with_g(a.source), target=with_g(a.target))
+                 for a in program.actions if (a.name, a.source) != ("nop", (("F", "0"),))])
+    variants = [program, incomplete, overlap, two_factors]
+    return ([p.replace(policy=policy) for p in variants
+             for policy in (POLICY_ERROR, POLICY_SELFLOOP)]
+            + [mu.target for mu in generate_mutants(program)])
+
+
+# A small alphabet, so that lines repeat: valid inputs, the same input
+# spelt twice, out-of-sort, undeclared, partial and malformed inputs, and
+# lines that are not IN lines
+MEMO_LINES = ["RESET", 'IN {"x":0}', 'IN {"x":1}', 'IN {"x": 1}', '  IN {"x":0}  ',
+              'IN {"x":7}', 'IN {"x":1,"zz":3}', "IN {}", "IN nope", "IN nil", "IN [1]",
+              "PING", ""]
+
+
+class TestServeReferenceMemo:
+    """`serve_reference` answers a repeated step from its memo; the oracle
+    `helpers.stepwise_replies` works out every line."""
+
+    @given(st.lists(st.sampled_from(MEMO_LINES), max_size=40))
+    @settings(max_examples=80, deadline=None)
+    def test_replies_match_stepwise_oracle(self, program, lines):
+        for target in memo_programs(program):
+            assert serve_lines(target, lines) == stepwise_replies(target, lines)
+
+    def test_covers_every_reply_kind(self, program):
+        replies = {reply for target in memo_programs(program)
+                   for reply in stepwise_replies(target, MEMO_LINES * 3)}
+        for expected in ("both enabled", "no action enabled", "OUT nil",
+                         "not in sort", "missing variables", "undeclared",
+                         "nil is not a valid input", "not a valuation",
+                         "Expecting value", "unknown command"):
+            assert any(expected in reply for reply in replies), expected
+
+    def test_more_distinct_steps_than_the_memo_holds(self, program, monkeypatch):
+        wide = program.replace(policy=POLICY_SELFLOOP, input_vars=[
+            d.replace(sort=d.sort.replace(hi=2 * MEMO_SIZE)) for d in program.input_vars])
+        # x >= 2 is covered by no action: nil, and risk state 0 stays
+        lines = ["RESET"] + [f'IN {{"x":{x}}}' for x in range(2, MEMO_SIZE + 102)]
+        worked = []
+        step_reply = program_module._step_reply
+        monkeypatch.setattr(program_module, "_step_reply",
+                            lambda *args: worked.append(args) or step_reply(*args))
+        replies = serve_lines(wide, lines + lines)
+        assert replies == stepwise_replies(wide, lines + lines)
+        assert replies[1:len(lines)] == ["OUT nil"] * (MEMO_SIZE + 100)
+        # the first MEMO_SIZE steps were stored, the last 100 are worked out again
+        assert len(worked) == MEMO_SIZE + 100 + 100
 
 
 class TestServeMachine:
