@@ -83,11 +83,16 @@ def encode_step(v: dict | str | None) -> str:
 
 
 def decode_step(text: str) -> dict | str | None:
+    """Inverse of :func:`encode_step`.  A valuation's values must be wire
+    values: strings, or ints that are not bools."""
     text = text.strip()
     if text == NIL_TEXT:
         return None
     if text.startswith("{"):
-        return decode_valuation(text)
+        v = decode_valuation(text)
+        if not all(type(x) is str or type(x) is int for x in v.values()):
+            raise ValueError(f"not a valuation of strings and integers: {text!r}")
+        return v
     return text
 
 

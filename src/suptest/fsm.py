@@ -4,6 +4,14 @@ The declared order of states and inputs is significant: breadth-first
 traversals, shortest-trace selection, and canonical naming all break ties
 by that order, so every operation here is deterministic and suitable for
 golden-file testing.
+
+Two searches answer the graph questions the toolkit asks of behaviours.
+`MealyMachine.access_words`, one BFS from the initial state, gives each
+reachable state its least shortest access word: the reachable states and
+the generator's state cover.  `first_difference`, one BFS over a product,
+gives the least shortest word on which two behaviours differ: of two
+machines (`equivalent`), of two states (`distinguishing_trace`), or of two
+programs stepped by the caller (`mutation.program_equivalent`).
 """
 
 from __future__ import annotations
@@ -74,20 +82,26 @@ class MealyMachine:
         except KeyError:
             raise UndefinedTransition(state, symbol) from None
 
-    def reachable_states(self) -> list[str]:
-        """States reachable from the initial one, in BFS order."""
-        seen = {self.initial}
-        order = [self.initial]
+    def access_words(self) -> dict[str, tuple[str, ...]]:
+        """Each reachable state's least shortest access word, in BFS order.
+
+        Ties are broken by declared input order, so the words ascend by
+        length and then lexicographically, and the set is prefix-closed.
+        """
+        access = {self.initial: ()}
         queue = deque([self.initial])
         while queue:
             s = queue.popleft()
             for x in self.inputs:
-                nxt = self.transitions.get((s, x))
-                if nxt and nxt[0] not in seen:
-                    seen.add(nxt[0])
-                    order.append(nxt[0])
-                    queue.append(nxt[0])
-        return order
+                entry = self.transitions.get((s, x))
+                if entry is not None and entry[0] not in access:
+                    access[entry[0]] = access[s] + (x,)
+                    queue.append(entry[0])
+        return access
+
+    def reachable_states(self) -> list[str]:
+        """States reachable from the initial one, in BFS order."""
+        return list(self.access_words())
 
     def to_obj(self) -> dict:
         return {
@@ -222,23 +236,11 @@ class MealyMachine:
             )
         self._require_complete("equivalent")
         other._require_complete("equivalent")
-        start = (self.initial, other.initial)
-        seen = {start}
-        queue = deque([(start, ())])
-        while queue:
-            (s1, s2), prefix = queue.popleft()
-            for x in self.inputs:
-                t1, y1 = self.transitions[(s1, x)]
-                t2, y2 = other.transitions[(s2, x)]
-                word = prefix + (x,)
-                if y1 != y2:
-                    out1, _ = self.run(word)
-                    out2, _ = other.run(word)
-                    return Counterexample(word, out1, out2)
-                if (t1, t2) not in seen:
-                    seen.add((t1, t2))
-                    queue.append(((t1, t2), word))
-        return None
+        word = first_difference((self.initial, other.initial), self.inputs,
+                                self.step, other.step)
+        if word is None:
+            return None
+        return Counterexample(word, self.run(word)[0], other.run(word)[0])
 
     def distinguishing_trace(self, s: str, t: str) -> tuple[str, ...] | None:
         """Shortest input word telling states s and t apart, or None.
@@ -246,19 +248,28 @@ class MealyMachine:
         Ties broken lexicographically over the declared input order.
         """
         self._require_complete("distinguishing_trace")
-        if s == t:
-            return None
-        start = (s, t)
-        seen = {start}
-        queue = deque([(start, ())])
-        while queue:
-            (a, b), prefix = queue.popleft()
-            for x in self.inputs:
-                ta, ya = self.transitions[(a, x)]
-                tb, yb = self.transitions[(b, x)]
-                if ya != yb:
-                    return prefix + (x,)
-                if (ta, tb) not in seen:
-                    seen.add((ta, tb))
-                    queue.append(((ta, tb), prefix + (x,)))
-        return None
+        return first_difference((s, t), self.inputs, self.step, self.step)
+
+
+def first_difference(start: tuple, inputs, step1, step2) -> tuple | None:
+    """Least shortest word on which two behaviours differ, or None.
+
+    A breadth-first walk of the product from the pair `start`, trying
+    `inputs` in order, so the word returned is shortest, and least in
+    `inputs` order among the shortest.  `step1` and `step2` map (state,
+    input) to (next state, output); states must be hashable.
+    """
+    seen = {start}
+    queue = deque([(start, ())])
+    while queue:
+        (s1, s2), prefix = queue.popleft()
+        for x in inputs:
+            t1, y1 = step1(s1, x)
+            t2, y2 = step2(s2, x)
+            word = prefix + (x,)
+            if y1 != y2:
+                return word
+            if (t1, t2) not in seen:
+                seen.add((t1, t2))
+                queue.append(((t1, t2), word))
+    return None

@@ -169,7 +169,7 @@ class IntSort(Record):
         return range(self.lo, self.hi + 1)
 
     def __contains__(self, value) -> bool:
-        return isinstance(value, int) and self.lo <= value <= self.hi
+        return type(value) is int and self.lo <= value <= self.hi
 
     def size(self) -> int:
         return self.hi - self.lo + 1
@@ -210,7 +210,9 @@ def sort_from_obj(obj) -> Sort:
         return EnumSort(tuple(str(x) for x in obj["enum"]))
     if "int" in obj:
         lo, hi = obj["int"]
-        return IntSort(int(lo), int(hi))
+        if type(lo) is not int or type(hi) is not int:
+            raise ValueError(f"integer sort bounds must be integers: {obj['int']!r}")
+        return IntSort(lo, hi)
     raise ValueError(f"unknown sort: {obj!r}")
 
 
@@ -275,7 +277,6 @@ class Or(Record):
 GuardExpr = Union[BoolConst, Comparison, Not, And, Or]
 
 TRUE = BoolConst(True)
-FALSE = BoolConst(False)
 
 _ORDER_OPS = ("<", "<=", ">", ">=")
 

@@ -10,13 +10,12 @@ never by "passed all tests".
 from __future__ import annotations
 
 import random
-from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import chain
 
 from .encoding import encode_valuation
-from .fsm import MealyMachine
+from .fsm import MealyMachine, first_difference
 from .guards import And, Comparison, Not, Or, distinct_guards, truth_classes
 from .harness import ERROR, PASS, MachineSut, SutAdapter, verdicts
 from .program import POLICY_SELFLOOP, GuardedActionProgram, Interpreter, interpret_step
@@ -201,28 +200,22 @@ def generate_mutants(
 def program_equivalent(p1: GuardedActionProgram, p2: GuardedActionProgram) -> bool:
     """Exact observational equivalence over the full input valuation space.
 
-    Breadth-first product traversal of the two interpreters' risk-state
-    spaces.  Both read an input only through the truth of their guards, so
-    one representative per truth class of the joint guard set stands for
-    every valuation.
+    `first_difference` over the product of the two interpreters' risk-state
+    spaces, each risk state held as its sorted items.  Both read an input
+    only through the truth of their guards, so one representative per truth
+    class of the joint guard set stands for every valuation.
     """
     guards = distinct_guards(a.guard for p in (p1, p2) for a in p.actions)
     inputs = [v for _, v, _ in truth_classes(guards, p1.input_vars)]
+
+    def stepper(p):
+        def step(r, v):
+            output, n = interpret_step(p, v, dict(r))
+            return tuple(sorted(n.items())), output
+        return step
+
     start = (tuple(sorted(p1.initial.items())), tuple(sorted(p2.initial.items())))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        r1, r2 = queue.popleft()
-        for v in inputs:
-            o1, n1 = interpret_step(p1, v, dict(r1))
-            o2, n2 = interpret_step(p2, v, dict(r2))
-            if o1 != o2:
-                return False
-            pair = (tuple(sorted(n1.items())), tuple(sorted(n2.items())))
-            if pair not in seen:
-                seen.add(pair)
-                queue.append(pair)
-    return True
+    return first_difference(start, inputs, stepper(p1), stepper(p2)) is None
 
 
 # ---------------------------------------------------------------------------

@@ -165,13 +165,6 @@ class InputClassPartition:
     guards: list[str]  # canonical guard texts, dedup order
     classes: list[InputClass]
 
-    def class_of(self, v: Valuation, parsed_guards: list[GuardExpr]) -> InputClass:
-        sig = tuple(eval_guard(g, v) for g in parsed_guards)
-        for c in self.classes:
-            if c.signature == sig:
-                return c
-        raise SfsmError(f"no class for valuation {encode_valuation(v)}")
-
     def to_obj(self) -> dict:
         return {
             "guards": self.guards,

@@ -2,7 +2,10 @@
 
 Suites store only maximal input traces; every prefix is implicitly part of
 the suite because the harness checks all intermediate outputs.  The
-completeness checker re-verifies the H-conditions with its own walk of the
+generator takes its state cover from `MealyMachine.access_words` and its
+distinguishing suffixes from `MealyMachine.distinguishing_trace`.  The
+completeness checker calls neither search: it keeps its own breadth-first
+state cover and re-verifies the H-conditions with its own walk of the
 suite's trace set, written apart from the generator's walk of its closure,
 so generator and checker share only the Mealy machine primitives and
 cannot mask each other's faults.
@@ -10,7 +13,6 @@ cannot mask each other's faults.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -90,24 +92,11 @@ def state_cover(m: MealyMachine) -> list[tuple]:
 
     Contains the empty trace (for the initial state); ordered by discovery.
     """
-    access = {m.initial: ()}
-    order = [()]
-    queue = deque([m.initial])
-    while queue:
-        s = queue.popleft()
-        for x in m.inputs:
-            entry = m.transitions.get((s, x))
-            if entry is None:
-                continue
-            t = entry[0]
-            if t not in access:
-                access[t] = access[s] + (x,)
-                order.append(access[t])
-                queue.append(t)
+    access = m.access_words()
     if len(access) < len(m.states):
         missing = [s for s in m.states if s not in access]
         raise TestGenError(f"unreachable states: {', '.join(missing)}")
-    return order
+    return list(access.values())
 
 
 def _trace_key(m: MealyMachine, trace: tuple) -> tuple:
@@ -154,18 +143,15 @@ def h_method(m: MealyMachine, m_bound: int) -> TestSuite:
     cover = state_cover(m)
     cover_set = set(cover)
 
-    closure: set[tuple] = set()
-    for v in cover:
-        for word in product(m.inputs, repeat=k):
-            _close_prefixes(closure, v + word)
-
-    # traversal set V . inputs^{<=k}, ordered deterministically
+    # traversal set V . inputs^{<=k}, ordered deterministically; the cover is
+    # prefix-closed, so the traversal set is too and starts the closure
     traversal = []
     for v in cover:
         for length in range(k + 1):
             for word in product(m.inputs, repeat=length):
                 traversal.append(v + word)
     traversal.sort(key=lambda t: (len(t), _trace_key(m, t)))
+    closure = set(traversal)
 
     def apart(alpha: tuple, beta: tuple, sa: str, sb: str) -> bool:
         # joint walk of the common extensions of alpha and beta in the closure;

@@ -73,6 +73,41 @@ def brute_distinguishable(m: MealyMachine, s: str, t: str, max_len: int) -> bool
     return False
 
 
+def brute_first_difference(m1: MealyMachine, s1: str, m2: MealyMachine, s2: str,
+                           max_len: int) -> tuple | None:
+    """The first word, by length and then input order, on which the runs
+    of m1 from s1 and of m2 from s2 give different outputs; None if no word
+    up to max_len does."""
+    def outputs(m, state, word):
+        out = []
+        for x in word:
+            state, y = m.transitions[(state, x)]
+            out.append(y)
+        return out
+
+    for length in range(1, max_len + 1):
+        for word in product(m1.inputs, repeat=length):
+            if outputs(m1, s1, word) != outputs(m2, s2, word):
+                return word
+    return None
+
+
+def brute_access_words(m: MealyMachine) -> list[tuple[str, tuple]]:
+    """(state, word) for each state some word reaches, in order of the first
+    word, by length and then input order, that reaches it."""
+    found = {m.initial: ()}
+    for length in range(1, len(m.states)):
+        for word in product(m.inputs, repeat=length):
+            state = m.initial
+            for x in word:
+                if (state, x) not in m.transitions:
+                    break
+                state = m.transitions[(state, x)][0]
+            else:
+                found.setdefault(state, word)
+    return list(found.items())
+
+
 def random_machine(rng: random.Random, n: int, n_inputs: int, n_outputs: int,
                    max_tries: int = 200) -> MealyMachine:
     """Random complete, reachable, minimal machine with exactly n states."""
@@ -168,6 +203,16 @@ def random_sfsm(rng: random.Random) -> Sfsm:
                                outputs[out_index], target)
             )
     return Sfsm(decls, out_decls, states, states[0], transitions)
+
+
+def class_of(partition, v, parsed_guards):
+    """The class of `partition` whose signature is the truth of
+    `parsed_guards` on the valuation `v`."""
+    sig = tuple(eval_guard(g, v) for g in parsed_guards)
+    for c in partition.classes:
+        if c.signature == sig:
+            return c
+    raise AssertionError(f"no class for valuation {encode_step(v)}")
 
 
 def valuation_truth_classes(guards, decls) -> list[tuple[tuple[bool, ...], dict, int]]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from helpers import random_machine, random_sfsm
+from helpers import class_of, random_machine, random_sfsm
 from suptest import mutation, testgen
 from suptest.cli import main
 from suptest.encoding import canonical_dumps, fingerprint
@@ -259,7 +259,7 @@ class TestCriterion5AbstractionSoundness:
             partition = input_classes(r)
             guards = [parse_guard(text, r.input_vars) for text in partition.guards]
             for v in enumerate_valuations(r.input_vars):
-                c = partition.class_of(v, guards)
+                c = class_of(partition, v, guards)
                 for s in r.states:
                     t = r.step(s, v)
                     target, label = machine.transitions[(s, c.id)]

@@ -61,7 +61,14 @@ class TestTranslate:
         ('{"vars": []}', "missing key 'initial'"),
         ('{"vars": [], "initial": {}, "transitions": [{}]}', "missing key 'source'"),
         ("[]", "expected a JSON object"),
-    ], ids=["top-level-key", "transition-key", "not-object"])
+        ('{"vars": [{"name": "x", "sort": {"int": [0, 1.7]}}]}',
+         "integer sort bounds must be integers: [0, 1.7]"),
+        ('{"vars": [{"name": "x", "sort": {"int": ["0", "1"]}}]}',
+         "integer sort bounds must be integers: ['0', '1']"),
+        ('{"vars": [{"name": "x", "sort": {"int": [true, 1]}}]}',
+         "integer sort bounds must be integers: [True, 1]"),
+    ], ids=["top-level-key", "transition-key", "not-object", "float-bound", "string-bounds",
+            "bool-bound"])
     def test_names_the_behaviour_file(self, tmp_path, capsys, content, cause):
         path = tmp_path / "bad.cb"
         path.write_text(content)

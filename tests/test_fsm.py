@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    brute_access_words,
     brute_distinguishable,
     brute_equivalent,
+    brute_first_difference,
     brute_outputs,
     m0,
     random_machine,
@@ -20,6 +22,7 @@ from suptest.fsm import (
     MealyMachine,
     UndefinedTransition,
 )
+from suptest.testgen import TestGenError, state_cover
 
 
 def duplicated_m0():
@@ -212,3 +215,63 @@ class TestProperties:
                 trace = m.distinguishing_trace(s, t)
                 assert (trace is None) == merged
                 assert brute_distinguishable(m, s, t, max_len=n) == (not merged)
+
+
+def raw_machine(rng: random.Random, n: int, n_inputs: int, n_outputs: int,
+                defined: float = 1.0) -> MealyMachine:
+    """Random machine, not necessarily reachable or minimal: each (state,
+    input) pair has a transition with probability `defined`."""
+    states = [f"s{i}" for i in range(n)]
+    inputs = [chr(ord("a") + i) for i in range(n_inputs)]
+    outputs = [str(i) for i in range(n_outputs)]
+    transitions = {(s, x): (rng.choice(states), rng.choice(outputs))
+                   for s in states for x in inputs if rng.random() < defined}
+    return MealyMachine(states, "s0", inputs, outputs, transitions)
+
+
+class TestSearchesAgainstEnumeration:
+    """The access-word BFS and the product search against enumeration of
+    words by length and then input order: minimal machines from
+    `random_machine`, and raw ones, where states may be unreachable or
+    indistinguishable and machines equivalent."""
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_distinguishing_trace(self, seed):
+        rng = random.Random(seed)
+        n, ni = rng.randint(1, 3), rng.randint(1, 2)
+        for m in (random_machine(rng, n, 2, 2), raw_machine(rng, n, ni, rng.randint(1, 2))):
+            for s in m.states:
+                for t in m.states:
+                    assert m.distinguishing_trace(s, t) == \
+                        brute_first_difference(m, s, m, t, len(m.states) ** 2)
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_equivalent(self, seed):
+        rng = random.Random(seed)
+        ni, no = rng.randint(1, 2), rng.randint(1, 2)
+        pairs = [(random_machine(rng, rng.randint(1, 3), 2, 2),
+                  random_machine(rng, rng.randint(1, 3), 2, 2)),
+                 (raw_machine(rng, rng.randint(1, 3), ni, no),
+                  raw_machine(rng, rng.randint(1, 3), ni, no))]
+        for m1, m2 in pairs:
+            ce = m1.equivalent(m2)
+            assert (ce.inputs if ce else None) == brute_first_difference(
+                m1, m1.initial, m2, m2.initial, len(m1.states) * len(m2.states))
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_access_words(self, seed):
+        rng = random.Random(seed)
+        n, ni = rng.randint(1, 6), rng.randint(1, 3)
+        for m in (random_machine(rng, n, 3, 2),
+                  raw_machine(rng, n, ni, 1, defined=rng.choice([0.5, 1.0]))):
+            expected = brute_access_words(m)
+            assert list(m.access_words().items()) == expected
+            assert m.reachable_states() == [s for s, _ in expected]
+            if len(expected) == len(m.states):
+                assert state_cover(m) == [w for _, w in expected]
+            else:
+                with pytest.raises(TestGenError, match="unreachable states"):
+                    state_cover(m)

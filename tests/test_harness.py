@@ -132,6 +132,7 @@ class TestProtocol:
         'IN {"x": 7}',          # outside the sort of x
         'IN {"x": 1, "zz": 3}',  # undeclared variable
         'IN {}',                 # partial valuation
+        'IN {"x": true}',       # a bool is not an int
     ])
     def test_input_outside_declaration_err_state_unchanged(self, program, policy, line):
         replies = serve_lines(program.replace(policy=policy),
@@ -308,13 +309,14 @@ class TestSutFailures:
                            sut_command=lambda mu: command)
         assert outcome == MutationOutcome(mutant.id, ERROR, 0, "SUT exited with code 3")
 
-    def test_malformed_reply_is_an_error_verdict(self, tmp_path, concrete_suite):
+    @pytest.mark.parametrize("reply", ['OUT {bad', 'OUT {"y":true}', 'OUT {"y":1.0}'])
+    def test_malformed_reply_is_an_error_verdict(self, tmp_path, concrete_suite, reply):
         suite = replace(concrete_suite, cases=concrete_suite.cases[:3])
-        command = fake_sut(tmp_path, "print('OUT {bad', flush=True)")
+        command = fake_sut(tmp_path, f"print({reply!r}, flush=True)")
         with SutAdapter(command) as sut:
             report = run_suite(sut, suite)
         assert [v.status for v in report.verdicts] == [ERROR] * 3
-        assert all("OUT {bad" in v.detail for v in report.verdicts)
+        assert all(reply in v.detail for v in report.verdicts)
         path = tmp_path / "suite.json"
         path.write_text(canonical_dumps(suite.to_obj()))
         assert main(["run", str(path), "--sut", shlex.join(command)]) == 1

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_sfsm
+from helpers import class_of, random_sfsm
 from suptest.guards import (
     BoolConst,
     EnumSort,
@@ -295,7 +295,7 @@ class TestInvariants:
         p = input_classes(r)
         guards = [parse_guard(text, r.input_vars) for text in p.guards]
         for v in enumerate_valuations(r.input_vars):
-            c = p.class_of(v, guards)
+            c = class_of(p, v, guards)
             for s in r.states:
                 t = r.step(s, v)
                 target, label = m.transitions[(s, c.id)]
