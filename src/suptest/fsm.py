@@ -53,6 +53,7 @@ class MealyMachine:
         self.inputs: tuple[str, ...] = tuple(inputs)
         self.outputs: tuple[str, ...] = tuple(outputs)
         self.transitions: dict[tuple[str, str], tuple[str, str]] = dict(transitions)
+        self._input_set = frozenset(self.inputs)
         state_set = set(self.states)
         if len(state_set) != len(self.states):
             raise FsmError("duplicate state identifiers")
@@ -148,7 +149,11 @@ class MealyMachine:
     def run_from(self, state: str, word) -> tuple[tuple[str, ...], str]:
         outputs = []
         for x in word:
-            if x not in self.inputs:
+            try:
+                known = x in self._input_set
+            except TypeError:  # unhashable, so no symbol
+                known = False
+            if not known:
                 raise FsmError(f"input symbol {x!r} not in alphabet")
             state, y = self.step(state, x)
             outputs.append(y)
@@ -237,7 +242,7 @@ class MealyMachine:
         self._require_complete("equivalent")
         other._require_complete("equivalent")
         word = first_difference((self.initial, other.initial), self.inputs,
-                                self.step, other.step)
+                                self.transitions.__getitem__, other.transitions.__getitem__)
         if word is None:
             return None
         return Counterexample(word, self.run(word)[0], other.run(word)[0])
@@ -248,7 +253,8 @@ class MealyMachine:
         Ties broken lexicographically over the declared input order.
         """
         self._require_complete("distinguishing_trace")
-        return first_difference((s, t), self.inputs, self.step, self.step)
+        step = self.transitions.__getitem__
+        return first_difference((s, t), self.inputs, step, step)
 
 
 def first_difference(start: tuple, inputs, step1, step2) -> tuple | None:
@@ -256,20 +262,21 @@ def first_difference(start: tuple, inputs, step1, step2) -> tuple | None:
 
     A breadth-first walk of the product from the pair `start`, trying
     `inputs` in order, so the word returned is shortest, and least in
-    `inputs` order among the shortest.  `step1` and `step2` map (state,
-    input) to (next state, output); states must be hashable.
+    `inputs` order among the shortest.  `step1` and `step2` map a (state,
+    input) pair to (next state, output), as a complete machine's
+    `transitions.__getitem__` does; states must be hashable.
     """
     seen = {start}
     queue = deque([(start, ())])
     while queue:
         (s1, s2), prefix = queue.popleft()
         for x in inputs:
-            t1, y1 = step1(s1, x)
-            t2, y2 = step2(s2, x)
-            word = prefix + (x,)
+            t1, y1 = step1((s1, x))
+            t2, y2 = step2((s2, x))
             if y1 != y2:
-                return word
-            if (t1, t2) not in seen:
-                seen.add((t1, t2))
-                queue.append(((t1, t2), word))
+                return prefix + (x,)
+            pair = (t1, t2)
+            if pair not in seen:
+                seen.add(pair)
+                queue.append((pair, prefix + (x,)))
     return None

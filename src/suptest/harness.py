@@ -31,7 +31,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .encoding import decode_step, encode_step, encode_valuation
-from .program import DEFAULT_STEP_TIMEOUT, GuardedActionProgram, Interpreter, _serve
+from .program import DEFAULT_STEP_TIMEOUT, MEMO_SIZE, GuardedActionProgram, Interpreter, _serve
 
 # Lines of a SUT's standard error quoted when it fails to start.
 STDERR_TAIL_LINES = 5
@@ -146,6 +146,25 @@ class MachineSut:
         return output
 
 
+# Value types of an input the adapter remembers the encoding of: each
+# encodes the same way whenever it is equal in value and type.
+_SCALARS = frozenset((str, int, bool))
+
+
+def _input_key(v):
+    """A key that two inputs share only if they encode alike: a bare symbol
+    itself, or a valuation's items with the types of its values, when its
+    names are strings and its values are of `_SCALARS`; otherwise None."""
+    if isinstance(v, str):
+        return v
+    if not isinstance(v, dict):
+        return None
+    types = tuple(map(type, v.values()))
+    if not _SCALARS.issuperset(types) or not all(type(k) is str for k in v):
+        return None
+    return tuple(v.items()), types
+
+
 class SutAdapter:
     """Spawns and talks to one SUT process; restarted after protocol errors.
 
@@ -163,6 +182,13 @@ class SutAdapter:
     RESET with anything but READY raises SutStartError naming the command,
     the failure and the end of the SUT's standard error, which goes to a
     temporary file so that no pipe can fill up.
+
+    A suite repeats few distinct inputs and replies, so the adapter encodes
+    each distinct input, and decodes each distinct OUT line, once, and
+    remembers the first `MEMO_SIZE` of each.  An input is known by its
+    values and their types, as `True` and `1` are equal but go out as
+    different lines.  A decoded reply is handed to every step that reads
+    the same line, so no one may change it.
     """
 
     def __init__(self, command: str | list[str], step_timeout: float = DEFAULT_STEP_TIMEOUT):
@@ -171,6 +197,8 @@ class SutAdapter:
         self.process: subprocess.Popen | None = None
         self._stderr = None  # the SUT's standard error, a temporary file
         self._fresh = False  # started, and not yet answered READY
+        self._in_lines: dict = {}  # input key -> its IN line, encoded
+        self._outputs: dict[str, dict | str | None] = {}  # OUT payload -> its value
         self._clear()
 
     def _clear(self) -> None:
@@ -280,11 +308,23 @@ class SutAdapter:
         return SutStartError(f"SUT {shlex.join(self.command)} did not start: {cause}; "
                              f"its standard error ends with:{quoted}")
 
+    def _in_line(self, v) -> bytes:
+        """The line `IN <v>`, encoded; remembered unless `v` has no key."""
+        key = _input_key(v)
+        if key is None:
+            return f"IN {encode_step(v)}\n".encode()
+        line = self._in_lines.get(key)
+        if line is None:
+            line = f"IN {encode_step(v)}\n".encode()
+            if len(self._in_lines) < MEMO_SIZE:
+                self._in_lines[key] = line
+        return line
+
     def reset(self, inputs=()) -> None:
         """RESET, with the inputs of the case that follows sent ahead."""
         if not self._drain():
             self.restart()
-        self._outbox += b"RESET\n" + "".join(f"IN {encode_step(v)}\n" for v in inputs).encode()
+        self._outbox += b"RESET\n" + b"".join(map(self._in_line, inputs))
         self._owed += 1 + len(inputs)
         self._announced.extend(inputs)
         try:
@@ -299,16 +339,22 @@ class SutAdapter:
 
     def step(self, v) -> dict | str | None:
         if not self._announced:
-            self._outbox += f"IN {encode_step(v)}\n".encode()
+            self._outbox += self._in_line(v)
             self._owed += 1
         elif self._announced.popleft() != v:
             raise HarnessError(f"input {encode_step(v)} is not the one announced at RESET")
         reply = self._receive()
         if reply.startswith("OUT "):
+            payload = reply[4:]
+            if payload in self._outputs:
+                return self._outputs[payload]
             try:
-                return decode_step(reply[4:])
+                output = decode_step(payload)
             except ValueError:
                 raise HarnessError(f"malformed SUT reply {reply!r}") from None
+            if len(self._outputs) < MEMO_SIZE:
+                self._outputs[payload] = output
+            return output
         if reply.startswith("ERR "):
             raise HarnessError(f"SUT error reply: {reply[4:]}")
         raise HarnessError(f"unexpected SUT reply {reply!r}")

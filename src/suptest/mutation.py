@@ -209,7 +209,8 @@ def program_equivalent(p1: GuardedActionProgram, p2: GuardedActionProgram) -> bo
     inputs = [v for _, v, _ in truth_classes(guards, p1.input_vars)]
 
     def stepper(p):
-        def step(r, v):
+        def step(pair):
+            r, v = pair
             output, n = interpret_step(p, v, dict(r))
             return tuple(sorted(n.items())), output
         return step

@@ -243,14 +243,28 @@ def _serve(reset, answer, stdin, stdout) -> None:
             reply(f"ERR unknown command {line!r}")
 
 
-def _step_reply(program: GuardedActionProgram, state: tuple, text: str) -> tuple[str, tuple]:
-    """The reply to `IN text` in the risk state whose items are `state`, and
-    the items of the next risk state: `state` itself after an ERR reply."""
+def _read_input(program: GuardedActionProgram, text: str) -> tuple[Valuation | None, str | None]:
+    """The valuation of `IN text`, checked against the declared inputs, and
+    None; or None and the ERR reply that refuses it."""
     try:
         v = decode_valuation(text)
         if v is None:
             raise ValueError("nil is not a valid input")
         check_valuation(v, program.input_vars)
+    except Exception as exc:
+        return None, f"ERR {exc}"
+    return v, None
+
+
+def _step_reply(program: GuardedActionProgram, state: tuple,
+                read: tuple[Valuation | None, str | None]) -> tuple[str, tuple]:
+    """The reply to an IN line, `read` by `_read_input`, in the risk state
+    whose items are `state`, and the items of the next risk state: `state`
+    itself after an ERR reply."""
+    v, refusal = read
+    if refusal is not None:
+        return refusal, state
+    try:
         output, r = interpret_step(program, v, dict(state))
     except Exception as exc:
         return f"ERR {exc}", state
@@ -265,11 +279,15 @@ def serve_reference(program: GuardedActionProgram, stdin=None, stdout=None) -> N
     and the next risk state depend only on the risk state and the payload,
     so the first `MEMO_SIZE` distinct pairs are remembered, and a repeated
     step is answered without decoding, checking, interpreting or encoding.
+    Decoding and checking depend on the payload alone, so the first
+    `MEMO_SIZE` distinct payloads are read once, whatever risk state they
+    arrive in.
     """
     # a risk state is held as its items in order, which an ERR reply may print
     initial = tuple(program.initial.items())
     state = initial
     answered: dict = {}  # (risk state, payload) -> (reply, next risk state)
+    read: dict = {}  # payload -> _read_input's result
 
     def reset() -> None:
         nonlocal state
@@ -280,7 +298,12 @@ def serve_reference(program: GuardedActionProgram, stdin=None, stdout=None) -> N
         key = (state, text)
         known = answered.get(key)
         if known is None:
-            known = _step_reply(program, state, text)
+            payload = read.get(text)
+            if payload is None:
+                payload = _read_input(program, text)
+                if len(read) < MEMO_SIZE:
+                    read[text] = payload
+            known = _step_reply(program, state, payload)
             if len(answered) < MEMO_SIZE:
                 answered[key] = known
         reply, state = known

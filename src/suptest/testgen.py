@@ -152,6 +152,12 @@ def h_method(m: MealyMachine, m_bound: int) -> TestSuite:
                 traversal.append(v + word)
     traversal.sort(key=lambda t: (len(t), _trace_key(m, t)))
     closure = set(traversal)
+    # every pair below is of traversal traces, so the state each reaches is
+    # one lookup from its parent's, which comes earlier in length order
+    reached = {(): m.initial}
+    for t in traversal[1:]:
+        reached[t] = m.transitions[(reached[t[:-1]], t[-1])][0]
+    gammas: dict[tuple[str, str], tuple | None] = {}  # m.distinguishing_trace per state pair
 
     def apart(alpha: tuple, beta: tuple, sa: str, sb: str) -> bool:
         # joint walk of the common extensions of alpha and beta in the closure;
@@ -164,10 +170,12 @@ def h_method(m: MealyMachine, m_bound: int) -> TestSuite:
         return False
 
     def ensure_distinguished(alpha: tuple, beta: tuple) -> None:
-        sa, sb = m.run(alpha)[1], m.run(beta)[1]
+        sa, sb = reached[alpha], reached[beta]
         if sa == sb or apart(alpha, beta, sa, sb):
             return
-        gamma = m.distinguishing_trace(sa, sb)
+        if (sa, sb) not in gammas:
+            gammas[(sa, sb)] = m.distinguishing_trace(sa, sb)
+        gamma = gammas[(sa, sb)]
         if gamma is None:  # minimal machine: cannot happen
             raise TestGenError(f"states {sa!r} and {sb!r} are not distinguishable")
         _close_prefixes(closure, alpha + gamma)
@@ -301,8 +309,15 @@ def check_h_completeness(m: MealyMachine, m_bound: int, ts: TestSuite) -> Comple
             for word in product(m.inputs, repeat=length):
                 extensions.append(v + word)
 
+    state_of: dict[tuple, str] = {(): m.initial}  # trace -> reached state, filled on demand
+
+    def reached(trace: tuple) -> str:
+        if trace not in state_of:
+            state_of[trace] = m.transitions[(reached(trace[:-1]), trace[-1])][0]
+        return state_of[trace]
+
     def distinguished_in_suite(alpha: tuple, beta: tuple) -> bool:
-        sa, sb = m.run(alpha)[1], m.run(beta)[1]
+        sa, sb = reached(alpha), reached(beta)
         if sa == sb:
             return True
         pending = [(alpha, beta, sa, sb)]  # common suffixes, extended while states differ

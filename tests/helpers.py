@@ -266,8 +266,9 @@ def valuation_program_equivalent(p1, p2) -> bool:
 
 def plain_verdicts(target, ts) -> list[tuple]:
     """(status, step, observed) per case of `ts`, run by a plain loop over
-    `brute_outputs` for a machine or `interpret_step` for a program: the
-    oracle for the harness's shared case loop."""
+    `brute_outputs` for a machine or `interpret_step` for a program, whose
+    inputs are checked against its declaration as the reference SUT checks
+    them: the oracle for the harness's shared case loop."""
     results = []
     for case in ts.cases:
         if isinstance(target, MealyMachine):
@@ -276,6 +277,7 @@ def plain_verdicts(target, ts) -> list[tuple]:
             r, observed = dict(target.initial), []
             try:
                 for v, expected in zip(case.inputs, case.expected):
+                    check_valuation(v, target.input_vars)
                     o, r = interpret_step(target, v, r)
                     observed.append(o)
                     if o != expected:

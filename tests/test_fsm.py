@@ -82,6 +82,12 @@ class TestRun:
         assert outputs == ("1", "1", "1")
         assert state == "s1"
 
+    @pytest.mark.parametrize("symbol", ["z", ["a"], {"x": 1}], ids=["unknown", "list", "dict"])
+    def test_symbol_outside_alphabet_raises(self, symbol):
+        # a suite file may hold any JSON value as an input symbol
+        with pytest.raises(FsmError, match="not in alphabet"):
+            m0().run(("a", symbol))
+
     def test_partial_machine_raises(self):
         m = m0()
         transitions = dict(m.transitions)

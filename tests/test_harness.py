@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from suptest import harness as harness_module
 from suptest import program as program_module
 from suptest.cli import main
 from suptest.encoding import canonical_dumps, encode_step
@@ -34,7 +35,8 @@ from suptest.mutation import (
 )
 from suptest.guards import parse_guard
 from suptest.program import (
-    DEFAULT_STEP_TIMEOUT, MEMO_SIZE, GuardedAction, Interpreter, serve_reference,
+    DEFAULT_STEP_TIMEOUT, MEMO_SIZE, GuardedAction, Interpreter, interpret_step,
+    serve_reference,
 )
 from suptest.sfsm import (
     POLICY_ERROR, POLICY_SELFLOOP, abstract_to_fsm, concretize_suite, input_classes,
@@ -214,6 +216,19 @@ class TestServeReferenceMemo:
         assert replies[1:len(lines)] == ["OUT nil"] * (MEMO_SIZE + 100)
         # the first MEMO_SIZE steps were stored, the last 100 are worked out again
         assert len(worked) == MEMO_SIZE + 100 + 100
+
+    def test_payload_read_once_across_risk_states(self, program, monkeypatch):
+        # x = 1 steps 0 -> a -> m, so the out-of-sort and the malformed
+        # payload arrive in each risk state, and x = 0 leads back from m to 0
+        lines = ["RESET"] + ['IN {"x":7}', "IN nope", 'IN {"x":1}'] * 3 + ['IN {"x":0}']
+        for target in memo_programs(program):
+            assert serve_lines(target, lines) == stepwise_replies(target, lines)
+        reads = []
+        read_input = program_module._read_input
+        monkeypatch.setattr(program_module, "_read_input",
+                            lambda *args: reads.append(args[1]) or read_input(*args))
+        serve_lines(program, lines)
+        assert sorted(reads) == ["nope", '{"x":0}', '{"x":1}', '{"x":7}']
 
 
 class TestServeMachine:
@@ -550,6 +565,61 @@ class TestSharedLoop:
         assert (outcome.status, outcome.first_failing_case) == (KILLED, first)
         before = sum(len(case.inputs) for case in concrete_suite.cases[:first])
         assert len(steps) == before + expected[first][1] + 1
+
+
+class TestAdapterCaches:
+    """`SutAdapter` encodes each distinct input, and decodes each distinct
+    OUT line, once; its verdicts against a reference SUT must equal
+    `helpers.plain_verdicts`, which encodes and decodes nothing."""
+
+    @pytest.fixture(scope="class")
+    def adapter(self, tmp_path_factory, program):
+        path = tmp_path_factory.mktemp("caches") / "program.gap"
+        path.write_text(canonical_dumps(program.to_obj()))
+        with SutAdapter([sys.executable, "-m", "suptest", "serve-reference", str(path)]) as sut:
+            yield sut
+
+    @staticmethod
+    def expected_outputs(program, inputs, flip):
+        """The program's outputs along `inputs`, reading a bool as its int,
+        with the output at step `flip` changed, if there is one."""
+        r, outputs = dict(program.initial), []
+        for i, v in enumerate(inputs):
+            o, r = interpret_step(program, {"x": int(v["x"])}, r)
+            outputs.append({"y": 1 - o["y"]} if i == flip else o)
+        return tuple(outputs)
+
+    # one case sends 1 and another True, which is equal to 1 and hashes
+    # alike but is not in the int sort; one case expects a wrong output.
+    # Each ERR restarts the SUT, so the drawn cases send no True.
+    FIXED = [([1], None), ([0, True], None), ([0, 1, 1], 2)]
+
+    @given(st.lists(st.tuples(st.lists(st.sampled_from([0, 1]), min_size=1, max_size=6),
+                              st.none() | st.integers(0, 5)), max_size=8),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=25, deadline=None)
+    def test_verdicts_match_plain_loop(self, adapter, program, drawn, rng):
+        steps = self.FIXED + drawn
+        rng.shuffle(steps)
+        suite = TestSuite([TestCase(tuple({"x": x} for x in xs),
+                                    self.expected_outputs(program, [{"x": x} for x in xs], flip))
+                           for xs, flip in steps], "h", 3, concrete=True)
+        expected = plain_verdicts(program, suite)
+        assert {status for status, _, _ in expected} == {PASS, FAIL, ERROR}
+        assert [(v.status, v.step_index, v.observed_output)
+                for v in verdicts(adapter, suite)] == expected
+
+    def test_malformed_reply_is_never_remembered(self, tmp_path, monkeypatch):
+        decoded = []
+        decode = harness_module.decode_step
+        monkeypatch.setattr(harness_module, "decode_step",
+                            lambda text: decoded.append(text) or decode(text))
+        suite = echo_suite([1], [1], [1])
+        with SutAdapter(fake_sut(tmp_path, "print('OUT {\"y\":true}', flush=True)")) as sut:
+            results = [(v.status, v.detail) for v in verdicts(sut, suite)]
+        reply = 'OUT {"y":true}'
+        assert results == [(ERROR, f"malformed SUT reply {reply!r}")] * 3
+        assert decoded == ['{"y":true}'] * 3
 
 
 class TestOfflineRun:

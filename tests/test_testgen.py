@@ -4,6 +4,8 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import m0, random_machine, scan_check_h_completeness
 from suptest import mutation
@@ -249,6 +251,20 @@ class TestWalkAgainstScan:
                     assert violations == scan_check_h_completeness(m, bound, ts).violations
                     rejected += bool(violations)
         assert rejected > 100  # deletions do make the checker find violations
+
+
+class TestReachedStateMemo:
+    """The generator and the checker read each trace's reached state from
+    their own memos; the scan oracle replays every trace from the initial
+    state, and must accept every H-suite as well."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(2, 3), st.integers(0, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_both_checkers_accept_h_suites(self, seed, n, n_inputs, extra):
+        m = random_machine(random.Random(seed), n, n_inputs, 2)
+        suite = h_method(m, n + extra)
+        assert check_h_completeness(m, n + extra, suite).ok
+        assert scan_check_h_completeness(m, n + extra, suite).ok
 
 
 def suite_content(suite) -> bytes:
