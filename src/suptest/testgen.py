@@ -104,11 +104,10 @@ def _trace_key(m: MealyMachine, trace: tuple) -> tuple:
 
 
 def _maximal_traces(m: MealyMachine, closure: set[tuple]) -> list[tuple]:
-    maximal = [
-        t for t in closure if not any(t + (x,) in closure for x in m.inputs)
-    ]
-    maximal.sort(key=lambda t: _trace_key(m, t))
-    return maximal
+    """The traces of `closure` that are no other's parent, in input order."""
+    parents = {t[:-1] for t in closure if t}
+    index = {x: i for i, x in enumerate(m.inputs)}
+    return sorted(closure - parents, key=lambda t: tuple(map(index.__getitem__, t)))
 
 
 def _close_prefixes(closure: set[tuple], trace: tuple) -> None:
