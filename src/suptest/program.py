@@ -298,12 +298,12 @@ def serve_reference(program: GuardedActionProgram, stdin=None, stdout=None) -> N
         key = (state, text)
         known = answered.get(key)
         if known is None:
-            payload = read.get(text)
-            if payload is None:
-                payload = _read_input(program, text)
+            checked = read.get(text)
+            if checked is None:
+                checked = _read_input(program, text)
                 if len(read) < MEMO_SIZE:
-                    read[text] = payload
-            known = _step_reply(program, state, payload)
+                    read[text] = checked
+            known = _step_reply(program, state, checked)
             if len(answered) < MEMO_SIZE:
                 answered[key] = known
         reply, state = known
