@@ -137,7 +137,7 @@ def _program_mutants(p: GuardedActionProgram, operators) -> list[Mutant]:
     for a in p.actions:
         if a.output not in distinct_outputs:
             distinct_outputs.append(a.output)
-    risk_states = [tuple(sorted(r.items())) for r in p.risk_states()]
+    risk_states = p.risk_states()
 
     if OUTPUT_FAULT in operators:
         for i, a in enumerate(p.actions):
@@ -201,9 +201,9 @@ def program_equivalent(p1: GuardedActionProgram, p2: GuardedActionProgram) -> bo
     """Exact observational equivalence over the full input valuation space.
 
     `first_difference` over the product of the two interpreters' risk-state
-    spaces, each risk state held as its sorted items.  Both read an input
-    only through the truth of their guards, so one representative per truth
-    class of the joint guard set stands for every valuation.
+    spaces.  Both read an input only through the truth of their guards, so
+    one representative per truth class of the joint guard set stands for
+    every valuation.
     """
     guards = distinct_guards(a.guard for p in (p1, p2) for a in p.actions)
     inputs = [v for _, v, _ in truth_classes(guards, p1.input_vars)]
@@ -211,12 +211,11 @@ def program_equivalent(p1: GuardedActionProgram, p2: GuardedActionProgram) -> bo
     def stepper(p):
         def step(pair):
             r, v = pair
-            output, n = interpret_step(p, v, dict(r))
-            return tuple(sorted(n.items())), output
+            output, n = interpret_step(p, v, r)
+            return n, output
         return step
 
-    start = (tuple(sorted(p1.initial.items())), tuple(sorted(p2.initial.items())))
-    return first_difference(start, inputs, stepper(p1), stepper(p2)) is None
+    return first_difference((p1.initial, p2.initial), inputs, stepper(p1), stepper(p2)) is None
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,11 @@ monitored variables with an output valuation and a next risk state.  The
 interpreter steps it, and `serve_reference` speaks the SUT side of the wire
 protocol (see `harness`, the client side) for it on standard streams.
 
+A risk state has one form here: its (factor, phase) pairs sorted by factor
+(`RiskState`).  Actions hold it, the interpreter steps it, the server keys
+its memo by it and the mutation oracle compares it; a dict read from a file
+is frozen to it once, by `_freeze`, and a message prints it as a dict.
+
 This is what `python -m suptest serve-reference PROGRAM` runs, once per SUT
 session.  `__main__` sends that command line straight to `serve_program`,
 without `cli` or `argparse`, and `cli` calls the same function, so a failure
@@ -56,7 +61,8 @@ class SupervisorError(Exception):
 class NoEnabledAction(SupervisorError):
     def __init__(self, risk_state, v):
         super().__init__(
-            f"no action enabled in risk state {risk_state} on input {encode_valuation(v)}"
+            f"no action enabled in risk state {dict(risk_state)} "
+            f"on input {encode_valuation(v)}"
         )
         self.risk_state = risk_state
         self.v = v
@@ -66,10 +72,10 @@ class MultipleEnabledActions(SupervisorError):
     pass
 
 
-RiskState = dict  # factor name -> phase, total over F
+RiskState = tuple  # (factor, phase) pairs sorted by factor, total over F
 
 
-def risk_state_name(r: RiskState, factors: list[str]) -> str:
+def risk_state_name(r: dict, factors: list[str]) -> str:
     """Stable readable identifier, e.g. HS0_HCa_HRW0 (factor decl order)."""
     return "_".join(f"{f}{r[f]}" for f in factors)
 
@@ -78,18 +84,12 @@ class GuardedAction(Record):
     __slots__ = ("name", "guard", "source", "output", "target")
     name: str
     guard: GuardExpr
-    source: tuple  # risk state as sorted (factor, phase) pairs
+    source: RiskState
     output: Valuation | None
-    target: tuple
-
-    def source_state(self) -> RiskState:
-        return dict(self.source)
-
-    def target_state(self) -> RiskState:
-        return dict(self.target)
+    target: RiskState
 
 
-def _freeze(r: RiskState) -> tuple:
+def _freeze(r: dict) -> RiskState:
     return tuple(sorted(r.items()))
 
 
@@ -115,15 +115,10 @@ class GuardedActionProgram(Record):
     resolution: str
 
     def risk_states(self) -> list[RiskState]:
-        """Distinct risk states used by the program (sources, targets,
-        initial), in first-occurrence order."""
-        seen = []
-        for r in [self.initial] + [
-            s for a in self.actions for s in (a.source_state(), a.target_state())
-        ]:
-            if r not in seen:
-                seen.append(r)
-        return seen
+        """Distinct risk states used by the program (initial, then sources
+        and targets), in first-occurrence order."""
+        return list(dict.fromkeys(
+            [self.initial] + [r for a in self.actions for r in (a.source, a.target)]))
 
     def to_obj(self) -> dict:
         return {
@@ -163,7 +158,7 @@ class GuardedActionProgram(Record):
             input_vars,
             output_vars,
             list(obj["factors"]),
-            dict(obj["initial"]),
+            _freeze(obj["initial"]),
             actions,
             obj.get("policy", POLICY_ERROR),
             obj.get("resolution", "strict"),
@@ -178,11 +173,11 @@ class Interpreter:
 
     def __init__(self, program: GuardedActionProgram):
         self.program = program
-        self.risk_state: RiskState = dict(program.initial)
+        self.risk_state: RiskState = program.initial
 
     def reset(self, inputs=()) -> None:
         """Back to the initial risk state; the case's `inputs` are not needed."""
-        self.risk_state = dict(self.program.initial)
+        self.risk_state = self.program.initial
 
     restart = reset  # nothing to respawn in-process
 
@@ -199,21 +194,18 @@ def interpret_step(
     With the `complete-with-selfloop` policy an uncovered input yields the
     nil output and leaves the risk state unchanged.
     """
-    frozen = _freeze(r)
-    enabled = [
-        a for a in p.actions if a.source == frozen and eval_guard(a.guard, v)
-    ]
+    enabled = [a for a in p.actions if a.source == r and eval_guard(a.guard, v)]
     if len(enabled) > 1 and p.resolution == "strict":
         raise MultipleEnabledActions(
             f"actions {enabled[0].name!r} and {enabled[1].name!r} both enabled "
-            f"in {risk_state_name(r, p.factors)} on {encode_valuation(v)}"
+            f"in {risk_state_name(dict(r), p.factors)} on {encode_valuation(v)}"
         )
     if not enabled:
         if p.policy == POLICY_SELFLOOP:
-            return None, dict(r)
+            return None, r
         raise NoEnabledAction(r, v)
     a = enabled[0]
-    return a.output, a.target_state()
+    return a.output, a.target
 
 
 # ---------------------------------------------------------------------------
@@ -256,19 +248,18 @@ def _read_input(program: GuardedActionProgram, text: str) -> tuple[Valuation | N
     return v, None
 
 
-def _step_reply(program: GuardedActionProgram, state: tuple,
-                read: tuple[Valuation | None, str | None]) -> tuple[str, tuple]:
-    """The reply to an IN line, `read` by `_read_input`, in the risk state
-    whose items are `state`, and the items of the next risk state: `state`
-    itself after an ERR reply."""
+def _step_reply(program: GuardedActionProgram, state: RiskState,
+                read: tuple[Valuation | None, str | None]) -> tuple[str, RiskState]:
+    """The reply to an IN line, `read` by `_read_input`, in risk state
+    `state`, and the next risk state: `state` itself after an ERR reply."""
     v, refusal = read
     if refusal is not None:
         return refusal, state
     try:
-        output, r = interpret_step(program, v, dict(state))
+        output, r = interpret_step(program, v, state)
     except Exception as exc:
         return f"ERR {exc}", state
-    return "OUT " + encode_step(output), tuple(r.items())
+    return "OUT " + encode_step(output), r
 
 
 def serve_reference(program: GuardedActionProgram, stdin=None, stdout=None) -> None:
@@ -283,15 +274,13 @@ def serve_reference(program: GuardedActionProgram, stdin=None, stdout=None) -> N
     `MEMO_SIZE` distinct payloads are read once, whatever risk state they
     arrive in.
     """
-    # a risk state is held as its items in order, which an ERR reply may print
-    initial = tuple(program.initial.items())
-    state = initial
+    state = program.initial
     answered: dict = {}  # (risk state, payload) -> (reply, next risk state)
     read: dict = {}  # payload -> _read_input's result
 
     def reset() -> None:
         nonlocal state
-        state = initial
+        state = program.initial
 
     def answer(text: str) -> str:
         nonlocal state

@@ -181,16 +181,14 @@ class InputClassPartition:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "InputClassPartition":
-        partition = cls(
-            guards=list(obj["guards"]),
-            classes=[
-                InputClass(
-                    c["id"], tuple(bool(b) for b in c["signature"]),
-                    c["representative"], c["size"],
-                )
-                for c in obj["classes"]
-            ],
-        )
+        classes = []
+        for c in obj["classes"]:
+            signature = tuple(c["signature"])
+            if not all(isinstance(b, bool) for b in signature):
+                raise SfsmError(f"class {c['id']}: signature {c['signature']!r} "
+                                "is not a list of booleans")
+            classes.append(InputClass(c["id"], signature, c["representative"], c["size"]))
+        partition = cls(guards=list(obj["guards"]), classes=classes)
         partition.check_representatives()
         return partition
 

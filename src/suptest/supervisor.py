@@ -34,7 +34,6 @@ from .program import (
     POLICY_ERROR,
     GuardedAction,
     GuardedActionProgram,
-    RiskState,
     SupervisorError,
     _freeze,
     risk_state_name,
@@ -55,14 +54,14 @@ class LifecycleViolation(SupervisorError):
     """A factor phase change outside 0->a->m->0 (with stutter)."""
 
 
-def check_lifecycle(r: RiskState, r2: RiskState, factors: list[str]) -> None:
+def check_lifecycle(r: dict, r2: dict, factors: list[str]) -> None:
     for f in factors:
         p, q = r[f], r2[f]
         if p != q and (p, q) not in _ALLOWED_PHASE_STEPS:
             raise LifecycleViolation(f"factor {f}: phase change {p} -> {q} not allowed")
 
 
-def derive_action_name(factors: list[str], r: RiskState, r2: RiskState) -> str:
+def derive_action_name(factors: list[str], r: dict, r2: dict) -> str:
     """Name from the changed factors: `<factor><newPhase>` segments joined
     by `_` in factor declaration order; `nop` when nothing changes."""
     check_lifecycle(r, r2, factors)
@@ -81,7 +80,7 @@ class ControllerBehavior:
     input_vars: list[VarDecl]
     output_vars: list[VarDecl]
     factor_vars: list[VarDecl]
-    initial: RiskState
+    initial: dict  # factor name -> phase, as in the file
     transitions: list[dict]  # {source, guard: GuardExpr, output, target}
     warnings: list[str] = field(default_factory=list)
     fingerprint: str | None = None  # of the document it was read from, if any
@@ -131,7 +130,7 @@ def behavior_from_obj(obj: dict) -> ControllerBehavior:
     )
 
 
-def _check_risk_state(r: RiskState, factors: list[str]) -> None:
+def _check_risk_state(r: dict, factors: list[str]) -> None:
     if set(r) != set(factors):
         raise SupervisorError(
             f"risk state {r} does not assign exactly the factors {factors}"
@@ -173,7 +172,7 @@ def to_guarded_actions(
             )
         )
     program = GuardedActionProgram(
-        b.input_vars, b.output_vars, b.factors, dict(b.initial), actions, policy
+        b.input_vars, b.output_vars, b.factors, _freeze(b.initial), actions, policy
     )
     _check_program_determinism(program)
     return program
@@ -264,7 +263,7 @@ def check_hypotheses(p: GuardedActionProgram, r: Sfsm) -> HypothesisReport:
     Guards are compared as multisets of canonical texts, per risk state.
     """
     program_states = {
-        risk_state_name(s, p.factors) for s in p.risk_states()
+        risk_state_name(dict(s), p.factors) for s in p.risk_states()
     }
     report = HypothesisReport(len(program_states), len(r.states))
 
@@ -279,7 +278,7 @@ def check_hypotheses(p: GuardedActionProgram, r: Sfsm) -> HypothesisReport:
         prog_guards = guard_multiset(
             a.guard
             for a in p.actions
-            if risk_state_name(a.source_state(), p.factors) == state
+            if risk_state_name(dict(a.source), p.factors) == state
         )
         ref_guards = guard_multiset(t.guard for t in r.outgoing(state))
         if prog_guards != ref_guards:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .fsm import MealyMachine
+from .guards import ENUM_BOUND
 
 
 class TestGenError(Exception):
@@ -53,12 +54,22 @@ class TestSuite:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "TestSuite":
-        cases = [TestCase(tuple(c["inputs"]), tuple(c["expectedOutputs"])) for c in obj["cases"]]
-        for i, c in enumerate(cases):
-            if len(c.inputs) != len(c.expected):
-                raise TestGenError(f"case {i} has {len(c.inputs)} inputs but "
-                                   f"{len(c.expected)} expected outputs")
-        return cls(cases, obj["method"], obj["mBound"], obj.get("concrete", False))
+        cases = []
+        for i, c in enumerate(obj["cases"]):
+            inputs, expected = c["inputs"], c["expectedOutputs"]
+            for key, value in (("inputs", inputs), ("expectedOutputs", expected)):
+                if not isinstance(value, list):
+                    raise TestGenError(f"case {i}: {key} must be a list, got {value!r}")
+            if len(inputs) != len(expected):
+                raise TestGenError(f"case {i} has {len(inputs)} inputs but "
+                                   f"{len(expected)} expected outputs")
+            cases.append(TestCase(tuple(inputs), tuple(expected)))
+        m_bound, concrete = obj["mBound"], obj.get("concrete", False)
+        if not isinstance(m_bound, int) or isinstance(m_bound, bool):
+            raise TestGenError(f"mBound must be an int, got {m_bound!r}")
+        if not isinstance(concrete, bool):
+            raise TestGenError(f"concrete must be a bool, got {concrete!r}")
+        return cls(cases, obj["method"], m_bound, concrete)
 
 
 def suite_stats(ts: TestSuite) -> dict:
@@ -81,10 +92,18 @@ def _require_testable(m: MealyMachine, m_bound: int) -> None:
         raise TestGenError("reference machine has unreachable states")
     if not m.is_minimal():
         raise TestGenError("reference machine must be minimal")
-    if m_bound < len(m.states):
-        raise TestGenError(
-            f"mBound {m_bound} is below the reference state count {len(m.states)}"
-        )
+    n = len(m.states)
+    if m_bound < n:
+        raise TestGenError(f"mBound {m_bound} is below the reference state count {n}")
+    # the traversal set cover . inputs^{<=k} has n * sum_{i<=k} |I|^i traces;
+    # with two inputs or more, depth 20 is past ENUM_BOUND, so none deeper is summed
+    k, width = m_bound - n + 1, len(m.inputs)
+    depth = k if width < 2 else min(k, ENUM_BOUND.bit_length())
+    size = n * (depth + 1 if width == 1 else (width ** (depth + 1) - 1) // (width - 1))
+    if size > ENUM_BOUND:
+        raise TestGenError(f"mBound {m_bound} needs a traversal set of "
+                           f"{'over ' if depth < k else ''}{size} traces; "
+                           f"the bound is {ENUM_BOUND}")
 
 
 def state_cover(m: MealyMachine) -> list[tuple]:
@@ -99,15 +118,16 @@ def state_cover(m: MealyMachine) -> list[tuple]:
     return list(access.values())
 
 
-def _trace_key(m: MealyMachine, trace: tuple) -> tuple:
-    return tuple(m.inputs.index(x) for x in trace)
+def _trace_key(m: MealyMachine):
+    """Sort key of a trace: its inputs' positions in `m.inputs`."""
+    index = {x: i for i, x in enumerate(m.inputs)}.__getitem__
+    return lambda trace: tuple(map(index, trace))
 
 
 def _maximal_traces(m: MealyMachine, closure: set[tuple]) -> list[tuple]:
     """The traces of `closure` that are no other's parent, in input order."""
     parents = {t[:-1] for t in closure if t}
-    index = {x: i for i, x in enumerate(m.inputs)}
-    return sorted(closure - parents, key=lambda t: tuple(map(index.__getitem__, t)))
+    return sorted(closure - parents, key=_trace_key(m))
 
 
 def _close_prefixes(closure: set[tuple], trace: tuple) -> None:
@@ -149,7 +169,8 @@ def h_method(m: MealyMachine, m_bound: int) -> TestSuite:
         for length in range(k + 1):
             for word in product(m.inputs, repeat=length):
                 traversal.append(v + word)
-    traversal.sort(key=lambda t: (len(t), _trace_key(m, t)))
+    key = _trace_key(m)
+    traversal.sort(key=lambda t: (len(t), key(t)))
     closure = set(traversal)
     # every pair below is of traversal traces, so the state each reaches is
     # one lookup from its parent's, which comes earlier in length order
@@ -291,7 +312,8 @@ def check_h_completeness(m: MealyMachine, m_bound: int, ts: TestSuite) -> Comple
                     access[t] = access[s] + (x,)
                     nxt.append(t)
         frontier = nxt
-    cover = sorted(access.values(), key=lambda t: (len(t), _trace_key(m, t)))
+    key = _trace_key(m)
+    cover = sorted(access.values(), key=lambda t: (len(t), key(t)))
 
     for v in cover:
         if v not in suite_traces:

@@ -247,17 +247,17 @@ def valuation_program_equivalent(p1, p2) -> bool:
     the oracle for `mutation.program_equivalent`, which steps on one
     representative per truth class."""
     inputs = list(enumerate_valuations(p1.input_vars))
-    start = (tuple(sorted(p1.initial.items())), tuple(sorted(p2.initial.items())))
+    start = (p1.initial, p2.initial)
     seen = {start}
     queue = deque([start])
     while queue:
         r1, r2 = queue.popleft()
         for v in inputs:
-            o1, n1 = interpret_step(p1, v, dict(r1))
-            o2, n2 = interpret_step(p2, v, dict(r2))
+            o1, n1 = interpret_step(p1, v, r1)
+            o2, n2 = interpret_step(p2, v, r2)
             if o1 != o2:
                 return False
-            pair = (tuple(sorted(n1.items())), tuple(sorted(n2.items())))
+            pair = (n1, n2)
             if pair not in seen:
                 seen.add(pair)
                 queue.append(pair)
@@ -274,7 +274,7 @@ def plain_verdicts(target, ts) -> list[tuple]:
         if isinstance(target, MealyMachine):
             observed = brute_outputs(target, case.inputs)
         else:
-            r, observed = dict(target.initial), []
+            r, observed = target.initial, []
             try:
                 for v, expected in zip(case.inputs, case.expected):
                     check_valuation(v, target.input_vars)
@@ -296,13 +296,13 @@ def stepwise_replies(program, lines) -> list[str]:
     line with no memo: decode, check, `interpret_step` and encode.  The
     oracle for `program.serve_reference`, which answers a repeated step
     from its memo."""
-    r, replies = dict(program.initial), []
+    r, replies = program.initial, []
     for line in lines:
         line = line.strip()
         if not line:
             continue
         if line == "RESET":
-            r = dict(program.initial)
+            r = program.initial
             replies.append("READY")
         elif line.startswith("IN "):
             try:
@@ -350,7 +350,8 @@ def scan_check_h_completeness(m: MealyMachine, m_bound: int, ts) -> Completeness
                     access[t] = access[s] + (x,)
                     nxt.append(t)
         frontier = nxt
-    cover = sorted(access.values(), key=lambda t: (len(t), _trace_key(m, t)))
+    key = _trace_key(m)
+    cover = sorted(access.values(), key=lambda t: (len(t), key(t)))
 
     for v in cover:
         if v not in suite_traces:

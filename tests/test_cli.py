@@ -225,7 +225,10 @@ class TestConcretize:
          "class c0: representative assigns ['zz'], not "),
         (lambda classes: classes[0].update(representative=classes[1]["representative"]),
          "class c0: representative {"),
-    ], ids=["variables", "signature"])
+        (lambda classes: classes[0].update(
+            signature=["yes" if b else 0 for b in classes[0]["signature"]]),
+         "class c0: signature [0, 0, 0, 'yes', "),
+    ], ids=["variables", "signature", "signature-entries"])
     def test_refuses_inconsistent_partition(self, abstracted, capsys, edit, cause):
         suite = abstracted / "suite-h.json"
         assert main(["generate", str(abstracted / "fsm.json"), "--out", str(suite)]) == 0
@@ -423,8 +426,23 @@ class TestArtefactRead:
          lambda d: d.update(policy="selfloop"), "unknown policy 'selfloop'"),
     ]
 
-    @pytest.mark.parametrize("name, argv, edit, cause", READERS, ids=[
-        f"{name}-{kind}" for name, *_ in READERS[::2] for kind in ("type", "domain")])
+    # (id, edit, cause) of suite fields that must have their type
+    SUITE_FIELDS = [
+        ("mBound-str", lambda d: d.update(mBound="7"), "mBound must be an int, got '7'"),
+        ("mBound-bool", lambda d: d.update(mBound=True), "mBound must be an int, got True"),
+        ("inputs-str", lambda d: d["cases"][0].update(inputs="c0"),
+         "case 0: inputs must be a list, got 'c0'"),
+        ("expectedOutputs-str", lambda d: d["cases"][0].update(expectedOutputs="o0"),
+         "case 0: expectedOutputs must be a list, got 'o0'"),
+        ("concrete-str", lambda d: d.update(concrete="yes"),
+         "concrete must be a bool, got 'yes'"),
+    ]
+
+    @pytest.mark.parametrize("name, argv, edit, cause", READERS + [
+        ("suite-h.json", ["check-suite", "fsm.json", "suite-h.json"], edit, cause)
+        for _, edit, cause in SUITE_FIELDS
+    ], ids=[f"{name}-{kind}" for name, *_ in READERS[::2] for kind in ("type", "domain")]
+        + [f"suite-h.json-{field}" for field, *_ in SUITE_FIELDS])
     def test_every_reader_names_the_file(self, abstracted, behaviour, monkeypatch, capsys,
                                          name, argv, edit, cause):
         assert main(["generate", str(abstracted / "fsm.json"),

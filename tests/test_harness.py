@@ -35,8 +35,8 @@ from suptest.mutation import (
 )
 from suptest.guards import parse_guard
 from suptest.program import (
-    DEFAULT_STEP_TIMEOUT, MEMO_SIZE, GuardedAction, Interpreter, interpret_step,
-    serve_reference,
+    DEFAULT_STEP_TIMEOUT, MEMO_SIZE, GuardedAction, GuardedActionProgram, Interpreter,
+    interpret_step, serve_reference,
 )
 from suptest.sfsm import (
     POLICY_ERROR, POLICY_SELFLOOP, abstract_to_fsm, concretize_suite, input_classes,
@@ -148,10 +148,23 @@ class TestProtocol:
         assert out.getvalue().splitlines() == ["READY"]
 
 
+def two_factor_program(program):
+    """`program` with a factor G, declared before F, that never changes
+    phase, so that factor order and sorted order differ; and with no action
+    for x = 0 in risk state 0."""
+    def with_g(r):
+        return tuple(sorted(dict(r, G="g").items()))
+
+    return program.replace(
+        factors=["G", "F"], initial=with_g(program.initial),
+        actions=[a.replace(source=with_g(a.source), target=with_g(a.target))
+                 for a in program.actions if (a.name, a.source) != ("nop", (("F", "0"),))])
+
+
 def memo_programs(program) -> list:
     """Programs whose replies exercise every path of the memo: both
-    policies with an uncovered input, a strict overlap, risk-state items
-    out of sorted order, and `first`-resolution mutants."""
+    policies with an uncovered input, a strict overlap, two factors, and
+    `first`-resolution mutants."""
     # no action for x = 1 in risk state a
     incomplete = program.replace(actions=[a for a in program.actions if a.name != "Fm"])
     assert len(incomplete.actions) == len(program.actions) - 1
@@ -160,16 +173,7 @@ def memo_programs(program) -> list:
         "overlap", parse_guard("x = 0", program.input_vars), (("F", "m"),), {"y": 1},
         (("F", "a"),))])
 
-    def with_g(r):
-        return tuple(sorted(dict(r, G="g").items()))
-
-    # no action for x = 0 in risk state 0, whose items are out of sorted
-    # order initially and sorted once it is entered again from m
-    two_factors = program.replace(
-        factors=["G", "F"], initial={"G": "g", "F": "0"},
-        actions=[a.replace(source=with_g(a.source), target=with_g(a.target))
-                 for a in program.actions if (a.name, a.source) != ("nop", (("F", "0"),))])
-    variants = [program, incomplete, overlap, two_factors]
+    variants = [program, incomplete, overlap, two_factor_program(program)]
     return ([p.replace(policy=policy) for p in variants
              for policy in (POLICY_ERROR, POLICY_SELFLOOP)]
             + [mu.target for mu in generate_mutants(program)])
@@ -192,6 +196,18 @@ class TestServeReferenceMemo:
     def test_replies_match_stepwise_oracle(self, program, lines):
         for target in memo_programs(program):
             assert serve_lines(target, lines) == stepwise_replies(target, lines)
+
+    def test_err_names_a_risk_state_one_way(self, program):
+        # read from a file that lists G before F; x = 1, 1, 0 leads from the
+        # initial risk state through a and m back to it
+        doc = two_factor_program(program).to_obj()
+        doc["initial"] = {"G": "g", "F": "0"}
+        target = GuardedActionProgram.from_obj(doc)
+        lines = ["RESET"] + [f'IN {{"x":{x}}}' for x in (0, 1, 1, 0, 0)]
+        replies = serve_lines(target, lines)
+        assert replies == stepwise_replies(target, lines)
+        assert replies[1] == replies[5] == (
+            "ERR no action enabled in risk state {'F': '0', 'G': 'g'} on input {\"x\":0}")
 
     def test_covers_every_reply_kind(self, program):
         replies = {reply for target in memo_programs(program)
@@ -583,7 +599,7 @@ class TestAdapterCaches:
     def expected_outputs(program, inputs, flip):
         """The program's outputs along `inputs`, reading a bool as its int,
         with the output at step `flip` changed, if there is one."""
-        r, outputs = dict(program.initial), []
+        r, outputs = program.initial, []
         for i, v in enumerate(inputs):
             o, r = interpret_step(program, {"x": int(v["x"])}, r)
             outputs.append({"y": 1 - o["y"]} if i == flip else o)

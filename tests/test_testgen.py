@@ -16,6 +16,7 @@ from suptest.supervisor import to_test_reference
 from suptest.testgen import (
     TestGenError,
     TestSuite,
+    _require_testable,
     characterization_set,
     check_h_completeness,
     h_method,
@@ -112,6 +113,30 @@ class TestHMethod:
             for cut in range(len(case.inputs)):
                 prefix_outputs, _ = m.run(case.inputs[:cut])
                 assert prefix_outputs == case.expected[:cut]
+
+
+class TestFaultDomainBound:
+    """A traversal set larger than `ENUM_BOUND` is refused by its size, which
+    is worked out before any trace is built."""
+
+    @pytest.mark.parametrize("derive", [
+        h_method, w_method, lambda m, k: check_h_completeness(m, k, TestSuite([], "h", k)),
+    ], ids=["h", "w", "check"])
+    def test_refused_before_enumeration(self, derive):
+        # m0 at mBound 20: 2 * (2^20 - 1) traversal traces
+        with pytest.raises(TestGenError, match="traversal set of 2097150 traces"):
+            derive(m0(), 20)
+
+    def test_depth_past_the_bound_not_summed(self):
+        # 2 * (2^(10^9) - 1) traces would take 10^9 bits to write down
+        with pytest.raises(TestGenError, match="traversal set of over 4194302 traces"):
+            h_method(m0(), 10**9)
+
+    def test_welding_cell_boundary(self, welding_fsm):
+        # 7 states and 16 inputs: 489 335 traces at mBound 10, 7 829 367 at 11
+        _require_testable(welding_fsm, 10)
+        with pytest.raises(TestGenError, match="traversal set of 7829367 traces"):
+            _require_testable(welding_fsm, 11)
 
 
 class TestWMethod:

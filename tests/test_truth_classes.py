@@ -185,8 +185,8 @@ class TestProgramEquivalent:
 def behaviour_of(p):
     """The widened welding cell with the actions of `p` as its transitions."""
     transitions = [
-        {"source": a.source_state(), "guard": a.guard, "output": a.output,
-         "target": a.target_state()}
+        {"source": dict(a.source), "guard": a.guard, "output": a.output,
+         "target": dict(a.target)}
         for a in p.actions
     ]
     return replace(BEHAVIOUR, transitions=transitions)
