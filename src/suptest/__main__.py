@@ -1,9 +1,11 @@
 """`python -m suptest ...`: the command line of `cli.main`.
 
-`serve-reference PROGRAM`, the command of every spawned reference SUT, goes
+`serve-reference PROGRAM`, the public command of the reference SUT, goes
 straight to `program.serve_program`, without importing `cli` or
 `argparse`; any other command line, `--help` and a wrong argument count
-among them, goes to `cli.main`.
+among them, goes to `cli.main`.  `pipeline` spawns its default SUT with
+`program.reference_command` instead, which reaches the same function
+without `site` or `runpy`.
 """
 
 import sys

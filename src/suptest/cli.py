@@ -9,9 +9,11 @@ pipeline run is reproducible byte for byte.  This module alone writes and
 checks those links: a suite is checked or mutated only against the FSM it
 names, and artefacts that name different SFSMs or FSMs are not combined.
 
-A spawned SUT does not come through here: `python -m suptest
-serve-reference PROGRAM` goes from `__main__` straight to
-`program.serve_program`, which the `serve-reference` subcommand calls too.
+A spawned SUT does not come through here: `pipeline`'s default SUT is
+`program.reference_command`, a launcher that calls `program.serve_program`
+with neither `site` nor this module loaded, and the public `python -m
+suptest serve-reference PROGRAM` goes from `__main__` straight to the same
+function, which the `serve-reference` subcommand calls too.
 Each stage imports the modules it uses, so this module loads neither the
 generator stack nor the client harness until a command needs them.
 
@@ -28,7 +30,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .encoding import ArtifactError, canonical_dumps, fingerprint, read_artifact
+from .encoding import ArtifactError, canonical_artifact, fingerprint, read_artifact
 from .program import (
     DEFAULT_STEP_TIMEOUT,
     POLICY_ERROR,
@@ -36,6 +38,7 @@ from .program import (
     GuardedActionProgram,
     exit_code,
     load_program,  # beside the other load_* functions; perfbench reads cli.load_program
+    reference_command,
     serve_program,
 )
 
@@ -101,11 +104,12 @@ def load_config() -> dict:
 # Artefact I/O
 # ---------------------------------------------------------------------------
 
-def write_artifact(path, payload: dict, inputs: dict | None = None) -> None:
-    doc = dict(payload)
-    if inputs:
-        doc["derivedFrom"] = inputs
-    Path(path).write_text(canonical_dumps(doc, compact=True), encoding="utf-8")
+def write_artifact(path, payload: dict, inputs: dict | None = None) -> str:
+    """Write `payload`, with `inputs` as its `derivedFrom`, and return the
+    payload's fingerprint, taken from the same encoding."""
+    data, digest = canonical_artifact(payload, inputs)
+    Path(path).write_bytes(data)
+    return digest
 
 
 def load_machine(path) -> MealyMachine:
@@ -155,7 +159,12 @@ def by_key(key: str, if_present, otherwise):
 # Stages
 # ---------------------------------------------------------------------------
 
-def translate(behaviour_path, out: Path, config) -> tuple[Sfsm, supervisor.HypothesisReport]:
+# A stage that writes an artefact returns its fingerprint too, and a stage
+# that links to an input takes the input's fingerprint when its caller holds
+# one (`pipeline`), so that no artefact is encoded twice.
+
+def translate(behaviour_path, out: Path, config
+              ) -> tuple[Sfsm, str, supervisor.HypothesisReport]:
     from . import supervisor
     behaviour = supervisor.load_behavior(behaviour_path)
     program = supervisor.to_guarded_actions(behaviour, config["policy"])
@@ -166,45 +175,49 @@ def translate(behaviour_path, out: Path, config) -> tuple[Sfsm, supervisor.Hypot
     out.mkdir(parents=True, exist_ok=True)
     derived = {"behaviour": behaviour.fingerprint}
     write_artifact(out / "program.gap", program.to_obj(), derived)
-    write_artifact(out / "reference.sfsm", reference.to_obj(), derived)
+    reference_fp = write_artifact(out / "reference.sfsm", reference.to_obj(), derived)
     print(report.summary())
-    return reference, report
+    return reference, reference_fp, report
 
 
-def classes(reference: Sfsm, path) -> sfsm.InputClassPartition:
+def classes(reference: Sfsm, path, reference_fp: str | None = None) -> sfsm.InputClassPartition:
     from . import sfsm
     partition = sfsm.input_classes(reference)
-    write_artifact(path, partition.to_obj(), {"sfsm": fingerprint(reference.to_obj())})
+    write_artifact(path, partition.to_obj(),
+                   {"sfsm": reference_fp or fingerprint(reference.to_obj())})
     print(f"{len(partition.classes)} input equivalence classes")
     return partition
 
 
-def abstract(reference: Sfsm, out: Path, config) -> tuple[MealyMachine, sfsm.AbstractionMap]:
+def abstract(reference: Sfsm, out: Path, config, reference_fp: str | None = None
+             ) -> tuple[MealyMachine, str, sfsm.AbstractionMap]:
     from . import sfsm
     machine, amap = sfsm.abstract_to_fsm(reference, config["policy"])
     out.mkdir(parents=True, exist_ok=True)
-    ref_fp = fingerprint(reference.to_obj())
-    write_artifact(out / "fsm.json", machine.to_obj(), {"sfsm": ref_fp})
+    reference_fp = reference_fp or fingerprint(reference.to_obj())
+    machine_fp = write_artifact(out / "fsm.json", machine.to_obj(), {"sfsm": reference_fp})
     write_artifact(out / "abstraction.json", amap.to_obj(),
-                   {"sfsm": ref_fp, "fsm": fingerprint(machine.to_obj())})
+                   {"sfsm": reference_fp, "fsm": machine_fp})
     print(f"FSM: {len(machine.states)} states, {len(machine.inputs)} inputs, "
           f"{len(machine.outputs)} outputs")
-    return machine, amap
+    return machine, machine_fp, amap
 
 
-def generate(machine: MealyMachine, method: str, m_bound, path, config) -> testgen.TestSuite:
+def generate(machine: MealyMachine, method: str, m_bound, path, config,
+             machine_fp: str | None = None) -> tuple[testgen.TestSuite, str]:
     """`m_bound` None means the state count plus the configured `m_extra`."""
     from . import testgen
     if m_bound is None:
         m_bound = len(machine.states) + config["m_extra"]
     derive = testgen.h_method if method == "h" else testgen.w_method
     suite = derive(machine, m_bound)
-    write_artifact(path, suite.to_obj(), {"fsm": fingerprint(machine.to_obj())})
+    suite_fp = write_artifact(path, suite.to_obj(),
+                              {"fsm": machine_fp or fingerprint(machine.to_obj())})
     stats = testgen.suite_stats(suite)
     print(f"{method}-suite: {stats['cases']} cases, "
           f"{stats['total_input_symbols']} input symbols, "
           f"max length {stats['max_length']}")
-    return suite
+    return suite, suite_fp
 
 
 def check_suite(machine: MealyMachine, suite: testgen.TestSuite) -> testgen.CompletenessReport:
@@ -214,20 +227,24 @@ def check_suite(machine: MealyMachine, suite: testgen.TestSuite) -> testgen.Comp
     return report
 
 
-def concretize(suite: testgen.TestSuite, partition, amap, path) -> testgen.TestSuite:
+def concretize(suite: testgen.TestSuite, partition, amap, path,
+               suite_fp: str | None = None) -> tuple[testgen.TestSuite, str]:
     from . import sfsm
     concrete = sfsm.concretize_suite(suite, partition, amap)
-    write_artifact(path, concrete.to_obj(), {"suite": fingerprint(suite.to_obj())})
+    concrete_fp = write_artifact(path, concrete.to_obj(),
+                                 {"suite": suite_fp or fingerprint(suite.to_obj())})
     print(f"concretized {len(concrete.cases)} cases")
-    return concrete
+    return concrete, concrete_fp
 
 
-def run(suite: testgen.TestSuite, sut_command: str | list[str], path, config) -> harness.TestReport:
+def run(suite: testgen.TestSuite, sut_command: str | list[str], path, config,
+        suite_fp: str | None = None) -> harness.TestReport:
     from . import harness
     with harness.SutAdapter(sut_command, config["step_timeout"]) as sut:
         report = harness.run_suite(sut, suite)
     if path:
-        write_artifact(path, report.to_obj(), {"suite": fingerprint(suite.to_obj())})
+        write_artifact(path, report.to_obj(),
+                       {"suite": suite_fp or fingerprint(suite.to_obj())})
     print(report.summary())
     return report
 
@@ -249,7 +266,7 @@ def render(model: Sfsm | MealyMachine, path) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_translate(args, config) -> int:
-    _, report = translate(args.behaviour, Path(args.out or "."), config)
+    _, _, report = translate(args.behaviour, Path(args.out or "."), config)
     return 0 if report.ok else 1
 
 
@@ -337,20 +354,20 @@ def cmd_render(args, config) -> int:
 
 def cmd_pipeline(args, config) -> int:
     out = Path(args.out or "artefacts")
-    reference, hypotheses = translate(args.behaviour, out, config)
+    reference, reference_fp, hypotheses = translate(args.behaviour, out, config)
     if not hypotheses.ok:
         return 1
-    partition = classes(reference, out / "partition.json")
-    machine, amap = abstract(reference, out, config)
-    suite = generate(machine, "h", args.m, out / "suite-h.json", config)
+    partition = classes(reference, out / "partition.json", reference_fp)
+    machine, machine_fp, amap = abstract(reference, out, config, reference_fp)
+    suite, suite_fp = generate(machine, "h", args.m, out / "suite-h.json", config, machine_fp)
     if not check_suite(machine, suite).ok:
         return 1
-    concrete = concretize(suite, partition, amap, out / "suite-concrete.json")
+    concrete, concrete_fp = concretize(suite, partition, amap, out / "suite-concrete.json",
+                                       suite_fp)
     render(reference, out / "reference.dot")
     render(machine, out / "fsm.dot")
-    sut_command = args.sut or [sys.executable, "-m", "suptest", "serve-reference",
-                               str(out / "program.gap")]
-    report = run(concrete, sut_command, out / "report.json", config)
+    sut_command = args.sut or reference_command(out / "program.gap")
+    report = run(concrete, sut_command, out / "report.json", config, concrete_fp)
     return 0 if report.complete_pass else 1
 
 

@@ -5,6 +5,8 @@ keys, no whitespace, one trailing newline) from :func:`canonical_dumps`, so
 repeated runs with the same configuration produce byte-identical files.  A
 fingerprint is the blake2b-64 of an object's compact canonical encoding: of
 an artefact's payload, which is its file without the `derivedFrom` key.
+:func:`canonical_artifact` gives both an artefact's file and its payload's
+fingerprint from one encoding.
 FNV-1a (:func:`fnv1a64`) only labels DOT edges.  Every JSON file the toolkit
 reads goes through :func:`read_artifact`, so every refusal of an input names
 its file.
@@ -13,7 +15,6 @@ its file.
 from __future__ import annotations
 
 import json
-from typing import Any
 
 # Reserved output marker used when an incomplete state is closed off with a
 # self-loop; it is not a valuation and encodes as the bare token "nil".
@@ -44,7 +45,7 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
-def canonical_dumps(obj: Any, compact: bool = False) -> str:
+def canonical_dumps(obj: object, compact: bool = False) -> str:
     """Stable JSON with sorted object keys and one trailing newline: with a
     two-space indent, or with `compact` on one line without whitespace (the
     form of artefact files and fingerprints)."""
@@ -96,12 +97,38 @@ def decode_step(text: str) -> dict | str | None:
     return text
 
 
-def fingerprint(obj: Any) -> str:
-    """16 hex digits: blake2b-64 of an object's compact canonical encoding."""
+def _digest(data: bytes) -> str:
     import hashlib  # here, not above: a spawned SUT never fingerprints
 
-    data = canonical_dumps(obj, compact=True).encode("utf-8")
     return hashlib.blake2b(data, digest_size=8).hexdigest()
+
+
+def fingerprint(obj: object) -> str:
+    """16 hex digits: blake2b-64 of an object's compact canonical encoding."""
+    return _digest(canonical_dumps(obj, compact=True).encode("utf-8"))
+
+
+def canonical_artifact(payload: dict, links: dict | None = None) -> tuple[bytes, str]:
+    """An artefact's file, in UTF-8, and its payload's fingerprint, from one
+    encoding of each top-level member of `payload`.
+
+    The file is the compact canonical encoding of `payload` with `links`,
+    if any, as its `derivedFrom`: the same bytes as `canonical_dumps` of
+    that document, and the fingerprint is `fingerprint(payload)`.
+    """
+    def member(key, value) -> bytes:  # `"key":value`, as within its object
+        return _COMPACT_ENCODER.encode({key: value})[1:-1].encode("utf-8")
+
+    def document() -> bytes:
+        return b"{" + b",".join(members[key] for key in sorted(members)) + b"}\n"
+
+    members = {key: member(key, value) for key, value in payload.items()}
+    data = document()
+    digest = _digest(data)
+    if links:
+        members["derivedFrom"] = member("derivedFrom", links)
+        data = document()
+    return data, digest
 
 
 def read_artifact(path, from_obj):

@@ -223,9 +223,13 @@ class MealyMachine:
                 transitions[(s, x)] = (rep_of[t], y)
         return MealyMachine(states, rep_of[self.initial], self.inputs, self.outputs, transitions)
 
-    def is_minimal(self) -> bool:
+    def is_minimal(self, access: dict | None = None) -> bool:
+        """Every state reachable and no two equivalent; `access`, the
+        machine's `access_words()` when the caller holds them, spares the
+        search."""
+        reachable = access if access is not None else self.access_words()
         return (
-            len(self.reachable_states()) == len(self.states)
+            len(reachable) == len(self.states)
             and len(self.state_partition()) == len(self.states)
         )
 

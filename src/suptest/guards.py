@@ -12,7 +12,7 @@ cell products) larger than `ENUM_BOUND` is refused rather than walked.
 Sorts, declarations and guard expressions are `Record` values: immutable,
 compared and hashed by their fields.  `Record` gives what a frozen
 dataclass gives without importing `dataclasses` (and with it `inspect`),
-because every SUT spawned as `serve-reference` loads this module.
+because every reference SUT loads this module.
 
 Grammar::
 
@@ -28,11 +28,11 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Iterator, Union
+from collections.abc import Iterator
 
 ENUM_BOUND = 1_000_000  # largest valuation or cell-product space walked
 
-Value = Union[int, str]
+Value = int | str
 Valuation = dict  # name -> Value, total over a declaration set
 
 
@@ -178,7 +178,7 @@ class IntSort(Record):
         return {"int": [self.lo, self.hi]}
 
 
-Sort = Union[EnumSort, IntSort]
+Sort = EnumSort | IntSort
 
 # Factor variables carry exactly this sort (inactive / active / mitigated).
 PHASE_SORT = EnumSort(("0", "a", "m"))
@@ -274,7 +274,7 @@ class Or(Record):
     right: GuardExpr
 
 
-GuardExpr = Union[BoolConst, Comparison, Not, And, Or]
+GuardExpr = BoolConst | Comparison | Not | And | Or
 
 TRUE = BoolConst(True)
 

@@ -4,11 +4,13 @@ Suites store only maximal input traces; every prefix is implicitly part of
 the suite because the harness checks all intermediate outputs.  The
 generator takes its state cover from `MealyMachine.access_words` and its
 distinguishing suffixes from `MealyMachine.distinguishing_trace`.  The
-completeness checker calls neither search: it keeps its own breadth-first
-state cover and re-verifies the H-conditions with its own walk of the
-suite's trace set, written apart from the generator's walk of its closure,
-so generator and checker share only the Mealy machine primitives and
-cannot mask each other's faults.
+completeness checker takes neither search's result for its cover: the
+access words serve it, as they serve the generator, only to refuse an
+untestable machine.  It keeps its own breadth-first state cover and
+re-verifies the H-conditions with its own walk of the suite's trace set,
+written apart from the generator's walk of its closure, so generator and
+checker share only the Mealy machine primitives and cannot mask each
+other's faults.
 """
 
 from __future__ import annotations
@@ -85,12 +87,15 @@ def suite_stats(ts: TestSuite) -> dict:
 # Construction helpers
 # ---------------------------------------------------------------------------
 
-def _require_testable(m: MealyMachine, m_bound: int) -> None:
+def _require_testable(m: MealyMachine, m_bound: int) -> dict[str, tuple]:
+    """Refuse a machine or bound no suite is derived for; otherwise return
+    the machine's access words, from its one breadth-first search."""
     if not m.complete:
         raise TestGenError("reference machine must be complete")
-    if len(m.reachable_states()) < len(m.states):
+    access = m.access_words()
+    if len(access) < len(m.states):
         raise TestGenError("reference machine has unreachable states")
-    if not m.is_minimal():
+    if not m.is_minimal(access):
         raise TestGenError("reference machine must be minimal")
     n = len(m.states)
     if m_bound < n:
@@ -104,6 +109,7 @@ def _require_testable(m: MealyMachine, m_bound: int) -> None:
         raise TestGenError(f"mBound {m_bound} needs a traversal set of "
                            f"{'over ' if depth < k else ''}{size} traces; "
                            f"the bound is {ENUM_BOUND}")
+    return access
 
 
 def state_cover(m: MealyMachine) -> list[tuple]:
@@ -156,10 +162,9 @@ def h_method(m: MealyMachine, m_bound: int) -> TestSuite:
     depth, then adds distinguishing suffixes for the required trace pairs,
     preferring suffixes already present so the suite stays small.
     """
-    _require_testable(m, m_bound)
+    cover = list(_require_testable(m, m_bound).values())  # a state cover
     n = len(m.states)
     k = m_bound - n + 1
-    cover = state_cover(m)
     cover_set = set(cover)
 
     # traversal set V . inputs^{<=k}, ordered deterministically; the cover is
@@ -244,10 +249,9 @@ def characterization_set(m: MealyMachine) -> list[tuple]:
 
 def w_method(m: MealyMachine, m_bound: int) -> TestSuite:
     """Classical construction: cover . inputs^{<=k} . characterization set."""
-    _require_testable(m, m_bound)
+    cover = list(_require_testable(m, m_bound).values())  # a state cover
     n = len(m.states)
     k = m_bound - n + 1
-    cover = state_cover(m)
     w = characterization_set(m) or [()]
     closure: set[tuple] = set()
     for v in cover:

@@ -3,6 +3,7 @@
 import ast
 import hashlib
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -10,11 +11,12 @@ import sys
 import pytest
 
 from suptest import guards
-from suptest.cli import main
+from suptest.cli import main, write_artifact
 from suptest.encoding import ArtifactError, canonical_dumps, fingerprint, read_artifact
 from suptest.mutation import OUTPUT_FAULT, generate_mutants
-from suptest.supervisor import load_behavior, to_guarded_actions
-from test_harness import behaviour_obj
+from suptest.program import reference_command
+from suptest.supervisor import behavior_from_obj, load_behavior, to_guarded_actions
+from test_harness import MEMO_LINES, behaviour_obj
 from test_supervisor import single_transition_obj
 
 
@@ -288,17 +290,35 @@ class TestRun:
             f"error: {concrete}: case 1 has {inputs} inputs but 0 expected outputs\n")
 
 
-def serve_reference_modules(program) -> set:
-    """The modules loaded when `python -m suptest serve-reference` has
-    answered RESET and exits."""
-    script = (
-        "import atexit, runpy, sys\n"
-        "atexit.register(lambda: print(sorted(sys.modules), file=sys.stderr))\n"
-        f"sys.argv = ['suptest', 'serve-reference', {str(program)!r}]\n"
-        "runpy.run_module('suptest', run_name='__main__', alter_sys=True)\n"
-    )
-    done = subprocess.run([sys.executable, "-c", script], input="RESET\n",
-                          capture_output=True, text=True, timeout=60)
+PRINT_MODULES_AT_EXIT = (
+    "import atexit, sys\n"
+    "atexit.register(lambda: print(sorted(sys.modules), file=sys.stderr))\n"
+)
+
+GENERATOR_MODULES = {"suptest.sfsm", "suptest.fsm", "suptest.testgen", "suptest.mutation",
+                     "suptest.supervisor"}
+CLIENT_MODULES = {"dataclasses", "inspect", "subprocess", "select", "shlex",
+                  "suptest.harness", "hashlib", "_hashlib"}
+
+
+def module_route(program) -> list[str]:
+    """`python -m suptest serve-reference PROGRAM`, the public command."""
+    return [sys.executable, "-m", "suptest", "serve-reference", str(program)]
+
+
+def serve_reference_modules(program, route: str = "module") -> set:
+    """The modules loaded when a reference SUT has answered RESET and
+    exits: started as `python -m suptest serve-reference` (route
+    "module") or with `reference_command` (route "launcher")."""
+    if route == "launcher":
+        command = reference_command(program)
+        command[3] = PRINT_MODULES_AT_EXIT + command[3]
+    else:
+        command = [sys.executable, "-c", PRINT_MODULES_AT_EXIT + (
+            "import runpy\n"
+            f"sys.argv = ['suptest', 'serve-reference', {str(program)!r}]\n"
+            "runpy.run_module('suptest', run_name='__main__', alter_sys=True)\n")]
+    done = subprocess.run(command, input="RESET\n", capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout) == (0, "READY\n")
     return set(ast.literal_eval(done.stderr.strip().splitlines()[-1]))
 
@@ -308,15 +328,11 @@ class TestServeReference:
         loaded = serve_reference_modules(translated / "program.gap")
         assert "suptest.program" in loaded
         assert not {"suptest.cli", "argparse"} & loaded
-        generator = {"suptest.sfsm", "suptest.fsm", "suptest.testgen", "suptest.mutation",
-                     "suptest.supervisor"}
-        assert not generator & loaded
+        assert not GENERATOR_MODULES & loaded
 
     def test_loads_neither_dataclasses_nor_client(self, translated):
         loaded = serve_reference_modules(translated / "program.gap")
-        client = {"dataclasses", "inspect", "subprocess", "select", "shlex",
-                  "suptest.harness", "hashlib", "_hashlib"}
-        assert not client & loaded
+        assert not CLIENT_MODULES & loaded
 
     @pytest.mark.parametrize("content, cause", [
         (None, "No such file or directory"),
@@ -327,13 +343,64 @@ class TestServeReference:
         path = tmp_path / "program.gap"
         if content is not None:
             path.write_text(content)
-        spawned = subprocess.run([sys.executable, "-m", "suptest", "serve-reference", str(path)],
-                                 input="RESET\n", capture_output=True, text=True, timeout=60)
+        spawned = [subprocess.run(command, input="RESET\n", capture_output=True, text=True,
+                                  timeout=60)
+                   for command in (module_route(path), reference_command(path))]
         capsys.readouterr()
-        assert main(["serve-reference", str(path)]) == 2 == spawned.returncode
+        assert main(["serve-reference", str(path)]) == 2
+        assert [done.returncode for done in spawned] == [2, 2]
         err = capsys.readouterr().err
-        assert err == spawned.stderr
+        assert [done.stderr for done in spawned] == [err, err]
         assert err.startswith(f"error: {path}: {cause}") and err.count("\n") == 1
+
+
+class TestReferenceLauncher:
+    """`reference_command`, `pipeline`'s default SUT: the same server as
+    `python -m suptest serve-reference`, started without `site`."""
+
+    def test_serves_without_pythonpath(self, tmp_path, translated):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        done = subprocess.run(reference_command(translated / "program.gap"), input="RESET\n",
+                              capture_output=True, text=True, timeout=60, env=env,
+                              cwd=tmp_path)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "READY\n", "")
+
+    def test_keeps_pythondontwritebytecode(self, tmp_path, behaviour):
+        # a copy of the package without bytecode, run as the pipeline's SUT
+        import suptest
+        package = tmp_path / "src" / "suptest"
+        shutil.copytree(os.path.dirname(suptest.__file__), package,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        env = {**os.environ, "PYTHONPATH": str(package.parent), "PYTHONDONTWRITEBYTECODE": "1"}
+        done = subprocess.run([sys.executable, "-m", "suptest", "pipeline", str(behaviour),
+                               "--out", str(tmp_path / "out")],
+                              capture_output=True, text=True, timeout=120, env=env)
+        assert done.returncode == 0 and "COMPLETE PASS" in done.stdout, done.stderr
+        assert not list(package.rglob("__pycache__"))
+
+    def test_loads_neither_site_nor_typing(self, translated):
+        loaded = serve_reference_modules(translated / "program.gap", route="launcher")
+        assert "suptest.program" in loaded
+        assert not {"site", "typing", "runpy", "pathlib"} & loaded
+        assert not {"suptest.cli", "argparse"} & loaded
+        assert not GENERATOR_MODULES & loaded
+        assert not CLIENT_MODULES & loaded
+
+    def test_replies_match_module_route(self, tmp_path):
+        # without action Fm, x = 1 in risk state a is refused: ERR on a valid input
+        program = to_guarded_actions(behavior_from_obj(behaviour_obj()))
+        program = program.replace(actions=[a for a in program.actions if a.name != "Fm"])
+        path = tmp_path / "incomplete.gap"
+        path.write_text(canonical_dumps(program.to_obj()))
+        lines = "".join(f"{line}\n" for line in MEMO_LINES * 3).encode()
+        module, launcher = [subprocess.run(command, input=lines, capture_output=True, timeout=60)
+                            for command in (module_route(path), reference_command(path))]
+        assert (launcher.returncode, launcher.stdout) == (module.returncode, module.stdout)
+        replies = module.stdout.decode().splitlines()
+        assert module.returncode == 0 and len(replies) == 3 * (len(MEMO_LINES) - 1)
+        for err in ("ERR no action enabled in risk state {'F': 'a'}",
+                    "ERR value 7 not in sort of x", "ERR valuation missing variables: x"):
+            assert any(reply.startswith(err) for reply in replies), err
 
 
 class TestMutate:
@@ -497,6 +564,30 @@ def blake2b64(doc: dict) -> str:
     return hashlib.blake2b(data, digest_size=8).hexdigest()
 
 
+def replace_everywhere(monkeypatch, original, replacement) -> None:
+    """Replace every alias of the function `original` in the loaded suptest
+    modules."""
+    for name, module in list(sys.modules.items()):
+        if name == "suptest" or name.startswith("suptest."):
+            for alias, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, alias, replacement)
+
+
+class TestWriteArtifact:
+    @pytest.mark.parametrize("payload, links", [
+        ({}, None),
+        ({}, {"fsm": "f"}),
+        ({"zz": [1, {"é": None}], "a": "x"}, {"suite": "s"}),
+        ({"e": True, "f": 1.5}, {}),
+    ])
+    def test_file_and_fingerprint_from_one_encoding(self, tmp_path, payload, links):
+        path = tmp_path / "artefact.json"
+        assert write_artifact(path, payload, links) == fingerprint(payload)
+        doc = {**payload, "derivedFrom": links} if links else payload
+        assert path.read_bytes() == canonical_dumps(doc, compact=True).encode()
+
+
 class TestPipeline:
     def test_artefacts_compact_with_checked_chain(self, tmp_path, behaviour):
         out = tmp_path / "pipeline"
@@ -614,16 +705,25 @@ class TestPipeline:
             callers.append(sys._getframe(1).f_code.co_name)
             return original(*args, **kwargs)
 
-        for name, module in list(sys.modules.items()):
-            if name == "suptest" or name.startswith("suptest."):
-                for alias, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, alias, counted)
+        replace_everywhere(monkeypatch, original, counted)
         assert main(["pipeline", str(behaviour), "--out", str(tmp_path / "pipeline")]) == 0
         # translate checks determinism once, then `classes` and `abstract`
         # each compute the partition; DOT export's satisfiability search
         # is an early-exit walk and not counted
         assert len([c for c in callers if c != "satisfiable"]) == 3
+
+    def test_fingerprints_only_the_behaviour(self, tmp_path, behaviour, monkeypatch):
+        # every other link is the fingerprint that `write_artifact` took
+        # from the encoding it wrote
+        fingerprinted = []
+
+        def counted(obj):
+            fingerprinted.append(obj)
+            return fingerprint(obj)
+
+        replace_everywhere(monkeypatch, fingerprint, counted)
+        assert main(["pipeline", str(behaviour), "--out", str(tmp_path / "pipeline")]) == 0
+        assert fingerprinted == [read(behaviour)]
 
     def test_config_env_override(self, tmp_path, behaviour, monkeypatch):
         config = tmp_path / "config.json"

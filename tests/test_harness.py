@@ -36,7 +36,7 @@ from suptest.mutation import (
 from suptest.guards import parse_guard
 from suptest.program import (
     DEFAULT_STEP_TIMEOUT, MEMO_SIZE, GuardedAction, GuardedActionProgram, Interpreter,
-    interpret_step, serve_reference,
+    interpret_step, reference_command, serve_reference,
 )
 from suptest.sfsm import (
     POLICY_ERROR, POLICY_SELFLOOP, abstract_to_fsm, concretize_suite, input_classes,
@@ -266,7 +266,7 @@ class TestSutAdapter:
         from suptest.encoding import canonical_dumps
         path = tmp_path / "program.gap"
         path.write_text(canonical_dumps(program.to_obj()))
-        return [sys.executable, "-m", "suptest", "serve-reference", str(path)]
+        return reference_command(path)
 
     def test_reset_and_step(self, tmp_path, program):
         with SutAdapter(self.sut_command(tmp_path, program)) as sut:
@@ -446,7 +446,7 @@ class TestPipelinedCases:
         for mu in generate_mutants(program):
             path = tmp_path / f"{mu.id}.gap"
             path.write_text(canonical_dumps(mu.target.to_obj()))
-            command = [sys.executable, "-m", "suptest", "serve-reference", str(path)]
+            command = reference_command(path)
             with SutAdapter(command) as sut:
                 online = [(v.status, v.step_index, v.observed_output)
                           for v in verdicts(sut, concrete_suite)]
@@ -477,7 +477,7 @@ class TestPipelinedCases:
         assert sum(len(f"IN {encode_step(v)}\n") for v in case.inputs) > 65_536
         path = tmp_path / "one-state.gap"
         path.write_text(canonical_dumps(one_state.to_obj()))
-        with adapter([sys.executable, "-m", "suptest", "serve-reference", str(path)]) as sut:
+        with adapter(reference_command(path)) as sut:
             results = guarded_verdicts(sut, suite)
         assert [v.status for v in results] == [PASS]
 
@@ -500,7 +500,7 @@ class TestRunSuite:
         from suptest.encoding import canonical_dumps
         path = tmp_path / name
         path.write_text(canonical_dumps(program.to_obj()))
-        return [sys.executable, "-m", "suptest", "serve-reference", str(path)]
+        return reference_command(path)
 
     def test_self_conformance(self, tmp_path, program, concrete_suite):
         with SutAdapter(self.sut_command(tmp_path, program)) as sut:
@@ -592,7 +592,7 @@ class TestAdapterCaches:
     def adapter(self, tmp_path_factory, program):
         path = tmp_path_factory.mktemp("caches") / "program.gap"
         path.write_text(canonical_dumps(program.to_obj()))
-        with SutAdapter([sys.executable, "-m", "suptest", "serve-reference", str(path)]) as sut:
+        with SutAdapter(reference_command(path)) as sut:
             yield sut
 
     @staticmethod

@@ -115,6 +115,30 @@ class TestHMethod:
                 assert prefix_outputs == case.expected[:cut]
 
 
+class TestOneAccessSearch:
+    """A derivation and a check each search the machine's access words
+    once: to refuse an untestable machine, and for the generator's cover."""
+
+    @pytest.mark.parametrize("call", [
+        lambda machine, suite: h_method(machine, 3),
+        lambda machine, suite: w_method(machine, 3),
+        lambda machine, suite: check_h_completeness(machine, 3, suite),
+    ], ids=["h_method", "w_method", "check_h_completeness"])
+    def test_one_search_per_call(self, monkeypatch, call):
+        machine = m0()
+        suite = h_method(machine, 3)
+        calls = []
+        original = MealyMachine.access_words
+
+        def counted(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(MealyMachine, "access_words", counted)
+        call(machine, suite)
+        assert calls == [machine]
+
+
 class TestFaultDomainBound:
     """A traversal set larger than `ENUM_BOUND` is refused by its size, which
     is worked out before any trace is built."""
