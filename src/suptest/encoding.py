@@ -83,15 +83,21 @@ def encode_step(v: dict | str | None) -> str:
     return encode_valuation(v)
 
 
+def is_wire_valuation(v: object) -> bool:
+    """Whether `v` is a valuation the wire can carry: an object whose values
+    are strings, or ints that are not bools."""
+    return isinstance(v, dict) and all(type(x) is str or type(x) is int for x in v.values())
+
+
 def decode_step(text: str) -> dict | str | None:
-    """Inverse of :func:`encode_step`.  A valuation's values must be wire
-    values: strings, or ints that are not bools."""
+    """Inverse of :func:`encode_step`.  A valuation must be a wire valuation
+    (:func:`is_wire_valuation`)."""
     text = text.strip()
     if text == NIL_TEXT:
         return None
     if text.startswith("{"):
         v = decode_valuation(text)
-        if not all(type(x) is str or type(x) is int for x in v.values()):
+        if not is_wire_valuation(v):
             raise ValueError(f"not a valuation of strings and integers: {text!r}")
         return v
     return text

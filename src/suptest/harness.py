@@ -30,7 +30,7 @@ from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .encoding import decode_step, encode_step, encode_valuation
+from .encoding import decode_step, encode_step
 from .program import DEFAULT_STEP_TIMEOUT, MEMO_SIZE, GuardedActionProgram, Interpreter, _serve
 
 # Lines of a SUT's standard error quoted when it fails to start.
@@ -112,9 +112,9 @@ class TestReport:
             if v.status == FAIL:
                 lines.append(
                     f"  case {v.case_index} FAIL at step {v.step_index}: "
-                    f"sent {encode_valuation(v.input_sent)}, "
-                    f"expected {encode_valuation(v.expected_output)}, "
-                    f"observed {encode_valuation(v.observed_output)}"
+                    f"sent {encode_step(v.input_sent)}, "
+                    f"expected {encode_step(v.expected_output)}, "
+                    f"observed {encode_step(v.observed_output)}"
                 )
             elif v.status == ERROR:
                 lines.append(f"  case {v.case_index} ERROR: {v.detail}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .encoding import NIL_TEXT, encode_valuation, fnv1a64
+from .encoding import NIL_TEXT, encode_valuation, fnv1a64, is_wire_valuation
 from .fsm import MealyMachine
 from .guards import (
     GuardExpr,
@@ -243,7 +243,12 @@ class AbstractionMap:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "AbstractionMap":
-        return cls(dict(obj["class_to_valuation"]), dict(obj["label_to_output"]))
+        amap = cls(dict(obj["class_to_valuation"]), dict(obj["label_to_output"]))
+        for label, v in amap.label_to_output.items():
+            if v is not None and not is_wire_valuation(v):
+                raise ValueError(f"output label {label!r} maps to {v!r}, "
+                                 "not a valuation of strings and integers")
+        return amap
 
 
 def abstract_to_fsm(r: Sfsm, policy: str = POLICY_ERROR) -> tuple[MealyMachine, AbstractionMap]:

@@ -3,14 +3,16 @@
 Suites store only maximal input traces; every prefix is implicitly part of
 the suite because the harness checks all intermediate outputs.  The
 generator takes its state cover from `MealyMachine.access_words` and its
-distinguishing suffixes from `MealyMachine.distinguishing_trace`.  The
-completeness checker takes neither search's result for its cover: the
-access words serve it, as they serve the generator, only to refuse an
-untestable machine.  It keeps its own breadth-first state cover and
-re-verifies the H-conditions with its own walk of the suite's trace set,
-written apart from the generator's walk of its closure, so generator and
-checker share only the Mealy machine primitives and cannot mask each
-other's faults.
+distinguishing suffixes from `MealyMachine.distinguishing_trace`.  Generator
+and checker each list the traversal set once, and check condition H3(c) per
+(prefix, trace) pair: a traversal trace against each of its non-empty proper
+prefixes, which covers every pair of prefixes of a traversal trace because
+the set is prefix-closed.  The completeness checker takes its cover from its
+own breadth-first search, in discovery order, and shares only
+`_require_testable`, which refuses an untestable machine, with the
+generator.  It re-verifies the H-conditions with its own walk of the suite's
+trace set, written apart from the generator's walk of its closure, so
+generator and checker cannot mask each other's faults.
 """
 
 from __future__ import annotations
@@ -112,18 +114,6 @@ def _require_testable(m: MealyMachine, m_bound: int) -> dict[str, tuple]:
     return access
 
 
-def state_cover(m: MealyMachine) -> list[tuple]:
-    """One shortest access trace per state, BFS with input-order tie-break.
-
-    Contains the empty trace (for the initial state); ordered by discovery.
-    """
-    access = m.access_words()
-    if len(access) < len(m.states):
-        missing = [s for s in m.states if s not in access]
-        raise TestGenError(f"unreachable states: {', '.join(missing)}")
-    return list(access.values())
-
-
 def _trace_key(m: MealyMachine):
     """Sort key of a trace: its inputs' positions in `m.inputs`."""
     index = {x: i for i, x in enumerate(m.inputs)}.__getitem__
@@ -167,16 +157,13 @@ def h_method(m: MealyMachine, m_bound: int) -> TestSuite:
     k = m_bound - n + 1
     cover_set = set(cover)
 
-    # traversal set V . inputs^{<=k}, ordered deterministically; the cover is
-    # prefix-closed, so the traversal set is too and starts the closure
-    traversal = []
-    for v in cover:
-        for length in range(k + 1):
-            for word in product(m.inputs, repeat=length):
-                traversal.append(v + word)
+    # traversal set V . inputs^{<=k}, each trace once, in length then input
+    # order; the cover is prefix-closed, so the traversal set is too and
+    # starts the closure
+    closure = {v + word for v in cover for length in range(k + 1)
+               for word in product(m.inputs, repeat=length)}
     key = _trace_key(m)
-    traversal.sort(key=lambda t: (len(t), key(t)))
-    closure = set(traversal)
+    traversal = sorted(closure, key=lambda t: (len(t), key(t)))
     # every pair below is of traversal traces, so the state each reaches is
     # one lookup from its parent's, which comes earlier in length order
     reached = {(): m.initial}
@@ -216,11 +203,12 @@ def h_method(m: MealyMachine, m_bound: int) -> TestSuite:
             if beta in cover_set:
                 continue
             ensure_distinguished(alpha, beta)
-    # (c) distinct non-empty prefixes of each traversal trace
-    for omega in traversal:
-        for i in range(1, len(omega) + 1):
-            for j in range(i + 1, len(omega) + 1):
-                ensure_distinguished(omega[:i], omega[:j])
+    # (c) each traversal trace against its non-empty proper prefixes; the
+    # traversal set is prefix-closed, so these are all pairs of distinct
+    # non-empty prefixes of a traversal trace
+    for beta in traversal:
+        for i in range(1, len(beta)):
+            ensure_distinguished(beta[:i], beta)
 
     return _to_suite(m, closure, "h", m_bound)
 
@@ -230,11 +218,10 @@ def h_method(m: MealyMachine, m_bound: int) -> TestSuite:
 # ---------------------------------------------------------------------------
 
 def characterization_set(m: MealyMachine) -> list[tuple]:
-    """Trace set distinguishing every pair of states, greedily accumulated."""
-    if not m.complete:
-        raise TestGenError("characterization_set requires a complete machine")
-    if len(m.state_partition()) != len(m.states):
-        raise TestGenError("characterization_set requires a minimal machine")
+    """Trace set distinguishing every pair of states, greedily accumulated.
+
+    `m` must be complete and minimal, as `w_method` requires before it asks.
+    """
     w: list[tuple] = []
     for i, s in enumerate(m.states):
         for t in m.states[i + 1:]:
@@ -304,7 +291,8 @@ def check_h_completeness(m: MealyMachine, m_bound: int, ts: TestSuite) -> Comple
         for i in range(len(case.inputs) + 1):
             suite_traces.add(tuple(case.inputs[:i]))
 
-    # own breadth-first state cover
+    # own breadth-first state cover, in discovery order: by length, then
+    # input order
     access: dict[str, tuple] = {m.initial: ()}
     frontier = [m.initial]
     while frontier:
@@ -316,23 +304,21 @@ def check_h_completeness(m: MealyMachine, m_bound: int, ts: TestSuite) -> Comple
                     access[t] = access[s] + (x,)
                     nxt.append(t)
         frontier = nxt
-    key = _trace_key(m)
-    cover = sorted(access.values(), key=lambda t: (len(t), key(t)))
+    cover = list(access.values())
 
     for v in cover:
         if v not in suite_traces:
             report.violations.append(f"H1: cover trace {v} missing")
 
-    for v in cover:
-        for word in product(m.inputs, repeat=k):
-            if v + word not in suite_traces:
-                report.violations.append(f"H2: traversal trace {v + word} missing")
-
-    extensions = []
+    # the traversal set V . inputs^{<=k}, each trace once, in first-occurrence
+    # order; H2: each cover trace extended by k inputs is in the suite
+    traversal: dict[tuple, None] = {}
     for v in cover:
         for length in range(k + 1):
             for word in product(m.inputs, repeat=length):
-                extensions.append(v + word)
+                traversal[v + word] = None
+                if length == k and v + word not in suite_traces:
+                    report.violations.append(f"H2: traversal trace {v + word} missing")
 
     state_of: dict[tuple, str] = {(): m.initial}  # trace -> reached state, filled on demand
 
@@ -363,16 +349,16 @@ def check_h_completeness(m: MealyMachine, m_bound: int, ts: TestSuite) -> Comple
             if not distinguished_in_suite(alpha, beta):
                 report.violations.append(f"H3(a): pair ({alpha}, {beta}) not distinguished")
     for alpha in cover:
-        for beta in extensions:
+        for beta in traversal:
             if beta in cover_set:
                 continue
             if not distinguished_in_suite(alpha, beta):
                 report.violations.append(f"H3(b): pair ({alpha}, {beta}) not distinguished")
-    for omega in extensions:
-        for i in range(1, len(omega) + 1):
-            for j in range(i + 1, len(omega) + 1):
-                if not distinguished_in_suite(omega[:i], omega[:j]):
-                    report.violations.append(
-                        f"H3(c): prefixes ({omega[:i]}, {omega[:j]}) of {omega} not distinguished"
-                    )
+    # the traversal set is prefix-closed: a trace against each of its
+    # non-empty proper prefixes covers every pair of prefixes of a trace
+    for beta in traversal:
+        for i in range(1, len(beta)):
+            if not distinguished_in_suite(beta[:i], beta):
+                report.violations.append(
+                    f"H3(c): prefix {beta[:i]} of {beta} not distinguished")
     return report

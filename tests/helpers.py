@@ -19,7 +19,7 @@ from suptest.guards import (
 from suptest.sfsm import DeterminismViolation, Sfsm, SfsmTransition
 from suptest.guards import And, BoolConst, Comparison, Not, Or, Record
 from suptest.program import interpret_step, risk_state_name
-from suptest.testgen import CompletenessReport, _require_testable, _trace_key
+from suptest.testgen import CompletenessReport, _require_testable
 
 
 def m0() -> MealyMachine:
@@ -350,8 +350,7 @@ def scan_check_h_completeness(m: MealyMachine, m_bound: int, ts) -> Completeness
                     access[t] = access[s] + (x,)
                     nxt.append(t)
         frontier = nxt
-    key = _trace_key(m)
-    cover = sorted(access.values(), key=lambda t: (len(t), key(t)))
+    cover = list(access.values())
 
     for v in cover:
         if v not in suite_traces:
@@ -362,11 +361,9 @@ def scan_check_h_completeness(m: MealyMachine, m_bound: int, ts) -> Completeness
             if v + word not in suite_traces:
                 report.violations.append(f"H2: traversal trace {v + word} missing")
 
-    extensions = []
-    for v in cover:
-        for length in range(k + 1):
-            for word in product(m.inputs, repeat=length):
-                extensions.append(v + word)
+    extensions = list(dict.fromkeys(
+        v + word for v in cover for length in range(k + 1)
+        for word in product(m.inputs, repeat=length)))
 
     def distinguished_in_suite(alpha: tuple, beta: tuple) -> bool:
         sa = m.run(alpha)[1]
@@ -394,13 +391,10 @@ def scan_check_h_completeness(m: MealyMachine, m_bound: int, ts) -> Completeness
                 continue
             if not distinguished_in_suite(alpha, beta):
                 report.violations.append(f"H3(b): pair ({alpha}, {beta}) not distinguished")
-    for omega in extensions:
-        for i in range(1, len(omega) + 1):
-            for j in range(i + 1, len(omega) + 1):
-                if not distinguished_in_suite(omega[:i], omega[:j]):
-                    report.violations.append(
-                        f"H3(c): prefixes ({omega[:i]}, {omega[:j]}) of {omega} not distinguished"
-                    )
+    for beta in extensions:
+        for i in range(1, len(beta)):
+            if not distinguished_in_suite(beta[:i], beta):
+                report.violations.append(f"H3(c): prefix {beta[:i]} of {beta} not distinguished")
     return report
 
 

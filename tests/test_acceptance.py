@@ -177,7 +177,7 @@ class TestCriterion3Orthogonality:
         """
         from itertools import product
 
-        cover = testgen.state_cover(m)
+        cover = list(m.access_words().values())
         k = m_bound - len(m.states) + 1
         extensions = [
             v + word

@@ -505,11 +505,23 @@ class TestArtefactRead:
          "concrete must be a bool, got 'yes'"),
     ]
 
+    # (id, edit, cause) of abstraction outputs that are not wire valuations
+    OUTPUTS = [
+        ("output-int", lambda d: d["label_to_output"].update(o0=5),
+         "output label 'o0' maps to 5, not a valuation of strings and integers"),
+        ("output-bool", lambda d: d["label_to_output"].update(o0={"y": True}),
+         "output label 'o0' maps to {'y': True}, not a valuation of strings and integers"),
+    ]
+
     @pytest.mark.parametrize("name, argv, edit, cause", READERS + [
         ("suite-h.json", ["check-suite", "fsm.json", "suite-h.json"], edit, cause)
         for _, edit, cause in SUITE_FIELDS
+    ] + [
+        ("abstraction.json", ["concretize", "suite-h.json", "partition.json", "abstraction.json"],
+         edit, cause) for _, edit, cause in OUTPUTS
     ], ids=[f"{name}-{kind}" for name, *_ in READERS[::2] for kind in ("type", "domain")]
-        + [f"suite-h.json-{field}" for field, *_ in SUITE_FIELDS])
+        + [f"suite-h.json-{field}" for field, *_ in SUITE_FIELDS]
+        + [f"abstraction.json-{field}" for field, *_ in OUTPUTS])
     def test_every_reader_names_the_file(self, abstracted, behaviour, monkeypatch, capsys,
                                          name, argv, edit, cause):
         assert main(["generate", str(abstracted / "fsm.json"),

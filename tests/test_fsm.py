@@ -22,7 +22,6 @@ from suptest.fsm import (
     MealyMachine,
     UndefinedTransition,
 )
-from suptest.testgen import TestGenError, state_cover
 
 
 def duplicated_m0():
@@ -276,8 +275,3 @@ class TestSearchesAgainstEnumeration:
             expected = brute_access_words(m)
             assert list(m.access_words().items()) == expected
             assert m.reachable_states() == [s for s, _ in expected]
-            if len(expected) == len(m.states):
-                assert state_cover(m) == [w for _, w in expected]
-            else:
-                with pytest.raises(TestGenError, match="unreachable states"):
-                    state_cover(m)

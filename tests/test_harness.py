@@ -658,6 +658,17 @@ class TestReportShape:
     def test_empty_report_is_not_a_pass(self):
         assert not TestReport("h", 3).complete_pass
 
+    def test_summary_shows_values_in_wire_form(self):
+        report = TestReport("h", 3, [
+            Verdict(0, FAIL, 1, "c1", "o1", "o2"),
+            Verdict(1, FAIL, 0, {"x": 1, "m": "a"}, None, {"y": "on"}),
+        ])
+        assert report.summary().splitlines()[1:3] == [
+            "  case 0 FAIL at step 1: sent c1, expected o1, observed o2",
+            '  case 1 FAIL at step 0: sent {"m":"a","x":1}, expected nil, '
+            'observed {"y":"on"}',
+        ]
+
     def test_to_obj_omits_duration(self):
         report = TestReport("h", 3, [Verdict(0, PASS)], duration=1.23)
         obj = report.to_obj()

@@ -1,7 +1,9 @@
 """State cover, H-/W-Method suites, orthogonal completeness checking."""
 
+import ast
 import hashlib
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from helpers import m0, random_machine, scan_check_h_completeness
 from suptest import mutation
 from suptest.encoding import canonical_dumps
-from suptest.fsm import MealyMachine
+from suptest.fsm import FsmError, MealyMachine
 from suptest.sfsm import abstract_to_fsm
 from suptest.supervisor import to_test_reference
 from suptest.testgen import (
@@ -20,7 +22,6 @@ from suptest.testgen import (
     characterization_set,
     check_h_completeness,
     h_method,
-    state_cover,
     suite_stats,
     w_method,
 )
@@ -52,13 +53,13 @@ def chain3():
 
 class TestStateCover:
     def test_m0(self):
-        assert state_cover(m0()) == [(), ("a",)]
+        assert list(m0().access_words().values()) == [(), ("a",)]
 
     def test_one_state(self):
-        assert state_cover(one_state()) == [()]
+        assert list(one_state().access_words().values()) == [()]
 
     def test_chain(self):
-        assert state_cover(chain3()) == [(), ("a",), ("a", "a")]
+        assert list(chain3().access_words().values()) == [(), ("a",), ("a", "a")]
 
 
 class TestHMethod:
@@ -198,6 +199,17 @@ class TestCharacterizationSet:
             for t in m.states[i + 1:]:
                 assert any(m.run_from(s, u)[0] != m.run_from(t, u)[0] for u in w)
 
+    def test_refuses_untestable_machine(self):
+        # w_method refuses these before it asks; a direct caller still gets an error
+        twins = MealyMachine(["s", "t"], "s", ["a"], ["0"],
+                             {("s", "a"): ("t", "0"), ("t", "a"): ("s", "0")})
+        with pytest.raises(TestGenError, match="not distinguishable"):
+            characterization_set(twins)
+        partial = MealyMachine(["s", "t"], "s", ["a", "b"], ["0", "1"],
+                               {("s", "a"): ("t", "0"), ("t", "a"): ("s", "1")})
+        with pytest.raises(FsmError, match="complete"):
+            characterization_set(partial)
+
 
 class TestCheckCompleteness:
     def test_accepts_h_suites(self):
@@ -281,25 +293,43 @@ class TestCompletenessSmallScale:
                     assert outcome.status == mutation.KILLED
 
 
+def walk_population():
+    """(machine, bound, suite): the H-suites of random machines, whole and
+    with each one case deleted."""
+    rng = random.Random(6)
+    for _ in range(12):
+        n = rng.randint(2, 6)
+        m = random_machine(rng, n, 2, rng.randint(2, 3))
+        for bound in range(n, n + 3):
+            suite = h_method(m, bound)
+            for drop in [None, *range(len(suite.cases))]:
+                cases = [c for i, c in enumerate(suite.cases) if i != drop]
+                yield m, bound, TestSuite(cases, "h", bound)
+
+
 class TestWalkAgainstScan:
     """The checker decides each trace pair by a joint walk of the suite's
     trace set; the scan over the whole set is kept as its oracle."""
 
     def test_violations_equal_scan_oracle(self):
-        rng = random.Random(6)
         rejected = 0
-        for _ in range(12):
-            n = rng.randint(2, 6)
-            m = random_machine(rng, n, 2, rng.randint(2, 3))
-            for bound in range(n, n + 3):
-                suite = h_method(m, bound)
-                for drop in [None, *range(len(suite.cases))]:
-                    cases = [c for i, c in enumerate(suite.cases) if i != drop]
-                    ts = TestSuite(cases, "h", bound)
-                    violations = check_h_completeness(m, bound, ts).violations
-                    assert violations == scan_check_h_completeness(m, bound, ts).violations
-                    rejected += bool(violations)
+        for m, bound, ts in walk_population():
+            violations = check_h_completeness(m, bound, ts).violations
+            assert violations == scan_check_h_completeness(m, bound, ts).violations
+            rejected += bool(violations)
         assert rejected > 100  # deletions do make the checker find violations
+
+    def test_no_violation_line_repeats(self):
+        # each trace pair is decided once, and an H3(c) line names a trace
+        # and one of its non-empty proper prefixes
+        h3c = re.compile(r"H3\(c\): prefix (\(.*?\)) of (\(.*\)) not distinguished")
+        for m, bound, ts in walk_population():
+            violations = check_h_completeness(m, bound, ts).violations
+            assert len(set(violations)) == len(violations)
+            for line in violations:
+                if line.startswith("H3(c)"):
+                    prefix, trace = map(ast.literal_eval, h3c.fullmatch(line).groups())
+                    assert 0 < len(prefix) < len(trace) and trace[:len(prefix)] == prefix
 
 
 class TestReachedStateMemo:
