@@ -3,9 +3,11 @@
 `serve-reference PROGRAM`, the public command of the reference SUT, goes
 straight to `program.serve_program`, without importing `cli` or
 `argparse`; any other command line, `--help` and a wrong argument count
-among them, goes to `cli.main`.  `pipeline` spawns its default SUT with
-`program.reference_command` instead, which reaches the same function
-without `site` or `runpy`.
+among them, goes to `cli.main`.  `pipeline`'s default SUT reaches the same
+function in a child forked from the toolkit process instead
+(`harness.ForkedSut`), which starts no interpreter; coverage of that child
+is not saved, so measure it with `pipeline --sut "python -m suptest
+serve-reference PROGRAM"`.
 """
 
 import sys

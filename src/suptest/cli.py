@@ -9,11 +9,13 @@ pipeline run is reproducible byte for byte.  This module alone writes and
 checks those links: a suite is checked or mutated only against the FSM it
 names, and artefacts that name different SFSMs or FSMs are not combined.
 
-A spawned SUT does not come through here: `pipeline`'s default SUT is
-`program.reference_command`, a launcher that calls `program.serve_program`
-with neither `site` nor this module loaded, and the public `python -m
-suptest serve-reference PROGRAM` goes from `__main__` straight to the same
-function, which the `serve-reference` subcommand calls too.
+`pipeline`'s default SUT is a child forked from this process that serves
+the `program.gap` it wrote (`harness.ForkedSut`, which calls
+`program.serve_program` on the file); it leaves through `os._exit`, so a
+coverage run records nothing of it: measure the reference SUT's coverage
+through `--sut "python -m suptest serve-reference PROGRAM"`.  That public
+command goes from `__main__` straight to the same function, without this
+module, and the `serve-reference` subcommand calls it too.
 Each stage imports the modules it uses, so this module loads neither the
 generator stack nor the client harness until a command needs them.
 
@@ -38,7 +40,6 @@ from .program import (
     GuardedActionProgram,
     exit_code,
     load_program,  # beside the other load_* functions; perfbench reads cli.load_program
-    reference_command,
     serve_program,
 )
 
@@ -237,10 +238,13 @@ def concretize(suite: testgen.TestSuite, partition, amap, path,
     return concrete, concrete_fp
 
 
-def run(suite: testgen.TestSuite, sut_command: str | list[str], path, config,
-        suite_fp: str | None = None) -> harness.TestReport:
+def run(suite: testgen.TestSuite, sut_command: str | list[str] | None, path, config,
+        suite_fp: str | None = None, program=None) -> harness.TestReport:
+    """Run `suite` against the SUT `sut_command` or, without one, against
+    the reference SUT of the program file `program`, forked from this
+    process (`harness.ForkedSut`)."""
     from . import harness
-    with harness.SutAdapter(sut_command, config["step_timeout"]) as sut:
+    with harness.SutAdapter(sut_command, config["step_timeout"], program=program) as sut:
         report = harness.run_suite(sut, suite)
     if path:
         write_artifact(path, report.to_obj(),
@@ -366,8 +370,8 @@ def cmd_pipeline(args, config) -> int:
                                        suite_fp)
     render(reference, out / "reference.dot")
     render(machine, out / "fsm.dot")
-    sut_command = args.sut or reference_command(out / "program.gap")
-    report = run(concrete, sut_command, out / "report.json", config, concrete_fp)
+    report = run(concrete, args.sut, out / "report.json", config, concrete_fp,
+                 program=out / "program.gap")
     return 0 if report.complete_pass else 1
 
 

@@ -8,8 +8,10 @@ Wire protocol (UTF-8, newline-delimited):
 where <valuation> is the canonical single-line encoding with keys sorted
 ascending (or the bare token ``nil``).  The adapter boundary is a child
 process, so any generated controller can be wrapped regardless of language.
-The SUT side, `serve_reference` and its loop, lives in `program`, so that
-a spawned reference SUT loads none of this module.
+The SUT side, `serve_reference` and its loop, lives in `program`.  A SUT
+given as a command line is exec'd; the reference SUT of a program file is
+forked from this process instead (`ForkedSut`), so that it starts with
+the toolkit already loaded, and reads the program from the file.
 
 A SUT answers every line, in order.  The harness may send RESET and all of
 a case's IN lines before it reads the first reply, so a session costs the
@@ -23,7 +25,9 @@ from __future__ import annotations
 import os
 import select
 import shlex
+import signal
 import subprocess
+import sys
 import tempfile
 import time
 from collections import deque
@@ -31,7 +35,15 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .encoding import decode_step, encode_step
-from .program import DEFAULT_STEP_TIMEOUT, MEMO_SIZE, GuardedActionProgram, Interpreter, _serve
+from .program import (
+    DEFAULT_STEP_TIMEOUT,
+    MEMO_SIZE,
+    GuardedActionProgram,
+    Interpreter,
+    _serve,
+    exit_code,
+    serve_program,
+)
 
 # Lines of a SUT's standard error quoted when it fails to start.
 STDERR_TAIL_LINES = 5
@@ -165,8 +177,101 @@ def _input_key(v):
     return tuple(v.items()), types
 
 
+class ForkedSut:
+    """The reference SUT of the program file `path`, forked from this
+    process, with pipes for its standard input and output and the
+    descriptor `stderr` for its standard error.  The handle holds the part
+    of `subprocess.Popen` the adapter uses: `pid`, `stdin`, `stdout`,
+    `wait`, `terminate` and `kill`.
+
+    The child starts with the toolkit already loaded, so it pays for no
+    interpreter and no import.  It runs `program.serve_program(path)`, as
+    an exec'd `serve-reference` would, and so reads the program from the
+    file: what is tested is the artefact, not an object of this process.
+    """
+
+    def __init__(self, path, stderr: int):
+        self.args = ["serve-reference", str(path)]
+        self.returncode = None
+        child_stdin, stdin = os.pipe()
+        stdout, child_stdout = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (child_stdin, stdin, stdout, child_stdout):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            _serve_forked(path, (child_stdin, child_stdout, stderr))
+        os.close(child_stdin)
+        os.close(child_stdout)
+        self.stdin = open(stdin, "wb")
+        self.stdout = open(stdout, "rb")
+
+    def wait(self, timeout: float | None = None) -> int:
+        """The child's exit code, or minus the signal that ended it, once it
+        has exited and been reaped; TimeoutExpired if it is still running
+        after `timeout` seconds."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        delay = 0.0005
+        while self.returncode is None:
+            pid, status = os.waitpid(self.pid, 0 if deadline is None else os.WNOHANG)
+            if pid:
+                self.returncode = os.waitstatus_to_exitcode(status)
+            elif time.monotonic() >= deadline:
+                raise subprocess.TimeoutExpired(self.args, timeout)
+            else:
+                time.sleep(min(delay, max(0.0, deadline - time.monotonic())))
+                delay = min(2 * delay, 0.05)
+        return self.returncode
+
+    def send_signal(self, sig: int) -> None:
+        if self.returncode is None:  # not reaped, so the pid is still the child's
+            os.kill(self.pid, sig)
+
+    def terminate(self) -> None:
+        self.send_signal(signal.SIGTERM)
+
+    def kill(self) -> None:
+        self.send_signal(signal.SIGKILL)
+
+
+def _serve_forked(path, stdio: tuple[int, int, int]) -> None:
+    """The forked child, from start to exit: serve the program file `path`
+    with the descriptors `stdio` as its standard streams.  Never returns.
+
+    Descriptors 0-2 become `stdio` and every other descriptor is closed, as
+    `Popen(close_fds=True)` leaves them, so that no other SUT's pipe stays
+    open here.  The streams the parent had are kept, neither used nor
+    freed, as freeing one would flush what the parent had buffered in it;
+    the child writes through streams of its own, and leaves through
+    `os._exit`, which runs no exit handler and flushes nothing else.
+    """
+    code = 1
+    inherited = sys.stdin, sys.stdout, sys.stderr  # held until exit, so that none is freed
+    try:
+        for fd, source in enumerate(stdio):
+            os.dup2(source, fd)
+        os.closerange(3, os.sysconf("SC_OPEN_MAX"))
+        sys.stdin = open(0, encoding="utf-8", closefd=False)
+        sys.stdout = open(1, "w", encoding="utf-8", closefd=False)
+        sys.stderr = open(2, "w", encoding="utf-8", errors="backslashreplace", closefd=False)
+        try:
+            code = exit_code(serve_program, path)
+        except BaseException:  # SUPTEST_DEBUG=1 or an interrupt: the traceback, then exit 1
+            sys.excepthook(*sys.exc_info())
+        sys.stdout.flush()
+        sys.stderr.flush()
+    finally:
+        os._exit(code)
+
+
 class SutAdapter:
     """Spawns and talks to one SUT process; restarted after protocol errors.
+
+    The SUT is `command`, a command line exec'd for each session, or, when
+    there is none, the reference SUT of the program file `program`, forked
+    from this process for each session (`ForkedSut`).
 
     `reset(inputs)` announces a case: RESET and the case's IN lines are
     queued together, and each `step` reads the next reply.  While it waits
@@ -191,8 +296,17 @@ class SutAdapter:
     the same line, so no one may change it.
     """
 
-    def __init__(self, command: str | list[str], step_timeout: float = DEFAULT_STEP_TIMEOUT):
-        self.command = shlex.split(command) if isinstance(command, str) else list(command)
+    def __init__(self, command: str | list[str] | None = None,
+                 step_timeout: float = DEFAULT_STEP_TIMEOUT, *, program=None):
+        if command is not None:
+            self.command = shlex.split(command) if isinstance(command, str) else list(command)
+            self.name = shlex.join(self.command)
+        elif program is not None:
+            self.command = None
+            self.name = f"forked to serve {program}"
+        else:
+            raise ValueError("a SUT needs a command line or a program file")
+        self.program = program
         self.step_timeout = step_timeout
         self.process: subprocess.Popen | None = None
         self._stderr = None  # the SUT's standard error, a temporary file
@@ -212,15 +326,18 @@ class SutAdapter:
         self.stop()
         self._stderr = tempfile.TemporaryFile()
         try:
-            self.process = subprocess.Popen(
-                self.command,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                stderr=self._stderr,
-            )
+            if self.command is None:
+                self.process = ForkedSut(self.program, self._stderr.fileno())
+            else:
+                self.process = subprocess.Popen(
+                    self.command,
+                    stdin=subprocess.PIPE,
+                    stdout=subprocess.PIPE,
+                    stderr=self._stderr,
+                )
         except OSError as exc:
             self.stop()  # closes the temporary file
-            raise HarnessError(f"cannot start SUT {shlex.join(self.command)}: {exc}") from exc
+            raise HarnessError(f"cannot start SUT {self.name}: {exc}") from exc
         os.set_blocking(self.process.stdin.fileno(), False)
         self._fresh = True
 
@@ -305,7 +422,7 @@ class SutAdapter:
         lines = self._stderr.read().decode("utf-8", "replace").splitlines()
         tail = [line for line in lines if line.strip()][-STDERR_TAIL_LINES:]
         quoted = "".join("\n  " + line for line in tail) if tail else " (nothing)"
-        return SutStartError(f"SUT {shlex.join(self.command)} did not start: {cause}; "
+        return SutStartError(f"SUT {self.name} did not start: {cause}; "
                              f"its standard error ends with:{quoted}")
 
     def _in_line(self, v) -> bytes:

@@ -12,12 +12,15 @@ its memo by it and the mutation oracle compares it; a dict read from a file
 is frozen to it once, by `_freeze`, and a message prints it as a dict.
 
 A reference SUT runs `serve_program`, once per session, on one of three
-routes that fail alike (`exit_code`): `pipeline`'s default SUT, the command
-of `reference_command`; the public `python -m suptest serve-reference
+routes that fail alike (`exit_code`): `pipeline`'s default SUT, a child
+forked from the toolkit process by `harness.ForkedSut`, which reads the
+program from its file and leaves through `os._exit`, so a coverage run
+saves nothing of it; the public `python -m suptest serve-reference
 PROGRAM`, which `__main__` sends straight here, without `cli` or
-`argparse`; and that subcommand of `cli.main`.  This module imports nothing
-of the toolkit beyond the encoding and the guard language, and through them
-no `dataclasses`, no `pathlib` and none of the client's process machinery
+`argparse`, and through which the SUT's coverage can be measured; and that
+subcommand of `cli.main`.  This module imports nothing of the toolkit
+beyond the encoding and the guard language, and through them no
+`dataclasses`, no `pathlib` and none of the client's process machinery
 (`subprocess`, `select`, `shlex`): only `json` and `re` besides `math`,
 `os` and `sys`.
 """
@@ -311,31 +314,6 @@ def serve_program(path) -> int:
     on standard streams."""
     serve_reference(load_program(path))
     return 0
-
-
-# The directory that holds the `suptest` package, put first on the spawned
-# interpreter's path: `-S` skips `site`, and with it any path `site` adds.
-_PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-def reference_command(path) -> list[str]:
-    """The command line of a reference SUT serving the program in `path`:
-    this interpreter with `-S`, finding this package without `site` or
-    `PYTHONPATH`, and loading no module beyond `serve_program`'s.
-
-    `-S` skips `site`, whose start-up hooks (the `.pth` files of installed
-    packages) can cost more than the SUT's own start, and which the SUT needs
-    no part of: it runs on the standard library and this package alone.  A
-    subprocess hook that `site` installs, such as coverage's `.pth`, does
-    not reach it.  `-I` and `-E` are not used: they would also drop
-    `PYTHONDONTWRITEBYTECODE`.
-    """
-    launcher = (
-        f"import sys; sys.path.insert(0, {_PACKAGE_ROOT!r}); "
-        "from suptest.program import exit_code, serve_program; "
-        "sys.exit(exit_code(serve_program, sys.argv[1]))"
-    )
-    return [sys.executable, "-S", "-c", launcher, str(path)]
 
 
 def exit_code(command, *args) -> int:

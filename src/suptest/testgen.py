@@ -120,24 +120,43 @@ def _trace_key(m: MealyMachine):
     return lambda trace: tuple(map(index, trace))
 
 
-def _maximal_traces(m: MealyMachine, closure: set[tuple]) -> list[tuple]:
-    """The traces of `closure` that are no other's parent, in input order."""
-    parents = {t[:-1] for t in closure if t}
-    return sorted(closure - parents, key=_trace_key(m))
-
-
 def _close_prefixes(closure: set[tuple], trace: tuple) -> None:
     for i in range(len(trace) + 1):
         closure.add(trace[:i])
 
 
 def _to_suite(m: MealyMachine, closure: set[tuple], method: str, m_bound: int) -> TestSuite:
+    """The suite of the traces of `closure` that are no other's parent, in
+    input order, with the outputs `m` gives along each.
+
+    `closure` is prefix-closed, so those traces are the leaves of its prefix
+    tree, and a depth-first walk of the tree that visits each node's
+    children in input order meets them in that order.  The walk carries the
+    state and the outputs down the tree, so it takes each transition of the
+    tree once.
+    """
+    children: dict[tuple, list[tuple]] = {}
+    for t in closure:
+        if t:
+            children.setdefault(t[:-1], []).append(t)
+    index = {x: i for i, x in enumerate(m.inputs)}
+
+    def last_input(t: tuple) -> int:
+        return index[t[-1]]
+
     cases = []
-    for trace in _maximal_traces(m, closure):
-        if not trace:
+    stack = [((), m.initial, ())]  # (trace, the state it reaches, its outputs)
+    while stack:
+        trace, state, outputs = stack.pop()
+        below = children.get(trace)
+        if below is None:
+            if trace:
+                cases.append(TestCase(trace, outputs))
             continue
-        outputs, _ = m.run(trace)
-        cases.append(TestCase(trace, outputs))
+        below.sort(key=last_input, reverse=True)  # the first input on top
+        for t in below:
+            target, y = m.transitions[(state, t[-1])]
+            stack.append((t, target, outputs + (y,)))
     return TestSuite(cases, method, m_bound)
 
 

@@ -6,6 +6,23 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from suptest import supervisor
+from suptest.harness import SutAdapter
+
+from helpers import child_pids
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_sut(request):
+    """Fail a test that leaves a child process, such as a SUT, running or
+    unreaped.  A SUT held by a fixture that outlives the test, whose
+    function-scoped fixtures are torn down by now, is that fixture's to stop."""
+    before = child_pids()
+    yield
+    held = {value.process.pid for value in request.node.funcargs.values()
+            if isinstance(value, SutAdapter) and value.process is not None}
+    leaked = child_pids() - before - held
+    if leaked:
+        pytest.fail(f"test left child processes {sorted(leaked)} running or unreaped")
 
 
 @pytest.fixture

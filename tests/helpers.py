@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import make_dataclass
+from glob import glob
 from itertools import product
 
 from suptest.encoding import decode_valuation, encode_step
@@ -20,6 +21,20 @@ from suptest.sfsm import DeterminismViolation, Sfsm, SfsmTransition
 from suptest.guards import And, BoolConst, Comparison, Not, Or, Record
 from suptest.program import interpret_step, risk_state_name
 from suptest.testgen import CompletenessReport, _require_testable
+
+
+def child_pids() -> set[int]:
+    """The pids of this process's children, running or exited and not yet
+    reaped, read from /proc, so that no child is reaped here; empty where
+    /proc does not list children."""
+    pids = set()
+    for path in glob("/proc/self/task/*/children"):
+        try:
+            with open(path) as f:
+                pids.update(map(int, f.read().split()))
+        except FileNotFoundError:  # the thread has ended
+            pass
+    return pids
 
 
 def m0() -> MealyMachine:

@@ -4,17 +4,21 @@ import ast
 import hashlib
 import json
 import os
+import select
 import shutil
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
 from suptest import guards
-from suptest.cli import main, write_artifact
-from suptest.encoding import ArtifactError, canonical_dumps, fingerprint, read_artifact
+from suptest.cli import load_machine, main, write_artifact
+from suptest.encoding import (
+    ArtifactError, canonical_dumps, encode_step, fingerprint, read_artifact,
+)
 from suptest.mutation import OUTPUT_FAULT, generate_mutants
-from suptest.program import reference_command
+from suptest.harness import ForkedSut, SutAdapter, SutStartError
 from suptest.supervisor import behavior_from_obj, load_behavior, to_guarded_actions
 from test_harness import MEMO_LINES, behaviour_obj
 from test_supervisor import single_transition_obj
@@ -306,18 +310,13 @@ def module_route(program) -> list[str]:
     return [sys.executable, "-m", "suptest", "serve-reference", str(program)]
 
 
-def serve_reference_modules(program, route: str = "module") -> set:
-    """The modules loaded when a reference SUT has answered RESET and
-    exits: started as `python -m suptest serve-reference` (route
-    "module") or with `reference_command` (route "launcher")."""
-    if route == "launcher":
-        command = reference_command(program)
-        command[3] = PRINT_MODULES_AT_EXIT + command[3]
-    else:
-        command = [sys.executable, "-c", PRINT_MODULES_AT_EXIT + (
-            "import runpy\n"
-            f"sys.argv = ['suptest', 'serve-reference', {str(program)!r}]\n"
-            "runpy.run_module('suptest', run_name='__main__', alter_sys=True)\n")]
+def serve_reference_modules(program) -> set:
+    """The modules loaded when a reference SUT started as `python -m
+    suptest serve-reference` has answered RESET and exits."""
+    command = [sys.executable, "-c", PRINT_MODULES_AT_EXIT + (
+        "import runpy\n"
+        f"sys.argv = ['suptest', 'serve-reference', {str(program)!r}]\n"
+        "runpy.run_module('suptest', run_name='__main__', alter_sys=True)\n")]
     done = subprocess.run(command, input="RESET\n", capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout) == (0, "READY\n")
     return set(ast.literal_eval(done.stderr.strip().splitlines()[-1]))
@@ -343,27 +342,43 @@ class TestServeReference:
         path = tmp_path / "program.gap"
         if content is not None:
             path.write_text(content)
-        spawned = [subprocess.run(command, input="RESET\n", capture_output=True, text=True,
-                                  timeout=60)
-                   for command in (module_route(path), reference_command(path))]
+        spawned = subprocess.run(module_route(path), input="RESET\n", capture_output=True,
+                                 text=True, timeout=60)
+        with SutAdapter(program=path) as sut, pytest.raises(SutStartError) as forked:
+            sut.reset()
         capsys.readouterr()
         assert main(["serve-reference", str(path)]) == 2
-        assert [done.returncode for done in spawned] == [2, 2]
+        assert spawned.returncode == 2
         err = capsys.readouterr().err
-        assert [done.stderr for done in spawned] == [err, err]
+        assert spawned.stderr == err
         assert err.startswith(f"error: {path}: {cause}") and err.count("\n") == 1
+        assert str(forked.value).endswith(": SUT exited with code 2; its standard error ends "
+                                          "with:\n  " + err.rstrip("\n"))
+
+
+def forked_route(path, data: bytes, timeout: float = 60) -> tuple[int, bytes]:
+    """The exit code and standard output of the forked reference SUT of
+    `path`, `harness.ForkedSut`, given `data` on its standard input; one
+    that has not closed its output within `timeout` seconds is killed."""
+    with tempfile.TemporaryFile() as stderr:
+        sut = ForkedSut(path, stderr.fileno())
+        with sut.stdin:
+            sut.stdin.write(data)
+        replies = b""
+        with sut.stdout:
+            while select.select([sut.stdout], [], [], timeout)[0]:
+                chunk = os.read(sut.stdout.fileno(), 65536)
+                if not chunk:
+                    return sut.wait(timeout=timeout), replies
+                replies += chunk
+        sut.kill()
+        sut.wait()
+        raise AssertionError(f"the forked SUT did not close its output within {timeout} s")
 
 
 class TestReferenceLauncher:
-    """`reference_command`, `pipeline`'s default SUT: the same server as
-    `python -m suptest serve-reference`, started without `site`."""
-
-    def test_serves_without_pythonpath(self, tmp_path, translated):
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-        done = subprocess.run(reference_command(translated / "program.gap"), input="RESET\n",
-                              capture_output=True, text=True, timeout=60, env=env,
-                              cwd=tmp_path)
-        assert (done.returncode, done.stdout, done.stderr) == (0, "READY\n", "")
+    """`pipeline`'s default SUT, forked from the toolkit process: the same
+    server as `python -m suptest serve-reference`."""
 
     def test_keeps_pythondontwritebytecode(self, tmp_path, behaviour):
         # a copy of the package without bytecode, run as the pipeline's SUT
@@ -378,14 +393,6 @@ class TestReferenceLauncher:
         assert done.returncode == 0 and "COMPLETE PASS" in done.stdout, done.stderr
         assert not list(package.rglob("__pycache__"))
 
-    def test_loads_neither_site_nor_typing(self, translated):
-        loaded = serve_reference_modules(translated / "program.gap", route="launcher")
-        assert "suptest.program" in loaded
-        assert not {"site", "typing", "runpy", "pathlib"} & loaded
-        assert not {"suptest.cli", "argparse"} & loaded
-        assert not GENERATOR_MODULES & loaded
-        assert not CLIENT_MODULES & loaded
-
     def test_replies_match_module_route(self, tmp_path):
         # without action Fm, x = 1 in risk state a is refused: ERR on a valid input
         program = to_guarded_actions(behavior_from_obj(behaviour_obj()))
@@ -393,9 +400,8 @@ class TestReferenceLauncher:
         path = tmp_path / "incomplete.gap"
         path.write_text(canonical_dumps(program.to_obj()))
         lines = "".join(f"{line}\n" for line in MEMO_LINES * 3).encode()
-        module, launcher = [subprocess.run(command, input=lines, capture_output=True, timeout=60)
-                            for command in (module_route(path), reference_command(path))]
-        assert (launcher.returncode, launcher.stdout) == (module.returncode, module.stdout)
+        module = subprocess.run(module_route(path), input=lines, capture_output=True, timeout=60)
+        assert forked_route(path, lines) == (module.returncode, module.stdout)
         replies = module.stdout.decode().splitlines()
         assert module.returncode == 0 and len(replies) == 3 * (len(MEMO_LINES) - 1)
         for err in ("ERR no action enabled in risk state {'F': 'a'}",
@@ -418,6 +424,20 @@ class TestMutate:
         assert csv[0] == "mutant,status,first_failing_case"
         assert len(csv) == 26
 
+    def test_out_holds_counts_and_score(self, abstracted, capsys):
+        fsm = abstracted / "fsm.json"
+        suite = abstracted / "suite-h.json"
+        out = abstracted / "mutation.json"
+        assert main(["generate", str(fsm), "--out", str(suite)]) == 0
+        assert main(["mutate", str(fsm), "--suite", str(suite), "--ops", OUTPUT_FAULT,
+                     "--limit", "5", "--out", str(out)]) == 0
+        doc = read(out)
+        assert doc["counts"] == {"EQUIVALENT": 0, "KILLED": 5, "ESCAPED": 0, "ERROR": 0}
+        assert doc["score"] == 1.0
+        assert [o["status"] for o in doc["outcomes"]] == ["KILLED"] * 5
+        assert doc["derivedFrom"] == {"suite": fingerprint(
+            {k: v for k, v in read(suite).items() if k != "derivedFrom"})}
+
     def test_refuses_foreign_suite(self, abstracted, capsys):
         fsm = abstracted / "fsm.json"
         suite_path = abstracted / "suite-h.json"
@@ -434,6 +454,22 @@ class TestMutate:
                   "--suite", str(abstracted / "suite-h.json"), "--limit", "-1"])
         assert exc.value.code == 2
         assert "argument --limit: must be an int >= 0, got -1" in capsys.readouterr().err
+
+
+class TestServeMachine:
+    def test_answers_symbols_and_refuses_unknown_ones(self, abstracted):
+        fsm = abstracted / "fsm.json"
+        machine = load_machine(fsm)
+        x = machine.inputs[0]
+        outputs, _ = machine.run((x, x))
+        done = subprocess.run([sys.executable, "-m", "suptest", "serve-machine", str(fsm)],
+                              input=f"RESET\nIN {x}\nIN {x}\nIN no-such-symbol\n",
+                              capture_output=True, text=True, timeout=60)
+        replies = done.stdout.splitlines()
+        assert (done.returncode, replies[:3]) == (
+            0, ["READY"] + [f"OUT {encode_step(y)}" for y in outputs])
+        assert len(replies) == 4 and replies[3].startswith("ERR ")
+        assert "no-such-symbol" in replies[3]
 
 
 class TestArtefactRead:

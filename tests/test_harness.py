@@ -36,7 +36,7 @@ from suptest.mutation import (
 from suptest.guards import parse_guard
 from suptest.program import (
     DEFAULT_STEP_TIMEOUT, MEMO_SIZE, GuardedAction, GuardedActionProgram, Interpreter,
-    interpret_step, reference_command, serve_reference,
+    interpret_step, serve_reference,
 )
 from suptest.sfsm import (
     POLICY_ERROR, POLICY_SELFLOOP, abstract_to_fsm, concretize_suite, input_classes,
@@ -46,7 +46,7 @@ from suptest.supervisor import (
 )
 from suptest.testgen import TestCase, TestSuite, h_method
 
-from helpers import m0, plain_verdicts, stepwise_replies
+from helpers import child_pids, m0, plain_verdicts, stepwise_replies
 
 try:
     import fcntl
@@ -261,15 +261,17 @@ class TestServeMachine:
         assert replies[2] == "OUT 1"
 
 
-class TestSutAdapter:
-    def sut_command(self, tmp_path, program):
-        from suptest.encoding import canonical_dumps
-        path = tmp_path / "program.gap"
-        path.write_text(canonical_dumps(program.to_obj()))
-        return reference_command(path)
+def program_file(tmp_path, program, name="program.gap"):
+    """`program` written to the file `name` in `tmp_path`, for a forked
+    reference SUT to serve."""
+    path = tmp_path / name
+    path.write_text(canonical_dumps(program.to_obj()))
+    return path
 
+
+class TestSutAdapter:
     def test_reset_and_step(self, tmp_path, program):
-        with SutAdapter(self.sut_command(tmp_path, program)) as sut:
+        with SutAdapter(program=program_file(tmp_path, program)) as sut:
             sut.reset()
             assert sut.step({"x": 1}) == {"y": 1}
             assert sut.step({"x": 1}) == {"y": 0}
@@ -281,7 +283,7 @@ class TestSutAdapter:
                 sut.reset()
 
     def test_err_reply_raises(self, tmp_path, program):
-        with SutAdapter(self.sut_command(tmp_path, program)) as sut:
+        with SutAdapter(program=program_file(tmp_path, program)) as sut:
             sut.reset()
             with pytest.raises(HarnessError):
                 sut.step("not-a-valuation")
@@ -444,10 +446,7 @@ class TestPipelinedCases:
     def test_program_mutants_match_plain_loop_over_the_wire(
             self, tmp_path, program, concrete_suite):
         for mu in generate_mutants(program):
-            path = tmp_path / f"{mu.id}.gap"
-            path.write_text(canonical_dumps(mu.target.to_obj()))
-            command = reference_command(path)
-            with SutAdapter(command) as sut:
+            with SutAdapter(program=program_file(tmp_path, mu.target, f"{mu.id}.gap")) as sut:
                 online = [(v.status, v.step_index, v.observed_output)
                           for v in verdicts(sut, concrete_suite)]
             assert online == plain_verdicts(mu.target, concrete_suite), mu.id
@@ -475,9 +474,7 @@ class TestPipelinedCases:
         case = TestCase(tuple({x: i % 2} for i in range(steps)), ({y: 1},) * steps)
         suite = TestSuite([case], "h", 1, concrete=True)
         assert sum(len(f"IN {encode_step(v)}\n") for v in case.inputs) > 65_536
-        path = tmp_path / "one-state.gap"
-        path.write_text(canonical_dumps(one_state.to_obj()))
-        with adapter(reference_command(path)) as sut:
+        with adapter(program=program_file(tmp_path, one_state, "one-state.gap")) as sut:
             results = guarded_verdicts(sut, suite)
         assert [v.status for v in results] == [PASS]
 
@@ -496,21 +493,15 @@ class TestPipelinedCases:
 
 
 class TestRunSuite:
-    def sut_command(self, tmp_path, program, name="program.gap"):
-        from suptest.encoding import canonical_dumps
-        path = tmp_path / name
-        path.write_text(canonical_dumps(program.to_obj()))
-        return reference_command(path)
-
     def test_self_conformance(self, tmp_path, program, concrete_suite):
-        with SutAdapter(self.sut_command(tmp_path, program)) as sut:
+        with SutAdapter(program=program_file(tmp_path, program)) as sut:
             report = run_suite(sut, concrete_suite)
         assert report.complete_pass
         assert report.counts[PASS] == len(concrete_suite.cases)
 
     def test_mutant_fails(self, tmp_path, program, concrete_suite):
         mutant = generate_mutants(program, operators=[OUTPUT_FAULT])[0]
-        with SutAdapter(self.sut_command(tmp_path, mutant.target, "mutant.gap")) as sut:
+        with SutAdapter(program=program_file(tmp_path, mutant.target, "mutant.gap")) as sut:
             report = run_suite(sut, concrete_suite)
         assert not report.complete_pass
         failing = [v for v in report.verdicts if v.status == FAIL]
@@ -530,7 +521,7 @@ class TestRunSuite:
     def test_agrees_with_offline_run(self, tmp_path, program, concrete_suite):
         mutant = generate_mutants(program, operators=[OUTPUT_FAULT])[2]
         offline = run_suite_offline(mutant.target, concrete_suite)
-        with SutAdapter(self.sut_command(tmp_path, mutant.target, "mutant.gap")) as sut:
+        with SutAdapter(program=program_file(tmp_path, mutant.target, "mutant.gap")) as sut:
             online = run_suite(sut, concrete_suite)
         assert [v.status for v in offline.verdicts] == \
             [v.status for v in online.verdicts]
@@ -538,10 +529,54 @@ class TestRunSuite:
             [v.step_index for v in online.verdicts]
 
     def test_one_verdict_per_case(self, tmp_path, program, concrete_suite):
-        with SutAdapter(self.sut_command(tmp_path, program)) as sut:
+        with SutAdapter(program=program_file(tmp_path, program)) as sut:
             report = run_suite(sut, concrete_suite)
         assert [v.case_index for v in report.verdicts] == \
             list(range(len(concrete_suite.cases)))
+
+
+class TestForkedSut:
+    """The reference SUT of a program file, forked from the test process."""
+
+    def test_no_sut_holds_another_ones_pipe(self, tmp_path, program):
+        path = program_file(tmp_path, program)
+        with SutAdapter(program=path) as first, SutAdapter(program=path) as second:
+            first.reset()
+            second.reset()
+            first.process.stdin.close()
+            assert first.process.wait(timeout=2) == 0
+            second.reset()
+            assert second.step({"x": 1}) == {"y": 1}
+
+    def test_unflushed_output_of_the_parent_appears_once(self, tmp_path, program, capfd,
+                                                          monkeypatch):
+        stream = open(1, "w", encoding="utf-8", closefd=False)  # buffered, unlike capfd's
+        monkeypatch.setattr(sys, "stdout", stream)
+        try:
+            stream.write("written before the fork\n")
+            with SutAdapter(program=program_file(tmp_path, program)) as sut:
+                sut.reset()
+                assert sut.step({"x": 1}) == {"y": 1}
+        finally:
+            stream.close()
+        assert capfd.readouterr().out == "written before the fork\n"
+
+    def test_every_child_is_reaped(self, tmp_path, program):
+        before = child_pids()
+        with SutAdapter(program=program_file(tmp_path, program)) as sut:
+            pids = [sut.process.pid]
+            for _ in range(3):
+                sut.reset()
+                sut.restart()
+                pids.append(sut.process.pid)
+                assert child_pids() - before == {sut.process.pid}
+            sut.reset()
+        assert len(set(pids)) == len(pids)
+        assert child_pids() - before == set()
+
+    def test_needs_a_command_or_a_program(self):
+        with pytest.raises(ValueError, match="command line or a program file"):
+            SutAdapter()
 
 
 def first_not_passing(results) -> int | None:
@@ -590,9 +625,8 @@ class TestAdapterCaches:
 
     @pytest.fixture(scope="class")
     def adapter(self, tmp_path_factory, program):
-        path = tmp_path_factory.mktemp("caches") / "program.gap"
-        path.write_text(canonical_dumps(program.to_obj()))
-        with SutAdapter(reference_command(path)) as sut:
+        path = program_file(tmp_path_factory.mktemp("caches"), program)
+        with SutAdapter(program=path) as sut:
             yield sut
 
     @staticmethod

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -21,7 +22,6 @@ from suptest.mutation import (
     mutation_report,
     program_equivalent,
 )
-from suptest.program import reference_command
 from suptest.sfsm import abstract_to_fsm
 from suptest.supervisor import behavior_from_obj, to_guarded_actions, to_test_reference
 from suptest.testgen import h_method
@@ -187,7 +187,7 @@ class TestClassify:
         def sut_command(mu):
             path = tmp_path / f"{mu.id}.gap"
             path.write_text(canonical_dumps(mu.target.to_obj()))
-            return reference_command(path)
+            return [sys.executable, "-m", "suptest", "serve-reference", str(path)]
 
         for mu in generate_mutants(program, limit=6, seed=2):
             via_oracle = classify(program, suite, mu)
