@@ -212,7 +212,7 @@ def generate(machine: MealyMachine, method: str, m_bound, path, config,
         m_bound = len(machine.states) + config["m_extra"]
     derive = testgen.h_method if method == "h" else testgen.w_method
     suite = derive(machine, m_bound)
-    suite_fp = write_artifact(path, suite.to_obj(),
+    suite_fp = write_artifact(path, suite.to_artifact(),
                               {"fsm": machine_fp or fingerprint(machine.to_obj())})
     stats = testgen.suite_stats(suite)
     print(f"{method}-suite: {stats['cases']} cases, "
@@ -232,7 +232,7 @@ def concretize(suite: testgen.TestSuite, partition, amap, path,
                suite_fp: str | None = None) -> tuple[testgen.TestSuite, str]:
     from . import sfsm
     concrete = sfsm.concretize_suite(suite, partition, amap)
-    concrete_fp = write_artifact(path, concrete.to_obj(),
+    concrete_fp = write_artifact(path, concrete.to_artifact(),
                                  {"suite": suite_fp or fingerprint(suite.to_obj())})
     print(f"concretized {len(concrete.cases)} cases")
     return concrete, concrete_fp

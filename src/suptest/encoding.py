@@ -28,6 +28,11 @@ _COMPACT_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
                                     ensure_ascii=False)
 
 
+class Encoded(str):
+    """Text in the compact canonical encoding, which `canonical_artifact`
+    puts into a file as it is: a member built from parts encoded once."""
+
+
 class ArtifactError(Exception):
     """An input file refused; the message reads `<path>: <cause>`."""
 
@@ -43,6 +48,12 @@ def fnv1a64(data: bytes) -> int:
         h ^= byte
         h = (h * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
     return h
+
+
+def encode_compact(obj: object) -> str:
+    """The compact canonical encoding of `obj`: sorted keys, no whitespace
+    and no trailing newline."""
+    return _COMPACT_ENCODER.encode(obj)
 
 
 def canonical_dumps(obj: object, compact: bool = False) -> str:
@@ -120,9 +131,12 @@ def canonical_artifact(payload: dict, links: dict | None = None) -> tuple[bytes,
 
     The file is the compact canonical encoding of `payload` with `links`,
     if any, as its `derivedFrom`: the same bytes as `canonical_dumps` of
-    that document, and the fingerprint is `fingerprint(payload)`.
+    that document, and the fingerprint is `fingerprint(payload)`.  A member
+    given as `Encoded` text stands for the value that text encodes.
     """
     def member(key, value) -> bytes:  # `"key":value`, as within its object
+        if isinstance(value, Encoded):
+            return f"{_COMPACT_ENCODER.encode(key)}:{value}".encode("utf-8")
         return _COMPACT_ENCODER.encode({key: value})[1:-1].encode("utf-8")
 
     def document() -> bytes:

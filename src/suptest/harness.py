@@ -13,11 +13,16 @@ given as a command line is exec'd; the reference SUT of a program file is
 forked from this process instead (`ForkedSut`), so that it starts with
 the toolkit already loaded, and reads the program from the file.
 
-A SUT answers every line, in order.  The harness may send RESET and all of
-a case's IN lines before it reads the first reply, so a session costs the
-SUT's own work rather than one round trip per step; it writes them without
-blocking while it reads, so a case may be longer than a pipe holds.  The
-replies that follow a case's first mismatch are read and discarded.
+A SUT answers every line, in order.  The harness sends RESET and all of a
+case's IN lines before it reads the first reply, and the lines of the cases
+that follow while they fit in `WINDOW` bytes (64 KiB, about what one pipe
+holds) past the current case, so a SUT may receive later cases' lines
+before it has answered the current one, and a session costs the SUT's own
+work rather than one round trip per step or per case.  It writes them
+without blocking while it reads, so a case may be longer than a pipe holds.
+The replies that follow a case's first mismatch are read and discarded; a
+SUT restarted after it exited, answered ERR or timed out is sent again the
+cases that were in flight past the current one.
 """
 
 from __future__ import annotations
@@ -145,6 +150,9 @@ class MachineSut:
         self.machine = machine
         self.state = machine.initial
 
+    def plan(self, cases) -> None:
+        """Nothing goes out ahead in-process."""
+
     def reset(self, inputs=()) -> None:
         self.state = self.machine.initial
 
@@ -266,6 +274,12 @@ def _serve_forked(path, stdio: tuple[int, int, int]) -> None:
         os._exit(code)
 
 
+# Bytes of lines the adapter sends past the case being run, about what one
+# pipe holds: a case goes out ahead while the lines past the current case fit,
+# so a SUT that fails a case early is sent at most this much more.
+WINDOW = 64 * 1024
+
+
 class SutAdapter:
     """Spawns and talks to one SUT process; restarted after protocol errors.
 
@@ -274,14 +288,20 @@ class SutAdapter:
     from this process for each session (`ForkedSut`).
 
     `reset(inputs)` announces a case: RESET and the case's IN lines are
-    queued together, and each `step` reads the next reply.  While it waits
-    for a reply, the adapter writes as much of the queue as the SUT's
-    input pipe takes, without blocking, so a case longer than a pipe holds
-    goes out as the SUT reads it, and `step_timeout` bounds the write as
-    well as the wait.  Replies a case leaves unread, because it stopped at
-    a mismatch, are read and discarded at the next `reset`; a SUT that
-    exits, answers ERR or times out meanwhile is restarted, which changes
-    no verdict.  A `step` with no announced input is sent on its own.
+    queued together, and each `step` reads the next reply.  `plan(cases)`
+    announces the cases whose inputs the next `reset`s will announce, in
+    order, and each goes out before its `reset` as long as the lines queued
+    past the current case fit in `WINDOW` bytes: the SUT may receive later
+    cases' lines before it has answered the current one.  While it waits
+    for a reply, the adapter writes as much of the queue as the SUT's input
+    pipe takes, without blocking, so a case longer than a pipe holds goes
+    out as the SUT reads it, and `step_timeout` bounds the write as well as
+    the wait.  Replies a case leaves unread, because it stopped at a
+    mismatch, are read and discarded at the next `reset`; a SUT that exits,
+    answers ERR or times out meanwhile is restarted, which changes no
+    verdict.  A restarted SUT is sent again every case that was in flight
+    past the current one.  A `step` with no announced input is sent on its
+    own, when no case is queued past the current one.
 
     A freshly started SUT that exits, stays silent, or answers its first
     RESET with anything but READY raises SutStartError naming the command,
@@ -290,10 +310,12 @@ class SutAdapter:
 
     A suite repeats few distinct inputs and replies, so the adapter encodes
     each distinct input, and decodes each distinct OUT line, once, and
-    remembers the first `MEMO_SIZE` of each.  An input is known by its
-    values and their types, as `True` and `1` are equal but go out as
-    different lines.  A decoded reply is handed to every step that reads
-    the same line, so no one may change it.
+    remembers the first `MEMO_SIZE` of each.  An input of the plan is known
+    first by identity, the memo holding it so that its id is not reused,
+    and so the planned cases must not change while they run; any input is
+    known by its values and their types, as `True` and `1` are equal but go
+    out as different lines.  A decoded reply is handed to every step that
+    reads the same line, so no one may change it.
     """
 
     def __init__(self, command: str | list[str] | None = None,
@@ -312,7 +334,14 @@ class SutAdapter:
         self._stderr = None  # the SUT's standard error, a temporary file
         self._fresh = False  # started, and not yet answered READY
         self._in_lines: dict = {}  # input key -> its IN line, encoded
+        self._in_ids: dict[int, bytes] = {}  # id of an input of the plan -> its IN line
+        self._held: list = []  # the inputs whose ids `_in_ids` holds, so that none is reused
         self._outputs: dict[str, dict | str | None] = {}  # OUT payload -> its value
+        self._plan: list = []  # the cases `plan` announced
+        self._planned = 0  # index in the plan of the first case not yet queued
+        self._next: tuple | None = None  # (inputs, lines) of that case, once encoded
+        self._ahead: deque[tuple] = deque()  # (inputs, lines) queued past the current case
+        self._ahead_bytes = 0
         self._clear()
 
     def _clear(self) -> None:
@@ -323,6 +352,8 @@ class SutAdapter:
         self._partial = b""  # the start of a reply whose newline is still to come
 
     def start(self) -> None:
+        """A fresh SUT in place of the running one, if any, sent every case
+        queued past the current one."""
         self.stop()
         self._stderr = tempfile.TemporaryFile()
         try:
@@ -340,6 +371,8 @@ class SutAdapter:
             raise HarnessError(f"cannot start SUT {self.name}: {exc}") from exc
         os.set_blocking(self.process.stdin.fileno(), False)
         self._fresh = True
+        for inputs, lines in self._ahead:
+            self._queue(lines, 1 + len(inputs))
 
     def stop(self) -> None:
         if self.process is not None:
@@ -363,9 +396,17 @@ class SutAdapter:
     def restart(self) -> None:
         self.start()
 
+    def _queue(self, lines: bytes, count: int) -> None:
+        """Queue `lines`, `count` of them, to be written."""
+        self._outbox += lines
+        self._owed += count
+
     def _receive(self) -> str:
         """The next reply, waiting at most `step_timeout` for it and writing
         the queued lines meanwhile."""
+        if self._replies:
+            self._owed -= 1
+            return self._replies.popleft()
         if self.process is None:
             raise HarnessError("SUT process not running")
         sut_in, sut_out = self.process.stdin.fileno(), self.process.stdout.fileno()
@@ -376,8 +417,8 @@ class SutAdapter:
                     del self._outbox[:os.write(sut_in, self._outbox)]
                 except BlockingIOError:
                     pass  # the pipe is full
-                except OSError:
-                    raise self._gone() from None
+                except OSError:  # its input is closed; what it wrote still counts
+                    self._outbox.clear()
             readable, writable, _ = select.select(
                 [sut_out], [sut_in] if self._outbox else [], [],
                 max(0.0, deadline - time.monotonic()))
@@ -389,17 +430,20 @@ class SutAdapter:
             if not data and not self._partial:
                 raise self._gone()
             # at the end of output, a last reply without its newline still counts
-            *lines, self._partial = (self._partial + (data or b"\n")).split(b"\n")
-            self._replies.extend(line.decode("utf-8", "replace").rstrip("\r") for line in lines)
+            complete, newline, self._partial = (self._partial + (data or b"\n")).rpartition(b"\n")
+            if newline:
+                text = complete.decode("utf-8", "replace")
+                lines = text.split("\n")
+                self._replies.extend([line.rstrip("\r") for line in lines] if "\r" in text
+                                     else lines)
         self._owed -= 1
         return self._replies.popleft()
 
-    def _drain(self) -> bool:
-        """Send the rest of the queue, and read and discard every reply still
-        owed; False if the SUT exited, answered ERR or timed out meanwhile."""
-        self._announced.clear()
+    def _discard(self, count: int) -> bool:
+        """Read and drop the next `count` replies; False if the SUT exited,
+        answered ERR or timed out meanwhile."""
         try:
-            while self._owed:
+            for _ in range(count):
                 if self._receive().startswith("ERR "):
                     return False
         except HarnessError:
@@ -426,24 +470,81 @@ class SutAdapter:
                              f"its standard error ends with:{quoted}")
 
     def _in_line(self, v) -> bytes:
-        """The line `IN <v>`, encoded; remembered unless `v` has no key."""
+        """The line `IN <v>`, encoded; remembered by identity while a plan
+        holds, and by value unless `v` has no key."""
+        known = self._in_ids.get(id(v))
+        if known is not None:
+            return known
         key = _input_key(v)
-        if key is None:
-            return f"IN {encode_step(v)}\n".encode()
-        line = self._in_lines.get(key)
+        line = None if key is None else self._in_lines.get(key)
         if line is None:
             line = f"IN {encode_step(v)}\n".encode()
-            if len(self._in_lines) < MEMO_SIZE:
+            if key is not None and len(self._in_lines) < MEMO_SIZE:
                 self._in_lines[key] = line
+        if self._plan and len(self._in_ids) < MEMO_SIZE:
+            self._in_ids[id(v)] = line
+            self._held.append(v)
         return line
+
+    def _case(self, inputs) -> tuple:
+        """(inputs, lines): the case's RESET and IN lines, encoded."""
+        try:
+            lines = b"".join(map(self._in_ids.__getitem__, map(id, inputs)))
+        except KeyError:  # an input not yet met in this plan
+            lines = b"".join(map(self._in_line, inputs))
+        return inputs, b"RESET\n" + lines
+
+    def plan(self, cases) -> None:
+        """Announce `cases`, each with its `inputs`: the next `reset`s will
+        announce their inputs, in this order.  The cases queued past the
+        current one for an earlier plan are discarded at the next `reset`."""
+        self._plan, self._planned, self._next = cases, 0, None
+        self._ahead.clear()
+        self._ahead_bytes = 0
+        self._in_ids.clear()
+        self._held.clear()
+
+    def _upcoming(self) -> tuple | None:
+        """(inputs, lines) of the first planned case not yet queued, if any."""
+        if self._next is None and self._planned < len(self._plan):
+            self._next = self._case(self._plan[self._planned].inputs)
+        return self._next
+
+    def _fill(self) -> None:
+        """Queue planned cases past the current one while their lines fit in
+        `WINDOW` bytes."""
+        while (case := self._upcoming()) is not None \
+                and self._ahead_bytes + len(case[1]) <= WINDOW:
+            self._ahead.append(case)
+            self._ahead_bytes += len(case[1])
+            self._queue(case[1], 1 + len(case[0]))
+            self._planned, self._next = self._planned + 1, None
 
     def reset(self, inputs=()) -> None:
         """RESET, with the inputs of the case that follows sent ahead."""
-        if not self._drain():
+        queued = bool(self._ahead) and self._ahead[0][0] is inputs
+        if queued:  # the case went out ahead: drop what the current one left unread
+            owed = len(self._announced)
+        else:  # a case out of the plan's order: drop every reply owed
+            owed = self._owed
+            self._ahead.clear()
+            self._ahead_bytes = 0
+            case = self._upcoming()
+            if case is not None and case[0] is inputs:
+                self._planned, self._next = self._planned + 1, None
+            else:
+                self.plan([])
+                case = self._case(inputs)
+        self._announced.clear()
+        if not self._discard(owed):
             self.restart()
-        self._outbox += b"RESET\n" + b"".join(map(self._in_line, inputs))
-        self._owed += 1 + len(inputs)
+        if queued:
+            _, lines = self._ahead.popleft()
+            self._ahead_bytes -= len(lines)
+        else:
+            self._queue(case[1], 1 + len(inputs))
         self._announced.extend(inputs)
+        self._fill()
         try:
             reply = self._receive()
             if reply != "READY":
@@ -455,11 +556,14 @@ class SutAdapter:
         self._fresh = False
 
     def step(self, v) -> dict | str | None:
-        if not self._announced:
-            self._outbox += self._in_line(v)
-            self._owed += 1
-        elif self._announced.popleft() != v:
-            raise HarnessError(f"input {encode_step(v)} is not the one announced at RESET")
+        if self._announced:
+            announced = self._announced.popleft()
+            if announced is not v and announced != v:
+                raise HarnessError(f"input {encode_step(v)} is not the one announced at RESET")
+        elif self._ahead:
+            raise HarnessError(f"input {encode_step(v)} was not announced at RESET")
+        else:
+            self._queue(self._in_line(v), 1)
         reply = self._receive()
         if reply.startswith("OUT "):
             payload = reply[4:]
@@ -491,12 +595,14 @@ class SutAdapter:
 def verdicts(sut, ts) -> Iterator[Verdict]:
     """Run a suite case by case, yielding each case's verdict as it is consumed.
 
-    `sut` is any object with reset(inputs), step(input) and restart().  Each
+    `sut` is any object with plan(cases), reset(inputs), step(input) and
+    restart().  The run announces the suite's cases to it first; then each
     case resets it, announcing the case's inputs, and checks every
     intermediate output; a case stops at its first mismatch.  An exception
     from the SUT yields ERROR with its text, then a restart; a SUT that
     cannot start (SutStartError) ends the run instead.
     """
+    sut.plan(ts.cases)
     for index, case in enumerate(ts.cases):
         try:
             sut.reset(case.inputs)

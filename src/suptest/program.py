@@ -179,6 +179,9 @@ class Interpreter:
         self.program = program
         self.risk_state: RiskState = program.initial
 
+    def plan(self, cases) -> None:
+        """Nothing goes out ahead in-process."""
+
     def reset(self, inputs=()) -> None:
         """Back to the initial risk state; the case's `inputs` are not needed."""
         self.risk_state = self.program.initial
@@ -218,25 +221,40 @@ def interpret_step(
 
 def _serve(reset, answer, stdin, stdout) -> None:
     """Protocol loop until EOF: RESET calls `reset`, and `answer` maps an IN
-    payload to its reply line."""
-    stdin = stdin if stdin is not None else sys.stdin
-    stdout = stdout if stdout is not None else sys.stdout
+    payload to its reply line.
 
-    def reply(line: str) -> None:
-        stdout.write(line + "\n")
-        stdout.flush()
-
-    for line in stdin:
-        line = line.strip()
-        if not line:
-            continue
-        if line == "RESET":
-            reset()
-            reply("READY")
-        elif line.startswith("IN "):
-            reply(answer(line[3:]))
-        else:
-            reply(f"ERR unknown command {line!r}")
+    `stdin` and `stdout` are binary streams, by default the buffers of the
+    standard streams.  Each pass answers every complete line that one
+    `read1` returned and writes those replies with one write and a flush
+    before it reads again, so a client that sends one line and waits gets
+    its reply, and a client that sends many gets theirs in few writes.
+    Lines are read as UTF-8, where bytes that are not UTF-8 read as U+FFFD;
+    a carriage return ends a line as a newline does, and so does the end
+    of input.
+    """
+    stdin = stdin if stdin is not None else sys.stdin.buffer
+    stdout = stdout if stdout is not None else sys.stdout.buffer
+    rest = b""  # the start of a line whose end is still to come
+    while True:
+        data = stdin.read1(65536)
+        lines, _, rest = (rest + (data or b"\n")).replace(b"\r", b"\n").rpartition(b"\n")
+        replies = []
+        for line in lines.decode("utf-8", "replace").split("\n"):
+            line = line.strip()
+            if not line:
+                continue
+            if line == "RESET":
+                reset()
+                replies.append("READY\n")
+            elif line.startswith("IN "):
+                replies.append(answer(line[3:]) + "\n")
+            else:
+                replies.append(f"ERR unknown command {line!r}\n")
+        if replies:
+            stdout.write("".join(replies).encode("utf-8", "backslashreplace"))
+            stdout.flush()
+        if not data:
+            return
 
 
 def _read_input(program: GuardedActionProgram, text: str) -> tuple[Valuation | None, str | None]:

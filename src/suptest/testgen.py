@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
+from .encoding import Encoded, encode_compact
 from .fsm import MealyMachine
 from .guards import ENUM_BOUND
 
@@ -46,15 +47,39 @@ class TestSuite:
     concrete: bool = False
 
     def to_obj(self) -> dict:
-        return {
-            "method": self.method,
-            "mBound": self.m_bound,
-            "concrete": self.concrete,
-            "cases": [
-                {"inputs": list(c.inputs), "expectedOutputs": list(c.expected)}
-                for c in self.cases
-            ],
-        }
+        return self._document([
+            {"inputs": list(c.inputs), "expectedOutputs": list(c.expected)}
+            for c in self.cases
+        ])
+
+    def to_artifact(self) -> dict:
+        """`to_obj()` for `encoding.canonical_artifact`, with the cases as
+        one `Encoded` text: a suite repeats few inputs and outputs over many
+        steps, so each distinct object among them is encoded once.  The
+        cases hold every such object while this runs, so no id is reused."""
+        texts: dict[int, str] = {}  # id of an input or output -> its encoding
+        get = texts.__getitem__
+
+        def text(v) -> str:
+            known = texts.get(id(v))
+            if known is None:
+                known = texts[id(v)] = encode_compact(v)
+            return known
+
+        def listed(values) -> str:
+            try:
+                return ",".join(map(get, map(id, values)))
+            except KeyError:  # an object met for the first time
+                return ",".join(map(text, values))
+
+        # a case's keys in sorted order, as the canonical encoding puts them
+        cases = ",".join(['{"expectedOutputs":[%s],"inputs":[%s]}'
+                          % (listed(c.expected), listed(c.inputs)) for c in self.cases])
+        return self._document(Encoded(f"[{cases}]"))
+
+    def _document(self, cases) -> dict:
+        return {"method": self.method, "mBound": self.m_bound,
+                "concrete": self.concrete, "cases": cases}
 
     @classmethod
     def from_obj(cls, obj: dict) -> "TestSuite":

@@ -2,13 +2,16 @@
 
 import ast
 import hashlib
+import io
 import json
 import os
+import re
 import select
 import shutil
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 
@@ -18,8 +21,10 @@ from suptest.encoding import (
     ArtifactError, canonical_dumps, encode_step, fingerprint, read_artifact,
 )
 from suptest.mutation import OUTPUT_FAULT, generate_mutants
-from suptest.harness import ForkedSut, SutAdapter, SutStartError
+from suptest.harness import ForkedSut, SutAdapter, SutStartError, serve_machine
+from suptest.program import serve_reference
 from suptest.supervisor import behavior_from_obj, load_behavior, to_guarded_actions
+from helpers import stepwise_replies
 from test_harness import MEMO_LINES, behaviour_obj
 from test_supervisor import single_transition_obj
 
@@ -407,6 +412,98 @@ class TestReferenceLauncher:
         for err in ("ERR no action enabled in risk state {'F': 'a'}",
                     "ERR value 7 not in sort of x", "ERR valuation missing variables: x"):
             assert any(reply.startswith(err) for reply in replies), err
+
+
+def subcommand_route(program) -> list[str]:
+    """The `serve-reference` subcommand of `cli.main`."""
+    return [sys.executable, "-m", "suptest.cli", "serve-reference", str(program)]
+
+
+def read_reply(stream, timeout: float) -> bytes:
+    """The next line on `stream`, failing unless it is complete within
+    `timeout` seconds."""
+    data, deadline = b"", time.monotonic() + timeout
+    while not data.endswith(b"\n"):
+        ready = select.select([stream], [], [], max(0.0, deadline - time.monotonic()))[0]
+        assert ready, f"no reply within {timeout} s, only {data!r}"
+        chunk = os.read(stream.fileno(), 4096)
+        assert chunk, f"output ended after {data!r}"
+        data += chunk
+    return data
+
+
+# Blank lines, a carriage return, an unknown command, bytes that are not
+# UTF-8, in a payload and on a line of their own, and a last line without
+# its newline
+SERVE_SCRIPT = (b'RESET\n\n  \nIN {"x":1}\r\nPING\nIN {"x":\xff}\n\xfe\xfd\n'
+                b'RESET\nIN {"x":1}\nIN {"x":1}')
+
+
+class TestServeLoop:
+    """`program._serve`, the one serve loop: the same replies on every
+    route of the reference SUT and under `serve_machine`, and none held
+    back while it waits for more input."""
+
+    @pytest.fixture()
+    def program(self, tmp_path):
+        program = to_guarded_actions(behavior_from_obj(behaviour_obj()))
+        path = tmp_path / "program.gap"
+        path.write_text(canonical_dumps(program.to_obj()))
+        return program, path
+
+    def test_script_gives_the_same_replies_on_every_route(self, program):
+        program, path = program
+        lines = re.split("[\r\n]", SERVE_SCRIPT.decode("utf-8", "replace"))
+        expected = "".join(f"{reply}\n" for reply in stepwise_replies(program, lines)).encode()
+        out = io.BytesIO()
+        serve_reference(program, io.BytesIO(SERVE_SCRIPT), out)
+        assert out.getvalue() == expected
+        assert forked_route(path, SERVE_SCRIPT) == (0, expected)
+        for route in (module_route, subcommand_route):
+            done = subprocess.run(route(path), input=SERVE_SCRIPT, capture_output=True,
+                                  timeout=60)
+            assert (done.returncode, done.stdout) == (0, expected), route.__name__
+        replies = expected.decode().splitlines()
+        assert replies[:3] == ["READY", 'OUT {"y":1}', "ERR unknown command 'PING'"]
+        assert replies[4:] == ["ERR unknown command '\ufffd\ufffd'", "READY",
+                               'OUT {"y":1}', 'OUT {"y":0}']
+
+    def test_machine_script_replies_alike_in_and_out_of_process(self, abstracted):
+        fsm = abstracted / "fsm.json"
+        machine = load_machine(fsm)
+        x = machine.inputs[0]
+        script = f"RESET\n\nIN {x}\r\nPING\nIN \xff\n".encode("latin-1") + f"IN {x}".encode()
+        out = io.BytesIO()
+        serve_machine(machine, io.BytesIO(script), out)
+        done = subprocess.run([sys.executable, "-m", "suptest", "serve-machine", str(fsm)],
+                              input=script, capture_output=True, timeout=60)
+        assert (done.returncode, done.stdout) == (0, out.getvalue())
+        outputs, _ = machine.run((x, x))
+        assert out.getvalue().decode().splitlines() == [
+            "READY", f"OUT {encode_step(outputs[0])}", "ERR unknown command 'PING'",
+            "ERR no transition on '\ufffd'", f"OUT {encode_step(outputs[1])}"]
+
+    @pytest.mark.parametrize("route", ["forked", "module", "subcommand"])
+    def test_lockstep_client_gets_every_reply(self, program, route):
+        program, path = program
+        lines = ["RESET", 'IN {"x":1}', 'IN {"x":1}', "PING", "RESET", 'IN {"x":0}']
+        with tempfile.TemporaryFile() as stderr:
+            if route == "forked":
+                sut = ForkedSut(path, stderr.fileno())
+            else:
+                command = module_route(path) if route == "module" else subcommand_route(path)
+                sut = subprocess.Popen(command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                       stderr=stderr)
+            try:
+                for line, reply in zip(lines, stepwise_replies(program, lines)):
+                    sut.stdin.write(f"{line}\n".encode())
+                    sut.stdin.flush()
+                    assert read_reply(sut.stdout, timeout=30) == f"{reply}\n".encode(), line
+            finally:
+                sut.stdin.close()
+                code = sut.wait(timeout=30)
+                sut.stdout.close()
+        assert code == 0
 
 
 class TestMutate:

@@ -1,6 +1,7 @@
 """Wire protocol, SUT adapter, suite execution, offline cross-check."""
 
 import io
+import os
 import shlex
 import sys
 import threading
@@ -19,6 +20,7 @@ from suptest.harness import (
     ERROR,
     FAIL,
     PASS,
+    WINDOW,
     HarnessError,
     MachineSut,
     SutAdapter,
@@ -36,7 +38,7 @@ from suptest.mutation import (
 from suptest.guards import parse_guard
 from suptest.program import (
     DEFAULT_STEP_TIMEOUT, MEMO_SIZE, GuardedAction, GuardedActionProgram, Interpreter,
-    interpret_step, serve_reference,
+    interpret_step, load_program, serve_program, serve_reference,
 )
 from suptest.sfsm import (
     POLICY_ERROR, POLICY_SELFLOOP, abstract_to_fsm, concretize_suite, input_classes,
@@ -95,9 +97,9 @@ def concrete_suite(program):
 
 
 def serve_lines(program, lines):
-    out = io.StringIO()
-    serve_reference(program, stdin=io.StringIO("\n".join(lines) + "\n"), stdout=out)
-    return out.getvalue().splitlines()
+    out = io.BytesIO()
+    serve_reference(program, stdin=io.BytesIO(("\n".join(lines) + "\n").encode()), stdout=out)
+    return out.getvalue().decode().splitlines()
 
 
 class TestProtocol:
@@ -143,9 +145,9 @@ class TestProtocol:
         assert replies[2:] == ['OUT {"y":1}', 'OUT {"y":0}']
 
     def test_blank_lines_ignored(self, program):
-        out = io.StringIO()
-        serve_reference(program, stdin=io.StringIO("\n\nRESET\n"), stdout=out)
-        assert out.getvalue().splitlines() == ["READY"]
+        out = io.BytesIO()
+        serve_reference(program, stdin=io.BytesIO(b"\n\nRESET\n"), stdout=out)
+        assert out.getvalue().splitlines() == [b"READY"]
 
 
 def two_factor_program(program):
@@ -249,16 +251,16 @@ class TestServeReferenceMemo:
 
 class TestServeMachine:
     def test_bare_symbol_protocol(self, m0):
-        out = io.StringIO()
-        serve_machine(m0, stdin=io.StringIO("RESET\nIN a\nIN a\n"), stdout=out)
-        assert out.getvalue().splitlines() == ["READY", "OUT 1", "OUT 0"]
+        out = io.BytesIO()
+        serve_machine(m0, stdin=io.BytesIO(b"RESET\nIN a\nIN a\n"), stdout=out)
+        assert out.getvalue().splitlines() == [b"READY", b"OUT 1", b"OUT 0"]
 
     def test_unknown_symbol_err(self, m0):
-        out = io.StringIO()
-        serve_machine(m0, stdin=io.StringIO("RESET\nIN z\nIN a\n"), stdout=out)
+        out = io.BytesIO()
+        serve_machine(m0, stdin=io.BytesIO(b"RESET\nIN z\nIN a\n"), stdout=out)
         replies = out.getvalue().splitlines()
-        assert replies[1].startswith("ERR ")
-        assert replies[2] == "OUT 1"
+        assert replies[1].startswith(b"ERR ")
+        assert replies[2] == b"OUT 1"
 
 
 def program_file(tmp_path, program, name="program.gap"):
@@ -670,6 +672,181 @@ class TestAdapterCaches:
         reply = 'OUT {"y":true}'
         assert results == [(ERROR, f"malformed SUT reply {reply!r}")] * 3
         assert decoded == ['{"y":true}'] * 3
+
+
+class FaultyInput:
+    """A SUT's standard input that fails at its `k`-th line: there the SUT
+    exits with code 3, hangs, or reads `FAULT`, which it answers with ERR."""
+
+    def __init__(self, stream, k: int, fault: str):
+        self.stream, self.left, self.fault = stream, k - 1, fault  # lines before the k-th
+        self.rest = b""  # read from `stream`, not yet handed over
+
+    def read1(self, size: int = -1) -> bytes:
+        data, self.rest = self.rest or self.stream.read1(size), b""
+        if self.left < 0 or not data:  # the fault is behind, or the input over
+            return data
+        start = 0  # where the k-th line starts, once `left` is 0
+        while self.left and (newline := data.find(b"\n", start)) >= 0:
+            start, self.left = newline + 1, self.left - 1
+        if self.left:
+            return data
+        if start:  # the lines before the k-th go first, and are answered
+            self.rest = data[start:]
+            return data[:start]
+        if self.fault == "exit":
+            os._exit(3)
+        if self.fault == "hang":
+            time.sleep(60)
+        while b"\n" not in data and (more := self.stream.read1(size)):
+            data += more
+        self.left, self.rest = -1, data.partition(b"\n")[2]
+        return b"FAULT\n"
+
+
+def first_session_fails(k: int, fault: str, marker):
+    """A stand-in for `program.serve_program` in a forked SUT: the first
+    session, the one that finds no `marker` file, serves the program with
+    its input failing at line `k` (`FaultyInput`); later ones serve it."""
+    def serve(path) -> int:
+        if marker.exists():
+            return serve_program(path)
+        marker.touch()
+        serve_reference(load_program(path), FaultyInput(sys.stdin.buffer, k, fault), None)
+        return 0
+    return serve
+
+
+def with_first_session_fault(suite, expected, k: int) -> list[tuple]:
+    """`expected`, verdicts of a SUT that does not fail, as they read once
+    the SUT's first session fails at its `k`-th line: the case that reads
+    the reply to that line is ERROR, and the failure ends the session, as
+    does any ERROR verdict before it.  Lines go out case after case, each
+    case whole, so the first session's `k`-th line is known."""
+    results, sent = [], 0  # lines the first session was sent; None once it has ended
+    for case, (status, step, observed) in zip(suite.cases, expected):
+        lines = 1 + len(case.inputs)
+        if sent is not None and sent < k <= sent + lines:
+            # line 0 of a case is RESET, line t + 1 its step t
+            if status != FAIL or k - sent - 1 <= step + 1:
+                status, step, observed = ERROR, None, None
+            sent = None
+        elif sent is not None:
+            sent = None if status == ERROR else sent + lines
+        results.append((status, step, observed))
+    return results
+
+
+class TestWindow:
+    """Cases go out ahead of their RESET, up to `WINDOW` bytes past the
+    current one, and a restarted SUT is sent again those in flight: the
+    verdicts must still equal `helpers.plain_verdicts`, also when the SUT
+    fails at a line inside the window."""
+
+    LONG = [1, 0] * 4_000  # a case whose lines alone pass the window
+
+    @staticmethod
+    def suite_of(program, steps) -> TestSuite:
+        """A suite over `x` of `(xs, flip)` pairs, as in `TestAdapterCaches`."""
+        return TestSuite([TestCase(tuple({"x": x} for x in xs),
+                                   TestAdapterCaches.expected_outputs(
+                                       program, [{"x": x} for x in xs], flip))
+                          for xs, flip in steps], "h", 3, concrete=True)
+
+    @staticmethod
+    def run_failing(directory, program, suite, k: int, fault: str) -> tuple[list, list]:
+        """The verdicts of `suite` against the reference SUT of `program`
+        whose first session fails at line `k` with `fault`, or not at all
+        for "none", and those `with_first_session_fault` expects."""
+        expected = plain_verdicts(program, suite)
+        path = program_file(directory, program)
+        with pytest.MonkeyPatch.context() as patch:
+            if fault != "none":
+                expected = with_first_session_fault(suite, expected, k)
+                patch.setattr(harness_module, "serve_program",
+                              first_session_fails(k, fault, directory / "faulted"))
+            with SutAdapter(program=path, step_timeout=0.5) as sut:
+                results = [(v.status, v.step_index, v.observed_output)
+                           for v in verdicts(sut, suite)]
+        return results, expected
+
+    @given(st.lists(st.tuples(st.lists(st.sampled_from([0, 1]), max_size=6),
+                              st.none() | st.integers(0, 5)), max_size=12),
+           st.randoms(use_true_random=False),
+           st.sampled_from(["none", "err", "exit", "hang"]),
+           st.integers(0, 20), st.integers(0, 10_000))
+    @settings(max_examples=20, deadline=None)
+    def test_verdicts_match_plain_loop(self, tmp_path_factory, program, drawn, rng,
+                                       fault, at_case, at_line):
+        steps = TestAdapterCaches.FIXED + [(self.LONG, 3_333)] + drawn
+        rng.shuffle(steps)
+        suite = self.suite_of(program, steps)
+        # a drawn line of a drawn case, never the first RESET, whose failure
+        # ends the run (SutStartError)
+        at_case %= len(suite.cases)
+        before = sum(1 + len(c.inputs) for c in suite.cases[:at_case])
+        k = max(2, before + 1 + at_line % (1 + len(suite.cases[at_case].inputs)))
+        results, expected = self.run_failing(tmp_path_factory.mktemp("window"), program,
+                                             suite, k, fault)
+        assert results == expected
+
+    @pytest.mark.parametrize("fault", ["err", "exit", "hang"])
+    @pytest.mark.parametrize("at_case, at_step, seen", [
+        (2, None, True),   # the RESET of a case sent ahead
+        (1, 3, False),     # after the mismatch at step 1: read and discarded
+        (3, 7_000, True),  # far into a case longer than the window
+    ], ids=["reset-ahead", "after-mismatch", "long-case"])
+    def test_failure_inside_the_window(self, tmp_path, program, fault, at_case, at_step,
+                                       seen):
+        suite = self.suite_of(program, [([1], None), ([0, 1, 1, 0], 1), ([1, 0, 1], None),
+                                        (self.LONG, None), ([0, 0], None)])
+        k = sum(1 + len(c.inputs) for c in suite.cases[:at_case]) + 1 + (
+            0 if at_step is None else at_step + 1)
+        results, expected = self.run_failing(tmp_path, program, suite, k, fault)
+        assert results == expected
+        assert (expected != plain_verdicts(program, suite)) == seen
+
+    def test_replies_written_before_an_exit_count(self, tmp_path, program):
+        # the SUT exits at the RESET of case 2, while lines of later cases
+        # still wait to be written: its replies to case 0, longer than a
+        # pipe holds, and to case 1 are in the pipe and still count
+        suite = self.suite_of(program, [(self.LONG, None)] + [([1], None)] * 5_000)
+        k = 1 + len(self.LONG) + 2 + 1
+        results, expected = self.run_failing(tmp_path, program, suite, k, "exit")
+        assert results == expected
+        assert results[:3] == [(PASS, None, None)] * 2 + [(ERROR, None, None)]
+
+    def test_killed_mutant_is_sent_at_most_a_window_more(self, tmp_path, program,
+                                                        concrete_suite):
+        mu = generate_mutants(program, operators=[OUTPUT_FAULT])[0]
+        suite = replace(concrete_suite, cases=concrete_suite.cases * 500)
+        first = first_not_passing(plain_verdicts(mu.target, suite))
+        sizes = [len("RESET\n") + sum(len(f"IN {encode_step(v)}\n") for v in case.inputs)
+                 for case in suite.cases]
+        through_failing = sum(sizes[:first + 1])
+        assert sum(sizes) > through_failing + 2 * WINDOW
+        script = tmp_path / "counting_sut.py"
+        script.write_text(
+            "import sys\n"
+            "from suptest.program import load_program, serve_reference\n"
+            "class Counting:\n"
+            "    def __init__(self, stream, log):\n"
+            "        self.stream, self.log, self.received = stream, log, 0\n"
+            "    def read1(self, size=-1):\n"
+            "        data = self.stream.read1(size)\n"
+            "        self.received += len(data)\n"
+            "        self.log.seek(0)\n"
+            "        self.log.write(str(self.received).encode())\n"
+            "        self.log.flush()\n"
+            "        return data\n"
+            "with open(sys.argv[2], 'wb') as log:\n"
+            "    serve_reference(load_program(sys.argv[1]), Counting(sys.stdin.buffer, log), None)\n")
+        log = tmp_path / "received"
+        path = program_file(tmp_path, mu.target, "mutant.gap")
+        outcome = classify(program, suite, mu, via="harness",
+                           sut_command=lambda _: [sys.executable, str(script), str(path), str(log)])
+        assert (outcome.status, outcome.first_failing_case) == (KILLED, first)
+        assert 0 < int(log.read_text()) <= through_failing + WINDOW
 
 
 class TestOfflineRun:

@@ -1,6 +1,7 @@
 """State cover, H-/W-Method suites, orthogonal completeness checking."""
 
 import ast
+import copy
 import hashlib
 import random
 import re
@@ -11,11 +12,12 @@ from hypothesis import strategies as st
 
 from helpers import m0, random_machine, scan_check_h_completeness
 from suptest import mutation
-from suptest.encoding import canonical_dumps
+from suptest.encoding import canonical_artifact, canonical_dumps
 from suptest.fsm import FsmError, MealyMachine
 from suptest.sfsm import abstract_to_fsm
 from suptest.supervisor import to_test_reference
 from suptest.testgen import (
+    TestCase,
     TestGenError,
     TestSuite,
     _require_testable,
@@ -387,3 +389,53 @@ class TestPinnedSuites:
         stats = suite_stats(suite)
         assert (stats["cases"], stats["total_input_symbols"]) == (40_824, 216_240)
         assert check_h_completeness(welding_fsm, m_bound, suite).ok
+
+
+def unshared(suite: TestSuite) -> TestSuite:
+    """A copy of `suite` that shares no input or output object, with itself
+    or with `suite`."""
+    return TestSuite([TestCase(tuple(map(copy.deepcopy, c.inputs)),
+                               tuple(map(copy.deepcopy, c.expected))) for c in suite.cases],
+                     suite.method, suite.m_bound, suite.concrete)
+
+
+# Valuations with `1` and `True` apart, non-ASCII names and values, and the
+# nil output
+scalars = st.one_of(st.integers(-2, 2), st.booleans(), st.sampled_from(["on", "é", "\u2603", ""]))
+valuations = st.dictionaries(st.sampled_from(["x", "y", "ä", "zz"]), scalars, max_size=3)
+pool_values = st.one_of(st.none(), valuations, st.sampled_from(["c0", "o1", "ø"]))
+
+
+@st.composite
+def shared_suites(draw) -> TestSuite:
+    """A suite whose steps are drawn from a small pool of objects, each step
+    the pooled object itself or a copy of it; cases may be empty."""
+    pool = draw(st.lists(pool_values, min_size=1, max_size=5))
+    step = st.tuples(st.integers(0, len(pool) - 1), st.booleans()).map(
+        lambda pick: copy.deepcopy(pool[pick[0]]) if pick[1] else pool[pick[0]])
+    cases = draw(st.lists(st.lists(st.tuples(step, step), max_size=5), max_size=6))
+    return TestSuite([TestCase(tuple(i for i, _ in c), tuple(o for _, o in c)) for c in cases],
+                     "h", draw(st.integers(1, 9)), draw(st.booleans()))
+
+
+class TestSuiteArtifact:
+    """`TestSuite.to_artifact` encodes each distinct input and output object
+    once: its file must equal the one of a copy that shares no object."""
+
+    @given(shared_suites(), st.none() | st.just({"fsm": "f" * 16}))
+    @settings(max_examples=150, deadline=None)
+    def test_file_equals_unshared_copy(self, suite, links):
+        assert canonical_artifact(suite.to_artifact(), links) == \
+            canonical_artifact(unshared(suite).to_obj(), links)
+
+    def test_a_valuation_changed_between_writes(self):
+        v = {"x": 1}
+        suite = TestSuite([TestCase((v, v), (None, {"y": "é"})), TestCase((), ()),
+                           TestCase((v,), (v,))], "h", 2, concrete=True)
+        first = canonical_artifact(suite.to_artifact())
+        assert first == canonical_artifact(unshared(suite).to_obj())
+        v["x"] = True
+        second = canonical_artifact(suite.to_artifact())
+        assert second != first
+        assert second == canonical_artifact(unshared(suite).to_obj())
+        assert b'"inputs":[{"x":true},{"x":true}]' in second[0]
