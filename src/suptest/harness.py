@@ -166,23 +166,9 @@ class MachineSut:
         return output
 
 
-# Value types of an input the adapter remembers the encoding of: each
-# encodes the same way whenever it is equal in value and type.
-_SCALARS = frozenset((str, int, bool))
-
-
-def _input_key(v):
-    """A key that two inputs share only if they encode alike: a bare symbol
-    itself, or a valuation's items with the types of its values, when its
-    names are strings and its values are of `_SCALARS`; otherwise None."""
-    if isinstance(v, str):
-        return v
-    if not isinstance(v, dict):
-        return None
-    types = tuple(map(type, v.values()))
-    if not _SCALARS.issuperset(types) or not all(type(k) is str for k in v):
-        return None
-    return tuple(v.items()), types
+def _encode_in(v) -> bytes:
+    """The protocol line `IN <v>`, encoded."""
+    return f"IN {encode_step(v)}\n".encode()
 
 
 class ForkedSut:
@@ -309,13 +295,14 @@ class SutAdapter:
     temporary file so that no pipe can fill up.
 
     A suite repeats few distinct inputs and replies, so the adapter encodes
-    each distinct input, and decodes each distinct OUT line, once, and
-    remembers the first `MEMO_SIZE` of each.  An input of the plan is known
-    first by identity, the memo holding it so that its id is not reused,
-    and so the planned cases must not change while they run; any input is
-    known by its values and their types, as `True` and `1` are equal but go
-    out as different lines.  A decoded reply is handed to every step that
-    reads the same line, so no one may change it.
+    the IN line of each distinct input object of the plan once, and knows
+    it by identity: the plan holds the input, so that its id is not reused,
+    and the planned cases must not change while they run.  A suite built in
+    memory (`sfsm.concretize_suite`) or read from a file
+    (`TestSuite.from_obj`) holds one object for each distinct valuation.
+    The adapter decodes each distinct OUT line once and remembers the first
+    `MEMO_SIZE`; a decoded reply is handed to every step that reads the same
+    line, so no one may change it.
     """
 
     def __init__(self, command: str | list[str] | None = None,
@@ -333,13 +320,10 @@ class SutAdapter:
         self.process: subprocess.Popen | None = None
         self._stderr = None  # the SUT's standard error, a temporary file
         self._fresh = False  # started, and not yet answered READY
-        self._in_lines: dict = {}  # input key -> its IN line, encoded
         self._in_ids: dict[int, bytes] = {}  # id of an input of the plan -> its IN line
-        self._held: list = []  # the inputs whose ids `_in_ids` holds, so that none is reused
         self._outputs: dict[str, dict | str | None] = {}  # OUT payload -> its value
         self._plan: list = []  # the cases `plan` announced
         self._planned = 0  # index in the plan of the first case not yet queued
-        self._next: tuple | None = None  # (inputs, lines) of that case, once encoded
         self._ahead: deque[tuple] = deque()  # (inputs, lines) queued past the current case
         self._ahead_bytes = 0
         self._clear()
@@ -469,46 +453,25 @@ class SutAdapter:
         return SutStartError(f"SUT {self.name} did not start: {cause}; "
                              f"its standard error ends with:{quoted}")
 
-    def _in_line(self, v) -> bytes:
-        """The line `IN <v>`, encoded; remembered by identity while a plan
-        holds, and by value unless `v` has no key."""
-        known = self._in_ids.get(id(v))
-        if known is not None:
-            return known
-        key = _input_key(v)
-        line = None if key is None else self._in_lines.get(key)
-        if line is None:
-            line = f"IN {encode_step(v)}\n".encode()
-            if key is not None and len(self._in_lines) < MEMO_SIZE:
-                self._in_lines[key] = line
-        if self._plan and len(self._in_ids) < MEMO_SIZE:
-            self._in_ids[id(v)] = line
-            self._held.append(v)
-        return line
-
-    def _case(self, inputs) -> tuple:
-        """(inputs, lines): the case's RESET and IN lines, encoded."""
-        try:
-            lines = b"".join(map(self._in_ids.__getitem__, map(id, inputs)))
-        except KeyError:  # an input not yet met in this plan
-            lines = b"".join(map(self._in_line, inputs))
-        return inputs, b"RESET\n" + lines
-
     def plan(self, cases) -> None:
         """Announce `cases`, each with its `inputs`: the next `reset`s will
-        announce their inputs, in this order.  The cases queued past the
-        current one for an earlier plan are discarded at the next `reset`."""
-        self._plan, self._planned, self._next = cases, 0, None
+        announce their inputs, in this order.  The IN line of each distinct
+        input object of the cases is encoded now, once.  The cases queued
+        past the current one for an earlier plan are discarded at the next
+        `reset`."""
+        self._plan, self._planned = cases, 0
         self._ahead.clear()
         self._ahead_bytes = 0
-        self._in_ids.clear()
-        self._held.clear()
+        inputs = {id(v): v for case in cases for v in case.inputs}
+        self._in_ids = {key: _encode_in(v) for key, v in inputs.items()}
 
     def _upcoming(self) -> tuple | None:
-        """(inputs, lines) of the first planned case not yet queued, if any."""
-        if self._next is None and self._planned < len(self._plan):
-            self._next = self._case(self._plan[self._planned].inputs)
-        return self._next
+        """(inputs, lines) of the first planned case not yet queued, if any:
+        its inputs, and its RESET and IN lines, encoded."""
+        if self._planned == len(self._plan):
+            return None
+        inputs = self._plan[self._planned].inputs
+        return inputs, b"RESET\n" + b"".join(map(self._in_ids.__getitem__, map(id, inputs)))
 
     def _fill(self) -> None:
         """Queue planned cases past the current one while their lines fit in
@@ -518,7 +481,7 @@ class SutAdapter:
             self._ahead.append(case)
             self._ahead_bytes += len(case[1])
             self._queue(case[1], 1 + len(case[0]))
-            self._planned, self._next = self._planned + 1, None
+            self._planned += 1
 
     def reset(self, inputs=()) -> None:
         """RESET, with the inputs of the case that follows sent ahead."""
@@ -531,10 +494,10 @@ class SutAdapter:
             self._ahead_bytes = 0
             case = self._upcoming()
             if case is not None and case[0] is inputs:
-                self._planned, self._next = self._planned + 1, None
-            else:
+                self._planned += 1
+            else:  # a case no plan announced
                 self.plan([])
-                case = self._case(inputs)
+                case = inputs, b"RESET\n" + b"".join(map(_encode_in, inputs))
         self._announced.clear()
         if not self._discard(owed):
             self.restart()
@@ -563,7 +526,7 @@ class SutAdapter:
         elif self._ahead:
             raise HarnessError(f"input {encode_step(v)} was not announced at RESET")
         else:
-            self._queue(self._in_line(v), 1)
+            self._queue(_encode_in(v), 1)
         reply = self._receive()
         if reply.startswith("OUT "):
             payload = reply[4:]

@@ -83,6 +83,17 @@ class TestSuite:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "TestSuite":
+        """The suite of the document `obj`, as `json` reads it, checked.
+
+        The suite is shaped like one that `sfsm.concretize_suite` builds:
+        inputs and outputs that are equal in value and type are one object,
+        so the harness encodes each distinct input once.  `1` and `True`
+        stay two objects, and a value that cannot be hashed stays as it is.
+        So, as for a concretized suite, no one may change a valuation of the
+        suite.  A bare-symbol input that holds a line break is refused: the
+        wire would carry it as several lines.
+        """
+        known: dict = {}  # (value, types) of an input or output -> the first one read
         cases = []
         for i, c in enumerate(obj["cases"]):
             inputs, expected = c["inputs"], c["expectedOutputs"]
@@ -92,13 +103,36 @@ class TestSuite:
             if len(inputs) != len(expected):
                 raise TestGenError(f"case {i} has {len(inputs)} inputs but "
                                    f"{len(expected)} expected outputs")
-            cases.append(TestCase(tuple(inputs), tuple(expected)))
-        m_bound, concrete = obj["mBound"], obj.get("concrete", False)
+            inputs = _shared(inputs, known)
+            for v in inputs:
+                if isinstance(v, str) and ("\n" in v or "\r" in v):
+                    raise TestGenError(f"case {i}: input {v!r} holds a line break")
+            cases.append(TestCase(inputs, _shared(expected, known)))
+        method, m_bound, concrete = obj["method"], obj["mBound"], obj.get("concrete", False)
+        if method not in ("h", "w"):
+            raise TestGenError(f'method must be "h" or "w", got {method!r}')
         if not isinstance(m_bound, int) or isinstance(m_bound, bool):
             raise TestGenError(f"mBound must be an int, got {m_bound!r}")
         if not isinstance(concrete, bool):
             raise TestGenError(f"concrete must be a bool, got {concrete!r}")
-        return cls(cases, obj["method"], m_bound, concrete)
+        return cls(cases, method, m_bound, concrete)
+
+
+def _shared(values: list, known: dict) -> tuple:
+    """`values`, each replaced by the first value of `known` equal to it in
+    value and type, and the first such value added to `known`.  A valuation
+    is known by its names, their values and the values' types, in any order;
+    a value that cannot be hashed is kept as it is."""
+    shared = []
+    for v in values:
+        try:
+            key = (frozenset(zip(v, v.values(), map(type, v.values()))) if type(v) is dict
+                   else (v, type(v)))
+            v = known.setdefault(key, v)
+        except TypeError:
+            pass
+        shared.append(v)
+    return tuple(shared)
 
 
 def suite_stats(ts: TestSuite) -> dict:

@@ -7,6 +7,7 @@ import json
 import os
 import re
 import select
+import shlex
 import shutil
 import subprocess
 import sys
@@ -297,6 +298,24 @@ class TestRun:
         inputs = len(doc["cases"][1]["inputs"])
         assert capsys.readouterr().err == (
             f"error: {concrete}: case 1 has {inputs} inputs but 0 expected outputs\n")
+
+    @pytest.mark.parametrize("symbol", ["c0\nIN c1", "c0\nRESET\nIN c1", "c0\rIN c1"],
+                             ids=["LF", "LF-RESET", "CR"])
+    def test_refuses_symbol_with_line_break(self, abstracted, tmp_path, capsys, symbol):
+        """A bare symbol holding a line break would go out as several
+        protocol lines, so the suite is refused before any SUT starts."""
+        suite = abstracted / "suite-h.json"
+        assert main(["generate", str(abstracted / "fsm.json"), "--out", str(suite)]) == 0
+        doc = read(suite)
+        doc["cases"][1]["inputs"][0] = symbol
+        suite.write_text(canonical_dumps(doc))
+        marker = tmp_path / "started"
+        sut = shlex.join([sys.executable, "-c", f"open({str(marker)!r}, 'w')"])
+        capsys.readouterr()
+        assert main(["run", str(suite), "--sut", sut]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {suite}: case 1: input {symbol!r} holds a line break\n")
+        assert not marker.exists()
 
 
 PRINT_MODULES_AT_EXIT = (
@@ -636,6 +655,7 @@ class TestArtefactRead:
          "case 0: expectedOutputs must be a list, got 'o0'"),
         ("concrete-str", lambda d: d.update(concrete="yes"),
          "concrete must be a bool, got 'yes'"),
+        ("method-list", lambda d: d.update(method=[5]), 'method must be "h" or "w", got [5]'),
     ]
 
     # (id, edit, cause) of abstraction outputs that are not wire valuations

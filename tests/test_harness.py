@@ -646,17 +646,22 @@ class TestAdapterCaches:
     # Each ERR restarts the SUT, so the drawn cases send no True.
     FIXED = [([1], None), ([0, True], None), ([0, 1, 1], 2)]
 
+    # each suite runs as built, one object a step, and as read back from its
+    # document, which shares the valuations equal in value and type
+    @pytest.mark.parametrize("read_back", [False, True], ids=["built", "read-back"])
     @given(st.lists(st.tuples(st.lists(st.sampled_from([0, 1]), min_size=1, max_size=6),
                               st.none() | st.integers(0, 5)), max_size=8),
            st.randoms(use_true_random=False))
     @settings(max_examples=25, deadline=None)
-    def test_verdicts_match_plain_loop(self, adapter, program, drawn, rng):
+    def test_verdicts_match_plain_loop(self, adapter, program, read_back, drawn, rng):
         steps = self.FIXED + drawn
         rng.shuffle(steps)
         suite = TestSuite([TestCase(tuple({"x": x} for x in xs),
                                     self.expected_outputs(program, [{"x": x} for x in xs], flip))
                            for xs, flip in steps], "h", 3, concrete=True)
         expected = plain_verdicts(program, suite)
+        if read_back:
+            suite = TestSuite.from_obj(suite.to_obj())
         assert {status for status, _, _ in expected} == {PASS, FAIL, ERROR}
         assert [(v.status, v.step_index, v.observed_output)
                 for v in verdicts(adapter, suite)] == expected

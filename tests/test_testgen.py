@@ -3,6 +3,7 @@
 import ast
 import copy
 import hashlib
+import json
 import random
 import re
 
@@ -439,3 +440,67 @@ class TestSuiteArtifact:
         assert second != first
         assert second == canonical_artifact(unshared(suite).to_obj())
         assert b'"inputs":[{"x":true},{"x":true}]' in second[0]
+
+
+def alike(a, b) -> bool:
+    """Whether `a` and `b` are equal in value and type: a valuation's names
+    with equal values of the same types, in any order."""
+    if type(a) is not type(b) or a != b:
+        return False
+    return not isinstance(a, dict) or all(type(a[k]) is type(b[k]) for k in a)
+
+
+def hashable(v) -> bool:
+    try:
+        hash(frozenset(v.items()) if isinstance(v, dict) else v)
+    except TypeError:
+        return False
+    return True
+
+
+# valuations that cannot be hashed, as a list value makes them
+unhashable_valuations = st.dictionaries(st.sampled_from(["x", "y"]),
+                                        st.lists(scalars, max_size=2), min_size=1, max_size=2)
+
+
+@st.composite
+def suite_documents(draw) -> dict:
+    """A suite document as `json` reads it, so no two steps share an object,
+    with steps drawn from a small pool: valuations in either order of their
+    names, `1` and `True` apart, symbols, nil and valuations that cannot be
+    hashed.  Its first case sends `{"x": 1}` and then `{"x": true}`."""
+    pool = draw(st.lists(pool_values | unhashable_valuations, min_size=1, max_size=5))
+    step = st.tuples(st.sampled_from(pool), st.booleans()).map(
+        lambda pick: dict(reversed(pick[0].items())) if pick[1] and isinstance(pick[0], dict)
+        else pick[0])
+    cases = [[({"x": 1}, None), ({"x": True}, {"x": 1})]]
+    cases += draw(st.lists(st.lists(st.tuples(step, step), max_size=5), max_size=6))
+    doc = {"method": draw(st.sampled_from(["h", "w"])), "mBound": draw(st.integers(1, 9)),
+           "concrete": draw(st.booleans()),
+           "cases": [{"inputs": [i for i, _ in c], "expectedOutputs": [o for _, o in c]}
+                     for c in cases]}
+    return json.loads(json.dumps(doc))
+
+
+class TestSuiteRead:
+    """`TestSuite.from_obj` shares the inputs and outputs that are equal in
+    value and type, as a concretized suite does, and reads back the
+    document it was given."""
+
+    @given(suite_documents())
+    @settings(max_examples=150, deadline=None)
+    def test_equal_values_shared(self, doc):
+        suite = TestSuite.from_obj(doc)
+        assert suite.to_obj() == doc
+        values = [v for c in suite.cases for v in c.inputs + c.expected]
+        read = [v for c in doc["cases"] for key in ("inputs", "expectedOutputs") for v in c[key]]
+        for v, original in zip(values, read):
+            if not hashable(v):
+                assert v is original
+        for a in values:
+            for b in values:
+                if hashable(a) and alike(a, b):
+                    assert a is b
+        one, true = suite.cases[0].inputs
+        assert one == true and one is not true
+        assert suite.cases[0].expected[1] is one
