@@ -379,86 +379,72 @@ def cmd_pipeline(args, config) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def arg(*names, **options) -> tuple:
+    """One `add_argument` call of a subcommand, as its arguments."""
+    return names, options
+
+
+# Each subcommand: its help, its handler and its arguments, in the order
+# `suptest -h` lists them.  `serve-reference` has no handler: `main` serves
+# the program without reading a configuration.
+COMMANDS = {
+    "translate": ("behaviour -> guarded-action program + SFSM", cmd_translate, [
+        arg("behaviour"), arg("--out", help="output directory")]),
+    "classes": ("input equivalence classes of an SFSM", cmd_classes, [
+        arg("sfsm"), arg("--out")]),
+    "abstract": ("SFSM -> FSM + abstraction map", cmd_abstract, [
+        arg("sfsm"), arg("--out", help="output directory")]),
+    "generate": ("derive a complete abstract test suite", cmd_generate, [
+        arg("fsm"), arg("--method", choices=("h", "w"), default="h"),
+        arg("--m", type=int, help="assumed max SUT state count"), arg("--out")]),
+    "concretize": ("refine an abstract suite to valuations", cmd_concretize, [
+        arg("suite"), arg("partition"), arg("abstraction"), arg("--out")]),
+    "check-suite": ("orthogonal H-completeness check", cmd_check_suite, [
+        arg("fsm"), arg("suite")]),
+    "run": ("execute a concrete suite against a SUT", cmd_run, [
+        arg("suite"), arg("--sut", required=True, help="SUT command line"), arg("--out")]),
+    "serve-reference": ("run a program as reference SUT", None, [arg("program")]),
+    "serve-machine": ("run an FSM as a symbolic SUT", cmd_serve_machine, [arg("fsm")]),
+    "mutate": ("mutation analysis of a suite", cmd_mutate, [
+        arg("target"), arg("--suite", required=True),
+        arg("--ops", help="comma-separated operator names"),
+        arg("--limit", type=mutant_count), arg("--out"), arg("--csv")]),
+    "render": ("DOT export of an SFSM or FSM", cmd_render, [arg("model"), arg("--out")]),
+    "pipeline": ("full pipeline, one artefact directory", cmd_pipeline, [
+        arg("behaviour"), arg("--sut", help="SUT command line (default: bundled reference)"),
+        arg("--m", type=int), arg("--out", help="artefact directory")]),
+}
+
+
+def build_parser(names=COMMANDS) -> argparse.ArgumentParser:
+    """The parser of the subcommands `names`, all of them by default.
+
+    A parser of fewer names lists all of them in its usage line, as the
+    whole parser does, so it refuses an argument with the same message.
+    """
     parser = argparse.ArgumentParser(
         prog="suptest",
         description="Conformance testing toolkit for supervisory safety controllers",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("translate", help="behaviour -> guarded-action program + SFSM")
-    p.add_argument("behaviour")
-    p.add_argument("--out", help="output directory")
-    p.set_defaults(func=cmd_translate)
-
-    p = sub.add_parser("classes", help="input equivalence classes of an SFSM")
-    p.add_argument("sfsm")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_classes)
-
-    p = sub.add_parser("abstract", help="SFSM -> FSM + abstraction map")
-    p.add_argument("sfsm")
-    p.add_argument("--out", help="output directory")
-    p.set_defaults(func=cmd_abstract)
-
-    p = sub.add_parser("generate", help="derive a complete abstract test suite")
-    p.add_argument("fsm")
-    p.add_argument("--method", choices=("h", "w"), default="h")
-    p.add_argument("--m", type=int, help="assumed max SUT state count")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("concretize", help="refine an abstract suite to valuations")
-    p.add_argument("suite")
-    p.add_argument("partition")
-    p.add_argument("abstraction")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_concretize)
-
-    p = sub.add_parser("check-suite", help="orthogonal H-completeness check")
-    p.add_argument("fsm")
-    p.add_argument("suite")
-    p.set_defaults(func=cmd_check_suite)
-
-    p = sub.add_parser("run", help="execute a concrete suite against a SUT")
-    p.add_argument("suite")
-    p.add_argument("--sut", required=True, help="SUT command line")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("serve-reference", help="run a program as reference SUT")
-    p.add_argument("program")
-
-    p = sub.add_parser("serve-machine", help="run an FSM as a symbolic SUT")
-    p.add_argument("fsm")
-    p.set_defaults(func=cmd_serve_machine)
-
-    p = sub.add_parser("mutate", help="mutation analysis of a suite")
-    p.add_argument("target")
-    p.add_argument("--suite", required=True)
-    p.add_argument("--ops", help="comma-separated operator names")
-    p.add_argument("--limit", type=mutant_count)
-    p.add_argument("--out")
-    p.add_argument("--csv")
-    p.set_defaults(func=cmd_mutate)
-
-    p = sub.add_parser("render", help="DOT export of an SFSM or FSM")
-    p.add_argument("model")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_render)
-
-    p = sub.add_parser("pipeline", help="full pipeline, one artefact directory")
-    p.add_argument("behaviour")
-    p.add_argument("--sut", help="SUT command line (default: bundled reference)")
-    p.add_argument("--m", type=int)
-    p.add_argument("--out", help="artefact directory")
-    p.set_defaults(func=cmd_pipeline)
-
+    every = "{" + ",".join(COMMANDS) + "}"  # as the whole parser names its choices
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=every if len(names) < len(COMMANDS) else None)
+    for name in names:
+        text, handler, arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=text)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
+        if handler is not None:
+            p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # a named subcommand needs only its own parser; anything else (help, no
+    # or an unknown command, an option first) is answered by the whole one
+    names = argv[:1] if argv and argv[0] in COMMANDS else COMMANDS
+    args = build_parser(names).parse_args(argv)
     if args.command == "serve-reference":  # takes no setting, as on `__main__`'s route
         return exit_code(serve_program, args.program)
     return exit_code(lambda: args.func(args, load_config()))

@@ -7,12 +7,24 @@ distinguishing suffixes from `MealyMachine.distinguishing_trace`.  Generator
 and checker each list the traversal set once, and check condition H3(c) per
 (prefix, trace) pair: a traversal trace against each of its non-empty proper
 prefixes, which covers every pair of prefixes of a traversal trace because
-the set is prefix-closed.  The completeness checker takes its cover from its
-own breadth-first search, in discovery order, and shares only
-`_require_testable`, which refuses an untestable machine, with the
-generator.  It re-verifies the H-conditions with its own walk of the suite's
-trace set, written apart from the generator's walk of its closure, so
-generator and checker cannot mask each other's faults.
+the set is prefix-closed.
+
+Each decides a pair of traces by bitmasks over the inputs, input i being
+bit i.  A trace of the prefix-closed trace set (the generator's closure,
+kept current as suffixes are added, or the checker's suite) has the mask of
+the inputs that extend it in the set, and an ordered pair of states has the
+masks of the inputs on which their outputs differ and on which their
+targets differ.  A pair of traces that reaches two states is told apart by
+one input iff its two trace masks and the output mask of its states share a
+bit.  Only a pair that fails this test walks on, along the common inputs
+that keep the states apart.
+
+The completeness checker takes its cover from its own breadth-first search,
+in discovery order, and shares only `_require_testable`, which refuses an
+untestable machine, with the generator.  It re-verifies the H-conditions
+with its own masks and walk of the suite's trace set, written apart from the
+generator's of its closure, so generator and checker cannot mask each
+other's faults.
 """
 
 from __future__ import annotations
@@ -173,49 +185,48 @@ def _require_testable(m: MealyMachine, m_bound: int) -> dict[str, tuple]:
     return access
 
 
-def _trace_key(m: MealyMachine):
-    """Sort key of a trace: its inputs' positions in `m.inputs`."""
-    index = {x: i for i, x in enumerate(m.inputs)}.__getitem__
-    return lambda trace: tuple(map(index, trace))
+def _close_prefixes(closure: dict[tuple, int], trace: tuple, bit: dict) -> None:
+    """Add `trace` and its prefixes to `closure`, a prefix-closed trace set
+    that maps each trace to the mask of the inputs (`bit` of each) that
+    extend it in the set."""
+    if trace in closure:
+        return
+    closure[trace] = 0
+    for i in range(len(trace) - 1, -1, -1):
+        prefix = trace[:i]
+        if prefix in closure:  # and so are its prefixes, with their masks
+            closure[prefix] |= bit[trace[i]]
+            return
+        closure[prefix] = bit[trace[i]]
 
 
-def _close_prefixes(closure: set[tuple], trace: tuple) -> None:
-    for i in range(len(trace) + 1):
-        closure.add(trace[:i])
+def _to_suite(m: MealyMachine, closure: dict[tuple, int], method: str,
+              m_bound: int) -> TestSuite:
+    """The suite of the traces of `closure` that no input extends, in input
+    order, with the outputs `m` gives along each.
 
-
-def _to_suite(m: MealyMachine, closure: set[tuple], method: str, m_bound: int) -> TestSuite:
-    """The suite of the traces of `closure` that are no other's parent, in
-    input order, with the outputs `m` gives along each.
-
-    `closure` is prefix-closed, so those traces are the leaves of its prefix
+    `closure` is a prefix-closed set, each trace with the mask of its
+    children's last inputs, so those traces are the leaves of its prefix
     tree, and a depth-first walk of the tree that visits each node's
     children in input order meets them in that order.  The walk carries the
     state and the outputs down the tree, so it takes each transition of the
     tree once.
     """
-    children: dict[tuple, list[tuple]] = {}
-    for t in closure:
-        if t:
-            children.setdefault(t[:-1], []).append(t)
-    index = {x: i for i, x in enumerate(m.inputs)}
-
-    def last_input(t: tuple) -> int:
-        return index[t[-1]]
-
+    inputs = m.inputs
     cases = []
     stack = [((), m.initial, ())]  # (trace, the state it reaches, its outputs)
     while stack:
         trace, state, outputs = stack.pop()
-        below = children.get(trace)
-        if below is None:
+        below = closure[trace]
+        if not below:
             if trace:
                 cases.append(TestCase(trace, outputs))
             continue
-        below.sort(key=last_input, reverse=True)  # the first input on top
-        for t in below:
-            target, y = m.transitions[(state, t[-1])]
-            stack.append((t, target, outputs + (y,)))
+        while below:  # the last input first, so the first is on top
+            i = below.bit_length() - 1
+            below ^= 1 << i
+            target, y = m.transitions[(state, inputs[i])]
+            stack.append((trace + (inputs[i],), target, outputs + (y,)))
     return TestSuite(cases, method, m_bound)
 
 
@@ -231,62 +242,111 @@ def h_method(m: MealyMachine, m_bound: int) -> TestSuite:
     preferring suffixes already present so the suite stays small.
     """
     cover = list(_require_testable(m, m_bound).values())  # a state cover
-    n = len(m.states)
-    k = m_bound - n + 1
+    k = m_bound - len(m.states) + 1
     cover_set = set(cover)
+    inputs = m.inputs
+    bit = {x: 1 << i for i, x in enumerate(inputs)}
+    # states by number; step[s][i] is the target of state s on the i-th
+    # input, and differ[s][t] and split[s][t] are the masks of the inputs on
+    # which s and t give different outputs and go to different states
+    number = {s: i for i, s in enumerate(m.states)}
+    rows = [[m.transitions[(s, x)] for x in inputs] for s in m.states]
+    step = [[number[t] for t, _ in row] for row in rows]
+    differ = [[sum(1 << i for i, (u, v) in enumerate(zip(a, b)) if u[1] != v[1])
+               for b in rows] for a in rows]
+    split = [[sum(1 << i for i, (u, v) in enumerate(zip(a, b)) if u[0] != v[0])
+              for b in rows] for a in rows]
 
-    # traversal set V . inputs^{<=k}, each trace once, in length then input
-    # order; the cover is prefix-closed, so the traversal set is too and
-    # starts the closure
-    closure = {v + word for v in cover for length in range(k + 1)
-               for word in product(m.inputs, repeat=length)}
-    key = _trace_key(m)
-    traversal = sorted(closure, key=lambda t: (len(t), key(t)))
-    # every pair below is of traversal traces, so the state each reaches is
-    # one lookup from its parent's, which comes earlier in length order
-    reached = {(): m.initial}
-    for t in traversal[1:]:
-        reached[t] = m.transitions[(reached[t[:-1]], t[-1])][0]
-    gammas: dict[tuple[str, str], tuple | None] = {}  # m.distinguishing_trace per state pair
+    # the traversal set V . inputs^{<=k}, breadth first with each trace's
+    # children in input order, so by length, then input order.  A trace is
+    # in it iff it has at most k inputs past its longest prefix in the
+    # cover, which is prefix-closed; the traversal set is too, and starts
+    # the closure, which maps each trace to the mask of its children's
+    # inputs.  Each trace's state is one step from its parent's.
+    closure: dict[tuple, int] = {}
+    reached = {(): number[m.initial]}
+    traversal = []
+    layer = [((), 0)]  # (trace, inputs past its longest cover prefix)
+    while layer:
+        deeper = []
+        for t, past in layer:
+            s, mask = reached[t], 0
+            for i, x in enumerate(inputs):
+                u = t + (x,)
+                if u in cover_set:
+                    deeper.append((u, 0))
+                elif past < k:
+                    deeper.append((u, past + 1))
+                else:
+                    continue
+                mask |= 1 << i
+                reached[u] = step[s][i]
+            closure[t] = mask
+            traversal.append(t)
+        layer = deeper
+    gammas: dict[tuple[int, int], tuple | None] = {}  # m.distinguishing_trace per state pair
 
-    def apart(alpha: tuple, beta: tuple, sa: str, sb: str) -> bool:
-        # joint walk of the common extensions of alpha and beta in the closure;
-        # they are prefix-closed, and once the states meet no output differs
-        for x in m.inputs:
-            if alpha + (x,) in closure and beta + (x,) in closure:
-                (ta, ya), (tb, yb) = m.transitions[(sa, x)], m.transitions[(sb, x)]
-                if ya != yb or ta != tb and apart(alpha + (x,), beta + (x,), ta, tb):
-                    return True
+    def apart(alpha: tuple, beta: tuple, sa: int, sb: int) -> bool:
+        # whether a common extension of alpha and beta in the closure, which
+        # reach sa != sb, tells them apart: one input of both masks that
+        # gives two outputs does; else follow the inputs that keep the states
+        # apart, as once the states meet no output differs.  A stack, not
+        # recursion: a function that calls itself is a reference cycle, which
+        # would keep the closure alive after h_method returns
+        stack = [(alpha, beta, sa, sb)]
+        while stack:
+            alpha, beta, sa, sb = stack.pop()
+            common = closure[alpha] & closure[beta]
+            if common & differ[sa][sb]:
+                return True
+            walk = common & split[sa][sb]
+            while walk:
+                low = walk & -walk
+                walk ^= low
+                i = low.bit_length() - 1
+                x = (inputs[i],)
+                stack.append((alpha + x, beta + x, step[sa][i], step[sb][i]))
         return False
 
-    def ensure_distinguished(alpha: tuple, beta: tuple) -> None:
-        sa, sb = reached[alpha], reached[beta]
-        if sa == sb or apart(alpha, beta, sa, sb):
+    def distinguish(alpha: tuple, beta: tuple, sa: int, sb: int) -> None:
+        if apart(alpha, beta, sa, sb):
             return
         if (sa, sb) not in gammas:
-            gammas[(sa, sb)] = m.distinguishing_trace(sa, sb)
+            gammas[(sa, sb)] = m.distinguishing_trace(m.states[sa], m.states[sb])
         gamma = gammas[(sa, sb)]
         if gamma is None:  # minimal machine: cannot happen
-            raise TestGenError(f"states {sa!r} and {sb!r} are not distinguishable")
-        _close_prefixes(closure, alpha + gamma)
-        _close_prefixes(closure, beta + gamma)
+            raise TestGenError(f"states {m.states[sa]!r} and {m.states[sb]!r} "
+                               f"are not distinguishable")
+        _close_prefixes(closure, alpha + gamma, bit)
+        _close_prefixes(closure, beta + gamma, bit)
 
-    # (a) pairs within the state cover
+    # each loop below tests a pair with one input first: a pair that reaches
+    # one state, or that one common input tells apart, needs no walk
+    # (a) pairs within the state cover, which reach different states
     for i, alpha in enumerate(cover):
         for beta in cover[i + 1:]:
-            ensure_distinguished(alpha, beta)
+            distinguish(alpha, beta, reached[alpha], reached[beta])
     # (b) cover trace against proper traversal extension
     for alpha in cover:
+        sa, kids, row = reached[alpha], closure[alpha], differ[reached[alpha]]
         for beta in traversal:
-            if beta in cover_set:
+            sb = reached[beta]
+            if sa == sb or kids & closure[beta] & row[sb] or beta in cover_set:
                 continue
-            ensure_distinguished(alpha, beta)
+            distinguish(alpha, beta, sa, sb)
+            kids = closure[alpha]
     # (c) each traversal trace against its non-empty proper prefixes; the
     # traversal set is prefix-closed, so these are all pairs of distinct
     # non-empty prefixes of a traversal trace
     for beta in traversal:
+        sb, kids = reached[beta], closure[beta]
         for i in range(1, len(beta)):
-            ensure_distinguished(beta[:i], beta)
+            alpha = beta[:i]
+            sa = reached[alpha]
+            if sa == sb or kids & closure[alpha] & differ[sa][sb]:
+                continue
+            distinguish(alpha, beta, sa, sb)
+            kids = closure[beta]
 
     return _to_suite(m, closure, "h", m_bound)
 
@@ -318,12 +378,13 @@ def w_method(m: MealyMachine, m_bound: int) -> TestSuite:
     n = len(m.states)
     k = m_bound - n + 1
     w = characterization_set(m) or [()]
-    closure: set[tuple] = set()
+    bit = {x: 1 << i for i, x in enumerate(m.inputs)}
+    closure: dict[tuple, int] = {}
     for v in cover:
         for length in range(k + 1):
             for word in product(m.inputs, repeat=length):
                 for u in w:
-                    _close_prefixes(closure, v + word + u)
+                    _close_prefixes(closure, v + word + u, bit)
     return _to_suite(m, closure, "w", m_bound)
 
 
@@ -358,16 +419,38 @@ def check_h_completeness(m: MealyMachine, m_bound: int, ts: TestSuite) -> Comple
     n = len(m.states)
     k = m_bound - n + 1
 
-    # the suite as a prefix-closed trace set
-    suite_traces: set[tuple] = {()}
-    for case in ts.cases:
+    for case in ts.cases:  # refuses an input outside the alphabet
         expected, _ = m.run(case.inputs)
         if expected != case.expected:
             report.violations.append(
                 f"expected outputs of case {case.inputs} disagree with the reference"
             )
-        for i in range(len(case.inputs) + 1):
-            suite_traces.add(tuple(case.inputs[:i]))
+    # the suite as a prefix-closed trace set: each trace maps to the mask of
+    # the inputs that extend it in the suite, input i having bit i
+    position = {x: i for i, x in enumerate(m.inputs)}
+    extended_by: dict[tuple, int] = {(): 0}
+    for case in ts.cases:
+        trace = case.inputs
+        if trace in extended_by:
+            continue
+        extended_by[trace] = 0
+        for i in reversed(range(len(trace))):
+            mask = 1 << position[trace[i]]
+            if trace[:i] in extended_by:  # its prefixes are in the set too
+                extended_by[trace[:i]] |= mask
+                break
+            extended_by[trace[:i]] = mask
+
+    # state numbers, and for each pair of states the masks of the inputs on
+    # which their outputs differ and on which their targets differ
+    index = {s: i for i, s in enumerate(m.states)}
+    target = [[index[m.transitions[(s, x)][0]] for x in m.inputs] for s in m.states]
+    output = [[m.transitions[(s, x)][1] for x in m.inputs] for s in m.states]
+    widths = range(len(m.inputs))
+    outputs_differ = [[sum(1 << i for i in widths if ya[i] != yb[i]) for yb in output]
+                      for ya in output]
+    targets_differ = [[sum(1 << i for i in widths if ta[i] != tb[i]) for tb in target]
+                      for ta in target]
 
     # own breadth-first state cover, in discovery order: by length, then
     # input order
@@ -385,58 +468,61 @@ def check_h_completeness(m: MealyMachine, m_bound: int, ts: TestSuite) -> Comple
     cover = list(access.values())
 
     for v in cover:
-        if v not in suite_traces:
+        if v not in extended_by:
             report.violations.append(f"H1: cover trace {v} missing")
 
     # the traversal set V . inputs^{<=k}, each trace once, in first-occurrence
-    # order; H2: each cover trace extended by k inputs is in the suite
-    traversal: dict[tuple, None] = {}
-    for v in cover:
-        for length in range(k + 1):
+    # order, with the number of the state it reaches; H2: each cover trace
+    # extended by k inputs is in the suite
+    traversal: dict[tuple, int] = {}
+    for v, s in zip(cover, access):
+        traversal[v] = index[s]
+        for length in range(1, k + 1):
             for word in product(m.inputs, repeat=length):
-                traversal[v + word] = None
-                if length == k and v + word not in suite_traces:
-                    report.violations.append(f"H2: traversal trace {v + word} missing")
+                t = v + word
+                traversal[t] = target[traversal[t[:-1]]][position[word[-1]]]
+                if length == k and t not in extended_by:
+                    report.violations.append(f"H2: traversal trace {t} missing")
 
-    state_of: dict[tuple, str] = {(): m.initial}  # trace -> reached state, filled on demand
-
-    def reached(trace: tuple) -> str:
-        if trace not in state_of:
-            state_of[trace] = m.transitions[(reached(trace[:-1]), trace[-1])][0]
-        return state_of[trace]
-
-    def distinguished_in_suite(alpha: tuple, beta: tuple) -> bool:
-        sa, sb = reached(alpha), reached(beta)
-        if sa == sb:
-            return True
+    def distinguished_in_suite(alpha: tuple, beta: tuple, sa: int, sb: int) -> bool:
         pending = [(alpha, beta, sa, sb)]  # common suffixes, extended while states differ
         while pending:
             a, b, sa, sb = pending.pop()
-            for x in m.inputs:
-                if a + (x,) in suite_traces and b + (x,) in suite_traces:
-                    (ta, ya), (tb, yb) = m.transitions[(sa, x)], m.transitions[(sb, x)]
-                    if ya != yb:
-                        return True
-                    if ta != tb:
-                        pending.append((a + (x,), b + (x,), ta, tb))
+            common = extended_by.get(a, 0) & extended_by.get(b, 0)
+            if common & outputs_differ[sa][sb]:
+                return True
+            apart = common & targets_differ[sa][sb]
+            while apart:
+                i = apart.bit_length() - 1
+                apart ^= 1 << i
+                x = (m.inputs[i],)
+                pending.append((a + x, b + x, target[sa][i], target[sb][i]))
         return False
 
+    # a pair that reaches one state, or that one common input tells apart,
+    # is decided before any walk
     cover_set = set(cover)
     for i, alpha in enumerate(cover):
         for beta in cover[i + 1:]:
-            if not distinguished_in_suite(alpha, beta):
+            if not distinguished_in_suite(alpha, beta, traversal[alpha], traversal[beta]):
                 report.violations.append(f"H3(a): pair ({alpha}, {beta}) not distinguished")
     for alpha in cover:
-        for beta in traversal:
-            if beta in cover_set:
+        sa, row = traversal[alpha], outputs_differ[traversal[alpha]]
+        mask = extended_by.get(alpha, 0)
+        for beta, sb in traversal.items():
+            if sa == sb or mask & extended_by.get(beta, 0) & row[sb] or beta in cover_set:
                 continue
-            if not distinguished_in_suite(alpha, beta):
+            if not distinguished_in_suite(alpha, beta, sa, sb):
                 report.violations.append(f"H3(b): pair ({alpha}, {beta}) not distinguished")
     # the traversal set is prefix-closed: a trace against each of its
     # non-empty proper prefixes covers every pair of prefixes of a trace
-    for beta in traversal:
+    for beta, sb in traversal.items():
+        mask = extended_by.get(beta, 0)
         for i in range(1, len(beta)):
-            if not distinguished_in_suite(beta[:i], beta):
+            sa = traversal[beta[:i]]
+            if sa == sb or mask & extended_by.get(beta[:i], 0) & outputs_differ[sa][sb]:
+                continue
+            if not distinguished_in_suite(beta[:i], beta, sa, sb):
                 report.violations.append(
                     f"H3(c): prefix {beta[:i]} of {beta} not distinguished")
     return report

@@ -20,7 +20,7 @@ from suptest.guards import (
 from suptest.sfsm import DeterminismViolation, Sfsm, SfsmTransition
 from suptest.guards import And, BoolConst, Comparison, Not, Or, Record
 from suptest.program import interpret_step, risk_state_name
-from suptest.testgen import CompletenessReport, _require_testable
+from suptest.testgen import CompletenessReport, TestCase, TestSuite, _require_testable
 
 
 def child_pids() -> set[int]:
@@ -333,6 +333,76 @@ def stepwise_replies(program, lines) -> list[str]:
         else:
             replies.append(f"ERR unknown command {line!r}")
     return replies
+
+
+def walk_h_method(m: MealyMachine, m_bound: int) -> TestSuite:
+    """H-suite derived by the generator's algorithm, with each trace pair
+    decided by a joint walk that tries every input at each step, and the
+    suite listed from sorted child lists: the oracle for
+    `testgen.h_method`, which decides a pair by its input masks."""
+    cover = list(_require_testable(m, m_bound).values())
+    k = m_bound - len(m.states) + 1
+    cover_set = set(cover)
+    index = {x: i for i, x in enumerate(m.inputs)}
+
+    def close_prefixes(trace: tuple) -> None:
+        for i in range(len(trace) + 1):
+            closure.add(trace[:i])
+
+    closure = {v + word for v in cover for length in range(k + 1)
+               for word in product(m.inputs, repeat=length)}
+    traversal = sorted(closure, key=lambda t: (len(t), [index[x] for x in t]))
+    reached = {(): m.initial}
+    for t in traversal[1:]:
+        reached[t] = m.transitions[(reached[t[:-1]], t[-1])][0]
+    gammas: dict[tuple[str, str], tuple | None] = {}
+
+    def apart(alpha: tuple, beta: tuple, sa: str, sb: str) -> bool:
+        for x in m.inputs:
+            if alpha + (x,) in closure and beta + (x,) in closure:
+                (ta, ya), (tb, yb) = m.transitions[(sa, x)], m.transitions[(sb, x)]
+                if ya != yb or ta != tb and apart(alpha + (x,), beta + (x,), ta, tb):
+                    return True
+        return False
+
+    def ensure_distinguished(alpha: tuple, beta: tuple) -> None:
+        sa, sb = reached[alpha], reached[beta]
+        if sa == sb or apart(alpha, beta, sa, sb):
+            return
+        if (sa, sb) not in gammas:
+            gammas[(sa, sb)] = m.distinguishing_trace(sa, sb)
+        close_prefixes(alpha + gammas[(sa, sb)])
+        close_prefixes(beta + gammas[(sa, sb)])
+
+    for i, alpha in enumerate(cover):
+        for beta in cover[i + 1:]:
+            ensure_distinguished(alpha, beta)
+    for alpha in cover:
+        for beta in traversal:
+            if beta not in cover_set:
+                ensure_distinguished(alpha, beta)
+    for beta in traversal:
+        for i in range(1, len(beta)):
+            ensure_distinguished(beta[:i], beta)
+
+    # the leaves of the closure's prefix tree, in depth-first input order
+    children: dict[tuple, list[tuple]] = {}
+    for t in closure:
+        if t:
+            children.setdefault(t[:-1], []).append(t)
+    cases = []
+    stack = [((), m.initial, ())]
+    while stack:
+        trace, state, outputs = stack.pop()
+        below = children.get(trace)
+        if below is None:
+            if trace:
+                cases.append(TestCase(trace, outputs))
+            continue
+        for t in sorted(below, key=lambda t: index[t[-1]], reverse=True):
+            target, y = m.transitions[(state, t[-1])]
+            stack.append((t, target, outputs + (y,)))
+    return TestSuite(cases, "h", m_bound)
 
 
 def scan_check_h_completeness(m: MealyMachine, m_bound: int, ts) -> CompletenessReport:

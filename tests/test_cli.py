@@ -17,7 +17,7 @@ import time
 import pytest
 
 from suptest import guards
-from suptest.cli import load_machine, main, write_artifact
+from suptest.cli import COMMANDS, build_parser, load_machine, main, write_artifact
 from suptest.encoding import (
     ArtifactError, canonical_dumps, encode_step, fingerprint, read_artifact,
 )
@@ -952,3 +952,51 @@ class TestDebug:
             main(["translate", str(missing)])
         assert isinstance(exc.value.__cause__, FileNotFoundError)
         assert capsys.readouterr().err == ""
+
+
+# Each subcommand's required arguments, so that an unknown option after them
+# is refused by the top-level parser
+REQUIRED_ARGUMENTS = {
+    "translate": ["b.cb"], "classes": ["r.sfsm"], "abstract": ["r.sfsm"],
+    "generate": ["fsm.json"], "concretize": ["suite.json", "partition.json", "a.json"],
+    "check-suite": ["fsm.json", "suite.json"], "run": ["suite.json", "--sut", "x"],
+    "serve-reference": ["program.gap"], "serve-machine": ["fsm.json"],
+    "mutate": ["fsm.json", "--suite", "suite.json"], "render": ["fsm.json"],
+    "pipeline": ["b.cb"],
+}
+
+
+def parsed(parse, argv, capsys) -> tuple:
+    """The exit code, standard output and standard error of `parse(argv)`,
+    which exits."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return exc.value.code, *capsys.readouterr()
+
+
+class TestParserPerCommand:
+    """`main` builds the parser of the subcommand it is given, alone: its
+    help and its refusals read as those of the whole parser."""
+
+    def test_every_command_listed(self):
+        assert list(REQUIRED_ARGUMENTS) == list(COMMANDS) and len(COMMANDS) == 12
+
+    @pytest.mark.parametrize("command", list(REQUIRED_ARGUMENTS))
+    def test_help_and_usage_error_as_whole_parser(self, command, capsys):
+        whole = build_parser().parse_args
+        for argv in ([command, "-h"],
+                     [command, *REQUIRED_ARGUMENTS[command], "--no-such-option"]):
+            alone = parsed(main, argv, capsys)
+            assert alone == parsed(whole, argv, capsys)
+            assert alone[0] == (0 if argv[-1] == "-h" else 2)
+            assert alone[2 if alone[0] else 1]  # help on stdout, a refusal on stderr
+        assert "unrecognized arguments: --no-such-option" in alone[2]
+
+    @pytest.mark.parametrize("argv", [[], ["-h"], ["no-such-command"], ["--out", "x"]],
+                             ids=["none", "help", "unknown", "option-first"])
+    def test_whole_parser_otherwise(self, argv, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr("suptest.cli.build_parser",
+                            lambda names=COMMANDS: built.append(names) or build_parser(names))
+        assert parsed(main, argv, capsys) == parsed(build_parser().parse_args, argv, capsys)
+        assert built == [COMMANDS]

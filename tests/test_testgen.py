@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import m0, random_machine, scan_check_h_completeness
+from helpers import m0, random_machine, scan_check_h_completeness, walk_h_method
 from suptest import mutation
 from suptest.encoding import canonical_artifact, canonical_dumps
 from suptest.fsm import FsmError, MealyMachine
@@ -310,9 +310,31 @@ def walk_population():
                 yield m, bound, TestSuite(cases, "h", bound)
 
 
+def wide_population():
+    """(machine, bound, suite): the H-suites of random machines of three or
+    four inputs, each whole, with up to five seeded single-case deletions,
+    and with one case cut short to half its length."""
+    rng = random.Random(7)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        m = random_machine(rng, n, rng.randint(3, 4), rng.randint(2, 3))
+        for bound in (n, n + 1):
+            suite = h_method(m, bound)
+            cases = suite.cases
+            for drop in [None, *rng.sample(range(len(cases)), min(5, len(cases)))]:
+                yield m, bound, TestSuite([c for i, c in enumerate(cases) if i != drop],
+                                          "h", bound)
+            cut = rng.randrange(len(cases))
+            half = len(cases[cut].inputs) // 2
+            short = TestCase(cases[cut].inputs[:half], cases[cut].expected[:half])
+            yield m, bound, TestSuite([short if i == cut else c for i, c in enumerate(cases)],
+                                      "h", bound)
+
+
 class TestWalkAgainstScan:
-    """The checker decides each trace pair by a joint walk of the suite's
-    trace set; the scan over the whole set is kept as its oracle."""
+    """The checker decides each trace pair by its input masks, and walks the
+    suite's trace set from a pair that one input does not tell apart; the
+    scan over the whole set is kept as its oracle."""
 
     def test_violations_equal_scan_oracle(self):
         rejected = 0
@@ -321,6 +343,24 @@ class TestWalkAgainstScan:
             assert violations == scan_check_h_completeness(m, bound, ts).violations
             rejected += bool(violations)
         assert rejected > 100  # deletions do make the checker find violations
+
+    def test_wider_alphabets_equal_scan_oracle(self):
+        # 547 suites in about 1 s; keep it under 5 s
+        checked = rejected = 0
+        for m, bound, ts in wide_population():
+            violations = check_h_completeness(m, bound, ts).violations
+            assert violations == scan_check_h_completeness(m, bound, ts).violations
+            checked += 1
+            rejected += bool(violations)
+        assert checked == 547 and rejected > 400
+
+    @pytest.mark.parametrize("symbol", ["z", {"x": 1}], ids=["unknown", "unhashable"])
+    def test_refuses_input_outside_alphabet(self, symbol):
+        m = m0()
+        suite = h_method(m, 2)
+        bad = TestSuite(suite.cases + [TestCase(("a", symbol), ("1", "0"))], "h", 2)
+        with pytest.raises(FsmError, match=r"input symbol .* not in alphabet"):
+            check_h_completeness(m, 2, bad)
 
     def test_no_violation_line_repeats(self):
         # each trace pair is decided once, and an H3(c) line names a trace
@@ -333,6 +373,18 @@ class TestWalkAgainstScan:
                 if line.startswith("H3(c)"):
                     prefix, trace = map(ast.literal_eval, h3c.fullmatch(line).groups())
                     assert 0 < len(prefix) < len(trace) and trace[:len(prefix)] == prefix
+
+
+class TestGeneratorAgainstWalk:
+    """The generator decides each trace pair by its input masks; the walk
+    that tries every input at each step is kept as its oracle."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(2, 5), st.integers(2, 3),
+           st.integers(0, 2))
+    @settings(max_examples=80, deadline=None)
+    def test_same_cases_in_same_order(self, seed, n, n_inputs, n_outputs, extra):
+        m = random_machine(random.Random(seed), n, n_inputs, n_outputs)
+        assert h_method(m, n + extra).cases == walk_h_method(m, n + extra).cases
 
 
 class TestReachedStateMemo:
@@ -389,6 +441,8 @@ class TestPinnedSuites:
         suite = h_method(welding_fsm, m_bound)
         stats = suite_stats(suite)
         assert (stats["cases"], stats["total_input_symbols"]) == (40_824, 216_240)
+        assert hashlib.sha256(suite_content(suite)).hexdigest() == (
+            "2712abd23228bb62195717c16c5795248d9b5270b7b238d8babce79c43be9b18")
         assert check_h_completeness(welding_fsm, m_bound, suite).ok
 
 
