@@ -65,16 +65,6 @@ def canonical_dumps(obj: object, compact: bool = False) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
-def encode_valuation(v: dict | None) -> str:
-    """Single-line canonical encoding of a valuation (keys sorted ascending).
-
-    ``None`` stands for the reserved nil output and encodes as ``nil``.
-    """
-    if v is None:
-        return NIL_TEXT
-    return _COMPACT_ENCODER.encode(v)
-
-
 def decode_valuation(text: str) -> dict | None:
     text = text.strip()
     if text == NIL_TEXT:
@@ -86,12 +76,14 @@ def decode_valuation(text: str) -> dict | None:
 
 
 def encode_step(v: dict | str | None) -> str:
-    """Wire form of one step payload: valuation, bare symbol, or nil."""
+    """Wire form of one step payload: a bare symbol as it is, ``None`` (the
+    reserved nil output) as ``nil``, and a valuation in its single-line
+    canonical encoding, keys sorted ascending."""
     if v is None:
         return NIL_TEXT
     if isinstance(v, str):
         return v
-    return encode_valuation(v)
+    return _COMPACT_ENCODER.encode(v)
 
 
 def is_wire_valuation(v: object) -> bool:

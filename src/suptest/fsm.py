@@ -128,8 +128,8 @@ class MealyMachine:
             raise FsmError("duplicate (state, input) pair: machine not deterministic")
         return cls(obj["states"], obj["initial"], obj["inputs"], obj["outputs"], transitions)
 
-    def to_dot(self, name: str = "fsm") -> str:
-        lines = [f"digraph {name} {{", "  rankdir=LR;", '  __start [shape=point];',
+    def to_dot(self) -> str:
+        lines = ["digraph fsm {", "  rankdir=LR;", '  __start [shape=point];',
                  f'  __start -> "{self.initial}";']
         for s in self.states:
             lines.append(f'  "{s}" [shape=circle];')

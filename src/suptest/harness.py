@@ -8,7 +8,8 @@ Wire protocol (UTF-8, newline-delimited):
 where <valuation> is the canonical single-line encoding with keys sorted
 ascending (or the bare token ``nil``).  The adapter boundary is a child
 process, so any generated controller can be wrapped regardless of language.
-The SUT side, `serve_reference` and its loop, lives in `program`.  A SUT
+The SUT side, `serve_behaviour`, lives in `program`; it serves a program
+(`serve_reference`) and a Mealy machine (`serve_machine`) alike.  A SUT
 given as a command line is exec'd; the reference SUT of a program file is
 forked from this process instead (`ForkedSut`), so that it starts with
 the toolkit already loaded, and reads the program from the file.
@@ -44,9 +45,8 @@ from .program import (
     DEFAULT_STEP_TIMEOUT,
     MEMO_SIZE,
     GuardedActionProgram,
-    Interpreter,
-    _serve,
     exit_code,
+    serve_behaviour,
     serve_program,
 )
 
@@ -143,27 +143,38 @@ class TestReport:
 # SUTs: anything with reset(inputs), step(input) and restart()
 # ---------------------------------------------------------------------------
 
-class MachineSut:
-    """A Mealy machine stepped in-process on bare input symbols."""
+class LocalSut:
+    """A behaviour stepped in-process by its step function, which maps a
+    (state, input) pair to (next state, output)."""
 
-    def __init__(self, machine):
-        self.machine = machine
-        self.state = machine.initial
+    def __init__(self, initial, step):
+        self.initial = initial
+        self.state = initial
+        self._step = step
 
     def plan(self, cases) -> None:
         """Nothing goes out ahead in-process."""
 
     def reset(self, inputs=()) -> None:
-        self.state = self.machine.initial
+        """Back to the initial state; the case's `inputs` are not needed."""
+        self.state = self.initial
 
     restart = reset  # nothing to respawn in-process
 
-    def step(self, symbol: str) -> str:
-        entry = self.machine.transitions.get((self.state, symbol))
-        if entry is None:
-            raise HarnessError(f"no transition on {symbol!r}")
-        self.state, output = entry
+    def step(self, x):
+        self.state, output = self._step((self.state, x))
         return output
+
+
+def machine_step(machine):
+    """The step function of `machine`, refusing a symbol it has no
+    transition on."""
+    def step(pair):
+        entry = machine.transitions.get(pair)
+        if entry is None:
+            raise HarnessError(f"no transition on {pair[1]!r}")
+        return entry
+    return step
 
 
 def _encode_in(v) -> bytes:
@@ -600,7 +611,7 @@ def run_suite_offline(program: GuardedActionProgram, ts) -> TestReport:
     """
     if not ts.concrete:
         raise HarnessError("run_suite_offline needs a concrete suite")
-    return run_suite(Interpreter(program), ts)
+    return run_suite(LocalSut(program.initial, program.step), ts)
 
 
 # ---------------------------------------------------------------------------
@@ -609,13 +620,4 @@ def run_suite_offline(program: GuardedActionProgram, ts) -> TestReport:
 
 def serve_machine(machine, stdin=None, stdout=None) -> None:
     """Serve a Mealy machine over the wire protocol with bare symbols."""
-    sut = MachineSut(machine)
-
-    def answer(text: str) -> str:
-        try:
-            output = sut.step(text.strip())
-        except Exception as exc:
-            return f"ERR {exc}"
-        return "OUT " + encode_step(output)
-
-    _serve(sut.reset, answer, stdin, stdout)
+    serve_behaviour(machine.initial, machine_step(machine), str.strip, stdin, stdout)

@@ -14,11 +14,11 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import chain
 
-from .encoding import encode_valuation
+from .encoding import encode_step
 from .fsm import MealyMachine, first_difference
 from .guards import And, Comparison, Not, Or, distinct_guards, truth_classes
-from .harness import ERROR, PASS, MachineSut, SutAdapter, verdicts
-from .program import POLICY_SELFLOOP, GuardedActionProgram, Interpreter, interpret_step
+from .harness import ERROR, PASS, LocalSut, SutAdapter, machine_step, verdicts
+from .program import POLICY_SELFLOOP, GuardedActionProgram
 
 OUTPUT_FAULT = "output-fault"
 TRANSFER_FAULT = "transfer-fault"
@@ -147,7 +147,7 @@ def _program_mutants(p: GuardedActionProgram, operators) -> list[Mutant]:
                 actions = list(p.actions)
                 actions[i] = a.replace(output=out)
                 emit(OUTPUT_FAULT,
-                     f"action {i} ({a.name}) output -> {encode_valuation(out)}",
+                     f"action {i} ({a.name}) output -> {encode_step(out)}",
                      actions)
     if TRANSFER_FAULT in operators:
         for i, a in enumerate(p.actions):
@@ -200,22 +200,14 @@ def generate_mutants(
 def program_equivalent(p1: GuardedActionProgram, p2: GuardedActionProgram) -> bool:
     """Exact observational equivalence over the full input valuation space.
 
-    `first_difference` over the product of the two interpreters' risk-state
+    `first_difference` over the product of the two programs' risk-state
     spaces.  Both read an input only through the truth of their guards, so
     one representative per truth class of the joint guard set stands for
     every valuation.
     """
     guards = distinct_guards(a.guard for p in (p1, p2) for a in p.actions)
     inputs = [v for _, v, _ in truth_classes(guards, p1.input_vars)]
-
-    def stepper(p):
-        def step(pair):
-            r, v = pair
-            output, n = interpret_step(p, v, r)
-            return n, output
-        return step
-
-    return first_difference((p1.initial, p2.initial), inputs, stepper(p1), stepper(p2)) is None
+    return first_difference((p1.initial, p2.initial), inputs, p1.step, p2.step) is None
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +235,8 @@ def classify(reference, suite, mutant: Mutant, via: str = "oracle",
         equivalent = program_equivalent(reference, mutant.target)
 
     if via == "oracle":
-        session = nullcontext(MachineSut(mutant.target) if machine
-                              else Interpreter(mutant.target))
+        step = machine_step(mutant.target) if machine else mutant.target.step
+        session = nullcontext(LocalSut(mutant.target.initial, step))
     elif via == "harness":
         if sut_command is None:
             raise ValueError("harness mode needs a sut_command factory")

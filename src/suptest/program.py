@@ -1,15 +1,18 @@
-"""The guarded-action program, its interpreter and the protocol server.
+"""The guarded-action program, its step function and the protocol server.
 
 A guarded-action program is the executable stand-in for generated
 controller code: per risk state, a list of actions, each a guard over the
-monitored variables with an output valuation and a next risk state.  The
-interpreter steps it, and `serve_reference` speaks the SUT side of the wire
-protocol (see `harness`, the client side) for it on standard streams.
+monitored variables with an output valuation and a next risk state.  A
+behaviour steps by one function from a (state, input) pair to (next state,
+output), as a complete Mealy machine's `transitions.__getitem__` does: a
+program's is `GuardedActionProgram.step`.  The one server of the wire
+protocol's SUT side (see `harness` for the client side), `serve_behaviour`,
+serves a program (`serve_reference`) and a machine alike.
 
 A risk state has one form here: its (factor, phase) pairs sorted by factor
-(`RiskState`).  Actions hold it, the interpreter steps it, the server keys
-its memo by it and the mutation oracle compares it; a dict read from a file
-is frozen to it once, by `_freeze`, and a message prints it as a dict.
+(`RiskState`).  Actions hold it, `step` maps it, the server keys its memo
+by it and the mutation oracle compares it; a dict read from a file is
+frozen to it once, by `_freeze`, and a message prints it as a dict.
 
 A reference SUT runs `serve_program`, once per session, on one of three
 routes that fail alike (`exit_code`): `pipeline`'s default SUT, a child
@@ -30,7 +33,7 @@ from __future__ import annotations
 import os
 import sys
 
-from .encoding import decode_valuation, encode_step, encode_valuation, read_artifact
+from .encoding import decode_valuation, encode_step, read_artifact
 from .guards import (
     GuardExpr,
     Record,
@@ -48,7 +51,7 @@ DEFAULT_STEP_TIMEOUT = 5.0
 
 DEBUG_ENV = "SUPTEST_DEBUG"  # "1": a failing command raises, with its traceback
 
-# Steps `serve_reference` remembers per session, as (risk state, IN payload)
+# Steps `serve_behaviour` remembers per session, as (state, IN payload)
 # pairs; a suite repeats few of them, and past this many it stops storing.
 MEMO_SIZE = 4096
 
@@ -66,7 +69,7 @@ class NoEnabledAction(SupervisorError):
     def __init__(self, risk_state, v):
         super().__init__(
             f"no action enabled in risk state {dict(risk_state)} "
-            f"on input {encode_valuation(v)}"
+            f"on input {encode_step(v)}"
         )
         self.risk_state = risk_state
         self.v = v
@@ -102,8 +105,9 @@ class GuardedActionProgram(Record):
 
     `resolution` "strict" rejects overlapping guards at run time; "first"
     picks the first enabled action in declaration order (used for mutants,
-    whose perturbed guards may overlap).  Unhashable, as its fields are
-    lists.
+    whose perturbed guards may overlap).  `from_obj` refuses any other
+    `resolution`, and a `policy` other than the two above.  Unhashable, as
+    its fields are lists.
     """
 
     __slots__ = ("input_vars", "output_vars", "factors", "initial", "actions",
@@ -164,64 +168,64 @@ class GuardedActionProgram(Record):
             list(obj["factors"]),
             _freeze(obj["initial"]),
             actions,
-            obj.get("policy", POLICY_ERROR),
-            obj.get("resolution", "strict"),
+            _choice(obj, "policy", (POLICY_ERROR, POLICY_SELFLOOP)),
+            _choice(obj, "resolution", ("strict", "first")),
         )
 
+    def step(self, pair: tuple[RiskState, Valuation]) -> tuple[RiskState, Valuation | None]:
+        """Next risk state and output of the unique action enabled in risk
+        state r on input v, for `pair` = (r, v).
 
-class Interpreter:
-    """Steps a guarded-action program; the stand-in for deployed code.
-
-    Holds the current risk state; one instance per SUT session.
-    """
-
-    def __init__(self, program: GuardedActionProgram):
-        self.program = program
-        self.risk_state: RiskState = program.initial
-
-    def plan(self, cases) -> None:
-        """Nothing goes out ahead in-process."""
-
-    def reset(self, inputs=()) -> None:
-        """Back to the initial risk state; the case's `inputs` are not needed."""
-        self.risk_state = self.program.initial
-
-    restart = reset  # nothing to respawn in-process
-
-    def step(self, v: Valuation) -> Valuation | None:
-        output, self.risk_state = interpret_step(self.program, v, self.risk_state)
-        return output
+        With the `complete-with-selfloop` policy an uncovered input leaves
+        the risk state unchanged, with the nil output.
+        """
+        r, v = pair
+        enabled = [a for a in self.actions if a.source == r and eval_guard(a.guard, v)]
+        if len(enabled) > 1 and self.resolution == "strict":
+            raise MultipleEnabledActions(
+                f"actions {enabled[0].name!r} and {enabled[1].name!r} both enabled "
+                f"in {risk_state_name(dict(r), self.factors)} on {encode_step(v)}"
+            )
+        if not enabled:
+            if self.policy == POLICY_SELFLOOP:
+                return r, None
+            raise NoEnabledAction(r, v)
+        return enabled[0].target, enabled[0].output
 
 
-def interpret_step(
-    p: GuardedActionProgram, v: Valuation, r: RiskState
-) -> tuple[Valuation | None, RiskState]:
-    """Output and next risk state of the unique enabled action.
+def _choice(obj: dict, key: str, allowed: tuple):
+    """`obj[key]`, one of `allowed`; the first of them if `key` is missing."""
+    value = obj.get(key, allowed[0])
+    if value not in allowed:
+        raise ValueError(f"{key} must be one of {', '.join(map(repr, allowed))}, not {value!r}")
+    return value
 
-    With the `complete-with-selfloop` policy an uncovered input yields the
-    nil output and leaves the risk state unchanged.
-    """
-    enabled = [a for a in p.actions if a.source == r and eval_guard(a.guard, v)]
-    if len(enabled) > 1 and p.resolution == "strict":
-        raise MultipleEnabledActions(
-            f"actions {enabled[0].name!r} and {enabled[1].name!r} both enabled "
-            f"in {risk_state_name(dict(r), p.factors)} on {encode_valuation(v)}"
-        )
-    if not enabled:
-        if p.policy == POLICY_SELFLOOP:
-            return None, r
-        raise NoEnabledAction(r, v)
-    a = enabled[0]
-    return a.output, a.target
+
+def _read_input(program: GuardedActionProgram, text: str) -> Valuation:
+    """The valuation of `IN text`, checked against the declared inputs."""
+    v = decode_valuation(text)
+    if v is None:
+        raise ValueError("nil is not a valid input")
+    check_valuation(v, program.input_vars)
+    return v
 
 
 # ---------------------------------------------------------------------------
 # The SUT side of the wire protocol
 # ---------------------------------------------------------------------------
 
-def _serve(reset, answer, stdin, stdout) -> None:
-    """Protocol loop until EOF: RESET calls `reset`, and `answer` maps an IN
-    payload to its reply line.
+def serve_behaviour(initial, step, read, stdin=None, stdout=None) -> None:
+    """Speak the wire protocol for a behaviour until EOF: RESET goes back to
+    `initial`, and `IN payload` is answered with the output of
+    `step((state, read(payload)))`, which gives (next state, output).
+
+    An exception from `read` or `step` is answered with an ERR reply and
+    leaves the state unchanged.  A reply and the next state depend only on
+    the state and the payload, so the first `MEMO_SIZE` distinct pairs are
+    remembered, and a repeated step is answered without reading, stepping
+    or encoding.  Reading depends on the payload alone, so the first
+    `MEMO_SIZE` distinct payloads are read once, whatever state they
+    arrive in.
 
     `stdin` and `stdout` are binary streams, by default the buffers of the
     standard streams.  Each pass answers every complete line that one
@@ -234,6 +238,29 @@ def _serve(reset, answer, stdin, stdout) -> None:
     """
     stdin = stdin if stdin is not None else sys.stdin.buffer
     stdout = stdout if stdout is not None else sys.stdout.buffer
+    state = initial
+    answered: dict = {}  # (state, payload) -> (reply line, next state)
+    inputs: dict = {}  # payload -> its input, or the exception that refused it
+
+    def answer(state, text: str) -> tuple[str, object]:
+        """The reply line to `IN text` in `state`, and the next state."""
+        if text in inputs:
+            x = inputs[text]
+        else:
+            try:
+                x = read(text)
+            except Exception as exc:
+                x = exc.with_traceback(None)  # its traceback would keep `read`'s frames
+            if len(inputs) < MEMO_SIZE:
+                inputs[text] = x
+        if isinstance(x, Exception):
+            return f"ERR {x}\n", state
+        try:
+            target, output = step((state, x))
+        except Exception as exc:
+            return f"ERR {exc}\n", state
+        return f"OUT {encode_step(output)}\n", target
+
     rest = b""  # the start of a line whose end is still to come
     while True:
         data = stdin.read1(65536)
@@ -244,10 +271,17 @@ def _serve(reset, answer, stdin, stdout) -> None:
             if not line:
                 continue
             if line == "RESET":
-                reset()
+                state = initial
                 replies.append("READY\n")
             elif line.startswith("IN "):
-                replies.append(answer(line[3:]) + "\n")
+                key = (state, line[3:])
+                known = answered.get(key)
+                if known is None:
+                    known = answer(*key)
+                    if len(answered) < MEMO_SIZE:
+                        answered[key] = known
+                reply, state = known
+                replies.append(reply)
             else:
                 replies.append(f"ERR unknown command {line!r}\n")
         if replies:
@@ -257,70 +291,14 @@ def _serve(reset, answer, stdin, stdout) -> None:
             return
 
 
-def _read_input(program: GuardedActionProgram, text: str) -> tuple[Valuation | None, str | None]:
-    """The valuation of `IN text`, checked against the declared inputs, and
-    None; or None and the ERR reply that refuses it."""
-    try:
-        v = decode_valuation(text)
-        if v is None:
-            raise ValueError("nil is not a valid input")
-        check_valuation(v, program.input_vars)
-    except Exception as exc:
-        return None, f"ERR {exc}"
-    return v, None
-
-
-def _step_reply(program: GuardedActionProgram, state: RiskState,
-                read: tuple[Valuation | None, str | None]) -> tuple[str, RiskState]:
-    """The reply to an IN line, `read` by `_read_input`, in risk state
-    `state`, and the next risk state: `state` itself after an ERR reply."""
-    v, refusal = read
-    if refusal is not None:
-        return refusal, state
-    try:
-        output, r = interpret_step(program, v, state)
-    except Exception as exc:
-        return f"ERR {exc}", state
-    return "OUT " + encode_step(output), r
-
-
 def serve_reference(program: GuardedActionProgram, stdin=None, stdout=None) -> None:
-    """Speak the wire protocol on standard streams until EOF.
+    """Serve `program` over the wire protocol on standard streams until EOF.
 
     Malformed input, and input outside the declared variables or their
-    sorts, produces an ERR reply and leaves the state unchanged.  A reply
-    and the next risk state depend only on the risk state and the payload,
-    so the first `MEMO_SIZE` distinct pairs are remembered, and a repeated
-    step is answered without decoding, checking, interpreting or encoding.
-    Decoding and checking depend on the payload alone, so the first
-    `MEMO_SIZE` distinct payloads are read once, whatever risk state they
-    arrive in.
+    sorts, produces an ERR reply and leaves the state unchanged.
     """
-    state = program.initial
-    answered: dict = {}  # (risk state, payload) -> (reply, next risk state)
-    read: dict = {}  # payload -> _read_input's result
-
-    def reset() -> None:
-        nonlocal state
-        state = program.initial
-
-    def answer(text: str) -> str:
-        nonlocal state
-        key = (state, text)
-        known = answered.get(key)
-        if known is None:
-            checked = read.get(text)
-            if checked is None:
-                checked = _read_input(program, text)
-                if len(read) < MEMO_SIZE:
-                    read[text] = checked
-            known = _step_reply(program, state, checked)
-            if len(answered) < MEMO_SIZE:
-                answered[key] = known
-        reply, state = known
-        return reply
-
-    _serve(reset, answer, stdin, stdout)
+    serve_behaviour(program.initial, program.step, lambda text: _read_input(program, text),
+                    stdin, stdout)
 
 
 def load_program(path) -> GuardedActionProgram:

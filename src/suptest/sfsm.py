@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .encoding import NIL_TEXT, encode_valuation, fnv1a64, is_wire_valuation
+from .encoding import NIL_TEXT, encode_step, fnv1a64, is_wire_valuation
 from .fsm import MealyMachine
 from .guards import (
     GuardExpr,
@@ -43,7 +43,7 @@ class DeterminismViolation(SfsmError):
         first, second = (print_guard(e.guard) for e in enabled[:2])
         super().__init__(
             f"guards {first!r} and {second!r} of state {state!r} "
-            f"overlap on {encode_valuation(witness)}"
+            f"overlap on {encode_step(witness)}"
         )
         self.state = state
         self.witness = witness
@@ -60,7 +60,7 @@ class UnknownOutputLabel(SfsmError):
 class IncompleteState(SfsmError):
     def __init__(self, state: str, witness: Valuation):
         super().__init__(
-            f"no guard of state {state!r} covers input {encode_valuation(witness)}"
+            f"no guard of state {state!r} covers input {encode_step(witness)}"
         )
         self.state = state
         self.witness = witness
@@ -211,7 +211,7 @@ class InputClassPartition:
                 own = False
             if not own:
                 raise SfsmError(f"class {c.id}: representative "
-                                f"{encode_valuation(c.representative)} is not in the class")
+                                f"{encode_step(c.representative)} is not in the class")
 
 
 def input_classes(r: Sfsm) -> InputClassPartition:
@@ -264,13 +264,13 @@ def abstract_to_fsm(r: Sfsm, policy: str = POLICY_ERROR) -> tuple[MealyMachine, 
     partition = input_classes(r)
 
     distinct_outputs = sorted(
-        {encode_valuation(t.output) for t in r.transitions if t.output is not None}
+        {encode_step(t.output) for t in r.transitions if t.output is not None}
     )
     label_of = {text: f"o{i}" for i, text in enumerate(distinct_outputs)}
     label_to_output: dict[str, Valuation | None] = {}
     for t in r.transitions:
         if t.output is not None:
-            label_to_output[label_of[encode_valuation(t.output)]] = t.output
+            label_to_output[label_of[encode_step(t.output)]] = t.output
 
     outputs = [f"o{i}" for i in range(len(distinct_outputs))]
     transitions = {}
@@ -280,7 +280,7 @@ def abstract_to_fsm(r: Sfsm, policy: str = POLICY_ERROR) -> tuple[MealyMachine, 
         for c in partition.classes:
             t = r.step(state, c.representative)
             if t is not None:
-                label = NIL_LABEL if t.output is None else label_of[encode_valuation(t.output)]
+                label = NIL_LABEL if t.output is None else label_of[encode_step(t.output)]
                 if t.output is None:
                     needs_nil = True
                 transitions[(state, c.id)] = (t.target, label)
@@ -334,10 +334,10 @@ def concretize_suite(suite, partition: InputClassPartition, amap: AbstractionMap
 
 def hash_label(v: Valuation | None) -> int:
     """64-bit FNV-1a over the canonical valuation encoding (sorted keys)."""
-    return fnv1a64(encode_valuation(v).encode("utf-8"))
+    return fnv1a64(encode_step(v).encode("utf-8"))
 
 
-def export_dot(r: Sfsm, name: str = "sfsm") -> str:
+def export_dot(r: Sfsm) -> str:
     """One node per risk state, edges labelled action:h(input-rep)/h(output).
 
     Full valuation expressions are too long to display, so each edge shows
@@ -346,7 +346,7 @@ def export_dot(r: Sfsm, name: str = "sfsm") -> str:
     """
     from .guards import satisfiable
 
-    lines = [f"digraph {name} {{", "  rankdir=LR;", "  __start [shape=point];",
+    lines = ["digraph sfsm {", "  rankdir=LR;", "  __start [shape=point];",
              f'  __start -> "{r.initial}";']
     for s in r.states:
         lines.append(f'  "{s}" [shape=ellipse];')

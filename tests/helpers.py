@@ -19,7 +19,7 @@ from suptest.guards import (
 )
 from suptest.sfsm import DeterminismViolation, Sfsm, SfsmTransition
 from suptest.guards import And, BoolConst, Comparison, Not, Or, Record
-from suptest.program import interpret_step, risk_state_name
+from suptest.program import risk_state_name
 from suptest.testgen import CompletenessReport, TestCase, TestSuite, _require_testable
 
 
@@ -268,8 +268,8 @@ def valuation_program_equivalent(p1, p2) -> bool:
     while queue:
         r1, r2 = queue.popleft()
         for v in inputs:
-            o1, n1 = interpret_step(p1, v, r1)
-            o2, n2 = interpret_step(p2, v, r2)
+            n1, o1 = p1.step((r1, v))
+            n2, o2 = p2.step((r2, v))
             if o1 != o2:
                 return False
             pair = (n1, n2)
@@ -281,7 +281,7 @@ def valuation_program_equivalent(p1, p2) -> bool:
 
 def plain_verdicts(target, ts) -> list[tuple]:
     """(status, step, observed) per case of `ts`, run by a plain loop over
-    `brute_outputs` for a machine or `interpret_step` for a program, whose
+    `brute_outputs` for a machine or `GuardedActionProgram.step` for a program, whose
     inputs are checked against its declaration as the reference SUT checks
     them: the oracle for the harness's shared case loop."""
     results = []
@@ -293,7 +293,7 @@ def plain_verdicts(target, ts) -> list[tuple]:
             try:
                 for v, expected in zip(case.inputs, case.expected):
                     check_valuation(v, target.input_vars)
-                    o, r = interpret_step(target, v, r)
+                    r, o = target.step((r, v))
                     observed.append(o)
                     if o != expected:
                         break
@@ -306,33 +306,57 @@ def plain_verdicts(target, ts) -> list[tuple]:
     return results
 
 
-def stepwise_replies(program, lines) -> list[str]:
-    """The reference SUT's reply to each protocol line, worked out line by
-    line with no memo: decode, check, `interpret_step` and encode.  The
-    oracle for `program.serve_reference`, which answers a repeated step
-    from its memo."""
-    r, replies = program.initial, []
+def _stepwise(initial, answer, lines) -> list[str]:
+    """The reply to each protocol line, worked out line by line with no
+    memo; `answer(state, payload)` gives the reply to `IN payload` in
+    `state` and the next state."""
+    state, replies = initial, []
     for line in lines:
         line = line.strip()
         if not line:
             continue
         if line == "RESET":
-            r = program.initial
+            state = initial
             replies.append("READY")
         elif line.startswith("IN "):
-            try:
-                v = decode_valuation(line[3:])
-                if v is None:
-                    raise ValueError("nil is not a valid input")
-                check_valuation(v, program.input_vars)
-                output, r = interpret_step(program, v, r)
-            except Exception as exc:
-                replies.append(f"ERR {exc}")
-            else:
-                replies.append("OUT " + encode_step(output))
+            reply, state = answer(state, line[3:])
+            replies.append(reply)
         else:
             replies.append(f"ERR unknown command {line!r}")
     return replies
+
+
+def stepwise_replies(program, lines) -> list[str]:
+    """The reference SUT's reply to each protocol line, worked out line by
+    line with no memo: decode, check, `GuardedActionProgram.step` and
+    encode.  The oracle for `program.serve_reference`, which answers a
+    repeated step from its memo."""
+    def answer(r, payload):
+        try:
+            v = decode_valuation(payload)
+            if v is None:
+                raise ValueError("nil is not a valid input")
+            check_valuation(v, program.input_vars)
+            r2, output = program.step((r, v))
+        except Exception as exc:
+            return f"ERR {exc}", r
+        return "OUT " + encode_step(output), r2
+
+    return _stepwise(program.initial, answer, lines)
+
+
+def stepwise_machine_replies(m: MealyMachine, lines) -> list[str]:
+    """The symbolic SUT's reply to each protocol line, worked out line by
+    line with no memo from the transition map: the oracle for
+    `harness.serve_machine`, which answers a repeated step from its memo."""
+    def answer(s, payload):
+        symbol = payload.strip()
+        if (s, symbol) not in m.transitions:
+            return f"ERR no transition on {symbol!r}", s
+        t, y = m.transitions[(s, symbol)]
+        return f"OUT {y}", t
+
+    return _stepwise(m.initial, answer, lines)
 
 
 def walk_h_method(m: MealyMachine, m_bound: int) -> TestSuite:

@@ -346,6 +346,11 @@ def serve_reference_modules(program) -> set:
     return set(ast.literal_eval(done.stderr.strip().splitlines()[-1]))
 
 
+# A program without variables or actions, with one more key to be filled in
+EMPTY_PROGRAM = ('{"input_vars": [], "output_vars": [], "factors": [], "initial": {}, '
+                 '"actions": [], %s}')
+
+
 class TestServeReference:
     def test_loads_no_generator_module(self, translated):
         loaded = serve_reference_modules(translated / "program.gap")
@@ -361,7 +366,15 @@ class TestServeReference:
         (None, "No such file or directory"),
         ("{", "Expecting property name"),
         ('{"input_vars": []}', "missing key 'output_vars'"),
-    ], ids=["missing", "malformed", "missing-key"])
+        (EMPTY_PROGRAM % '"resolution": "Strict"',
+         "resolution must be one of 'strict', 'first', not 'Strict'"),
+        (EMPTY_PROGRAM % '"resolution": 7', "resolution must be one of 'strict', 'first', not 7"),
+        (EMPTY_PROGRAM % '"policy": "selfloop"',
+         "policy must be one of 'error', 'complete-with-selfloop', not 'selfloop'"),
+        (EMPTY_PROGRAM % '"policy": null',
+         "policy must be one of 'error', 'complete-with-selfloop', not None"),
+    ], ids=["missing", "malformed", "missing-key", "resolution-case", "resolution-int",
+            "policy-short", "policy-null"])
     def test_both_routes_fail_alike(self, tmp_path, capsys, content, cause):
         path = tmp_path / "program.gap"
         if content is not None:
@@ -459,7 +472,7 @@ SERVE_SCRIPT = (b'RESET\n\n  \nIN {"x":1}\r\nPING\nIN {"x":\xff}\n\xfe\xfd\n'
 
 
 class TestServeLoop:
-    """`program._serve`, the one serve loop: the same replies on every
+    """`program.serve_behaviour`, the one server: the same replies on every
     route of the reference SUT and under `serve_machine`, and none held
     back while it waits for more input."""
 

@@ -2,6 +2,7 @@
 
 import io
 import os
+import random
 import shlex
 import sys
 import threading
@@ -22,11 +23,12 @@ from suptest.harness import (
     PASS,
     WINDOW,
     HarnessError,
-    MachineSut,
+    LocalSut,
     SutAdapter,
     SutStartError,
     TestReport,
     Verdict,
+    machine_step,
     run_suite,
     run_suite_offline,
     serve_machine,
@@ -37,8 +39,8 @@ from suptest.mutation import (
 )
 from suptest.guards import parse_guard
 from suptest.program import (
-    DEFAULT_STEP_TIMEOUT, MEMO_SIZE, GuardedAction, GuardedActionProgram, Interpreter,
-    interpret_step, load_program, serve_program, serve_reference,
+    DEFAULT_STEP_TIMEOUT, MEMO_SIZE, GuardedAction, GuardedActionProgram,
+    load_program, serve_program, serve_reference,
 )
 from suptest.sfsm import (
     POLICY_ERROR, POLICY_SELFLOOP, abstract_to_fsm, concretize_suite, input_classes,
@@ -48,7 +50,9 @@ from suptest.supervisor import (
 )
 from suptest.testgen import TestCase, TestSuite, h_method
 
-from helpers import child_pids, m0, plain_verdicts, stepwise_replies
+from helpers import (
+    child_pids, m0, plain_verdicts, random_machine, stepwise_machine_replies, stepwise_replies,
+)
 
 try:
     import fcntl
@@ -225,12 +229,13 @@ class TestServeReferenceMemo:
             d.replace(sort=d.sort.replace(hi=2 * MEMO_SIZE)) for d in program.input_vars])
         # x >= 2 is covered by no action: nil, and risk state 0 stays
         lines = ["RESET"] + [f'IN {{"x":{x}}}' for x in range(2, MEMO_SIZE + 102)]
+        expected = stepwise_replies(wide, lines + lines)
         worked = []
-        step_reply = program_module._step_reply
-        monkeypatch.setattr(program_module, "_step_reply",
-                            lambda *args: worked.append(args) or step_reply(*args))
+        step = GuardedActionProgram.step
+        monkeypatch.setattr(GuardedActionProgram, "step",
+                            lambda self, pair: worked.append(pair) or step(self, pair))
         replies = serve_lines(wide, lines + lines)
-        assert replies == stepwise_replies(wide, lines + lines)
+        assert replies == expected
         assert replies[1:len(lines)] == ["OUT nil"] * (MEMO_SIZE + 100)
         # the first MEMO_SIZE steps were stored, the last 100 are worked out again
         assert len(worked) == MEMO_SIZE + 100 + 100
@@ -249,7 +254,27 @@ class TestServeReferenceMemo:
         assert sorted(reads) == ["nope", '{"x":0}', '{"x":1}', '{"x":7}']
 
 
+# Protocol lines for a machine over the inputs a, b and c: known and unknown
+# symbols, a symbol spelt with spaces, blank lines and unknown commands
+MACHINE_LINES = ["RESET", "IN a", "IN b", "IN c", "IN  a ", "IN z", "IN nil", "",
+                 "  ", "IN", "PING"]
+
+
 class TestServeMachine:
+    """`serve_machine` answers a repeated step from its memo; the oracle
+    `helpers.stepwise_machine_replies` works out every line."""
+
+    @given(st.integers(0, 10_000), st.integers(1, 4), st.integers(2, 3),
+           st.lists(st.tuples(st.sampled_from(MACHINE_LINES),
+                              st.sampled_from(["\n", "\r\n", "\r"])), max_size=40))
+    @settings(max_examples=80, deadline=None)
+    def test_replies_match_stepwise_oracle(self, seed, n, n_inputs, script):
+        machine = random_machine(random.Random(seed), n, n_inputs, 2)
+        out = io.BytesIO()
+        serve_machine(machine, io.BytesIO("".join(map("".join, script)).encode()), out)
+        lines = [line for line, _ in script]
+        assert out.getvalue().decode().splitlines() == stepwise_machine_replies(machine, lines)
+
     def test_bare_symbol_protocol(self, m0):
         out = io.BytesIO()
         serve_machine(m0, stdin=io.BytesIO(b"RESET\nIN a\nIN a\n"), stdout=out)
@@ -601,7 +626,7 @@ class TestSharedLoop:
         suite = h_method(m0, 3)
         for mu in generate_mutants(m0):
             expected = plain_verdicts(mu.target, suite)
-            stream = verdicts(MachineSut(mu.target), suite)
+            stream = verdicts(LocalSut(mu.target.initial, machine_step(mu.target)), suite)
             assert [(v.status, v.step_index, v.observed_output) for v in stream] == expected
             assert classify(m0, suite, mu).first_failing_case == first_not_passing(expected)
 
@@ -611,8 +636,8 @@ class TestSharedLoop:
         first = first_not_passing(expected)
         assert first is not None and first + 1 < len(concrete_suite.cases)
         steps = []
-        step = Interpreter.step
-        monkeypatch.setattr(Interpreter, "step",
+        step = LocalSut.step
+        monkeypatch.setattr(LocalSut, "step",
                             lambda self, v: steps.append(v) or step(self, v))
         outcome = classify(program, concrete_suite, mu)
         assert (outcome.status, outcome.first_failing_case) == (KILLED, first)
@@ -637,7 +662,7 @@ class TestAdapterCaches:
         with the output at step `flip` changed, if there is one."""
         r, outputs = program.initial, []
         for i, v in enumerate(inputs):
-            o, r = interpret_step(program, {"x": int(v["x"])}, r)
+            r, o = program.step((r, {"x": int(v["x"])}))
             outputs.append({"y": 1 - o["y"]} if i == flip else o)
         return tuple(outputs)
 

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from suptest.guards import enumerate_valuations, parse_guard
-from suptest.program import Interpreter, NoEnabledAction, interpret_step
+from suptest.harness import LocalSut
+from suptest.program import NoEnabledAction
 from suptest.sfsm import (
     POLICY_SELFLOOP,
     DeterminismViolation,
@@ -140,21 +141,21 @@ class TestToGuardedActions:
 class TestInterpretStep:
     def test_enabled_action(self):
         p = to_guarded_actions(behavior_from_obj(single_transition_obj()))
-        output, r2 = interpret_step(p, {"x": 2}, (("F", "0"),))
+        r2, output = p.step(((("F", "0"),), {"x": 2}))
         assert output == {"y": 1}
         assert r2 == (("F", "a"),)
 
     def test_policy_selfloop_nil(self):
         b = behavior_from_obj(single_transition_obj())
         p = to_guarded_actions(b, policy=POLICY_SELFLOOP)
-        output, r2 = interpret_step(p, {"x": 0}, (("F", "0"),))
+        r2, output = p.step(((("F", "0"),), {"x": 0}))
         assert output is None
         assert r2 == (("F", "0"),)
 
     def test_error_policy_raises(self):
         p = to_guarded_actions(behavior_from_obj(single_transition_obj()))
         with pytest.raises(NoEnabledAction):
-            interpret_step(p, {"x": 0}, (("F", "0"),))
+            p.step(((("F", "0"),), {"x": 0}))
 
     def test_matches_reference_on_first_class(self, welding_cell):
         p = to_guarded_actions(welding_cell)
@@ -162,7 +163,7 @@ class TestInterpretStep:
         partition = input_classes(r)
         rep = partition.classes[0].representative
         t = r.step(r.initial, rep)
-        output, r2 = interpret_step(p, rep, p.initial)
+        r2, output = p.step((p.initial, rep))
         assert output == t.output
         assert risk_state_name(dict(r2), p.factors) == t.target
 
@@ -248,7 +249,7 @@ class TestSemanticAgreement:
             for state_name in r.states:
                 t = r.step(state_name, v)
                 risk = tuple(sorted(zip(p.factors, _phases_from_name(state_name, p.factors))))
-                output, r2 = interpret_step(p, v, risk)
+                r2, output = p.step((risk, v))
                 assert t is not None
                 assert output == t.output
                 assert risk_state_name(dict(r2), p.factors) == t.target
@@ -259,11 +260,11 @@ class TestSemanticAgreement:
         rng = random.Random(7)
         space = list(enumerate_valuations(p.input_vars))
         allowed = {("0", "a"), ("a", "m"), ("m", "0")}
-        interp = Interpreter(p)
+        interp = LocalSut(p.initial, p.step)
         for _ in range(500):
-            before = dict(interp.risk_state)
+            before = dict(interp.state)
             interp.step(rng.choice(space))
-            after = dict(interp.risk_state)
+            after = dict(interp.state)
             for f in p.factors:
                 assert before[f] == after[f] or (before[f], after[f]) in allowed
 
