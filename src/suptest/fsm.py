@@ -169,29 +169,22 @@ class MealyMachine:
         Blocks are ordered, and ordered internally, by declared state order.
         """
         self._require_complete("state_partition")
-        # initial split: identical output rows
-        index = {}
-        blocks: list[list[str]] = []
+        # initial split: identical output rows; a dict keeps its blocks in
+        # order of first member
+        rows: dict[tuple, list[str]] = {}
         for s in self.states:
-            row = tuple(self.transitions[(s, x)][1] for x in self.inputs)
-            if row not in index:
-                index[row] = len(blocks)
-                blocks.append([])
-            blocks[index[row]].append(s)
+            rows.setdefault(tuple(self.transitions[(s, x)][1] for x in self.inputs), []).append(s)
+        blocks = list(rows.values())
         while True:
             block_of = {s: i for i, b in enumerate(blocks) for s in b}
-            new_blocks: list[list[str]] = []
-            new_index = {}
+            refined: dict[tuple, list[str]] = {}
             for i, b in enumerate(blocks):
                 for s in b:
                     sig = (i, tuple(block_of[self.transitions[(s, x)][0]] for x in self.inputs))
-                    if sig not in new_index:
-                        new_index[sig] = len(new_blocks)
-                        new_blocks.append([])
-                    new_blocks[new_index[sig]].append(s)
-            if len(new_blocks) == len(blocks):
+                    refined.setdefault(sig, []).append(s)
+            if len(refined) == len(blocks):
                 return blocks
-            blocks = new_blocks
+            blocks = list(refined.values())
 
     def minimize(self) -> "MealyMachine":
         """Observationally equivalent machine with pairwise distinct states.

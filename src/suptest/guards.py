@@ -26,6 +26,7 @@ Grammar::
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from collections.abc import Iterator
@@ -491,10 +492,7 @@ def eval_guard(g: GuardExpr, v: Valuation) -> bool:
 
 
 def valuation_count(decls: list[VarDecl]) -> int:
-    n = 1
-    for d in decls:
-        n *= d.sort.size()
-    return n
+    return math.prod(d.sort.size() for d in decls)
 
 
 def enumerate_valuations(decls: list[VarDecl]) -> Iterator[Valuation]:
@@ -507,18 +505,9 @@ def enumerate_valuations(decls: list[VarDecl]) -> Iterator[Valuation]:
         raise EnumerationOverflow(
             f"valuation space of size {total} exceeds bound {ENUM_BOUND}"
         )
-
-    def rec(i: int, acc: Valuation) -> Iterator[Valuation]:
-        if i == len(decls):
-            yield dict(acc)
-            return
-        d = decls[i]
-        for value in d.sort.values():
-            acc[d.name] = value
-            yield from rec(i + 1, acc)
-        del acc[d.name]
-
-    return rec(0, {})
+    names = [d.name for d in decls]
+    return (dict(zip(names, values))
+            for values in itertools.product(*[d.sort.values() for d in decls]))
 
 
 def distinct_guards(guards) -> list[GuardExpr]:
@@ -551,24 +540,21 @@ def _cell_decls(guards, decls: list[VarDecl]) -> tuple[list[VarDecl], dict]:
     declared sorts under the atoms of `guards`, in sort order, and each
     variable's cell sizes by least value.  Their valuations in enumeration
     order are the least members of the cell products, in the order of the
-    valuations they stand for."""
+    valuations they stand for.  A cell-product space larger than
+    `ENUM_BOUND` is refused, naming its size."""
     atoms: dict[str, list[Comparison]] = {d.name: [] for d in decls}
     for g in guards:
         for a in _atoms(g):
             if a.var in atoms:
                 atoms[a.var].append(a)
     cells = {d.name: _cells(d, atoms[d.name]) for d in decls}
-    return [VarDecl(d.name, EnumSort(tuple(cells[d.name]))) for d in decls], cells
-
-
-def _check_cell_products(corners: list[VarDecl], decls: list[VarDecl]) -> None:
-    """Refuse a cell-product space larger than `ENUM_BOUND`, naming its size."""
-    products = valuation_count(corners)
+    products = math.prod(map(len, cells.values()))
     if products > ENUM_BOUND:
         raise EnumerationOverflow(
             f"{products} cell products (of {valuation_count(decls)} valuations) "
             f"exceed bound {ENUM_BOUND}"
         )
+    return [VarDecl(d.name, EnumSort(tuple(cells[d.name]))) for d in decls], cells
 
 
 def truth_classes(
@@ -582,7 +568,6 @@ def truth_classes(
     A class is a union of cell products (see `_cell_decls`): its first cell
     product holds its least member, and its size sums theirs."""
     corners, cells = _cell_decls(guards, decls)
-    _check_cell_products(corners, decls)
     classes: dict[tuple[bool, ...], list] = {}
     for v in enumerate_valuations(corners):
         sig = tuple(eval_guard(g, v) for g in guards)
@@ -595,7 +580,6 @@ def satisfiable(g: GuardExpr, decls: list[VarDecl]) -> Valuation | None:
     """First satisfying valuation in enumeration order, or None: the least
     member of the first satisfying cell product."""
     corners, _ = _cell_decls([g], decls)
-    _check_cell_products(corners, decls)
     for v in enumerate_valuations(corners):
         if eval_guard(g, v):
             return v

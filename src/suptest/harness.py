@@ -40,7 +40,7 @@ from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .encoding import decode_step, encode_step
+from .encoding import NIL_TEXT, decode_step, encode_step
 from .program import (
     DEFAULT_STEP_TIMEOUT,
     MEMO_SIZE,
@@ -152,8 +152,8 @@ class LocalSut:
         self.state = initial
         self._step = step
 
-    def plan(self, cases) -> None:
-        """Nothing goes out ahead in-process."""
+    def plan(self, cases, abstract: bool = False) -> None:
+        """Nothing goes out ahead in-process, and outputs need no decoding."""
 
     def reset(self, inputs=()) -> None:
         """Back to the initial state; the case's `inputs` are not needed."""
@@ -464,12 +464,15 @@ class SutAdapter:
         return SutStartError(f"SUT {self.name} did not start: {cause}; "
                              f"its standard error ends with:{quoted}")
 
-    def plan(self, cases) -> None:
+    def plan(self, cases, abstract: bool = False) -> None:
         """Announce `cases`, each with its `inputs`: the next `reset`s will
         announce their inputs, in this order.  The IN line of each distinct
         input object of the cases is encoded now, once.  The cases queued
         past the current one for an earlier plan are discarded at the next
-        `reset`."""
+        `reset`.  The cases of an `abstract` suite expect FSM labels, so
+        `OUT nil` is read as the label `nil` (`sfsm.NIL_LABEL`) instead of
+        the nil output (None) of a concrete suite."""
+        self._outputs[NIL_TEXT] = NIL_TEXT if abstract else None
         self._plan, self._planned = cases, 0
         self._ahead.clear()
         self._ahead_bytes = 0
@@ -507,7 +510,7 @@ class SutAdapter:
             if case is not None and case[0] is inputs:
                 self._planned += 1
             else:  # a case no plan announced
-                self.plan([])
+                self._plan, self._planned, self._in_ids = [], 0, {}
                 case = inputs, b"RESET\n" + b"".join(map(_encode_in, inputs))
         self._announced.clear()
         if not self._discard(owed):
@@ -569,14 +572,15 @@ class SutAdapter:
 def verdicts(sut, ts) -> Iterator[Verdict]:
     """Run a suite case by case, yielding each case's verdict as it is consumed.
 
-    `sut` is any object with plan(cases), reset(inputs), step(input) and
-    restart().  The run announces the suite's cases to it first; then each
-    case resets it, announcing the case's inputs, and checks every
-    intermediate output; a case stops at its first mismatch.  An exception
-    from the SUT yields ERROR with its text, then a restart; a SUT that
-    cannot start (SutStartError) ends the run instead.
+    `sut` is any object with plan(cases, abstract), reset(inputs),
+    step(input) and restart().  The run announces the suite's cases to it
+    first, and whether the suite is abstract; then each case resets it,
+    announcing the case's inputs, and checks every intermediate output; a
+    case stops at its first mismatch.  An exception from the SUT yields
+    ERROR with its text, then a restart; a SUT that cannot start
+    (SutStartError) ends the run instead.
     """
-    sut.plan(ts.cases)
+    sut.plan(ts.cases, not ts.concrete)
     for index, case in enumerate(ts.cases):
         try:
             sut.reset(case.inputs)

@@ -128,10 +128,11 @@ def _flips(g):
 def _program_mutants(p: GuardedActionProgram, operators) -> list[Mutant]:
     mutants = []
 
-    def emit(operator, locus, actions):
-        mid = f"m{len(mutants)}"
+    def emit(operator, locus, i, **change):
+        actions = list(p.actions)
+        actions[i] = actions[i].replace(**change)
         mutant = p.replace(actions=actions, policy=POLICY_SELFLOOP, resolution="first")
-        mutants.append(Mutant(mid, operator, locus, mutant))
+        mutants.append(Mutant(f"m{len(mutants)}", operator, locus, mutant))
 
     distinct_outputs = []
     for a in p.actions:
@@ -142,29 +143,20 @@ def _program_mutants(p: GuardedActionProgram, operators) -> list[Mutant]:
     if OUTPUT_FAULT in operators:
         for i, a in enumerate(p.actions):
             for out in distinct_outputs:
-                if out == a.output:
-                    continue
-                actions = list(p.actions)
-                actions[i] = a.replace(output=out)
-                emit(OUTPUT_FAULT,
-                     f"action {i} ({a.name}) output -> {encode_step(out)}",
-                     actions)
+                if out != a.output:
+                    emit(OUTPUT_FAULT,
+                         f"action {i} ({a.name}) output -> {encode_step(out)}", i, output=out)
     if TRANSFER_FAULT in operators:
         for i, a in enumerate(p.actions):
             for r in risk_states:
-                if r == a.target:
-                    continue
-                actions = list(p.actions)
-                actions[i] = a.replace(target=r)
-                emit(TRANSFER_FAULT,
-                     f"action {i} ({a.name}) target -> {dict(r)}", actions)
+                if r != a.target:
+                    emit(TRANSFER_FAULT, f"action {i} ({a.name}) target -> {dict(r)}", i,
+                         target=r)
     if GUARD_FLIP in operators:
         for i, a in enumerate(p.actions):
             for n, flipped in enumerate(_flips(a.guard)):
-                actions = list(p.actions)
-                actions[i] = a.replace(guard=flipped)
-                emit(GUARD_FLIP, f"action {i} ({a.name}) comparison {n} flipped",
-                     actions)
+                emit(GUARD_FLIP, f"action {i} ({a.name}) comparison {n} flipped", i,
+                     guard=flipped)
     return mutants
 
 

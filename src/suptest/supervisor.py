@@ -13,6 +13,7 @@ plus static hypothesis checks comparing the two.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .encoding import fingerprint, read_artifact
@@ -267,20 +268,13 @@ def check_hypotheses(p: GuardedActionProgram, r: Sfsm) -> HypothesisReport:
     }
     report = HypothesisReport(len(program_states), len(r.states))
 
-    def guard_multiset(guards) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for g in guards:
-            text = print_guard(g)
-            counts[text] = counts.get(text, 0) + 1
-        return counts
-
     for state in sorted(program_states | set(r.states)):
-        prog_guards = guard_multiset(
-            a.guard
+        prog_guards = Counter(
+            print_guard(a.guard)
             for a in p.actions
             if risk_state_name(dict(a.source), p.factors) == state
         )
-        ref_guards = guard_multiset(t.guard for t in r.outgoing(state))
+        ref_guards = Counter(print_guard(t.guard) for t in r.outgoing(state))
         if prog_guards != ref_guards:
             only_p = sorted(set(prog_guards) - set(ref_guards))
             only_r = sorted(set(ref_guards) - set(prog_guards))

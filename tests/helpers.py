@@ -159,6 +159,51 @@ def random_machine(rng: random.Random, n: int, n_inputs: int, n_outputs: int,
     raise RuntimeError(f"could not generate a minimal {n}-state machine")
 
 
+def recursive_valuations(decls) -> list[dict]:
+    """All valuations, lexicographic over declaration order and sort order,
+    by a recursive walk over one shared accumulator: the oracle for
+    `guards.enumerate_valuations`, which walks `itertools.product`."""
+    def rec(i: int, acc: dict):
+        if i == len(decls):
+            yield dict(acc)
+            return
+        d = decls[i]
+        for value in d.sort.values():
+            acc[d.name] = value
+            yield from rec(i + 1, acc)
+        del acc[d.name]
+
+    return list(rec(0, {}))
+
+
+def indexed_state_partition(m: MealyMachine) -> list[list[str]]:
+    """Partition refinement that keeps each block's position in a hand-kept
+    index: the oracle for `MealyMachine.state_partition`, which groups by
+    dict insertion order."""
+    index = {}
+    blocks: list[list[str]] = []
+    for s in m.states:
+        row = tuple(m.transitions[(s, x)][1] for x in m.inputs)
+        if row not in index:
+            index[row] = len(blocks)
+            blocks.append([])
+        blocks[index[row]].append(s)
+    while True:
+        block_of = {s: i for i, b in enumerate(blocks) for s in b}
+        new_blocks: list[list[str]] = []
+        new_index = {}
+        for i, b in enumerate(blocks):
+            for s in b:
+                sig = (i, tuple(block_of[m.transitions[(s, x)][0]] for x in m.inputs))
+                if sig not in new_index:
+                    new_index[sig] = len(new_blocks)
+                    new_blocks.append([])
+                new_blocks[new_index[sig]].append(s)
+        if len(new_blocks) == len(blocks):
+            return blocks
+        blocks = new_blocks
+
+
 def random_sfsm(rng: random.Random) -> Sfsm:
     """Random deterministic, complete SFSM within the enumeration bound.
 

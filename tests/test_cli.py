@@ -120,6 +120,20 @@ class TestGenerateAndCheck:
                      "--out", str(abstracted / "bad.json")])
         assert code == 2
 
+    def test_check_fails_suite_missing_a_cover_trace(self, abstracted, capsys):
+        fsm = abstracted / "fsm.json"
+        suite_path = abstracted / "suite-h.json"
+        assert main(["generate", str(fsm), "--out", str(suite_path)]) == 0
+        cover = list(load_machine(fsm).access_words().values())[1]
+        doc = read(suite_path)
+        doc["cases"] = [c for c in doc["cases"] if tuple(c["inputs"][:len(cover)]) != cover]
+        suite_path.write_text(canonical_dumps(doc))
+        capsys.readouterr()
+        assert main(["check-suite", str(fsm), str(suite_path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "suite completeness: FAIL"
+        assert f"  H1: cover trace {cover} missing" in lines
+
     def test_check_refuses_foreign_suite(self, abstracted, capsys):
         fsm = abstracted / "fsm.json"
         suite_path = abstracted / "suite-h.json"
@@ -679,15 +693,44 @@ class TestArtefactRead:
          "output label 'o0' maps to {'y': True}, not a valuation of strings and integers"),
     ]
 
+    # (file, argv, id, edit, cause) of what the model a file holds refuses
+    # past the format's types: a machine's, an SFSM's and a behaviour's
+    # own structure
+    GENERATE = ["generate", "fsm.json", "--out", "s.json"]
+    CLASSES = ["classes", "reference.sfsm", "--out", "p.json"]
+    MODELS = [
+        ("fsm.json", GENERATE, "duplicate-inputs",
+         lambda d: d["inputs"].append(d["inputs"][0]), "duplicate input symbols"),
+        ("fsm.json", GENERATE, "duplicate-outputs",
+         lambda d: d["outputs"].append(d["outputs"][0]), "duplicate output symbols"),
+        ("fsm.json", GENERATE, "undeclared-initial",
+         lambda d: d.update(initial="zz"), "initial state 'zz' not declared"),
+        ("fsm.json", GENERATE, "undeclared-target", lambda d: d["transitions"][0].update(to="zz"),
+         "transition ('HS0_HC0_HRW0','c0')->('zz','o4') uses undeclared state"),
+        ("fsm.json", GENERATE, "undeclared-input",
+         lambda d: d["transitions"][0].update(input="zz"), "undeclared input symbol 'zz'"),
+        ("fsm.json", GENERATE, "undeclared-output",
+         lambda d: d["transitions"][0].update(output="zz"), "undeclared output symbol 'zz'"),
+        ("reference.sfsm", CLASSES, "undeclared-initial",
+         lambda d: d.update(initial="zz"), "initial state 'zz' not declared"),
+        ("reference.sfsm", CLASSES, "undeclared-state",
+         lambda d: d["transitions"][0].update(to="zz"), "transition 'HSa' uses undeclared state"),
+        ("welding-cell.cb", ["translate", "welding-cell.cb", "--out", "out"], "partial-risk-state",
+         lambda d: d["initial"].pop("HS"), "risk state {'HC': '0', 'HRW': '0'} does not "
+         "assign exactly the factors ['HS', 'HC', 'HRW']"),
+    ]
+
     @pytest.mark.parametrize("name, argv, edit, cause", READERS + [
         ("suite-h.json", ["check-suite", "fsm.json", "suite-h.json"], edit, cause)
         for _, edit, cause in SUITE_FIELDS
     ] + [
         ("abstraction.json", ["concretize", "suite-h.json", "partition.json", "abstraction.json"],
          edit, cause) for _, edit, cause in OUTPUTS
-    ], ids=[f"{name}-{kind}" for name, *_ in READERS[::2] for kind in ("type", "domain")]
+    ] + [(name, argv, edit, cause) for name, argv, _, edit, cause in MODELS],
+        ids=[f"{name}-{kind}" for name, *_ in READERS[::2] for kind in ("type", "domain")]
         + [f"suite-h.json-{field}" for field, *_ in SUITE_FIELDS]
-        + [f"abstraction.json-{field}" for field, *_ in OUTPUTS])
+        + [f"abstraction.json-{field}" for field, *_ in OUTPUTS]
+        + [f"{name}-{field}" for name, _, field, *_ in MODELS])
     def test_every_reader_names_the_file(self, abstracted, behaviour, monkeypatch, capsys,
                                          name, argv, edit, cause):
         assert main(["generate", str(abstracted / "fsm.json"),

@@ -12,6 +12,7 @@ from helpers import (
     brute_equivalent,
     brute_first_difference,
     brute_outputs,
+    indexed_state_partition,
     m0,
     random_machine,
 )
@@ -264,6 +265,19 @@ class TestSearchesAgainstEnumeration:
             ce = m1.equivalent(m2)
             assert (ce.inputs if ce else None) == brute_first_difference(
                 m1, m1.initial, m2, m2.initial, len(m1.states) * len(m2.states))
+
+    @given(machines, st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_state_partition(self, m, seed):
+        # with one state of `m` cloned, and a raw complete machine, so that
+        # some blocks hold more than one state
+        rng = random.Random(seed)
+        s = rng.choice(m.states)
+        clone = MealyMachine([*m.states, "dup"], m.initial, m.inputs, m.outputs,
+                             {**m.transitions, **{("dup", x): m.transitions[(s, x)]
+                                                  for x in m.inputs}})
+        for machine in (m, clone, raw_machine(rng, rng.randint(1, 6), 2, rng.randint(1, 2))):
+            assert machine.state_partition() == indexed_state_partition(machine)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)

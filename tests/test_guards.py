@@ -1,9 +1,10 @@
 """Guard parsing, evaluation, enumeration, satisfiability."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import recursive_valuations
 from suptest.guards import (
     And,
     BoolConst,
@@ -113,6 +114,20 @@ class TestEnumerate:
         decls = [VarDecl(f"x{i}", IntSort(0, 9)) for i in range(8)]
         with pytest.raises(EnumerationOverflow):
             list(enumerate_valuations(decls))
+
+    # sorts of one to three values, one-value sorts included; variables
+    # named against alphabetical order, so a key order follows declaration
+    @given(st.lists(st.one_of(
+        st.builds(lambda lo, width: IntSort(lo, lo + width), st.integers(-2, 2),
+                  st.integers(0, 2)),
+        st.integers(1, 3).map(lambda n: EnumSort(tuple("uvw"[:n]))),
+    ), max_size=4).map(lambda sorts: [VarDecl("zyxw"[i], s) for i, s in enumerate(sorts)]))
+    @example([])
+    @example([VarDecl("z", IntSort(5, 5)), VarDecl("y", EnumSort(("u",)))])
+    @settings(max_examples=80, deadline=None)
+    def test_equals_recursive_walk(self, decls):
+        assert [list(v.items()) for v in enumerate_valuations(decls)] == \
+            [list(v.items()) for v in recursive_valuations(decls)]
 
 
 class TestSatisfiable:

@@ -288,6 +288,53 @@ class TestServeMachine:
         assert replies[2] == b"OUT 1"
 
 
+def symbolic_reference(policy):
+    """The FSM of `behaviour_obj` under `policy`: under the self-loop policy
+    with `x` widened to [0, 2], which no guard covers at 2, so that the FSM
+    has the `nil` output label."""
+    obj = behaviour_obj()
+    if policy == POLICY_SELFLOOP:
+        obj["vars"][0]["sort"] = {"int": [0, 2]}
+    return abstract_to_fsm(to_test_reference(behavior_from_obj(obj)), policy)[0]
+
+
+def serve_machine_command(tmp_path, machine, name="fsm") -> list[str]:
+    """The command line of `python -m suptest serve-machine` serving
+    `machine`, written to the file `name.json` in `tmp_path`."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(canonical_dumps(machine.to_obj()))
+    return [sys.executable, "-m", "suptest", "serve-machine", str(path)]
+
+
+class TestSymbolicSutOverTheWire:
+    """An abstract suite expects FSM labels, and the label `nil` is the
+    wire token of a concrete suite's nil output."""
+
+    @pytest.mark.parametrize("policy", [POLICY_ERROR, POLICY_SELFLOOP])
+    def test_reference_passes_its_own_suite(self, tmp_path, policy):
+        machine = symbolic_reference(policy)
+        assert ("nil" in machine.outputs) == (policy == POLICY_SELFLOOP)
+        suite = h_method(machine, len(machine.states))
+        with SutAdapter(serve_machine_command(tmp_path, machine)) as sut:
+            report = run_suite(sut, suite)
+        assert report.counts == {PASS: len(suite.cases), FAIL: 0, ERROR: 0}
+
+    def test_output_faults_fail_where_the_oracle_does(self, tmp_path):
+        machine = symbolic_reference(POLICY_SELFLOOP)
+        suite = h_method(machine, len(machine.states))
+        mutants = [mu for mu in generate_mutants(machine, operators=[OUTPUT_FAULT])
+                   if "nil" in mu.locus]  # to and from the label
+        assert len(mutants) == 12
+
+        def command(mu):
+            return serve_machine_command(tmp_path, mu.target, mu.id)
+
+        for mu in mutants:
+            via_oracle = classify(machine, suite, mu)
+            assert via_oracle.status == KILLED
+            assert classify(machine, suite, mu, via="harness", sut_command=command) == via_oracle
+
+
 def program_file(tmp_path, program, name="program.gap"):
     """`program` written to the file `name` in `tmp_path`, for a forked
     reference SUT to serve."""
@@ -314,6 +361,24 @@ class TestSutAdapter:
             sut.reset()
             with pytest.raises(HarnessError):
                 sut.step("not-a-valuation")
+
+    def test_step_other_than_announced_raises(self, tmp_path, program):
+        with SutAdapter(program=program_file(tmp_path, program)) as sut:
+            sut.reset(({"x": 1},))
+            with pytest.raises(HarnessError, match=r'^input \{"x":0\} is not the one '
+                                                   r'announced at RESET$'):
+                sut.step({"x": 0})
+
+    def test_step_unannounced_with_cases_queued_raises(self, tmp_path, program,
+                                                       concrete_suite):
+        cases = concrete_suite.cases[:2]
+        with SutAdapter(program=program_file(tmp_path, program)) as sut:
+            sut.plan(cases)
+            sut.reset(cases[0].inputs)
+            for v in cases[0].inputs:
+                sut.step(v)
+            with pytest.raises(HarnessError, match=r"^input .* was not announced at RESET$"):
+                sut.step(cases[0].inputs[0])
 
 
 def fake_sut(tmp_path, on_input: str) -> list[str]:
@@ -369,7 +434,7 @@ class TestSutFailures:
                            sut_command=lambda mu: command)
         assert outcome == MutationOutcome(mutant.id, ERROR, 0, "SUT exited with code 3")
 
-    @pytest.mark.parametrize("reply", ['OUT {bad', 'OUT {"y":true}', 'OUT {"y":1.0}'])
+    @pytest.mark.parametrize("reply", ['OUT {bad', 'OUT {"y":true}', 'OUT {"y":1.0}', 'HELLO'])
     def test_malformed_reply_is_an_error_verdict(self, tmp_path, concrete_suite, reply):
         suite = replace(concrete_suite, cases=concrete_suite.cases[:3])
         command = fake_sut(tmp_path, f"print({reply!r}, flush=True)")

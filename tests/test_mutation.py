@@ -8,6 +8,8 @@ import pytest
 
 from helpers import m0
 from suptest.encoding import canonical_dumps
+from suptest.guards import Comparison, Not, print_guard
+from suptest.harness import ERROR
 from suptest.mutation import (
     EQUIVALENT,
     ESCAPED,
@@ -22,9 +24,9 @@ from suptest.mutation import (
     mutation_report,
     program_equivalent,
 )
-from suptest.sfsm import abstract_to_fsm
+from suptest.sfsm import abstract_to_fsm, concretize_suite, input_classes
 from suptest.supervisor import behavior_from_obj, to_guarded_actions, to_test_reference
-from suptest.testgen import h_method
+from suptest.testgen import TestCase, TestSuite, h_method
 
 from test_harness import behaviour_obj
 
@@ -171,6 +173,16 @@ class TestClassify:
         outcome = classify(m0, suite, mu)
         assert outcome.status == EQUIVALENT
 
+    def test_equivalent_mutant_failing_a_test_is_an_error(self, m0):
+        suite = h_method(m0, 2)
+        first = suite.cases[0]
+        flipped = first.expected[:-1] + ("1" if first.expected[-1] == "0" else "0",)
+        edited = TestSuite([TestCase(first.inputs, flipped), *suite.cases[1:]], "h", 2)
+        mu = next(mu for mu in generate_mutants(m0, operators=[EXTRA_STATE])
+                  if "output" not in mu.locus and "target" not in mu.locus)
+        assert classify(m0, edited, mu) == MutationOutcome(
+            mu.id, ERROR, 0, "equivalent mutant failed a test")
+
     def test_oracle_and_harness_agree(self, tmp_path, program):
         from suptest.encoding import canonical_dumps
         from suptest.sfsm import abstract_to_fsm, concretize_suite, input_classes
@@ -209,6 +221,28 @@ class TestClassify:
         mu = generate_mutants(m0, limit=1)[0]
         with pytest.raises(ValueError):
             classify(m0, suite, mu, via="guesswork")
+
+    def test_harness_mode_needs_a_command_factory(self, m0):
+        mu = generate_mutants(m0, limit=1)[0]
+        with pytest.raises(ValueError, match="^harness mode needs a sut_command factory$"):
+            classify(m0, h_method(m0, 2), mu, via="harness")
+
+    def test_negated_guard_flip(self):
+        # the welding cell has no negated guard
+        obj = behaviour_obj()
+        obj["transitions"][1]["guard"] = "not (x = 1)"
+        behaviour = behavior_from_obj(obj)
+        p = to_guarded_actions(behaviour)
+        reference = to_test_reference(behaviour)
+        machine, amap = abstract_to_fsm(reference)
+        suite = concretize_suite(h_method(machine, len(machine.states)),
+                                 input_classes(reference), amap)
+        mu = next(mu for mu in generate_mutants(p, operators=[GUARD_FLIP])
+                  if mu.locus.startswith("action 1 "))
+        assert mu.target.actions[1].guard == Not(Comparison("x", "!=", 1))
+        assert print_guard(mu.target.actions[1].guard) == "(not x != 1)"
+        assert not program_equivalent(p, mu.target)
+        assert classify(p, suite, mu).status == KILLED
 
 
 class TestReporting:

@@ -63,6 +63,17 @@ def one_state_sfsm():
     )
 
 
+class TestConstruction:
+    def test_guard_over_non_input_variable_refused(self):
+        # a file cannot reach this: `Sfsm.from_obj` parses guards over the
+        # input declarations alone
+        y = [VarDecl("y", IntSort(0, 1), "controlled")]
+        stray = SfsmTransition("r0", "loop", parse_guard("y = 1", y), {"y": 1}, "r0")
+        with pytest.raises(SfsmError, match=r"^guard of 'loop' references non-input "
+                                            r"variables: \['y'\]$"):
+            Sfsm(X_DECL, y, ["r0"], "r0", [stray])
+
+
 class TestInputClasses:
     def test_two_guards_three_classes(self):
         g1 = parse_guard("x > 1", X_DECL)

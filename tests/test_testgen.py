@@ -331,6 +331,21 @@ def wide_population():
                                       "h", bound)
 
 
+def cover_cut_population():
+    """(machine, bound, suite): the H-suites of random machines, each with
+    every case through one non-empty cover trace deleted, so that the trace
+    is missing."""
+    rng = random.Random(8)
+    for _ in range(12):
+        n = rng.randint(2, 5)
+        m = random_machine(rng, n, rng.randint(2, 3), rng.randint(2, 3))
+        for bound in (n, n + 1):
+            suite = h_method(m, bound)
+            for v in list(m.access_words().values())[1:]:
+                cases = [c for c in suite.cases if c.inputs[:len(v)] != v]
+                yield m, bound, TestSuite(cases, "h", bound)
+
+
 class TestWalkAgainstScan:
     """The checker decides each trace pair by its input masks, and walks the
     suite's trace set from a pair that one input does not tell apart; the
@@ -353,6 +368,15 @@ class TestWalkAgainstScan:
             checked += 1
             rejected += bool(violations)
         assert checked == 547 and rejected > 400
+
+    def test_missing_cover_trace_equals_scan_oracle(self):
+        checked = 0
+        for m, bound, ts in cover_cut_population():
+            violations = check_h_completeness(m, bound, ts).violations
+            assert violations == scan_check_h_completeness(m, bound, ts).violations
+            assert any(line.startswith("H1: cover trace") for line in violations)
+            checked += 1
+        assert checked == 70
 
     @pytest.mark.parametrize("symbol", ["z", {"x": 1}], ids=["unknown", "unhashable"])
     def test_refuses_input_outside_alphabet(self, symbol):
