@@ -29,10 +29,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .encoding import ArtifactError, canonical_artifact, fingerprint, read_artifact
+from .encoding import ArtifactError, encode_compact, read_artifact
 from .program import (
     DEFAULT_STEP_TIMEOUT,
     POLICY_ERROR,
@@ -105,12 +106,86 @@ def load_config() -> dict:
 # Artefact I/O
 # ---------------------------------------------------------------------------
 
+# The writer encodes and writes an artefact in batches of about this many
+# characters, so no copy of a whole large artefact is held.
+WRITE_BATCH = 1 << 16
+
+
 def write_artifact(path, payload: dict, inputs: dict | None = None) -> str:
     """Write `payload`, with `inputs` as its `derivedFrom`, and return the
-    payload's fingerprint, taken from the same encoding."""
-    data, digest = canonical_artifact(payload, inputs)
-    Path(path).write_bytes(data)
+    payload's fingerprint, taken from the same encoding.
+
+    The file is the compact canonical encoding of that document.  It is
+    written beside `path` and moved onto it once complete, so a write that
+    fails leaves no file at `path`.
+    """
+    path = Path(path)
+    part = path.with_name(f".{path.name}.part")
+    try:
+        with open(part, "wb") as fh:
+            digest = _stream_artifact(payload, inputs, fh.write)
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
     return digest
+
+
+def artifact_fingerprint(payload: dict) -> str:
+    """The fingerprint `write_artifact` returns for `payload`, from the same
+    encoding, with no file written."""
+    return _stream_artifact(payload, None, None)
+
+
+def _stream_artifact(payload: dict, inputs: dict | None, write) -> str:
+    """Encode the artefact of `payload` and `inputs` in batches, hand each
+    batch to `write` (unless None) and return the blake2b-64 of the
+    payload's encoding: the same bytes without the `derivedFrom` member."""
+    import hashlib  # here, not above: no SUT route fingerprints
+
+    digest = hashlib.blake2b(digest_size=8)
+    batch: list[str] = []
+    size, batch_hashed = 0, True
+
+    def flush() -> None:
+        data = "".join(batch).encode("utf-8")
+        if write is not None:
+            write(data)
+        if batch_hashed:
+            digest.update(data)
+        batch.clear()
+
+    for text, hashed in _artifact_parts(payload, inputs):
+        if hashed is not batch_hashed or size >= WRITE_BATCH:
+            flush()
+            size, batch_hashed = 0, hashed
+        batch.append(text)
+        size += len(text)
+    flush()
+    return digest.hexdigest()
+
+
+def _artifact_parts(payload: dict, inputs: dict | None) -> Iterator[tuple[str, bool]]:
+    """The artefact's text in file order, in parts, each with whether it
+    belongs to the payload's encoding.  A member whose value is an iterator
+    is given by it as the parts of its encoding (`TestSuite.to_artifact`)."""
+    members = [(key, value, True) for key, value in payload.items()]
+    if inputs:
+        members.append(("derivedFrom", inputs, False))
+    members.sort(key=lambda member: member[0])
+    yield "{", True
+    hashed_before = False
+    for i, (key, value, hashed) in enumerate(members):
+        if i:  # the payload's own encoding has no comma before its first member
+            yield ",", hashed and hashed_before
+        if isinstance(value, Iterator):
+            yield encode_compact(key) + ":", hashed
+            for text in value:
+                yield text, hashed
+        else:
+            yield encode_compact({key: value})[1:-1], hashed
+        hashed_before |= hashed
+    yield "}\n", True
 
 
 def load_machine(path) -> MealyMachine:
@@ -146,7 +221,7 @@ def load_suite_of(machine: MealyMachine, path) -> testgen.TestSuite:
     suite, links = read_artifact(path, with_links(TestSuite.from_obj))
     if "fsm" not in links:
         raise CliError(f"{path}: suite does not name the FSM it was generated from")
-    if links["fsm"] != fingerprint(machine.to_obj()):
+    if links["fsm"] != artifact_fingerprint(machine.to_obj()):
         raise CliError(f"{path}: suite was generated from a different reference machine")
     return suite
 
@@ -185,7 +260,7 @@ def classes(reference: Sfsm, path, reference_fp: str | None = None) -> sfsm.Inpu
     from . import sfsm
     partition = sfsm.input_classes(reference)
     write_artifact(path, partition.to_obj(),
-                   {"sfsm": reference_fp or fingerprint(reference.to_obj())})
+                   {"sfsm": reference_fp or artifact_fingerprint(reference.to_obj())})
     print(f"{len(partition.classes)} input equivalence classes")
     return partition
 
@@ -195,7 +270,7 @@ def abstract(reference: Sfsm, out: Path, config, reference_fp: str | None = None
     from . import sfsm
     machine, amap = sfsm.abstract_to_fsm(reference, config["policy"])
     out.mkdir(parents=True, exist_ok=True)
-    reference_fp = reference_fp or fingerprint(reference.to_obj())
+    reference_fp = reference_fp or artifact_fingerprint(reference.to_obj())
     machine_fp = write_artifact(out / "fsm.json", machine.to_obj(), {"sfsm": reference_fp})
     write_artifact(out / "abstraction.json", amap.to_obj(),
                    {"sfsm": reference_fp, "fsm": machine_fp})
@@ -213,7 +288,7 @@ def generate(machine: MealyMachine, method: str, m_bound, path, config,
     derive = testgen.h_method if method == "h" else testgen.w_method
     suite = derive(machine, m_bound)
     suite_fp = write_artifact(path, suite.to_artifact(),
-                              {"fsm": machine_fp or fingerprint(machine.to_obj())})
+                              {"fsm": machine_fp or artifact_fingerprint(machine.to_obj())})
     stats = testgen.suite_stats(suite)
     print(f"{method}-suite: {stats['cases']} cases, "
           f"{stats['total_input_symbols']} input symbols, "
@@ -233,7 +308,7 @@ def concretize(suite: testgen.TestSuite, partition, amap, path,
     from . import sfsm
     concrete = sfsm.concretize_suite(suite, partition, amap)
     concrete_fp = write_artifact(path, concrete.to_artifact(),
-                                 {"suite": suite_fp or fingerprint(suite.to_obj())})
+                                 {"suite": suite_fp or artifact_fingerprint(suite.to_artifact())})
     print(f"concretized {len(concrete.cases)} cases")
     return concrete, concrete_fp
 
@@ -247,8 +322,8 @@ def run(suite: testgen.TestSuite, sut_command: str | list[str] | None, path, con
     with harness.SutAdapter(sut_command, config["step_timeout"], program=program) as sut:
         report = harness.run_suite(sut, suite)
     if path:
-        write_artifact(path, report.to_obj(),
-                       {"suite": suite_fp or fingerprint(suite.to_obj())})
+        write_artifact(path, report.to_artifact(),
+                       {"suite": suite_fp or artifact_fingerprint(suite.to_artifact())})
     print(report.summary())
     return report
 
@@ -341,7 +416,8 @@ def cmd_mutate(args, config) -> int:
     outcomes = [mutation.classify(target, suite, m, via="oracle") for m in mutants]
     report = mutation.mutation_report(outcomes)
     if args.out:
-        write_artifact(args.out, report.to_obj(), {"suite": fingerprint(suite.to_obj())})
+        write_artifact(args.out, report.to_obj(),
+                       {"suite": artifact_fingerprint(suite.to_artifact())})
     if args.csv:
         Path(args.csv).write_text(report.to_csv(), encoding="utf-8")
     print(report.summary())

@@ -1,12 +1,11 @@
 """Canonical textual encoding, fingerprints and the one input reader.
 
 Every artefact written by the toolkit is compact canonical JSON (sorted
-keys, no whitespace, one trailing newline) from :func:`canonical_dumps`, so
-repeated runs with the same configuration produce byte-identical files.  A
-fingerprint is the blake2b-64 of an object's compact canonical encoding: of
-an artefact's payload, which is its file without the `derivedFrom` key.
-:func:`canonical_artifact` gives both an artefact's file and its payload's
-fingerprint from one encoding.
+keys, no whitespace, one trailing newline), so repeated runs with the same
+configuration produce byte-identical files.  A fingerprint is the
+blake2b-64 of an object's compact canonical encoding: of an artefact's
+payload, which is its file without the `derivedFrom` key.  `cli`'s writer
+streams an artefact's file and its payload's fingerprint from one encoding.
 FNV-1a (:func:`fnv1a64`) only labels DOT edges.  Every JSON file the toolkit
 reads goes through :func:`read_artifact`, so every refusal of an input names
 its file.
@@ -26,11 +25,6 @@ NIL_TEXT = "nil"
 # call.  Without `indent` it runs json's C encoder.
 _COMPACT_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
                                     ensure_ascii=False)
-
-
-class Encoded(str):
-    """Text in the compact canonical encoding, which `canonical_artifact`
-    puts into a file as it is: a member built from parts encoded once."""
 
 
 class ArtifactError(Exception):
@@ -106,41 +100,12 @@ def decode_step(text: str) -> dict | str | None:
     return text
 
 
-def _digest(data: bytes) -> str:
-    import hashlib  # here, not above: a spawned SUT never fingerprints
-
-    return hashlib.blake2b(data, digest_size=8).hexdigest()
-
-
 def fingerprint(obj: object) -> str:
     """16 hex digits: blake2b-64 of an object's compact canonical encoding."""
-    return _digest(canonical_dumps(obj, compact=True).encode("utf-8"))
+    import hashlib  # here, not above: a spawned SUT never fingerprints
 
-
-def canonical_artifact(payload: dict, links: dict | None = None) -> tuple[bytes, str]:
-    """An artefact's file, in UTF-8, and its payload's fingerprint, from one
-    encoding of each top-level member of `payload`.
-
-    The file is the compact canonical encoding of `payload` with `links`,
-    if any, as its `derivedFrom`: the same bytes as `canonical_dumps` of
-    that document, and the fingerprint is `fingerprint(payload)`.  A member
-    given as `Encoded` text stands for the value that text encodes.
-    """
-    def member(key, value) -> bytes:  # `"key":value`, as within its object
-        if isinstance(value, Encoded):
-            return f"{_COMPACT_ENCODER.encode(key)}:{value}".encode("utf-8")
-        return _COMPACT_ENCODER.encode({key: value})[1:-1].encode("utf-8")
-
-    def document() -> bytes:
-        return b"{" + b",".join(members[key] for key in sorted(members)) + b"}\n"
-
-    members = {key: member(key, value) for key, value in payload.items()}
-    data = document()
-    digest = _digest(data)
-    if links:
-        members["derivedFrom"] = member("derivedFrom", links)
-        data = document()
-    return data, digest
+    data = canonical_dumps(obj, compact=True).encode("utf-8")
+    return hashlib.blake2b(data, digest_size=8).hexdigest()
 
 
 def read_artifact(path, from_obj):

@@ -17,7 +17,8 @@ programs stepped by the caller (`mutation.program_equivalent`).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+
+from .guards import Record
 
 
 class FsmError(Exception):
@@ -35,9 +36,9 @@ class AlphabetMismatch(FsmError):
     pass
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(Record):
     """Shortest input sequence on which two machines disagree."""
+    __slots__ = ("inputs", "outputs1", "outputs2")
     inputs: tuple[str, ...]
     outputs1: tuple[str, ...]
     outputs2: tuple[str, ...]

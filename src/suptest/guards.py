@@ -9,10 +9,9 @@ product of the variables' cells, one least value per cell, which does not
 grow with the width of an integer sort.  A space to walk (valuations, or
 cell products) larger than `ENUM_BOUND` is refused rather than walked.
 
-Sorts, declarations and guard expressions are `Record` values: immutable,
-compared and hashed by their fields.  `Record` gives what a frozen
-dataclass gives without importing `dataclasses` (and with it `inspect`),
-because every reference SUT loads this module.
+Sorts, declarations and guards are `Record` values, as is every value of
+the toolkit: held in slots, compared and hashed by their fields, and built
+without `dataclasses` or `inspect`, which no toolkit process imports.
 
 Grammar::
 
@@ -65,8 +64,8 @@ class Record:
     Built by position or keyword, a missing field taking its value from
     `_defaults`, then checked by `__post_init__`.  Equal to an instance of
     the same class with equal fields, hashed as its field tuple, shown as
-    ``Name(field=value, ...)``, and refusing assignment: what a frozen
-    dataclass gives.
+    ``Name(field=value, ...)``, and refusing assignment.  A subclass may
+    set `__hash__ = None`, or take its own `__init__` for speed.
     """
 
     __slots__ = ()

@@ -38,9 +38,9 @@ import tempfile
 import time
 from collections import deque
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 
-from .encoding import NIL_TEXT, decode_step, encode_step
+from .encoding import NIL_TEXT, decode_step, encode_compact, encode_step
+from .guards import Record
 from .program import (
     DEFAULT_STEP_TIMEOUT,
     MEMO_SIZE,
@@ -68,15 +68,34 @@ class SutStartError(HarnessError):
     yielding verdicts."""
 
 
-@dataclass
-class Verdict:
+class Verdict(Record):
+    """One case's outcome.  Unlike other records its fields can be assigned,
+    as a dataclass's can: it is built once per case, and a record that
+    refuses assignment must set each field through a call, at about three
+    times the cost."""
+
+    __slots__ = ("case_index", "status", "step_index", "input_sent", "expected_output",
+                 "observed_output", "detail")
+    __hash__ = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
     case_index: int
     status: str  # PASS | FAIL | ERROR
-    step_index: int | None = None
-    input_sent: dict | None = None
-    expected_output: dict | None = None
-    observed_output: dict | None = None
-    detail: str | None = None
+    step_index: int | None
+    input_sent: dict | None
+    expected_output: dict | None
+    observed_output: dict | None
+    detail: str | None
+
+    def __init__(self, case_index, status, step_index=None, input_sent=None,
+                 expected_output=None, observed_output=None, detail=None):
+        self.case_index = case_index
+        self.status = status
+        self.step_index = step_index
+        self.input_sent = input_sent
+        self.expected_output = expected_output
+        self.observed_output = observed_output
+        self.detail = detail
 
     def to_obj(self) -> dict:
         return {
@@ -90,14 +109,19 @@ class Verdict:
         }
 
 
-@dataclass
-class TestReport:
-    __test__ = False  # not a pytest class
+# Verdicts encoded by one call of the encoder, one text part of a report
+VERDICTS_PER_PART = 512
 
+
+class TestReport(Record):
+    __test__ = False  # not a pytest class
+    __slots__ = ("method", "m_bound", "verdicts", "duration")
+    _defaults = {"verdicts": (), "duration": 0.0}
+    __hash__ = None
     method: str
     m_bound: int
-    verdicts: list[Verdict] = field(default_factory=list)
-    duration: float = 0.0
+    verdicts: list[Verdict]
+    duration: float
 
     @property
     def counts(self) -> dict:
@@ -111,13 +135,24 @@ class TestReport:
         return bool(self.verdicts) and all(v.status == PASS for v in self.verdicts)
 
     def to_obj(self) -> dict:
-        return {
-            "method": self.method,
-            "mBound": self.m_bound,
-            "verdicts": [v.to_obj() for v in self.verdicts],
-            "counts": self.counts,
-            "completePass": self.complete_pass,
-        }
+        return self._document([v.to_obj() for v in self.verdicts])
+
+    def to_artifact(self) -> dict:
+        """`to_obj()` for `cli.write_artifact`, with the verdicts given
+        lazily as the parts of their encoding, `VERDICTS_PER_PART` a part."""
+        return self._document(self._verdict_parts())
+
+    def _verdict_parts(self) -> Iterator[str]:
+        verdicts = self.verdicts
+        yield "["
+        for start in range(0, len(verdicts), VERDICTS_PER_PART):
+            part = [v.to_obj() for v in verdicts[start:start + VERDICTS_PER_PART]]
+            yield ("," if start else "") + encode_compact(part)[1:-1]
+        yield "]"
+
+    def _document(self, verdicts) -> dict:
+        return {"method": self.method, "mBound": self.m_bound, "verdicts": verdicts,
+                "counts": self.counts, "completePass": self.complete_pass}
 
     def summary(self) -> str:
         c = self.counts
@@ -600,11 +635,9 @@ def verdicts(sut, ts) -> Iterator[Verdict]:
 
 def run_suite(sut, ts) -> TestReport:
     """Every case's verdict against `sut`, collected into a report."""
-    report = TestReport(ts.method, ts.m_bound)
     started = time.monotonic()
-    report.verdicts = list(verdicts(sut, ts))
-    report.duration = time.monotonic() - started
-    return report
+    found = list(verdicts(sut, ts))
+    return TestReport(ts.method, ts.m_bound, found, time.monotonic() - started)
 
 
 def run_suite_offline(program: GuardedActionProgram, ts) -> TestReport:

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import random
 from contextlib import nullcontext
-from dataclasses import dataclass, field
 from itertools import chain
 
 from .encoding import encode_step
 from .fsm import MealyMachine, first_difference
-from .guards import And, Comparison, Not, Or, distinct_guards, truth_classes
+from .guards import And, Comparison, Not, Or, Record, distinct_guards, truth_classes
 from .harness import ERROR, PASS, LocalSut, SutAdapter, machine_step, verdicts
 from .program import POLICY_SELFLOOP, GuardedActionProgram
 
@@ -33,20 +32,23 @@ KILLED = "KILLED"
 ESCAPED = "ESCAPED"
 
 
-@dataclass
-class Mutant:
+class Mutant(Record):
+    __slots__ = ("id", "operator", "locus", "target")
+    __hash__ = None
     id: str
     operator: str
     locus: str
     target: object  # MealyMachine | GuardedActionProgram
 
 
-@dataclass
-class MutationOutcome:
+class MutationOutcome(Record):
+    __slots__ = ("mutant_id", "status", "first_failing_case", "detail")
+    _defaults = {"first_failing_case": None, "detail": None}
+    __hash__ = None
     mutant_id: str
     status: str  # EQUIVALENT | KILLED | ESCAPED | ERROR
-    first_failing_case: int | None = None
-    detail: str | None = None
+    first_failing_case: int | None
+    detail: str | None
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +255,11 @@ def classify(reference, suite, mutant: Mutant, via: str = "oracle",
 # Reporting
 # ---------------------------------------------------------------------------
 
-@dataclass
-class MutationReport:
-    outcomes: list[MutationOutcome] = field(default_factory=list)
+class MutationReport(Record):
+    __slots__ = ("outcomes",)
+    _defaults = {"outcomes": ()}
+    __hash__ = None
+    outcomes: list[MutationOutcome]
 
     @property
     def counts(self) -> dict:

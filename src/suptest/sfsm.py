@@ -9,12 +9,12 @@ each class becomes one atomic input of the abstracted Mealy machine.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .encoding import NIL_TEXT, encode_step, fnv1a64, is_wire_valuation
 from .fsm import MealyMachine
 from .guards import (
     GuardExpr,
+    Record,
     Valuation,
     VarDecl,
     check_decls,
@@ -66,8 +66,8 @@ class IncompleteState(SfsmError):
         self.witness = witness
 
 
-@dataclass(frozen=True)
-class SfsmTransition:
+class SfsmTransition(Record):
+    __slots__ = ("source", "action", "guard", "output", "target")
     source: str
     action: str
     guard: GuardExpr
@@ -152,16 +152,17 @@ class Sfsm:
 # Input equivalence classes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InputClass:
+class InputClass(Record):
+    __slots__ = ("id", "signature", "representative", "size")
     id: str  # c0, c1, ...
     signature: tuple[bool, ...]  # truth vector over the deduplicated guard list
     representative: Valuation
     size: int
 
 
-@dataclass
-class InputClassPartition:
+class InputClassPartition(Record):
+    __slots__ = ("guards", "classes")
+    __hash__ = None
     guards: list[str]  # canonical guard texts, dedup order
     classes: list[InputClass]
 
@@ -230,8 +231,9 @@ def input_classes(r: Sfsm) -> InputClassPartition:
 # FSM abstraction
 # ---------------------------------------------------------------------------
 
-@dataclass
-class AbstractionMap:
+class AbstractionMap(Record):
+    __slots__ = ("class_to_valuation", "label_to_output")
+    __hash__ = None
     class_to_valuation: dict[str, Valuation]
     label_to_output: dict[str, Valuation | None]
 

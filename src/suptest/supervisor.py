@@ -14,13 +14,13 @@ plus static hypothesis checks comparing the two.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 
 from .encoding import fingerprint, read_artifact
 from .guards import (
     CONTROLLED,
     FACTOR,
     MONITORED,
+    Record,
     VarDecl,
     check_decls,
     check_valuation,
@@ -74,17 +74,20 @@ def derive_action_name(factors: list[str], r: dict, r2: dict) -> str:
 # Controller behaviour loading
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ControllerBehavior:
+class ControllerBehavior(Record):
     """Deserialized controller fragment of the synthesised transition relation."""
 
+    __slots__ = ("input_vars", "output_vars", "factor_vars", "initial", "transitions",
+                 "warnings", "fingerprint")
+    _defaults = {"warnings": (), "fingerprint": None}
+    __hash__ = None
     input_vars: list[VarDecl]
     output_vars: list[VarDecl]
     factor_vars: list[VarDecl]
     initial: dict  # factor name -> phase, as in the file
     transitions: list[dict]  # {source, guard: GuardExpr, output, target}
-    warnings: list[str] = field(default_factory=list)
-    fingerprint: str | None = None  # of the document it was read from, if any
+    warnings: list[str]
+    fingerprint: str | None  # of the document it was read from, if any
 
     @property
     def factors(self) -> list[str]:
@@ -145,9 +148,7 @@ def load_behavior(path) -> ControllerBehavior:
     """Parse and validate a `.cb` behaviour file, naming it on failure, and
     record the fingerprint of its document: one read serves both."""
     def from_obj(doc: dict) -> ControllerBehavior:
-        behaviour = behavior_from_obj(doc)
-        behaviour.fingerprint = fingerprint(doc)
-        return behaviour
+        return behavior_from_obj(doc).replace(fingerprint=fingerprint(doc))
 
     return read_artifact(path, from_obj)
 
@@ -231,11 +232,13 @@ def to_test_reference(b: ControllerBehavior, policy: str = POLICY_ERROR) -> Sfsm
 # Static hypothesis checks
 # ---------------------------------------------------------------------------
 
-@dataclass
-class HypothesisReport:
+class HypothesisReport(Record):
+    __slots__ = ("state_count_program", "state_count_reference", "guard_diffs")
+    _defaults = {"guard_diffs": ()}
+    __hash__ = None
     state_count_program: int
     state_count_reference: int
-    guard_diffs: list[str] = field(default_factory=list)
+    guard_diffs: list[str]
 
     @property
     def state_count_ok(self) -> bool:
@@ -266,7 +269,7 @@ def check_hypotheses(p: GuardedActionProgram, r: Sfsm) -> HypothesisReport:
     program_states = {
         risk_state_name(dict(s), p.factors) for s in p.risk_states()
     }
-    report = HypothesisReport(len(program_states), len(r.states))
+    report = HypothesisReport(len(program_states), len(r.states), [])
 
     for state in sorted(program_states | set(r.states)):
         prog_guards = Counter(

@@ -29,34 +29,46 @@ other's faults.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterator
 from itertools import product
 
-from .encoding import Encoded, encode_compact
+from .encoding import encode_compact
 from .fsm import MealyMachine
-from .guards import ENUM_BOUND
+from .guards import ENUM_BOUND, Record
+
+
+# Cases encoded into one text part of a suite's artefact
+CASES_PER_PART = 128
 
 
 class TestGenError(Exception):
     __test__ = False  # not a pytest class
 
 
-@dataclass(frozen=True)
-class TestCase:
+class TestCase(Record):
     __test__ = False  # not a pytest class
-
+    __slots__ = ("inputs", "expected")
     inputs: tuple
     expected: tuple
 
+    def __init__(self, inputs, expected):
+        # built once per case: each field is set directly, unchecked
+        _set_inputs(self, inputs)
+        _set_expected(self, expected)
 
-@dataclass
-class TestSuite:
+
+_set_inputs, _set_expected = TestCase.inputs.__set__, TestCase.expected.__set__
+
+
+class TestSuite(Record):
     __test__ = False  # not a pytest class
-
+    __slots__ = ("cases", "method", "m_bound", "concrete")
+    _defaults = {"concrete": False}
+    __hash__ = None
     cases: list[TestCase]
     method: str  # "h" | "w"
     m_bound: int
-    concrete: bool = False
+    concrete: bool
 
     def to_obj(self) -> dict:
         return self._document([
@@ -65,10 +77,14 @@ class TestSuite:
         ])
 
     def to_artifact(self) -> dict:
-        """`to_obj()` for `encoding.canonical_artifact`, with the cases as
-        one `Encoded` text: a suite repeats few inputs and outputs over many
-        steps, so each distinct object among them is encoded once.  The
-        cases hold every such object while this runs, so no id is reused."""
+        """`to_obj()` for `cli.write_artifact`, with the cases given lazily
+        as the parts of their encoding, `CASES_PER_PART` a part."""
+        return self._document(self._case_parts())
+
+    def _case_parts(self) -> Iterator[str]:
+        """A suite repeats few inputs and outputs over many steps, so each
+        distinct object among them is encoded once.  The cases hold every
+        such object while this runs, so no id is reused."""
         texts: dict[int, str] = {}  # id of an input or output -> its encoding
         get = texts.__getitem__
 
@@ -84,10 +100,15 @@ class TestSuite:
             except KeyError:  # an object met for the first time
                 return ",".join(map(text, values))
 
-        # a case's keys in sorted order, as the canonical encoding puts them
-        cases = ",".join(['{"expectedOutputs":[%s],"inputs":[%s]}'
-                          % (listed(c.expected), listed(c.inputs)) for c in self.cases])
-        return self._document(Encoded(f"[{cases}]"))
+        cases = self.cases
+        yield "["
+        for start in range(0, len(cases), CASES_PER_PART):
+            # a case's keys in sorted order, as the canonical encoding puts them
+            part = ",".join(['{"expectedOutputs":[%s],"inputs":[%s]}'
+                             % (listed(c.expected), listed(c.inputs))
+                             for c in cases[start:start + CASES_PER_PART]])
+            yield ("," if start else "") + part
+        yield "]"
 
     def _document(self, cases) -> dict:
         return {"method": self.method, "mBound": self.m_bound,
@@ -392,9 +413,11 @@ def w_method(m: MealyMachine, m_bound: int) -> TestSuite:
 # Orthogonal completeness checker
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CompletenessReport:
-    violations: list[str] = field(default_factory=list)
+class CompletenessReport(Record):
+    __slots__ = ("violations",)
+    _defaults = {"violations": ()}
+    __hash__ = None
+    violations: list[str]
 
     @property
     def ok(self) -> bool:
@@ -415,7 +438,7 @@ def check_h_completeness(m: MealyMachine, m_bound: int, ts: TestSuite) -> Comple
     walk over common suffixes are all recomputed from scratch here.
     """
     _require_testable(m, m_bound)
-    report = CompletenessReport()
+    report = CompletenessReport([])
     n = len(m.states)
     k = m_bound - n + 1
 

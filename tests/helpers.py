@@ -6,13 +6,18 @@ enumeration so they can serve as oracles for the production code paths.
 
 from __future__ import annotations
 
+import hashlib
 import random
+import tempfile
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import make_dataclass
 from glob import glob
 from itertools import product
+from pathlib import Path
 
-from suptest.encoding import decode_valuation, encode_step
+from suptest.cli import write_artifact
+from suptest.encoding import decode_valuation, encode_compact, encode_step
 from suptest.fsm import MealyMachine
 from suptest.guards import (
     EnumSort, IntSort, VarDecl, check_valuation, enumerate_valuations, eval_guard,
@@ -479,7 +484,7 @@ def scan_check_h_completeness(m: MealyMachine, m_bound: int, ts) -> Completeness
     whole suite trace set for a common distinguishing suffix: the oracle
     for the joint walk of `testgen.check_h_completeness`."""
     _require_testable(m, m_bound)
-    report = CompletenessReport()
+    report = CompletenessReport([])
     n = len(m.states)
     k = m_bound - n + 1
 
@@ -553,6 +558,58 @@ def scan_check_h_completeness(m: MealyMachine, m_bound: int, ts) -> Completeness
 
 
 # ---------------------------------------------------------------------------
+# The artefact writer that encoded a whole artefact at once
+# ---------------------------------------------------------------------------
+
+class Encoded(str):
+    """Text in the compact canonical encoding, which `canonical_artifact`
+    puts into a file as it is: a member built from parts encoded once."""
+
+
+def canonical_artifact(payload: dict, links: dict | None = None) -> tuple[bytes, str]:
+    """An artefact's file, in UTF-8, and its payload's fingerprint, from one
+    encoding of each top-level member of `payload`: the oracle of
+    `cli.write_artifact`, which streams both.
+
+    The file is the compact canonical encoding of `payload` with `links`,
+    if any, as its `derivedFrom`, and the fingerprint is the blake2b-64 of
+    the encoding of `payload`.  A member given as `Encoded` text stands for
+    the value that text encodes.
+    """
+    def member(key, value) -> bytes:  # `"key":value`, as within its object
+        if isinstance(value, Encoded):
+            return f"{encode_compact(key)}:{value}".encode("utf-8")
+        return encode_compact({key: value})[1:-1].encode("utf-8")
+
+    def document() -> bytes:
+        return b"{" + b",".join(members[key] for key in sorted(members)) + b"}\n"
+
+    members = {key: member(key, value) for key, value in payload.items()}
+    data = document()
+    digest = hashlib.blake2b(data, digest_size=8).hexdigest()
+    if links:
+        members["derivedFrom"] = member("derivedFrom", links)
+        data = document()
+    return data, digest
+
+
+def settled(payload: dict) -> dict:
+    """`payload` for `canonical_artifact`: each member given lazily, as the
+    parts of its encoding, joined into `Encoded` text."""
+    return {key: Encoded("".join(value)) if isinstance(value, Iterator) else value
+            for key, value in payload.items()}
+
+
+def written(payload: dict, links: dict | None = None) -> tuple[bytes, str]:
+    """The file `cli.write_artifact` writes for `payload` and `links`, and
+    the fingerprint it returns."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "artefact.json"
+        digest = write_artifact(path, payload, links)
+        return path.read_bytes(), digest
+
+
+# ---------------------------------------------------------------------------
 # Frozen-dataclass twins of the `Record` value classes
 # ---------------------------------------------------------------------------
 
@@ -575,16 +632,16 @@ def _check_var_decl(self):
         raise ValueError(f"factor variable {self.name} must have the phase sort")
 
 
-def _twin(name, fields, check=None, hashable=True):
+def _twin(name, fields, check=None, hashable=True, frozen=True):
     namespace = {} if check is None else {"__post_init__": check}
     if not hashable:
         namespace["__hash__"] = None  # kept by dataclass(), as an explicit hash
-    return make_dataclass(name, fields, namespace=namespace, frozen=True)
+    return make_dataclass(name, fields, namespace=namespace, frozen=frozen)
 
 
-# The guard language's and the program's value classes as frozen
-# dataclasses, with the validation they had as such: the oracle for what
-# `Record` gives them.  A twin has its class's name, so reprs compare.
+# The toolkit's value classes as frozen dataclasses, with the validation
+# they had as such: the oracle for what `Record` gives them.  A twin has its
+# class's name, so reprs compare.
 TWINS = {twin.__name__: twin for twin in [
     _twin("EnumSort", ["literals"], _check_enum_sort),
     _twin("IntSort", ["lo", "hi"], _check_int_sort),
@@ -598,6 +655,35 @@ TWINS = {twin.__name__: twin for twin in [
     _twin("GuardedActionProgram", [
         "input_vars", "output_vars", "factors", "initial", "actions",
         ("policy", str, "error"), ("resolution", str, "strict")], hashable=False),
+    # the value classes of the other modules: those that were mutable
+    # dataclasses stay unhashable, and a list that defaulted to a new empty
+    # one defaults to the empty tuple
+    _twin("Counterexample", ["inputs", "outputs1", "outputs2"]),
+    _twin("SfsmTransition", ["source", "action", "guard", "output", "target"]),
+    _twin("InputClass", ["id", "signature", "representative", "size"]),
+    _twin("InputClassPartition", ["guards", "classes"], hashable=False),
+    _twin("AbstractionMap", ["class_to_valuation", "label_to_output"], hashable=False),
+    _twin("TestCase", ["inputs", "expected"]),
+    _twin("TestSuite", ["cases", "method", "m_bound", ("concrete", bool, False)],
+          hashable=False),
+    _twin("CompletenessReport", [("violations", object, ())], hashable=False),
+    _twin("Verdict", ["case_index", "status", ("step_index", object, None),
+                      ("input_sent", object, None), ("expected_output", object, None),
+                      ("observed_output", object, None), ("detail", object, None)],
+          frozen=False),
+    _twin("TestReport", ["method", "m_bound", ("verdicts", object, ()),
+                         ("duration", float, 0.0)],
+          hashable=False),
+    _twin("Mutant", ["id", "operator", "locus", "target"], hashable=False),
+    _twin("MutationOutcome", ["mutant_id", "status", ("first_failing_case", object, None),
+                              ("detail", object, None)], hashable=False),
+    _twin("MutationReport", [("outcomes", object, ())], hashable=False),
+    _twin("ControllerBehavior", ["input_vars", "output_vars", "factor_vars", "initial",
+                                 "transitions", ("warnings", object, ()),
+                                 ("fingerprint", object, None)],
+          hashable=False),
+    _twin("HypothesisReport", ["state_count_program", "state_count_reference",
+                               ("guard_diffs", object, ())], hashable=False),
 ]}
 
 

@@ -13,19 +13,29 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from suptest import guards
-from suptest.cli import COMMANDS, build_parser, load_machine, main, write_artifact
+from suptest.cli import (
+    COMMANDS, WRITE_BATCH, artifact_fingerprint, build_parser, load_machine, main,
+    write_artifact,
+)
 from suptest.encoding import (
-    ArtifactError, canonical_dumps, encode_step, fingerprint, read_artifact,
+    ArtifactError, canonical_dumps, encode_compact, encode_step, fingerprint, read_artifact,
 )
 from suptest.mutation import OUTPUT_FAULT, generate_mutants
-from suptest.harness import ForkedSut, SutAdapter, SutStartError, serve_machine
+from suptest.harness import (
+    ERROR, FAIL, PASS, VERDICTS_PER_PART, ForkedSut, SutAdapter, SutStartError, TestReport,
+    Verdict, serve_machine,
+)
 from suptest.program import serve_reference
 from suptest.supervisor import behavior_from_obj, load_behavior, to_guarded_actions
-from helpers import stepwise_replies
+from suptest.testgen import CASES_PER_PART, TestCase, TestSuite
+from helpers import canonical_artifact, settled, stepwise_replies, written
 from test_harness import MEMO_LINES, behaviour_obj
 from test_supervisor import single_transition_obj
 
@@ -809,7 +819,121 @@ class TestWriteArtifact:
         assert path.read_bytes() == canonical_dumps(doc, compact=True).encode()
 
 
+# JSON values with `1` and `True` apart, non-ASCII and escaped text, and
+# strings long enough that a member alone spans several write batches
+keys = st.text(alphabet="abé\u2603 \"", max_size=3).filter(lambda key: key != "derivedFrom")
+scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 2), st.floats(allow_nan=False, allow_infinity=False),
+    st.text(alphabet="aé\u2603\"\\\n", max_size=4),
+    st.tuples(st.text(alphabet="aé\u2603", min_size=1, max_size=3),
+              st.integers(1, 50_000)).map(lambda tr: tr[0] * tr[1]))
+json_values = st.recursive(scalars, lambda inner: st.one_of(
+    st.lists(inner, max_size=3), st.dictionaries(keys, inner, max_size=3)), max_leaves=8)
+
+
+def lazily(value, cuts):
+    """The parts of `value`'s encoding, cut at the fractions `cuts`."""
+    text = encode_compact(value)
+    at = sorted({int(cut * len(text)) for cut in cuts})
+    return iter([text[i:j] for i, j in zip([0, *at], [*at, len(text)])])
+
+
+def big_suite(copies: int = 1) -> TestSuite:
+    """A concrete suite of several parts and several write batches, with
+    `1` and `True` apart, non-ASCII text, empty cases and nil outputs."""
+    one, true, snow = {"x": 1, "m": "é"}, {"x": True, "m": "\u2603"}, {"y": "on"}
+    cases = [TestCase((one, true, one), (None, snow, {"y": 1})), TestCase((), ()),
+             TestCase((true,), (None,)), TestCase((snow, snow), ({"y": True}, None))]
+    return TestSuite(cases * (8 * CASES_PER_PART * copies), "h", 9, concrete=True)
+
+
+def big_report() -> TestReport:
+    verdicts = [Verdict(0, PASS), Verdict(1, FAIL, 2, {"x": 1}, {"y": True}, {"y": 1}),
+                Verdict(2, ERROR, detail="SUT said \u2603\n"),
+                Verdict(3, FAIL, 0, "c1", "o1", None)]
+    return TestReport("h", 9, verdicts * (2 * VERDICTS_PER_PART) + [Verdict(4, PASS)], 1.5)
+
+
+class TestStreamedWriter:
+    """`write_artifact` against the writer that encoded a whole artefact at
+    once (`helpers.canonical_artifact`): the same file, the same fingerprint."""
+
+    @given(st.data(), st.none() | st.dictionaries(st.sampled_from(["fsm", "suite", "é"]),
+                                                  st.text(max_size=3), max_size=2))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_one_shot_writer(self, data, links):
+        payload = data.draw(st.dictionaries(keys, json_values, max_size=4), label="payload")
+        lazy = {key: data.draw(st.booleans(), label=f"lazy {key!r}") for key in payload}
+        cuts = {key: data.draw(st.lists(st.floats(0, 1), max_size=5), label=f"cuts {key!r}")
+                for key in payload}
+
+        def given_payload():
+            return {key: lazily(value, cuts[key]) if lazy[key] else value
+                    for key, value in payload.items()}
+
+        expected = canonical_artifact(payload, links)
+        assert written(given_payload(), links) == expected
+        assert artifact_fingerprint(given_payload()) == expected[1] == fingerprint(payload)
+
+    @pytest.mark.parametrize("links", [None, {"fsm": "f" * 16}])
+    def test_suite_and_report_larger_than_a_batch(self, links):
+        suite, report = big_suite(), big_report()
+        for value in (suite, report):
+            expected = canonical_artifact(value.to_obj(), links)
+            assert len(expected[0]) > 3 * WRITE_BATCH
+            assert written(value.to_artifact(), links) == expected
+            assert canonical_artifact(settled(value.to_artifact()), links) == expected
+            assert artifact_fingerprint(value.to_artifact()) == expected[1]
+
+    def test_unencodable_value_leaves_no_file(self, tmp_path):
+        path = tmp_path / "artefact.json"
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            write_artifact(path, {"a": "x" * (3 * WRITE_BATCH), "b": object()})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failure_past_a_batch_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "artefact.json"
+        write_artifact(path, {"old": True})
+        before = path.read_bytes()
+
+        def parts():
+            yield "[" + ",".join(["1"] * (2 * WRITE_BATCH))
+            raise RuntimeError("the SUT went away")
+
+        with pytest.raises(RuntimeError, match="went away"):
+            write_artifact(path, {"cases": parts()})
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_suite_written_without_a_copy_of_its_file(self, tmp_path):
+        """Peak memory of writing a suite's artefact stays below an eighth
+        of the file: no whole encoding of it is held."""
+        suite, path = big_suite(32), tmp_path / "suite.json"
+        tracemalloc.start()
+        try:
+            write_artifact(path, suite.to_artifact(), {"fsm": "f" * 16})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 8_000_000
+        assert peak < size / 8, (peak, size)
+
+
 class TestPipeline:
+    def test_loads_neither_dataclasses_nor_inspect(self, tmp_path, behaviour):
+        command = [sys.executable, "-c", PRINT_MODULES_AT_EXIT + (
+            "import runpy\n"
+            f"sys.argv = ['suptest', 'pipeline', {str(behaviour)!r}, "
+            f"'--out', {str(tmp_path / 'out')!r}]\n"
+            "runpy.run_module('suptest', run_name='__main__', alter_sys=True)\n")]
+        done = subprocess.run(command, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "verdict: COMPLETE PASS" in done.stdout
+        loaded = set(ast.literal_eval(done.stderr.strip().splitlines()[-1]))
+        assert "suptest.harness" in loaded
+        assert not {"dataclasses", "inspect"} & loaded
+
     def test_artefacts_compact_with_checked_chain(self, tmp_path, behaviour):
         out = tmp_path / "pipeline"
         assert main(["pipeline", str(behaviour), "--out", str(out)]) == 0

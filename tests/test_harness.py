@@ -7,7 +7,6 @@ import shlex
 import sys
 import threading
 import time
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -402,7 +401,7 @@ class TestSutFailures:
             SutAdapter([str(tmp_path / "no-such-sut")]).start()
 
     def test_exit_reports_code_without_timeout(self, tmp_path, concrete_suite):
-        suite = replace(concrete_suite, cases=concrete_suite.cases[:3])
+        suite = concrete_suite.replace(cases=concrete_suite.cases[:3])
         started = time.monotonic()
         with SutAdapter(fake_sut(tmp_path, "sys.exit(3)"), step_timeout=5) as sut:
             report = run_suite(sut, suite)
@@ -436,7 +435,7 @@ class TestSutFailures:
 
     @pytest.mark.parametrize("reply", ['OUT {bad', 'OUT {"y":true}', 'OUT {"y":1.0}', 'HELLO'])
     def test_malformed_reply_is_an_error_verdict(self, tmp_path, concrete_suite, reply):
-        suite = replace(concrete_suite, cases=concrete_suite.cases[:3])
+        suite = concrete_suite.replace(cases=concrete_suite.cases[:3])
         command = fake_sut(tmp_path, f"print({reply!r}, flush=True)")
         with SutAdapter(command) as sut:
             report = run_suite(sut, suite)
@@ -914,7 +913,7 @@ class TestWindow:
     def test_killed_mutant_is_sent_at_most_a_window_more(self, tmp_path, program,
                                                         concrete_suite):
         mu = generate_mutants(program, operators=[OUTPUT_FAULT])[0]
-        suite = replace(concrete_suite, cases=concrete_suite.cases * 500)
+        suite = concrete_suite.replace(cases=concrete_suite.cases * 500)
         first = first_not_passing(plain_verdicts(mu.target, suite))
         sizes = [len("RESET\n") + sum(len(f"IN {encode_step(v)}\n") for v in case.inputs)
                  for case in suite.cases]

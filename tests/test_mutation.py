@@ -208,11 +208,10 @@ class TestClassify:
             assert via_oracle.status == via_harness.status
 
     def test_suite_kind_must_match_target(self, m0, program):
-        from dataclasses import replace
         abstract = h_method(m0, 2)
         with pytest.raises(ValueError, match="concrete suite"):
             classify(program, abstract, generate_mutants(program, limit=1)[0])
-        concrete = replace(abstract, concrete=True)
+        concrete = abstract.replace(concrete=True)
         with pytest.raises(ValueError, match="abstract one"):
             classify(m0, concrete, generate_mutants(m0, limit=1)[0])
 

@@ -1,26 +1,40 @@
-"""The `Record` value classes against their frozen-dataclass twins.
+"""The `Record` value classes against their dataclass twins.
 
-`guards` and `program` build their sorts, declarations, guards, actions and
-programs on `guards.Record` rather than on `dataclasses`, so that a SUT
-starts without importing it.  The twins in `helpers` are those classes as
-frozen dataclasses: construction, validation, equality, hashing, repr,
-refused assignment and `replace` must give what the twins give.
+Every value class of the toolkit is a `guards.Record` rather than a
+dataclass, so that no toolkit process imports `dataclasses` (and with it
+`inspect`), and each value is held in slots.  The twins in `helpers` are
+those classes as dataclasses, frozen but for `Verdict`'s: construction,
+validation, equality, hashing, repr, refused assignment and `replace` must
+give what the twins give.
 """
 
 import dataclasses
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import TWINS, twin_of
+from suptest.fsm import Counterexample
 from suptest.guards import (
-    PHASE_SORT, And, BoolConst, Comparison, EnumSort, IntSort, Not, Or, VarDecl,
+    PHASE_SORT, And, BoolConst, Comparison, EnumSort, IntSort, Not, Or, Record, VarDecl,
 )
+from suptest.harness import TestReport, Verdict
+from suptest.mutation import Mutant, MutationOutcome, MutationReport
 from suptest.program import GuardedAction, GuardedActionProgram
+from suptest.sfsm import AbstractionMap, InputClass, InputClassPartition, SfsmTransition
+from suptest.supervisor import ControllerBehavior, HypothesisReport
+from suptest.testgen import CompletenessReport, TestCase, TestSuite
 
+# The value classes of the other modules, which check no field
+UNCHECKED = [
+    Counterexample, SfsmTransition, InputClass, InputClassPartition, AbstractionMap,
+    TestCase, TestSuite, CompletenessReport, Verdict, TestReport, Mutant, MutationOutcome,
+    MutationReport, ControllerBehavior, HypothesisReport,
+]
 CLASSES = {cls.__name__: cls for cls in [
     EnumSort, IntSort, VarDecl, BoolConst, Comparison, Not, And, Or,
-    GuardedAction, GuardedActionProgram,
+    GuardedAction, GuardedActionProgram, *UNCHECKED,
 ]}
 
 
@@ -86,7 +100,15 @@ programs = st.builds(
     st.sampled_from(["error", "complete-with-selfloop"]),
     st.sampled_from(["strict", "first"]),
 )
-values = st.one_of(valid_sorts, decls, guards, actions, programs)
+# Field values of the unchecked classes, records among them
+plain = st.one_of(st.none(), st.integers(-2, 2), st.text(max_size=2),
+                  st.tuples(st.integers(0, 2)), st.lists(st.integers(0, 2), max_size=2),
+                  st.dictionaries(st.sampled_from("xy"), st.integers(0, 1), max_size=1))
+cases = st.builds(TestCase, plain, plain)
+field_values = st.one_of(plain, cases, st.lists(cases, max_size=2))
+unchecked = st.sampled_from(UNCHECKED).flatmap(
+    lambda cls: st.builds(cls, *[field_values] * len(cls.__slots__)))
+values = st.one_of(valid_sorts, decls, guards, actions, programs, unchecked)
 
 
 def fields(value) -> dict:
@@ -117,6 +139,37 @@ class TestConstruction:
         program = GuardedActionProgram([], [], [], {}, [])
         assert repr(program) == repr(twin_of(program))
         assert (program.policy, program.resolution) == ("error", "strict")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(UNCHECKED), st.lists(plain, max_size=8),
+           st.dictionaries(st.sampled_from(["status", "detail", "cases", "mid"]), plain,
+                           max_size=2))
+    def test_refusals_match(self, cls, args, kwargs):
+        ours = outcome(lambda: cls(*args, **kwargs))
+        theirs = outcome(lambda: TWINS[cls.__name__](*args, **kwargs))
+        # `Record._bind` words a missing or surplus argument otherwise
+        assert ours[0] == theirs[0]
+        if len(args) <= len(cls.__slots__) and (
+                "unexpected keyword" in theirs[1] or "multiple values" in theirs[1]):
+            assert ours == theirs
+
+    def test_defaults_of_unchecked_classes(self):
+        for value in [Verdict(0, "PASS"), TestSuite([], "h", 2), TestReport("h", 3),
+                      CompletenessReport(), MutationOutcome("m0", "KILLED"),
+                      MutationReport(), HypothesisReport(1, 1),
+                      ControllerBehavior([], [], [], {}, [])]:
+            assert repr(value) == repr(twin_of(value))
+
+    def test_hand_built_cases_and_verdicts_skip_bind(self, monkeypatch):
+        """`TestCase` and `Verdict` are built once per case, by position."""
+        def refuse(cls, args, kwargs):
+            raise AssertionError(f"{cls.__name__} bound its arguments")
+        monkeypatch.setattr(Record, "_bind", classmethod(refuse))
+        assert Verdict(3, "PASS").status == "PASS"
+        assert Verdict(3, "FAIL", 0, {"x": 1}, {"y": 0}, {"y": 1}).step_index == 0
+        assert TestCase((), ()).inputs == ()
+        with pytest.raises(AssertionError, match="TestSuite bound"):
+            TestSuite([], "h", 2)
 
     def test_keyword_errors_match(self):
         for kwargs in [{"lo": 0, "hi": 1, "mid": 0}, {"lo": 0}]:
@@ -152,13 +205,21 @@ class TestValueSemantics:
         assert repr(value) == repr(twin_of(value))
 
     @settings(max_examples=100, deadline=None)
-    @given(values, st.data())
+    @given(values.filter(lambda v: type(v) is not Verdict), st.data())
     def test_assignment_refused(self, value, data):
         name = data.draw(st.sampled_from(list(value.__slots__) + ["other"]), label="name")
         assert both(value, lambda v: setattr(v, name, 0)) == (
             ("AttributeError", f"cannot assign to field {name!r}"),) * 2
         assert both(value, lambda v: delattr(v, name)) == (
             ("AttributeError", f"cannot delete field {name!r}"),) * 2
+
+    def test_verdict_assignment_as_its_twin(self):
+        verdict, twin = Verdict(0, "PASS"), twin_of(Verdict(0, "PASS"))
+        for v in (verdict, twin):
+            v.status, v.detail = "ERROR", "late"
+        assert repr(verdict) == repr(twin)
+        assert verdict == Verdict(0, "ERROR", detail="late")
+        assert outcome(lambda: setattr(verdict, "other", 0))[0] == "AttributeError"
 
     @settings(max_examples=100, deadline=None)
     @given(programs)
@@ -168,11 +229,12 @@ class TestValueSemantics:
 
 class TestReplace:
     @settings(max_examples=200, deadline=None)
-    @given(st.one_of(valid_sorts, decls, actions, programs), st.data())
+    @given(st.one_of(valid_sorts, decls, actions, programs, unchecked), st.data())
     def test_replace_matches_dataclasses_replace(self, value, data):
         name = data.draw(st.sampled_from(value.__slots__), label="field")
         other = data.draw(st.one_of(
             st.just(getattr(value, name)),
+            field_values if type(value) in UNCHECKED else
             {"literals": st.just(()), "lo": st.integers(-3, 3), "hi": st.integers(-3, 3),
              "kind": st.sampled_from(["factor", "other", "controlled"]),
              "guard": guards, "output": outputs, "actions": st.lists(actions, max_size=2),

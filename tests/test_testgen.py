@@ -11,9 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import m0, random_machine, scan_check_h_completeness, walk_h_method
+from helpers import (
+    canonical_artifact, m0, random_machine, scan_check_h_completeness, settled, walk_h_method,
+    written,
+)
 from suptest import mutation
-from suptest.encoding import canonical_artifact, canonical_dumps
+from suptest.encoding import canonical_dumps
 from suptest.fsm import FsmError, MealyMachine
 from suptest.sfsm import abstract_to_fsm
 from suptest.supervisor import to_test_reference
@@ -504,17 +507,19 @@ class TestSuiteArtifact:
     @given(shared_suites(), st.none() | st.just({"fsm": "f" * 16}))
     @settings(max_examples=150, deadline=None)
     def test_file_equals_unshared_copy(self, suite, links):
-        assert canonical_artifact(suite.to_artifact(), links) == \
+        assert written(suite.to_artifact(), links) == \
+            canonical_artifact(unshared(suite).to_obj(), links)
+        assert canonical_artifact(settled(suite.to_artifact()), links) == \
             canonical_artifact(unshared(suite).to_obj(), links)
 
     def test_a_valuation_changed_between_writes(self):
         v = {"x": 1}
         suite = TestSuite([TestCase((v, v), (None, {"y": "é"})), TestCase((), ()),
                            TestCase((v,), (v,))], "h", 2, concrete=True)
-        first = canonical_artifact(suite.to_artifact())
+        first = written(suite.to_artifact())
         assert first == canonical_artifact(unshared(suite).to_obj())
         v["x"] = True
-        second = canonical_artifact(suite.to_artifact())
+        second = written(suite.to_artifact())
         assert second != first
         assert second == canonical_artifact(unshared(suite).to_obj())
         assert b'"inputs":[{"x":true},{"x":true}]' in second[0]

@@ -10,7 +10,6 @@ covers.
 """
 
 import json
-from dataclasses import replace
 from functools import reduce
 from importlib.resources import files
 
@@ -189,7 +188,7 @@ def behaviour_of(p):
          "target": dict(a.target)}
         for a in p.actions
     ]
-    return replace(BEHAVIOUR, transitions=transitions)
+    return BEHAVIOUR.replace(transitions=transitions)
 
 
 def violation(check, p):
