@@ -27,7 +27,7 @@ class FsmError(Exception):
 
 class UndefinedTransition(FsmError):
     def __init__(self, state: str, symbol: str):
-        super().__init__(f"no transition from state {state!r} on input {symbol!r}")
+        super().__init__(f"no transition on {symbol!r}")
         self.state = state
         self.symbol = symbol
 
@@ -78,11 +78,12 @@ class MealyMachine:
     def complete(self) -> bool:
         return len(self.transitions) == len(self.states) * len(self.inputs)
 
-    def step(self, state: str, symbol: str) -> tuple[str, str]:
+    def step(self, pair: tuple[str, str]) -> tuple[str, str]:
+        """(next state, output) of the (state, input) `pair`, if defined."""
         try:
-            return self.transitions[(state, symbol)]
+            return self.transitions[pair]
         except KeyError:
-            raise UndefinedTransition(state, symbol) from None
+            raise UndefinedTransition(*pair) from None
 
     def access_words(self) -> dict[str, tuple[str, ...]]:
         """Each reachable state's least shortest access word, in BFS order.
@@ -156,7 +157,7 @@ class MealyMachine:
                 known = False
             if not known:
                 raise FsmError(f"input symbol {x!r} not in alphabet")
-            state, y = self.step(state, x)
+            state, y = self.step((state, x))
             outputs.append(y)
         return tuple(outputs), state
 
@@ -239,6 +240,7 @@ class MealyMachine:
             )
         self._require_complete("equivalent")
         other._require_complete("equivalent")
+        # `step` of a complete machine, without the `try`: hot in classify
         word = first_difference((self.initial, other.initial), self.inputs,
                                 self.transitions.__getitem__, other.transitions.__getitem__)
         if word is None:
@@ -251,7 +253,7 @@ class MealyMachine:
         Ties broken lexicographically over the declared input order.
         """
         self._require_complete("distinguishing_trace")
-        step = self.transitions.__getitem__
+        step = self.transitions.__getitem__  # `step` of a complete machine; hot in h_method
         return first_difference((s, t), self.inputs, step, step)
 
 

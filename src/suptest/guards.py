@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from collections.abc import Iterator
 
@@ -278,6 +279,17 @@ GuardExpr = BoolConst | Comparison | Not | And | Or
 
 TRUE = BoolConst(True)
 
+# Each comparison operator: its test of a value against a literal, and the
+# operator of its negation (what `mutation` flips a comparison to)
+OPERATORS = {
+    "=": (operator.eq, "!="),
+    "!=": (operator.ne, "="),
+    "<": (operator.lt, ">="),
+    "<=": (operator.le, ">"),
+    ">": (operator.gt, "<="),
+    ">=": (operator.ge, "<"),
+}
+
 _ORDER_OPS = ("<", "<=", ">", ">=")
 
 
@@ -418,15 +430,13 @@ class _Parser:
         if var not in self.decls:
             raise SortError(f"undeclared variable: {var}")
         op_tok = self.peek()
-        if op_tok.kind != "op" or op_tok.text not in ("=", "!=", "<", "<=", ">", ">="):
+        if op_tok.kind != "op" or op_tok.text not in OPERATORS:
             got = op_tok.text or "end of input"
             raise GuardSyntaxError(f"expected comparison operator, found {got!r}", op_tok.pos)
         self.advance()
         lit_tok = self.advance()
         sort = self.decls[var].sort
         if isinstance(sort, IntSort):
-            if op_tok.text not in ("=", "!=") + _ORDER_OPS:
-                raise SortError(f"operator {op_tok.text} not valid on {var}")
             if lit_tok.kind != "int":
                 got = lit_tok.text or "end of input"
                 raise SortError(f"integer literal expected for {var}, found {got!r}")
@@ -466,21 +476,11 @@ def eval_guard(g: GuardExpr, v: Valuation) -> bool:
     if isinstance(g, BoolConst):
         return g.value
     if isinstance(g, Comparison):
-        if g.var not in v:
-            raise SortError(f"valuation missing variable: {g.var}")
-        x = v[g.var]
-        op = g.op
-        if op == "=":
-            return x == g.literal
-        if op == "!=":
-            return x != g.literal
-        if op == "<":
-            return x < g.literal
-        if op == "<=":
-            return x <= g.literal
-        if op == ">":
-            return x > g.literal
-        return x >= g.literal
+        try:
+            x = v[g.var]
+        except KeyError:
+            raise SortError(f"valuation missing variable: {g.var}") from None
+        return OPERATORS[g.op][0](x, g.literal)
     if isinstance(g, Not):
         return not eval_guard(g.operand, v)
     if isinstance(g, And):

@@ -179,13 +179,12 @@ class TestReport(Record):
 # ---------------------------------------------------------------------------
 
 class LocalSut:
-    """A behaviour stepped in-process by its step function, which maps a
-    (state, input) pair to (next state, output)."""
+    """A behaviour, a program or a machine, stepped in-process by its `step`,
+    which maps a (state, input) pair to (next state, output)."""
 
-    def __init__(self, initial, step):
-        self.initial = initial
-        self.state = initial
-        self._step = step
+    def __init__(self, behaviour):
+        self.initial = self.state = behaviour.initial
+        self._step = behaviour.step
 
     def plan(self, cases, abstract: bool = False) -> None:
         """Nothing goes out ahead in-process, and outputs need no decoding."""
@@ -199,17 +198,6 @@ class LocalSut:
     def step(self, x):
         self.state, output = self._step((self.state, x))
         return output
-
-
-def machine_step(machine):
-    """The step function of `machine`, refusing a symbol it has no
-    transition on."""
-    def step(pair):
-        entry = machine.transitions.get(pair)
-        if entry is None:
-            raise HarnessError(f"no transition on {pair[1]!r}")
-        return entry
-    return step
 
 
 def _encode_in(v) -> bytes:
@@ -648,7 +636,7 @@ def run_suite_offline(program: GuardedActionProgram, ts) -> TestReport:
     """
     if not ts.concrete:
         raise HarnessError("run_suite_offline needs a concrete suite")
-    return run_suite(LocalSut(program.initial, program.step), ts)
+    return run_suite(LocalSut(program), ts)
 
 
 # ---------------------------------------------------------------------------
@@ -657,4 +645,4 @@ def run_suite_offline(program: GuardedActionProgram, ts) -> TestReport:
 
 def serve_machine(machine, stdin=None, stdout=None) -> None:
     """Serve a Mealy machine over the wire protocol with bare symbols."""
-    serve_behaviour(machine.initial, machine_step(machine), str.strip, stdin, stdout)
+    serve_behaviour(machine, str.strip, stdin, stdout)

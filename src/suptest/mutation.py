@@ -15,8 +15,8 @@ from itertools import chain
 
 from .encoding import encode_step
 from .fsm import MealyMachine, first_difference
-from .guards import And, Comparison, Not, Or, Record, distinct_guards, truth_classes
-from .harness import ERROR, PASS, LocalSut, SutAdapter, machine_step, verdicts
+from .guards import OPERATORS, And, Comparison, Not, Or, Record, distinct_guards, truth_classes
+from .harness import ERROR, PASS, LocalSut, SutAdapter, verdicts
 from .program import POLICY_SELFLOOP, GuardedActionProgram
 
 OUTPUT_FAULT = "output-fault"
@@ -111,13 +111,10 @@ def _machine_mutants(m: MealyMachine, operators) -> list[Mutant]:
 # Program mutants
 # ---------------------------------------------------------------------------
 
-_COMPLEMENT = {"=": "!=", "!=": "=", "<": ">=", ">=": "<", "<=": ">", ">": "<="}
-
-
 def _flips(g):
-    """`g` with one comparison complemented, for each comparison in order."""
+    """`g` with one comparison negated, for each comparison in order."""
     if isinstance(g, Comparison):
-        yield Comparison(g.var, _COMPLEMENT[g.op], g.literal)
+        yield Comparison(g.var, OPERATORS[g.op][1], g.literal)
     elif isinstance(g, Not):
         yield from map(Not, _flips(g.operand))
     elif isinstance(g, (And, Or)):
@@ -229,8 +226,7 @@ def classify(reference, suite, mutant: Mutant, via: str = "oracle",
         equivalent = program_equivalent(reference, mutant.target)
 
     if via == "oracle":
-        step = machine_step(mutant.target) if machine else mutant.target.step
-        session = nullcontext(LocalSut(mutant.target.initial, step))
+        session = nullcontext(LocalSut(mutant.target))
     elif via == "harness":
         if sut_command is None:
             raise ValueError("harness mode needs a sut_command factory")

@@ -214,10 +214,10 @@ def _read_input(program: GuardedActionProgram, text: str) -> Valuation:
 # The SUT side of the wire protocol
 # ---------------------------------------------------------------------------
 
-def serve_behaviour(initial, step, read, stdin=None, stdout=None) -> None:
-    """Speak the wire protocol for a behaviour until EOF: RESET goes back to
-    `initial`, and `IN payload` is answered with the output of
-    `step((state, read(payload)))`, which gives (next state, output).
+def serve_behaviour(behaviour, read, stdin=None, stdout=None) -> None:
+    """Speak the wire protocol for `behaviour` until EOF: RESET goes back to
+    its `initial` state, and `IN payload` is answered with the output of
+    its `step((state, read(payload)))`, which gives (next state, output).
 
     An exception from `read` or `step` is answered with an ERR reply and
     leaves the state unchanged.  A reply and the next state depend only on
@@ -238,6 +238,7 @@ def serve_behaviour(initial, step, read, stdin=None, stdout=None) -> None:
     """
     stdin = stdin if stdin is not None else sys.stdin.buffer
     stdout = stdout if stdout is not None else sys.stdout.buffer
+    initial, step = behaviour.initial, behaviour.step
     state = initial
     answered: dict = {}  # (state, payload) -> (reply line, next state)
     inputs: dict = {}  # payload -> its input, or the exception that refused it
@@ -297,8 +298,7 @@ def serve_reference(program: GuardedActionProgram, stdin=None, stdout=None) -> N
     Malformed input, and input outside the declared variables or their
     sorts, produces an ERR reply and leaves the state unchanged.
     """
-    serve_behaviour(program.initial, program.step, lambda text: _read_input(program, text),
-                    stdin, stdout)
+    serve_behaviour(program, lambda text: _read_input(program, text), stdin, stdout)
 
 
 def load_program(path) -> GuardedActionProgram:

@@ -44,7 +44,7 @@ class TestValidate:
         assert m.complete
         assert not partial.complete
         with pytest.raises(UndefinedTransition) as excinfo:
-            partial.step("s0", "a")
+            partial.step(("s0", "a"))
         assert (excinfo.value.state, excinfo.value.symbol) == ("s0", "a")
 
     def test_isolated_state_unreachable(self):

@@ -27,7 +27,6 @@ from suptest.harness import (
     SutStartError,
     TestReport,
     Verdict,
-    machine_step,
     run_suite,
     run_suite_offline,
     serve_machine,
@@ -690,7 +689,7 @@ class TestSharedLoop:
         suite = h_method(m0, 3)
         for mu in generate_mutants(m0):
             expected = plain_verdicts(mu.target, suite)
-            stream = verdicts(LocalSut(mu.target.initial, machine_step(mu.target)), suite)
+            stream = verdicts(LocalSut(mu.target), suite)
             assert [(v.status, v.step_index, v.observed_output) for v in stream] == expected
             assert classify(m0, suite, mu).first_failing_case == first_not_passing(expected)
 

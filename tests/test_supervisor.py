@@ -260,7 +260,7 @@ class TestSemanticAgreement:
         rng = random.Random(7)
         space = list(enumerate_valuations(p.input_vars))
         allowed = {("0", "a"), ("a", "m"), ("m", "0")}
-        interp = LocalSut(p.initial, p.step)
+        interp = LocalSut(p)
         for _ in range(500):
             before = dict(interp.state)
             interp.step(rng.choice(space))
