@@ -8,7 +8,7 @@ payload, which is its file without the `derivedFrom` key.  `cli`'s writer
 streams an artefact's file and its payload's fingerprint from one encoding.
 FNV-1a (:func:`fnv1a64`) only labels DOT edges.  Every JSON file the toolkit
 reads goes through :func:`read_artifact`, so every refusal of an input names
-its file.
+its file, and each list-valued key of it through :func:`list_at`.
 """
 
 from __future__ import annotations
@@ -106,6 +106,15 @@ def fingerprint(obj: object) -> str:
 
     data = canonical_dumps(obj, compact=True).encode("utf-8")
     return hashlib.blake2b(data, digest_size=8).hexdigest()
+
+
+def list_at(obj: dict, key: str) -> list:
+    """`obj[key]`, refused unless it is a list: a reader would take a
+    string there character by character, and an object key by key."""
+    value = obj[key]
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a list, got {value!r}")
+    return value
 
 
 def read_artifact(path, from_obj):

@@ -5,19 +5,27 @@ traversals, shortest-trace selection, and canonical naming all break ties
 by that order, so every operation here is deterministic and suitable for
 golden-file testing.
 
+A behaviour is anything with an `initial` state and a `step` that maps a
+(state, input) pair to (next state, output): a machine, whose `step`
+refuses a pair it has no transition on (`UndefinedTransition`), and a
+guarded-action program (`program.GuardedActionProgram`).  The in-process
+SUT (`harness.LocalSut`), the wire server (`program.serve_behaviour`) and
+`first_difference` take either.
+
 Two searches answer the graph questions the toolkit asks of behaviours.
 `MealyMachine.access_words`, one BFS from the initial state, gives each
 reachable state its least shortest access word: the reachable states and
 the generator's state cover.  `first_difference`, one BFS over a product,
 gives the least shortest word on which two behaviours differ: of two
 machines (`equivalent`), of two states (`distinguishing_trace`), or of two
-programs stepped by the caller (`mutation.program_equivalent`).
+programs (`mutation.program_equivalent`).
 """
 
 from __future__ import annotations
 
 from collections import deque
 
+from .encoding import list_at
 from .guards import Record
 
 
@@ -123,12 +131,12 @@ class MealyMachine:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "MealyMachine":
-        transitions = {
-            (t["from"], t["input"]): (t["to"], t["output"]) for t in obj["transitions"]
-        }
-        if len(transitions) != len(obj["transitions"]):
+        rows = list_at(obj, "transitions")
+        transitions = {(t["from"], t["input"]): (t["to"], t["output"]) for t in rows}
+        if len(transitions) != len(rows):
             raise FsmError("duplicate (state, input) pair: machine not deterministic")
-        return cls(obj["states"], obj["initial"], obj["inputs"], obj["outputs"], transitions)
+        return cls(list_at(obj, "states"), obj["initial"], list_at(obj, "inputs"),
+                   list_at(obj, "outputs"), transitions)
 
     def to_dot(self) -> str:
         lines = ["digraph fsm {", "  rankdir=LR;", '  __start [shape=point];',
@@ -168,7 +176,11 @@ class MealyMachine:
     def state_partition(self) -> list[list[str]]:
         """Observational-equivalence classes of states (partition refinement).
 
-        Blocks are ordered, and ordered internally, by declared state order.
+        Each block lists its states in declared state order, but the blocks
+        are not in that order: a block split off in refinement follows the
+        block it split from, ahead of every later block, so `s2` split from
+        `s0` comes before `s1` (`[['s0'], ['s2'], ['s1']]`).  `minimize`
+        sorts the blocks by their first states for this reason.
         """
         self._require_complete("state_partition")
         # initial split: identical output rows; a dict keeps its blocks in
@@ -262,9 +274,10 @@ def first_difference(start: tuple, inputs, step1, step2) -> tuple | None:
 
     A breadth-first walk of the product from the pair `start`, trying
     `inputs` in order, so the word returned is shortest, and least in
-    `inputs` order among the shortest.  `step1` and `step2` map a (state,
-    input) pair to (next state, output), as a complete machine's
-    `transitions.__getitem__` does; states must be hashable.
+    `inputs` order among the shortest.  `step1` and `step2` are the `step`s
+    of two behaviours, each mapping a (state, input) pair to (next state,
+    output), and must be defined on every pair the walk reaches; states
+    must be hashable.
     """
     seen = {start}
     queue = deque([(start, ())])

@@ -31,6 +31,8 @@ import operator
 import re
 from collections.abc import Iterator
 
+from .encoding import list_at
+
 ENUM_BOUND = 1_000_000  # largest valuation or cell-product space walked
 
 Value = int | str
@@ -208,9 +210,9 @@ class VarDecl(Record):
 
 def sort_from_obj(obj) -> Sort:
     if "enum" in obj:
-        return EnumSort(tuple(str(x) for x in obj["enum"]))
+        return EnumSort(tuple(str(x) for x in list_at(obj, "enum")))
     if "int" in obj:
-        lo, hi = obj["int"]
+        lo, hi = list_at(obj, "int")
         if type(lo) is not int or type(hi) is not int:
             raise ValueError(f"integer sort bounds must be integers: {obj['int']!r}")
         return IntSort(lo, hi)

@@ -8,8 +8,12 @@ Wire protocol (UTF-8, newline-delimited):
 where <valuation> is the canonical single-line encoding with keys sorted
 ascending (or the bare token ``nil``).  The adapter boundary is a child
 process, so any generated controller can be wrapped regardless of language.
-The SUT side, `serve_behaviour`, lives in `program`; it serves a program
-(`serve_reference`) and a Mealy machine (`serve_machine`) alike.  A SUT
+A behaviour, a program or a Mealy machine, is anything with an `initial`
+state and a `step` from a (state, input) pair to (next state, output); one
+runs in-process as `LocalSut(behaviour)`, or as a SUT served by
+`serve_behaviour(behaviour, read)`, the SUT side, which lives in `program`
+and serves a program (`serve_reference`) and a machine (`serve_machine`)
+alike.  A SUT
 given as a command line is exec'd; the reference SUT of a program file is
 forked from this process instead (`ForkedSut`), so that it starts with
 the toolkit already loaded, and reads the program from the file.

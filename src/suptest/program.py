@@ -3,11 +3,11 @@
 A guarded-action program is the executable stand-in for generated
 controller code: per risk state, a list of actions, each a guard over the
 monitored variables with an output valuation and a next risk state.  A
-behaviour steps by one function from a (state, input) pair to (next state,
-output), as a complete Mealy machine's `transitions.__getitem__` does: a
-program's is `GuardedActionProgram.step`.  The one server of the wire
-protocol's SUT side (see `harness` for the client side), `serve_behaviour`,
-serves a program (`serve_reference`) and a machine alike.
+program is a behaviour, as a Mealy machine is: it has an `initial` state
+and a `step` from a (state, input) pair to (next state, output).  The one
+server of the wire protocol's SUT side (see `harness` for the client
+side), `serve_behaviour`, serves any behaviour: a program
+(`serve_reference`) and a machine (`harness.serve_machine`) alike.
 
 A risk state has one form here: its (factor, phase) pairs sorted by factor
 (`RiskState`).  Actions hold it, `step` maps it, the server keys its memo
@@ -33,7 +33,7 @@ from __future__ import annotations
 import os
 import sys
 
-from .encoding import decode_valuation, encode_step, read_artifact
+from .encoding import decode_valuation, encode_step, list_at, read_artifact
 from .guards import (
     GuardExpr,
     Record,
@@ -150,8 +150,8 @@ class GuardedActionProgram(Record):
 
     @classmethod
     def from_obj(cls, obj: dict) -> "GuardedActionProgram":
-        input_vars = [decl_from_obj(d) for d in obj["input_vars"]]
-        output_vars = [decl_from_obj(d) for d in obj["output_vars"]]
+        input_vars = [decl_from_obj(d) for d in list_at(obj, "input_vars")]
+        output_vars = [decl_from_obj(d) for d in list_at(obj, "output_vars")]
         actions = [
             GuardedAction(
                 a["name"],
@@ -160,12 +160,12 @@ class GuardedActionProgram(Record):
                 a["output"],
                 _freeze(a["target"]),
             )
-            for a in obj["actions"]
+            for a in list_at(obj, "actions")
         ]
         return cls(
             input_vars,
             output_vars,
-            list(obj["factors"]),
+            list(list_at(obj, "factors")),
             _freeze(obj["initial"]),
             actions,
             _choice(obj, "policy", (POLICY_ERROR, POLICY_SELFLOOP)),

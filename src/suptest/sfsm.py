@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .encoding import NIL_TEXT, encode_step, fnv1a64, is_wire_valuation
+from .encoding import NIL_TEXT, encode_step, fnv1a64, is_wire_valuation, list_at
 from .fsm import MealyMachine
 from .guards import (
     GuardExpr,
@@ -121,8 +121,8 @@ class Sfsm:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "Sfsm":
-        input_vars = [decl_from_obj(d) for d in obj["input_vars"]]
-        output_vars = [decl_from_obj(d) for d in obj["output_vars"]]
+        input_vars = [decl_from_obj(d) for d in list_at(obj, "input_vars")]
+        output_vars = [decl_from_obj(d) for d in list_at(obj, "output_vars")]
         transitions = [
             SfsmTransition(
                 t["from"],
@@ -131,9 +131,9 @@ class Sfsm:
                 t["output"],
                 t["to"],
             )
-            for t in obj["transitions"]
+            for t in list_at(obj, "transitions")
         ]
-        return cls(input_vars, output_vars, obj["states"], obj["initial"], transitions)
+        return cls(input_vars, output_vars, list_at(obj, "states"), obj["initial"], transitions)
 
     # -- helpers ------------------------------------------------------------
 
@@ -183,13 +183,13 @@ class InputClassPartition(Record):
     @classmethod
     def from_obj(cls, obj: dict) -> "InputClassPartition":
         classes = []
-        for c in obj["classes"]:
-            signature = tuple(c["signature"])
-            if not all(isinstance(b, bool) for b in signature):
-                raise SfsmError(f"class {c['id']}: signature {c['signature']!r} "
+        for c in list_at(obj, "classes"):
+            signature = c["signature"]
+            if not isinstance(signature, list) or not all(isinstance(b, bool) for b in signature):
+                raise SfsmError(f"class {c['id']}: signature {signature!r} "
                                 "is not a list of booleans")
-            classes.append(InputClass(c["id"], signature, c["representative"], c["size"]))
-        partition = cls(guards=list(obj["guards"]), classes=classes)
+            classes.append(InputClass(c["id"], tuple(signature), c["representative"], c["size"]))
+        partition = cls(guards=list(list_at(obj, "guards")), classes=classes)
         partition.check_representatives()
         return partition
 

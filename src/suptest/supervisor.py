@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .encoding import fingerprint, read_artifact
+from .encoding import fingerprint, list_at, read_artifact
 from .guards import (
     CONTROLLED,
     FACTOR,
@@ -95,7 +95,7 @@ class ControllerBehavior(Record):
 
 
 def behavior_from_obj(obj: dict) -> ControllerBehavior:
-    decls = [decl_from_obj(d) for d in obj["vars"]]
+    decls = [decl_from_obj(d) for d in list_at(obj, "vars")]
     kinds_of: dict[str, set[str]] = {}
     for d in decls:
         kinds_of.setdefault(d.name, set()).add(d.kind)
@@ -115,7 +115,7 @@ def behavior_from_obj(obj: dict) -> ControllerBehavior:
     initial = {str(k): str(v) for k, v in obj["initial"].items()}
     _check_risk_state(initial, factors)
     transitions = []
-    for t in obj["transitions"]:
+    for t in list_at(obj, "transitions"):
         source = {str(k): str(v) for k, v in t["source"].items()}
         target = {str(k): str(v) for k, v in t["target"].items()}
         _check_risk_state(source, factors)

@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from itertools import product
 
-from .encoding import encode_compact
+from .encoding import encode_compact, list_at
 from .fsm import MealyMachine
 from .guards import ENUM_BOUND, Record
 
@@ -128,11 +128,11 @@ class TestSuite(Record):
         """
         known: dict = {}  # (value, types) of an input or output -> the first one read
         cases = []
-        for i, c in enumerate(obj["cases"]):
-            inputs, expected = c["inputs"], c["expectedOutputs"]
-            for key, value in (("inputs", inputs), ("expectedOutputs", expected)):
-                if not isinstance(value, list):
-                    raise TestGenError(f"case {i}: {key} must be a list, got {value!r}")
+        for i, c in enumerate(list_at(obj, "cases")):
+            try:
+                inputs, expected = list_at(c, "inputs"), list_at(c, "expectedOutputs")
+            except ValueError as exc:
+                raise TestGenError(f"case {i}: {exc}") from None
             if len(inputs) != len(expected):
                 raise TestGenError(f"case {i} has {len(inputs)} inputs but "
                                    f"{len(expected)} expected outputs")

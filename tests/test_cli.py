@@ -665,7 +665,7 @@ class TestArtefactRead:
         ("fsm.json", ["generate", "fsm.json", "--out", "s.json"],
          lambda d: d["states"].append(d["states"][0]), "duplicate state identifiers"),
         ("suite-h.json", ["check-suite", "fsm.json", "suite-h.json"],
-         lambda d: d.update(cases=5), "'int' object is not iterable"),
+         lambda d: d.update(cases=5), "cases must be a list, got 5"),
         ("suite-h.json", ["check-suite", "fsm.json", "suite-h.json"],
          lambda d: d["cases"][0].update(expectedOutputs=[]), "case 0 has"),
         ("partition.json", ["concretize", "suite-h.json", "partition.json", "abstraction.json"],
@@ -730,17 +730,76 @@ class TestArtefactRead:
          "assign exactly the factors ['HS', 'HC', 'HRW']"),
     ]
 
+    # (file, argv, id, edit, cause) of list-valued keys given as a string or
+    # as an object, which a reader would take character by character or key
+    # by key
+    TRANSLATE = ["translate", "welding-cell.cb", "--out", "out"]
+    MUTATE = ["mutate", "program.gap", "--suite", "suite-h.json"]
+    CHECK = ["check-suite", "fsm.json", "suite-h.json"]
+    CONCRETIZE = ["concretize", "suite-h.json", "partition.json", "abstraction.json"]
+    LISTS = [
+        ("fsm.json", GENERATE, "states-str", lambda d: d.update(states="s0"),
+         "states must be a list, got 's0'"),
+        ("fsm.json", GENERATE, "inputs-obj", lambda d: d.update(inputs={}),
+         "inputs must be a list, got {}"),
+        ("fsm.json", GENERATE, "outputs-str", lambda d: d.update(outputs="o0"),
+         "outputs must be a list, got 'o0'"),
+        ("fsm.json", GENERATE, "transitions-obj", lambda d: d.update(transitions={}),
+         "transitions must be a list, got {}"),
+        ("reference.sfsm", CLASSES, "input_vars-obj", lambda d: d.update(input_vars={}),
+         "input_vars must be a list, got {}"),
+        ("reference.sfsm", CLASSES, "output_vars-str", lambda d: d.update(output_vars="y"),
+         "output_vars must be a list, got 'y'"),
+        ("reference.sfsm", CLASSES, "states-str", lambda d: d.update(states="s0"),
+         "states must be a list, got 's0'"),
+        ("reference.sfsm", CLASSES, "transitions-obj", lambda d: d.update(transitions={}),
+         "transitions must be a list, got {}"),
+        ("program.gap", MUTATE, "input_vars-str", lambda d: d.update(input_vars="x"),
+         "input_vars must be a list, got 'x'"),
+        ("program.gap", MUTATE, "output_vars-obj", lambda d: d.update(output_vars={}),
+         "output_vars must be a list, got {}"),
+        ("program.gap", MUTATE, "factors-str", lambda d: d.update(factors="HS"),
+         "factors must be a list, got 'HS'"),
+        ("program.gap", MUTATE, "actions-obj", lambda d: d.update(actions={}),
+         "actions must be a list, got {}"),
+        ("welding-cell.cb", TRANSLATE, "vars-obj", lambda d: d.update(vars={}),
+         "vars must be a list, got {}"),
+        ("welding-cell.cb", TRANSLATE, "transitions-str", lambda d: d.update(transitions="t"),
+         "transitions must be a list, got 't'"),
+        ("welding-cell.cb", TRANSLATE, "enum-str",
+         lambda d: d["vars"][4].update(sort={"enum": "runhalt"}),
+         "enum must be a list, got 'runhalt'"),
+        ("welding-cell.cb", TRANSLATE, "int-obj",
+         lambda d: d["vars"][0].update(sort={"int": {"lo": 0}}),
+         "int must be a list, got {'lo': 0}"),
+        ("partition.json", CONCRETIZE, "guards-str", lambda d: d.update(guards="x"),
+         "guards must be a list, got 'x'"),
+        ("partition.json", CONCRETIZE, "classes-obj", lambda d: d.update(classes={}),
+         "classes must be a list, got {}"),
+        ("partition.json", CONCRETIZE, "signature-obj",
+         lambda d: d["classes"][0].update(signature={}),
+         "class c0: signature {} is not a list of booleans"),
+        ("suite-h.json", CHECK, "cases-str", lambda d: d.update(cases="c0"),
+         "cases must be a list, got 'c0'"),
+        ("suite-h.json", CHECK, "cases-obj", lambda d: d.update(cases={}),
+         "cases must be a list, got {}"),
+        ("suite-h.json", CHECK, "inputs-obj", lambda d: d["cases"][0].update(inputs={}),
+         "case 0: inputs must be a list, got {}"),
+        ("suite-h.json", ["run", "suite-h.json", "--sut", "no-such-sut"], "run-cases-obj",
+         lambda d: d.update(cases={}), "cases must be a list, got {}"),
+    ]
+
     @pytest.mark.parametrize("name, argv, edit, cause", READERS + [
         ("suite-h.json", ["check-suite", "fsm.json", "suite-h.json"], edit, cause)
         for _, edit, cause in SUITE_FIELDS
     ] + [
         ("abstraction.json", ["concretize", "suite-h.json", "partition.json", "abstraction.json"],
          edit, cause) for _, edit, cause in OUTPUTS
-    ] + [(name, argv, edit, cause) for name, argv, _, edit, cause in MODELS],
+    ] + [(name, argv, edit, cause) for name, argv, _, edit, cause in MODELS + LISTS],
         ids=[f"{name}-{kind}" for name, *_ in READERS[::2] for kind in ("type", "domain")]
         + [f"suite-h.json-{field}" for field, *_ in SUITE_FIELDS]
         + [f"abstraction.json-{field}" for field, *_ in OUTPUTS]
-        + [f"{name}-{field}" for name, _, field, *_ in MODELS])
+        + [f"{name}-{field}" for name, _, field, *_ in MODELS + LISTS])
     def test_every_reader_names_the_file(self, abstracted, behaviour, monkeypatch, capsys,
                                          name, argv, edit, cause):
         assert main(["generate", str(abstracted / "fsm.json"),

@@ -46,6 +46,7 @@ class TestValidate:
         with pytest.raises(UndefinedTransition) as excinfo:
             partial.step(("s0", "a"))
         assert (excinfo.value.state, excinfo.value.symbol) == ("s0", "a")
+        assert str(excinfo.value) == "no transition on 'a'"
 
     def test_isolated_state_unreachable(self):
         m = m0()
@@ -103,6 +104,13 @@ class TestMinimize:
         mini = m.minimize()
         assert mini.states == m.states
         assert mini.transitions == m.transitions
+
+    def test_split_block_follows_its_origin(self):
+        # s2 splits from s0's block and keeps its place ahead of s1
+        m = MealyMachine(["s0", "s1", "s2"], "s0", ["a"], ["0", "1"],
+                         {("s0", "a"): ("s0", "0"), ("s1", "a"): ("s1", "1"),
+                          ("s2", "a"): ("s1", "0")})
+        assert m.state_partition() == [["s0"], ["s2"], ["s1"]]
 
     def test_duplicate_state_merged(self):
         mini = duplicated_m0().minimize()

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from helpers import recursive_valuations
 from suptest.guards import (
+    OPERATORS,
     And,
     BoolConst,
     Comparison,
@@ -17,11 +18,13 @@ from suptest.guards import (
     Or,
     SortError,
     VarDecl,
+    check_decls,
     enumerate_valuations,
     eval_guard,
     parse_guard,
     print_guard,
     satisfiable,
+    sort_from_obj,
 )
 
 DECLS = [
@@ -76,6 +79,32 @@ class TestParse:
             parse_guard("x > 1 ?", DECLS)
         assert err.value.position == 6
 
+    @pytest.mark.parametrize("text, error, message", [
+        ("x = 1 )", GuardSyntaxError, "trailing input ')' (at position 6)"),
+        ("x and hs = a", GuardSyntaxError,
+         "expected comparison operator, found 'and' (at position 2)"),
+        ("x = a", SortError, "integer literal expected for x, found 'a'"),
+        ("hs =", GuardSyntaxError, "expected literal, found end of input (at position 4)"),
+        ("(x = 1", GuardSyntaxError, "expected ), found 'end of input' (at position 6)"),
+    ], ids=["trailing-input", "no-operator", "no-integer", "no-literal", "no-close"])
+    def test_refusals(self, text, error, message):
+        with pytest.raises(error) as err:
+            parse_guard(text, DECLS)
+        assert str(err.value) == message
+
+    def test_trailing_whitespace(self):
+        assert parse_guard("x = 1 \t ", DECLS) == Comparison("x", "=", 1)
+
+
+class TestDecls:
+    def test_duplicate_declarations_refused(self):
+        with pytest.raises(SortError, match="^duplicate variable declarations: x$"):
+            check_decls([*DECLS, VarDecl("x", IntSort(0, 1))])
+
+    def test_unknown_sort_refused(self):
+        with pytest.raises(ValueError, match=r"^unknown sort: \{'real': \[0, 1\]\}$"):
+            sort_from_obj({"real": [0, 1]})
+
 
 class TestEval:
     def test_true_case(self):
@@ -92,6 +121,17 @@ class TestEval:
     def test_missing_variable(self):
         with pytest.raises(SortError):
             eval_guard(Comparison("x", "=", 1), {"hs": "a"})
+
+
+class TestOperators:
+    @pytest.mark.parametrize("op", OPERATORS)
+    def test_negation_is_the_complement(self, op):
+        test, negation = OPERATORS[op]
+        assert OPERATORS[negation][1] == op
+        for x in range(4):
+            v = {"x": x}
+            assert test(x, 1) == eval_guard(Comparison("x", op, 1), v)
+            assert eval_guard(Comparison("x", negation, 1), v) != test(x, 1)
 
 
 class TestEnumerate:

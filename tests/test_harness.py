@@ -408,6 +408,13 @@ class TestSutFailures:
         assert [v.status for v in report.verdicts] == [ERROR] * 3
         assert all("code 3" in v.detail for v in report.verdicts)
 
+    def test_closed_pipes_without_exit(self, tmp_path):
+        command = fake_sut(tmp_path, "import os, time; os.close(1); time.sleep(30)")
+        with SutAdapter(command, step_timeout=0.5) as sut:
+            sut.reset()
+            with pytest.raises(HarnessError, match="^SUT closed its pipes but did not exit$"):
+                sut.step({"x": 1})
+
     def test_sut_that_cannot_start_ends_the_run(self, tmp_path, concrete_suite, capsys):
         script = tmp_path / "broken_sut.py"
         script.write_text("import sys\n"

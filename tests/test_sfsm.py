@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import class_of, random_sfsm
+from suptest.encoding import fnv1a64
 from suptest.guards import (
     BoolConst,
     EnumSort,
@@ -197,6 +198,20 @@ class TestAbstractToFsm:
         assert amap.label_to_output["nil"] is None
         assert m.complete
 
+    def test_null_output_is_nil(self):
+        y = [VarDecl("y", IntSort(0, 1), "controlled")]
+        r = Sfsm(
+            X_DECL, y, ["r0"], "r0",
+            [
+                SfsmTransition("r0", "idle", parse_guard("x = 0", X_DECL), None, "r0"),
+                SfsmTransition("r0", "act", parse_guard("x != 0", X_DECL), {"y": 1}, "r0"),
+            ],
+        )
+        m, amap = abstract_to_fsm(r)
+        assert m.outputs == ("o0", "nil")
+        assert m.transitions == {("r0", "c0"): ("r0", "nil"), ("r0", "c1"): ("r0", "o0")}
+        assert amap.label_to_output == {"o0": {"y": 1}, "nil": None}
+
 
 class TestConcretize:
     def make_partition(self):
@@ -268,6 +283,13 @@ class TestExportDot:
     def test_golden(self, name, factory):
         expected = (DATA / name).read_text()
         assert export_dot(factory()) == expected
+
+    def test_unsatisfiable_guard_hashes_its_text(self):
+        y = [VarDecl("y", IntSort(0, 1), "controlled")]
+        never = parse_guard("x > 3", X_DECL)
+        r = Sfsm(X_DECL, y, ["r0"], "r0", [SfsmTransition("r0", "never", never, {"y": 1}, "r0")])
+        label = f"never:{fnv1a64(b'x > 3')}/{hash_label({'y': 1})}"
+        assert f'"r0" -> "r0" [label="{label}"];' in export_dot(r).splitlines()[-2]
 
     def test_golden_welding_cell(self, welding_cell):
         from suptest.supervisor import to_test_reference

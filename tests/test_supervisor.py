@@ -222,6 +222,13 @@ class TestCheckHypotheses:
         assert not report.ok
         assert report.guard_diffs
 
+    def test_repeated_guard_fails(self, welding_cell):
+        p = to_guarded_actions(welding_cell)
+        r = to_test_reference(welding_cell)
+        p2 = p.replace(actions=[*p.actions, p.actions[0]])
+        state = risk_state_name(dict(p.actions[0].source), p.factors)
+        assert check_hypotheses(p2, r).guard_diffs == [f"state {state}: multiplicity differs"]
+
     def test_extra_state_fails(self, welding_cell):
         p = to_guarded_actions(welding_cell)
         r = to_test_reference(welding_cell)
