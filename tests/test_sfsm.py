@@ -289,7 +289,7 @@ class TestExportDot:
         never = parse_guard("x > 3", X_DECL)
         r = Sfsm(X_DECL, y, ["r0"], "r0", [SfsmTransition("r0", "never", never, {"y": 1}, "r0")])
         label = f"never:{fnv1a64(b'x > 3')}/{hash_label({'y': 1})}"
-        assert f'"r0" -> "r0" [label="{label}"];' in export_dot(r).splitlines()[-2]
+        assert export_dot(r).splitlines()[-2] == f'  "r0" -> "r0" [label="{label}"];'
 
     def test_golden_welding_cell(self, welding_cell):
         from suptest.supervisor import to_test_reference
