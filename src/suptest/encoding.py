@@ -8,7 +8,8 @@ payload, which is its file without the `derivedFrom` key.  `cli`'s writer
 streams an artefact's file and its payload's fingerprint from one encoding.
 FNV-1a (:func:`fnv1a64`) only labels DOT edges.  Every JSON file the toolkit
 reads goes through :func:`read_artifact`, so every refusal of an input names
-its file, and each list-valued key of it through :func:`list_at`.
+its file, and each list-valued key of it through :func:`list_at` and each
+object-valued key through :func:`object_at`.
 """
 
 from __future__ import annotations
@@ -114,6 +115,15 @@ def list_at(obj: dict, key: str) -> list:
     value = obj[key]
     if not isinstance(value, list):
         raise ValueError(f"{key} must be a list, got {value!r}")
+    return value
+
+
+def object_at(obj: dict, key: str) -> dict:
+    """`obj[key]`, refused unless it is an object: a reader would take a
+    list of pairs there as if it were one, or fail on it in Python's words."""
+    value = obj[key]
+    if not isinstance(value, dict):
+        raise ValueError(f"{key} must be an object, got {value!r}")
     return value
 
 

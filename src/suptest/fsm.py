@@ -7,18 +7,20 @@ golden-file testing.
 
 A behaviour is anything with an `initial` state and a `step` that maps a
 (state, input) pair to (next state, output): a machine, whose `step`
-refuses a pair it has no transition on (`UndefinedTransition`), and a
-guarded-action program (`program.GuardedActionProgram`).  The in-process
-SUT (`harness.LocalSut`), the wire server (`program.serve_behaviour`) and
-`first_difference` take either.
+refuses a pair it has no transition on (`UndefinedTransition`), a
+guarded-action program (`program.GuardedActionProgram`), and an SFSM test
+reference (`sfsm.Sfsm`), whose `step` refuses an overlap or an uncovered
+input.  The in-process SUT (`harness.LocalSut`), the wire server
+(`program.serve_behaviour`) and `first_difference` take any of them.
 
 Two searches answer the graph questions the toolkit asks of behaviours.
 `MealyMachine.access_words`, one BFS from the initial state, gives each
 reachable state its least shortest access word: the reachable states and
 the generator's state cover.  `first_difference`, one BFS over a product,
 gives the least shortest word on which two behaviours differ: of two
-machines (`equivalent`), of two states (`distinguishing_trace`), or of two
-programs (`mutation.program_equivalent`).
+machines (`equivalent`), of two states (`distinguishing_trace`), of two
+programs (`mutation.program_equivalent`), or of a program and its test
+reference (`supervisor.check_hypotheses`).
 """
 
 from __future__ import annotations

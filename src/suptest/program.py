@@ -33,7 +33,7 @@ from __future__ import annotations
 import os
 import sys
 
-from .encoding import decode_valuation, encode_step, list_at, read_artifact
+from .encoding import decode_valuation, encode_step, list_at, object_at, read_artifact
 from .guards import (
     GuardExpr,
     Record,
@@ -156,9 +156,9 @@ class GuardedActionProgram(Record):
             GuardedAction(
                 a["name"],
                 parse_guard(a["guard"], input_vars),
-                _freeze(a["source"]),
+                _freeze(object_at(a, "source")),
                 a["output"],
-                _freeze(a["target"]),
+                _freeze(object_at(a, "target")),
             )
             for a in list_at(obj, "actions")
         ]
@@ -166,7 +166,7 @@ class GuardedActionProgram(Record):
             input_vars,
             output_vars,
             list(list_at(obj, "factors")),
-            _freeze(obj["initial"]),
+            _freeze(object_at(obj, "initial")),
             actions,
             _choice(obj, "policy", (POLICY_ERROR, POLICY_SELFLOOP)),
             _choice(obj, "resolution", ("strict", "first")),

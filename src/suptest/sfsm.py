@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .encoding import NIL_TEXT, encode_step, fnv1a64, is_wire_valuation, list_at
+from .encoding import NIL_TEXT, encode_step, fnv1a64, is_wire_valuation, list_at, object_at
 from .fsm import MealyMachine
 from .guards import (
     GuardExpr,
@@ -135,17 +135,16 @@ class Sfsm:
         ]
         return cls(input_vars, output_vars, list_at(obj, "states"), obj["initial"], transitions)
 
-    # -- helpers ------------------------------------------------------------
-
-    def outgoing(self, state: str) -> list[SfsmTransition]:
-        return [t for t in self.transitions if t.source == state]
-
-    def step(self, state: str, v: Valuation) -> SfsmTransition | None:
-        """Unique enabled transition at (state, v), or None."""
-        enabled = [t for t in self.outgoing(state) if eval_guard(t.guard, v)]
+    def step(self, pair: tuple[str, Valuation]) -> tuple[str, Valuation | None]:
+        """Target and output of the unique transition enabled at `pair` =
+        (state, v); an overlap and an uncovered input are refused."""
+        state, v = pair
+        enabled = [t for t in self.transitions if t.source == state and eval_guard(t.guard, v)]
         if len(enabled) > 1:
             raise DeterminismViolation(state, v, enabled)
-        return enabled[0] if enabled else None
+        if not enabled:
+            raise IncompleteState(state, v)
+        return enabled[0].target, enabled[0].output
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +244,7 @@ class AbstractionMap(Record):
 
     @classmethod
     def from_obj(cls, obj: dict) -> "AbstractionMap":
-        amap = cls(dict(obj["class_to_valuation"]), dict(obj["label_to_output"]))
+        amap = cls(object_at(obj, "class_to_valuation"), object_at(obj, "label_to_output"))
         for label, v in amap.label_to_output.items():
             if v is not None and not is_wire_valuation(v):
                 raise ValueError(f"output label {label!r} maps to {v!r}, "
@@ -256,50 +255,39 @@ class AbstractionMap(Record):
 def abstract_to_fsm(r: Sfsm, policy: str = POLICY_ERROR) -> tuple[MealyMachine, AbstractionMap]:
     """Abstract the SFSM into a Mealy machine over input-class identifiers.
 
-    States carry over unchanged; each distinct output valuation becomes one
-    atomic output label (o0, o1, ... in canonical encoding order).  States
-    left uncovered by every guard are handled per `policy`.
+    States carry over unchanged, and `r.step` gives each (state, class) on
+    its representative; each distinct output valuation becomes one atomic
+    output label (o0, o1, ... in canonical encoding order), and an input no
+    guard of a state covers is handled per `policy`.
 
     Deciding determinism per class is exact because the classes refine every
     guard; overlaps in every state take precedence over an uncovered input.
     """
     partition = input_classes(r)
-
-    distinct_outputs = sorted(
-        {encode_step(t.output) for t in r.transitions if t.output is not None}
-    )
-    label_of = {text: f"o{i}" for i, text in enumerate(distinct_outputs)}
-    label_to_output: dict[str, Valuation | None] = {}
-    for t in r.transitions:
-        if t.output is not None:
-            label_to_output[label_of[encode_step(t.output)]] = t.output
-
-    outputs = [f"o{i}" for i in range(len(distinct_outputs))]
-    transitions = {}
-    needs_nil = False
+    steps = {}
     incomplete = None
     for state in r.states:
         for c in partition.classes:
-            t = r.step(state, c.representative)
-            if t is not None:
-                label = NIL_LABEL if t.output is None else label_of[encode_step(t.output)]
-                if t.output is None:
-                    needs_nil = True
-                transitions[(state, c.id)] = (t.target, label)
-            elif policy == POLICY_SELFLOOP:
-                transitions[(state, c.id)] = (state, NIL_LABEL)
-                needs_nil = True
-            elif incomplete is None:
-                incomplete = IncompleteState(state, c.representative)
+            try:
+                steps[(state, c.id)] = r.step((state, c.representative))
+            except IncompleteState as exc:
+                if policy == POLICY_SELFLOOP:
+                    steps[(state, c.id)] = (state, None)
+                elif incomplete is None:
+                    incomplete = exc
     if incomplete is not None:
         raise incomplete
-    if needs_nil:
-        outputs.append(NIL_LABEL)
-        label_to_output[NIL_LABEL] = None
 
-    machine = MealyMachine(
-        r.states, r.initial, [c.id for c in partition.classes], outputs, transitions
-    )
+    encoded = {encode_step(t.output): t.output for t in r.transitions if t.output is not None}
+    label_of = {text: f"o{i}" for i, text in enumerate(sorted(encoded))}
+    label_to_output = {label_of[text]: v for text, v in encoded.items()}
+    if any(y is None for _, y in steps.values()):
+        label_of[NIL_TEXT] = NIL_LABEL
+        label_to_output[NIL_LABEL] = None
+    transitions = {key: (target, label_of[encode_step(y)]) for key, (target, y) in steps.items()}
+
+    machine = MealyMachine(r.states, r.initial, [c.id for c in partition.classes],
+                           list(label_of.values()), transitions)
     amap = AbstractionMap(
         {c.id: c.representative for c in partition.classes}, label_to_output
     )

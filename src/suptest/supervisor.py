@@ -8,14 +8,13 @@ translated into
   for generated controller code, and
 * a symbolic FSM test reference over the reachable risk states,
 
-plus static hypothesis checks comparing the two.
+plus static hypothesis checks comparing what the two do.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-
-from .encoding import fingerprint, list_at, read_artifact
+from .encoding import encode_step, fingerprint, list_at, object_at, read_artifact
+from .fsm import first_difference
 from .guards import (
     CONTROLLED,
     FACTOR,
@@ -28,18 +27,18 @@ from .guards import (
     distinct_guards,
     eval_guard,
     parse_guard,
-    print_guard,
     truth_classes,
 )
 from .program import (
     POLICY_ERROR,
+    POLICY_SELFLOOP,
     GuardedAction,
     GuardedActionProgram,
     SupervisorError,
     _freeze,
     risk_state_name,
 )
-from .sfsm import DeterminismViolation, Sfsm, SfsmTransition
+from .sfsm import DeterminismViolation, IncompleteState, Sfsm, SfsmTransition
 
 PHASES = ("0", "a", "m")
 
@@ -112,14 +111,11 @@ def behavior_from_obj(obj: dict) -> ControllerBehavior:
         by_kind[MONITORED], by_kind[CONTROLLED], by_kind[FACTOR]
     )
     factors = [d.name for d in factor_vars]
-    initial = {str(k): str(v) for k, v in obj["initial"].items()}
-    _check_risk_state(initial, factors)
+    initial = _risk_state_at(obj, "initial", factors)
     transitions = []
     for t in list_at(obj, "transitions"):
-        source = {str(k): str(v) for k, v in t["source"].items()}
-        target = {str(k): str(v) for k, v in t["target"].items()}
-        _check_risk_state(source, factors)
-        _check_risk_state(target, factors)
+        source = _risk_state_at(t, "source", factors)
+        target = _risk_state_at(t, "target", factors)
         guard = parse_guard(t["guard"], input_vars)
         output = t["output"]
         check_valuation(output, output_vars)
@@ -134,7 +130,9 @@ def behavior_from_obj(obj: dict) -> ControllerBehavior:
     )
 
 
-def _check_risk_state(r: dict, factors: list[str]) -> None:
+def _risk_state_at(obj: dict, key: str, factors: list[str]) -> dict:
+    """The risk state `obj[key]`, which assigns each factor a phase."""
+    r = {str(k): str(v) for k, v in object_at(obj, key).items()}
     if set(r) != set(factors):
         raise SupervisorError(
             f"risk state {r} does not assign exactly the factors {factors}"
@@ -142,6 +140,7 @@ def _check_risk_state(r: dict, factors: list[str]) -> None:
     for f, p in r.items():
         if p not in PHASES:
             raise SupervisorError(f"unknown phase {p!r} for factor {f}")
+    return r
 
 
 def load_behavior(path) -> ControllerBehavior:
@@ -180,6 +179,12 @@ def to_guarded_actions(
     return program
 
 
+# the least truth-class members of the last program checked for
+# determinism, by its guards and inputs: `translate` checks its hypotheses
+# next, over the same classes, and so walks them once
+_CHECKED: dict = {}
+
+
 def _check_program_determinism(p: GuardedActionProgram) -> None:
     """Checked per truth class of the program's guards (see `truth_classes`)."""
     by_source: dict[tuple, list[GuardedAction]] = {}
@@ -188,9 +193,12 @@ def _check_program_determinism(p: GuardedActionProgram) -> None:
     shared = [(source, actions) for source, actions in by_source.items() if len(actions) > 1]
     if not shared:
         return
-    classes = truth_classes(distinct_guards(a.guard for a in p.actions), p.input_vars)
+    guards = distinct_guards(a.guard for a in p.actions)
+    members = [v for _, v, _ in truth_classes(guards, p.input_vars)]
+    _CHECKED.clear()
+    _CHECKED[tuple(guards), tuple(p.input_vars)] = members
     for source, actions in shared:
-        for _, v, _ in classes:
+        for v in members:
             enabled = [a for a in actions if eval_guard(a.guard, v)]
             if len(enabled) > 1:
                 raise DeterminismViolation(risk_state_name(dict(source), p.factors), v, enabled)
@@ -233,12 +241,12 @@ def to_test_reference(b: ControllerBehavior, policy: str = POLICY_ERROR) -> Sfsm
 # ---------------------------------------------------------------------------
 
 class HypothesisReport(Record):
-    __slots__ = ("state_count_program", "state_count_reference", "guard_diffs")
-    _defaults = {"guard_diffs": ()}
+    __slots__ = ("state_count_program", "state_count_reference", "difference")
+    _defaults = {"difference": None}
     __hash__ = None
     state_count_program: int
     state_count_reference: int
-    guard_diffs: list[str]
+    difference: tuple | None  # a word of valuations on which the two differ
 
     @property
     def state_count_ok(self) -> bool:
@@ -246,7 +254,7 @@ class HypothesisReport(Record):
 
     @property
     def ok(self) -> bool:
-        return self.state_count_ok and not self.guard_diffs
+        return self.state_count_ok and self.difference is None
 
     def summary(self) -> str:
         lines = [
@@ -254,39 +262,42 @@ class HypothesisReport(Record):
             f"reference={self.state_count_reference} "
             f"[{'PASS' if self.state_count_ok else 'FAIL'}]",
         ]
-        if self.guard_diffs:
-            lines.append("guard diffs:")
-            lines.extend(f"  {d}" for d in self.guard_diffs)
+        if self.difference is not None:
+            lines.append("behaviour differs on: "
+                         + " ".join(encode_step(v) for v in self.difference))
         lines.append(f"hypotheses: {'PASS' if self.ok else 'FAIL'}")
         return "\n".join(lines)
 
 
+_REFUSED = object()  # the output of a refused step, which no step gives
+
+
+def _refusal_as_output(step, refusals, output=_REFUSED):
+    """`step`, answering a `refusals` exception with `output` in the same state."""
+    def total(pair):
+        try:
+            return step(pair)
+        except refusals:
+            return pair[0], output
+    return total
+
+
 def check_hypotheses(p: GuardedActionProgram, r: Sfsm) -> HypothesisReport:
-    """Static checks: same control-state count, same guards per state.
+    """Static checks: the same control-state count, and the same behaviour.
 
-    Guards are compared as multisets of canonical texts, per risk state.
+    `first_difference` compares the behaviours from their initial states on
+    the least member of each truth class of both guard sets: both read an
+    input only through their guards, so the search is exact.  A refusal is
+    an output that no step gives: the program's (no action or two enabled,
+    the `SupervisorError`s of its `step`), and the reference's uncovered
+    input, which under `p`'s self-loop policy is a nil self-loop instead.
     """
-    program_states = {
-        risk_state_name(dict(s), p.factors) for s in p.risk_states()
-    }
-    report = HypothesisReport(len(program_states), len(r.states), [])
-
-    for state in sorted(program_states | set(r.states)):
-        prog_guards = Counter(
-            print_guard(a.guard)
-            for a in p.actions
-            if risk_state_name(dict(a.source), p.factors) == state
-        )
-        ref_guards = Counter(print_guard(t.guard) for t in r.outgoing(state))
-        if prog_guards != ref_guards:
-            only_p = sorted(set(prog_guards) - set(ref_guards))
-            only_r = sorted(set(ref_guards) - set(prog_guards))
-            detail = []
-            if only_p:
-                detail.append(f"program only: {only_p}")
-            if only_r:
-                detail.append(f"reference only: {only_r}")
-            if not detail:
-                detail.append("multiplicity differs")
-            report.guard_diffs.append(f"state {state}: " + "; ".join(detail))
-    return report
+    guards = distinct_guards([a.guard for a in p.actions] + [t.guard for t in r.transitions])
+    inputs = (_CHECKED.get((tuple(guards), tuple(p.input_vars)))
+              or [v for _, v, _ in truth_classes(guards, p.input_vars)])
+    nil = None if p.policy == POLICY_SELFLOOP else _REFUSED
+    difference = first_difference(
+        (p.initial, r.initial), inputs,
+        _refusal_as_output(p.step, SupervisorError),
+        _refusal_as_output(r.step, IncompleteState, nil))
+    return HypothesisReport(len(p.risk_states()), len(r.states), difference)

@@ -22,7 +22,10 @@ from suptest.fsm import MealyMachine
 from suptest.guards import (
     EnumSort, IntSort, VarDecl, check_valuation, enumerate_valuations, eval_guard,
 )
-from suptest.sfsm import DeterminismViolation, Sfsm, SfsmTransition
+from suptest.sfsm import (
+    NIL_LABEL, POLICY_ERROR, POLICY_SELFLOOP, AbstractionMap, DeterminismViolation,
+    IncompleteState, Sfsm, SfsmTransition, input_classes,
+)
 from suptest.guards import And, BoolConst, Comparison, Not, Or, Record
 from suptest.program import risk_state_name
 from suptest.testgen import CompletenessReport, TestCase, TestSuite, _require_testable
@@ -268,6 +271,58 @@ def random_sfsm(rng: random.Random) -> Sfsm:
                                outputs[out_index], target)
             )
     return Sfsm(decls, out_decls, states, states[0], transitions)
+
+
+def transition_abstract_to_fsm(r: Sfsm, policy: str = POLICY_ERROR):
+    """`sfsm.abstract_to_fsm` as it was when `Sfsm.step` returned the
+    enabled transition: the oracle for the abstraction that tabulates
+    (target, output) through the SFSM's behaviour step."""
+    def enabled_transition(state, v):
+        enabled = [t for t in r.transitions if t.source == state and eval_guard(t.guard, v)]
+        if len(enabled) > 1:
+            raise DeterminismViolation(state, v, enabled)
+        return enabled[0] if enabled else None
+
+    partition = input_classes(r)
+    distinct_outputs = sorted(
+        {encode_step(t.output) for t in r.transitions if t.output is not None}
+    )
+    label_of = {text: f"o{i}" for i, text in enumerate(distinct_outputs)}
+    label_to_output = {}
+    for t in r.transitions:
+        if t.output is not None:
+            label_to_output[label_of[encode_step(t.output)]] = t.output
+
+    outputs = [f"o{i}" for i in range(len(distinct_outputs))]
+    transitions = {}
+    needs_nil = False
+    incomplete = None
+    for state in r.states:
+        for c in partition.classes:
+            t = enabled_transition(state, c.representative)
+            if t is not None:
+                label = NIL_LABEL if t.output is None else label_of[encode_step(t.output)]
+                if t.output is None:
+                    needs_nil = True
+                transitions[(state, c.id)] = (t.target, label)
+            elif policy == POLICY_SELFLOOP:
+                transitions[(state, c.id)] = (state, NIL_LABEL)
+                needs_nil = True
+            elif incomplete is None:
+                incomplete = IncompleteState(state, c.representative)
+    if incomplete is not None:
+        raise incomplete
+    if needs_nil:
+        outputs.append(NIL_LABEL)
+        label_to_output[NIL_LABEL] = None
+
+    machine = MealyMachine(
+        r.states, r.initial, [c.id for c in partition.classes], outputs, transitions
+    )
+    amap = AbstractionMap(
+        {c.id: c.representative for c in partition.classes}, label_to_output
+    )
+    return machine, amap
 
 
 def class_of(partition, v, parsed_guards):
@@ -683,7 +738,7 @@ TWINS = {twin.__name__: twin for twin in [
                                  ("fingerprint", object, None)],
           hashable=False),
     _twin("HypothesisReport", ["state_count_program", "state_count_reference",
-                               ("guard_diffs", object, ())], hashable=False),
+                               ("difference", object, None)], hashable=False),
 ]}
 
 

@@ -261,11 +261,10 @@ class TestCriterion5AbstractionSoundness:
             for v in enumerate_valuations(r.input_vars):
                 c = class_of(partition, v, guards)
                 for s in r.states:
-                    t = r.step(s, v)
+                    reference_target, output = r.step((s, v))
                     target, label = machine.transitions[(s, c.id)]
                     checked += 1
-                    if t is None or t.target != target \
-                            or amap.label_to_output[label] != t.output:
+                    if reference_target != target or amap.label_to_output[label] != output:
                         violations += 1
         ok = verdict(
             "5 abstraction soundness",

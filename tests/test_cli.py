@@ -673,9 +673,10 @@ class TestArtefactRead:
         ("partition.json", ["concretize", "suite-h.json", "partition.json", "abstraction.json"],
          lambda d: d["classes"][0].pop("representative"), "missing key 'representative'"),
         ("abstraction.json", ["concretize", "suite-h.json", "partition.json", "abstraction.json"],
-         lambda d: d.update(label_to_output=5), "'int' object is not iterable"),
+         lambda d: d.update(label_to_output=5), "label_to_output must be an object, got 5"),
         ("abstraction.json", ["concretize", "suite-h.json", "partition.json", "abstraction.json"],
-         lambda d: d.update(class_to_valuation=[["c0"]]), "dictionary update sequence"),
+         lambda d: d.update(class_to_valuation=[["c0"]]),
+         "class_to_valuation must be an object, got [['c0']]"),
         ("config.json", ["translate", "welding-cell.cb", "--out", "out"],
          lambda d: d.update(m_extra="1"), "m_extra must be an int >= 0, got '1'"),
         ("config.json", ["translate", "welding-cell.cb", "--out", "out"],
@@ -789,17 +790,46 @@ class TestArtefactRead:
          lambda d: d.update(cases={}), "cases must be a list, got {}"),
     ]
 
+    # (file, argv, id, edit, cause) of object-valued keys given as a list of
+    # pairs, which a reader would take as the object or fail on in Python's
+    # words
+    OBJECTS = [
+        ("abstraction.json", CONCRETIZE, "class_to_valuation-pairs",
+         lambda d: d.update(class_to_valuation=list(d["class_to_valuation"].items())),
+         "class_to_valuation must be an object, got [['c0', {"),
+        ("abstraction.json", CONCRETIZE, "label_to_output-pairs",
+         lambda d: d.update(label_to_output=list(d["label_to_output"].items())),
+         "label_to_output must be an object, got [['o0', {"),
+        ("welding-cell.cb", TRANSLATE, "initial-pairs",
+         lambda d: d.update(initial=[["HS", "0"], ["HC", "0"], ["HRW", "0"]]),
+         "initial must be an object, got [['HS', '0'], ['HC', '0'], ['HRW', '0']]"),
+        ("welding-cell.cb", TRANSLATE, "source-pairs",
+         lambda d: d["transitions"][0].update(source=[["HS", "0"]]),
+         "source must be an object, got [['HS', '0']]"),
+        ("welding-cell.cb", TRANSLATE, "target-pairs",
+         lambda d: d["transitions"][0].update(target=[["HS", "a"]]),
+         "target must be an object, got [['HS', 'a']]"),
+        ("program.gap", MUTATE, "initial-pairs",
+         lambda d: d.update(initial=[["HS", "0"]]), "initial must be an object, got [['HS', '0']]"),
+        ("program.gap", MUTATE, "source-pairs",
+         lambda d: d["actions"][0].update(source=[["HS", "0"]]),
+         "source must be an object, got [['HS', '0']]"),
+        ("program.gap", MUTATE, "target-pairs",
+         lambda d: d["actions"][0].update(target=[["HS", "a"]]),
+         "target must be an object, got [['HS', 'a']]"),
+    ]
+
     @pytest.mark.parametrize("name, argv, edit, cause", READERS + [
         ("suite-h.json", ["check-suite", "fsm.json", "suite-h.json"], edit, cause)
         for _, edit, cause in SUITE_FIELDS
     ] + [
         ("abstraction.json", ["concretize", "suite-h.json", "partition.json", "abstraction.json"],
          edit, cause) for _, edit, cause in OUTPUTS
-    ] + [(name, argv, edit, cause) for name, argv, _, edit, cause in MODELS + LISTS],
+    ] + [(name, argv, edit, cause) for name, argv, _, edit, cause in MODELS + LISTS + OBJECTS],
         ids=[f"{name}-{kind}" for name, *_ in READERS[::2] for kind in ("type", "domain")]
         + [f"suite-h.json-{field}" for field, *_ in SUITE_FIELDS]
         + [f"abstraction.json-{field}" for field, *_ in OUTPUTS]
-        + [f"{name}-{field}" for name, _, field, *_ in MODELS + LISTS])
+        + [f"{name}-{field}" for name, _, field, *_ in MODELS + LISTS + OBJECTS])
     def test_every_reader_names_the_file(self, abstracted, behaviour, monkeypatch, capsys,
                                          name, argv, edit, cause):
         assert main(["generate", str(abstracted / "fsm.json"),

@@ -958,6 +958,19 @@ class TestOfflineRun:
     def test_self_conformance(self, program, concrete_suite):
         assert run_suite_offline(program, concrete_suite).complete_pass
 
+    def test_reference_runs_in_process(self, welding_cell):
+        """The test reference steps like every other behaviour, so it runs
+        in process, and passes the suite it was abstracted into as the
+        program does."""
+        program = to_guarded_actions(welding_cell)
+        reference = to_test_reference(welding_cell)
+        machine, amap = abstract_to_fsm(reference)
+        suite = concretize_suite(h_method(machine, len(machine.states)),
+                                 input_classes(reference), amap)
+        report = run_suite(LocalSut(reference), suite)
+        assert report.complete_pass
+        assert report.verdicts == run_suite_offline(program, suite).verdicts
+
 
 class TestReportShape:
     def test_counts_and_complete_pass(self):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import class_of, random_sfsm
+from helpers import class_of, random_sfsm, transition_abstract_to_fsm
 from suptest.encoding import fnv1a64
 from suptest.guards import (
     BoolConst,
@@ -19,6 +19,7 @@ from suptest.guards import (
     parse_guard,
 )
 from suptest.sfsm import (
+    POLICY_ERROR,
     POLICY_SELFLOOP,
     AbstractionMap,
     DeterminismViolation,
@@ -330,11 +331,41 @@ class TestInvariants:
         for v in enumerate_valuations(r.input_vars):
             c = class_of(p, v, guards)
             for s in r.states:
-                t = r.step(s, v)
+                reference_target, output = r.step((s, v))
                 target, label = m.transitions[(s, c.id)]
-                assert t is not None
-                assert t.target == target
-                assert amap.label_to_output[label] == t.output
+                assert reference_target == target
+                assert amap.label_to_output[label] == output
+
+    @given(sfsms, st.sampled_from([POLICY_ERROR, POLICY_SELFLOOP]),
+           st.none() | st.integers(0, 99), st.none() | st.integers(0, 99),
+           st.none() | st.integers(0, 99))
+    @settings(max_examples=60, deadline=None)
+    def test_abstraction_matches_transition_oracle(self, r, policy, drop, overlap, nil):
+        """Tabulating `Sfsm.step` gives the machine and map, or the refusal
+        (its type, state and witness), that the abstraction through the
+        enabled transition gave; `drop` removes a transition, so a state
+        leaves an input uncovered, `overlap` adds one enabled on every
+        input, and `nil` gives one the nil output."""
+        transitions = list(r.transitions)
+        if nil is not None:
+            i = nil % len(transitions)
+            transitions[i] = transitions[i].replace(output=None)
+        if overlap is not None:
+            t = transitions[overlap % len(transitions)]
+            transitions.append(t.replace(action="overlap", guard=BoolConst(True),
+                                         output={"y": 0}))
+        if drop is not None:
+            del transitions[drop % len(transitions)]
+        r = Sfsm(r.input_vars, r.output_vars, r.states, r.initial, transitions)
+
+        def outcome(abstract):
+            try:
+                machine, amap = abstract(r, policy)
+            except SfsmError as exc:
+                return type(exc), exc.state, exc.witness
+            return machine.to_obj(), amap
+
+        assert outcome(abstract_to_fsm) == outcome(transition_abstract_to_fsm)
 
     @given(sfsms)
     @settings(max_examples=25, deadline=None)
@@ -351,6 +382,5 @@ class TestInvariants:
         for abstract_case, case in zip(suite.cases, concrete.cases):
             state = r.initial
             for v, expected in zip(case.inputs, case.expected):
-                t = r.step(state, v)
-                assert t.output == expected
-                state = t.target
+                state, output = r.step((state, v))
+                assert output == expected

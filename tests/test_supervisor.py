@@ -6,6 +6,7 @@ import pytest
 
 from suptest.guards import enumerate_valuations, parse_guard
 from suptest.harness import LocalSut
+from suptest.mutation import generate_mutants, program_equivalent
 from suptest.program import NoEnabledAction
 from suptest.sfsm import (
     POLICY_SELFLOOP,
@@ -162,10 +163,10 @@ class TestInterpretStep:
         r = to_test_reference(welding_cell)
         partition = input_classes(r)
         rep = partition.classes[0].representative
-        t = r.step(r.initial, rep)
+        target, reference_output = r.step((r.initial, rep))
         r2, output = p.step((p.initial, rep))
-        assert output == t.output
-        assert risk_state_name(dict(r2), p.factors) == t.target
+        assert output == reference_output
+        assert risk_state_name(dict(r2), p.factors) == target
 
 
 class TestToTestReference:
@@ -220,14 +221,58 @@ class TestCheckHypotheses:
                                   p.initial, actions)
         report = check_hypotheses(p2, r)
         assert not report.ok
-        assert report.guard_diffs
+        # the weak guard's one input that the strengthened one no longer covers
+        assert report.difference == ({"hs_det": 1, "hc_det": 0, "hrw_det": 0, "ack": 0},)
 
     def test_repeated_guard_fails(self, welding_cell):
         p = to_guarded_actions(welding_cell)
         r = to_test_reference(welding_cell)
         p2 = p.replace(actions=[*p.actions, p.actions[0]])
-        state = risk_state_name(dict(p.actions[0].source), p.factors)
-        assert check_hypotheses(p2, r).guard_diffs == [f"state {state}: multiplicity differs"]
+        assert p.actions[0].source == p.initial
+        # the least input enabling the repeated action twice, which the
+        # program refuses
+        assert check_hypotheses(p2, r).difference == (
+            {"hs_det": 1, "hc_det": 0, "hrw_det": 0, "ack": 0},)
+
+    def test_agrees_with_program_equivalence_on_every_mutant(self, welding_cell):
+        """A mutant passes exactly when it is equivalent to the program, and
+        the word reported steps the program and the mutant to different
+        outputs."""
+        p = to_guarded_actions(welding_cell)
+        r = to_test_reference(welding_cell)
+        mutants = generate_mutants(p)
+        assert len(mutants) == 181
+        for mu in mutants:
+            report = check_hypotheses(mu.target, r)
+            assert report.ok == program_equivalent(p, mu.target), mu.id
+            if report.difference is not None:
+                assert outputs_along(p, report.difference) != \
+                    outputs_along(mu.target, report.difference), mu.id
+
+    def _with_hsa(self, p, **fields):
+        actions = [a.replace(**fields) if a.name == "HSa" else a for a in p.actions]
+        return p.replace(actions=actions)
+
+    def test_output_edit_fails_on_one_input(self, welding_cell):
+        p = to_guarded_actions(welding_cell)
+        r = to_test_reference(welding_cell)
+        hsa = next(a for a in p.actions if a.name == "HSa")
+        assert hsa.output["notify"] == "alert"
+        report = check_hypotheses(self._with_hsa(p, output={**hsa.output, "notify": "none"}), r)
+        assert report.state_count_ok
+        assert report.difference == ({"ack": 0, "hc_det": 0, "hrw_det": 0, "hs_det": 1},)
+        assert 'behaviour differs on: {"ack":0,"hc_det":0,"hrw_det":0,"hs_det":1}' \
+            in report.summary().splitlines()
+
+    def test_rewritten_guard_passes(self, welding_cell):
+        """Another text of the same guard is the same behaviour."""
+        p = to_guarded_actions(welding_cell)
+        r = to_test_reference(welding_cell)
+        report = check_hypotheses(
+            self._with_hsa(p, guard=parse_guard("not hs_det = 0", p.input_vars)), r)
+        assert report.ok
+        assert report.summary() == "control states: program=7 reference=7 [PASS]\n" \
+                                   "hypotheses: PASS"
 
     def test_extra_state_fails(self, welding_cell):
         p = to_guarded_actions(welding_cell)
@@ -254,12 +299,11 @@ class TestSemanticAgreement:
         r = to_test_reference(welding_cell)
         for v in enumerate_valuations(r.input_vars):
             for state_name in r.states:
-                t = r.step(state_name, v)
+                target, reference_output = r.step((state_name, v))
                 risk = tuple(sorted(zip(p.factors, _phases_from_name(state_name, p.factors))))
                 r2, output = p.step((risk, v))
-                assert t is not None
-                assert output == t.output
-                assert risk_state_name(dict(r2), p.factors) == t.target
+                assert output == reference_output
+                assert risk_state_name(dict(r2), p.factors) == target
 
     def test_lifecycle_safety_along_runs(self, welding_cell):
         import random
@@ -274,6 +318,12 @@ class TestSemanticAgreement:
             after = dict(interp.state)
             for f in p.factors:
                 assert before[f] == after[f] or (before[f], after[f]) in allowed
+
+
+def outputs_along(behaviour, word) -> list:
+    """The outputs of `behaviour`, stepped in process along `word`."""
+    sut = LocalSut(behaviour)
+    return [sut.step(v) for v in word]
 
 
 def _phases_from_name(name: str, factors):
