@@ -4,10 +4,8 @@
 straight to `program.serve_program`, without importing `cli` or
 `argparse`; any other command line, `--help` and a wrong argument count
 among them, goes to `cli.main`.  `pipeline`'s default SUT reaches the same
-function in a child forked from the toolkit process instead
-(`harness.ForkedSut`), which starts no interpreter; coverage of that child
-is not saved, so measure it with `pipeline --sut "python -m suptest
-serve-reference PROGRAM"`.
+function in a thread of the toolkit process instead (`harness.ThreadedSut`),
+which starts no process.
 """
 
 import sys

@@ -9,13 +9,12 @@ pipeline run is reproducible byte for byte.  This module alone writes and
 checks those links: a suite is checked or mutated only against the FSM it
 names, and artefacts that name different SFSMs or FSMs are not combined.
 
-`pipeline`'s default SUT is a child forked from this process that serves
-the `program.gap` it wrote (`harness.ForkedSut`, which calls
-`program.serve_program` on the file); it leaves through `os._exit`, so a
-coverage run records nothing of it: measure the reference SUT's coverage
-through `--sut "python -m suptest serve-reference PROGRAM"`.  That public
-command goes from `__main__` straight to the same function, without this
-module, and the `serve-reference` subcommand calls it too.
+`pipeline`'s default SUT is a thread of this process that serves the
+`program.gap` it wrote over a pair of pipes (`harness.ThreadedSut`, which
+calls `program.serve_program` on the file).  The public command
+`python -m suptest serve-reference PROGRAM` goes from `__main__` straight
+to the same function, without this module, and the `serve-reference`
+subcommand calls it too.
 Each stage imports the modules it uses, so this module loads neither the
 generator stack nor the client harness until a command needs them.
 
@@ -316,8 +315,8 @@ def concretize(suite: testgen.TestSuite, partition, amap, path,
 def run(suite: testgen.TestSuite, sut_command: str | list[str] | None, path, config,
         suite_fp: str | None = None, program=None) -> harness.TestReport:
     """Run `suite` against the SUT `sut_command` or, without one, against
-    the reference SUT of the program file `program`, forked from this
-    process (`harness.ForkedSut`)."""
+    the reference SUT of the program file `program`, served by a thread
+    of this process (`harness.ThreadedSut`)."""
     from . import harness
     with harness.SutAdapter(sut_command, config["step_timeout"], program=program) as sut:
         report = harness.run_suite(sut, suite)

@@ -6,17 +6,17 @@ Wire protocol (UTF-8, newline-delimited):
     SUT -> harness:  READY            | OUT <valuation> | ERR <message>
 
 where <valuation> is the canonical single-line encoding with keys sorted
-ascending (or the bare token ``nil``).  The adapter boundary is a child
-process, so any generated controller can be wrapped regardless of language.
+ascending (or the bare token ``nil``).  The adapter boundary is a pair of
+pipes, so any generated controller can be wrapped regardless of language.
 A behaviour, a program or a Mealy machine, is anything with an `initial`
 state and a `step` from a (state, input) pair to (next state, output); one
 runs in-process as `LocalSut(behaviour)`, or as a SUT served by
 `serve_behaviour(behaviour, read)`, the SUT side, which lives in `program`
 and serves a program (`serve_reference`) and a machine (`serve_machine`)
-alike.  A SUT
-given as a command line is exec'd; the reference SUT of a program file is
-forked from this process instead (`ForkedSut`), so that it starts with
-the toolkit already loaded, and reads the program from the file.
+alike.  A SUT given as a command line is exec'd as a child process; the
+reference SUT of a program file is served by a thread of this process
+instead (`ThreadedSut`), over the same pipes, so that it starts no
+process, and reads the program from the file.
 
 A SUT answers every line, in order.  The harness sends RESET and all of a
 case's IN lines before it reads the first reply, and the lines of the cases
@@ -37,8 +37,8 @@ import select
 import shlex
 import signal
 import subprocess
-import sys
 import tempfile
+import threading
 import time
 from collections import deque
 from collections.abc import Iterator
@@ -209,93 +209,88 @@ def _encode_in(v) -> bytes:
     return f"IN {encode_step(v)}\n".encode()
 
 
-class ForkedSut:
-    """The reference SUT of the program file `path`, forked from this
-    process, with pipes for its standard input and output and the
-    descriptor `stderr` for its standard error.  The handle holds the part
-    of `subprocess.Popen` the adapter uses: `pid`, `stdin`, `stdout`,
-    `wait`, `terminate` and `kill`.
+class ThreadedSut:
+    """The reference SUT of the program file `path`, served by a thread of
+    this process over a fresh pair of pipes, with a duplicate of the
+    descriptor `stderr` as its standard error.  The handle holds the part
+    of `subprocess.Popen` the adapter uses: `stdin`, `stdout`, `wait`,
+    `terminate` and `kill`.
 
-    The child starts with the toolkit already loaded, so it pays for no
-    interpreter and no import.  It runs `program.serve_program(path)`, as
-    an exec'd `serve-reference` would, and so reads the program from the
-    file: what is tested is the artefact, not an object of this process.
+    The thread runs `program.serve_program(path)`, as an exec'd
+    `serve-reference` would, and so reads the program from the file each
+    session: what is tested is the artefact, not an object of this
+    process.  It ends as that command exits: an error is one `error: ...`
+    line in its standard error and code 2, `SystemExit(n)` gives n, and any
+    other exception writes its traceback there and gives 1.  Nothing goes
+    to this process's standard streams.
+
+    The thread's three descriptors are its own, and only the thread closes
+    them, so it never writes into a descriptor number that a later `open`
+    reused.  `terminate` and `kill` close this side's pipe ends, so a
+    server blocked reading or writing ends on end of input or a broken
+    pipe; one blocked anywhere else is abandoned by `kill`.
     """
 
     def __init__(self, path, stderr: int):
         self.args = ["serve-reference", str(path)]
         self.returncode = None
-        child_stdin, stdin = os.pipe()
-        stdout, child_stdout = os.pipe()
+        self._killed = False
+        ends: list[int] = []
         try:
-            self.pid = os.fork()
-        except OSError:
-            for fd in (child_stdin, stdin, stdout, child_stdout):
+            ends += os.pipe()
+            ends += os.pipe()
+            ends.append(os.dup(stderr))
+            server_in, stdin, stdout, server_out, errors = ends
+            self.thread = threading.Thread(target=self._serve, name=shlex.join(self.args),
+                                           args=(path, server_in, server_out, errors),
+                                           daemon=True)
+            self.thread.start()
+        except BaseException:
+            for fd in ends:
                 os.close(fd)
             raise
-        if self.pid == 0:
-            _serve_forked(path, (child_stdin, child_stdout, stderr))
-        os.close(child_stdin)
-        os.close(child_stdout)
         self.stdin = open(stdin, "wb")
         self.stdout = open(stdout, "rb")
 
-    def wait(self, timeout: float | None = None) -> int:
-        """The child's exit code, or minus the signal that ended it, once it
-        has exited and been reaped; TimeoutExpired if it is still running
-        after `timeout` seconds."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        delay = 0.0005
-        while self.returncode is None:
-            pid, status = os.waitpid(self.pid, 0 if deadline is None else os.WNOHANG)
-            if pid:
-                self.returncode = os.waitstatus_to_exitcode(status)
-            elif time.monotonic() >= deadline:
-                raise subprocess.TimeoutExpired(self.args, timeout)
-            else:
-                time.sleep(min(delay, max(0.0, deadline - time.monotonic())))
-                delay = min(2 * delay, 0.05)
-        return self.returncode
+    def _serve(self, path, server_in: int, server_out: int, errors: int) -> None:
+        """The thread, from start to end: serve the file `path` on its own
+        descriptors, close them, and set `returncode`."""
+        code = 1
+        try:
+            with open(server_in, "rb") as stdin, open(server_out, "wb") as stdout, \
+                    open(errors, "w", encoding="utf-8", errors="backslashreplace") as stderr:
+                try:
+                    code = exit_code(serve_program, path, stdin, stdout, stderr=stderr)
+                except SystemExit as exc:  # n gives n, as on leaving an interpreter
+                    code = 0 if exc.code is None else exc.code if isinstance(exc.code, int) else 1
+                except Exception:  # SUPTEST_DEBUG=1: the traceback, then exit 1
+                    import traceback  # only here: it loads five modules
+                    traceback.print_exc(file=stderr)
+        except OSError:  # a reply still buffered when the client closed its end
+            pass
+        self.returncode = code
 
-    def send_signal(self, sig: int) -> None:
-        if self.returncode is None:  # not reaped, so the pid is still the child's
-            os.kill(self.pid, sig)
+    def wait(self, timeout: float | None = None) -> int:
+        """The thread's exit code once it has ended; TimeoutExpired if it is
+        still running after `timeout` seconds.  After `kill`, a thread
+        still running is abandoned, and gives minus SIGKILL at once."""
+        self.thread.join(0 if self._killed else timeout)
+        if not self.thread.is_alive():
+            return self.returncode
+        if self._killed:
+            return -signal.SIGKILL
+        raise subprocess.TimeoutExpired(self.args, timeout)
 
     def terminate(self) -> None:
-        self.send_signal(signal.SIGTERM)
+        for stream in (self.stdin, self.stdout):
+            try:
+                stream.close()
+            except OSError:  # the descriptor is closed all the same
+                pass
 
     def kill(self) -> None:
-        self.send_signal(signal.SIGKILL)
-
-
-def _serve_forked(path, stdio: tuple[int, int, int]) -> None:
-    """The forked child, from start to exit: serve the program file `path`
-    with the descriptors `stdio` as its standard streams.  Never returns.
-
-    Descriptors 0-2 become `stdio` and every other descriptor is closed, as
-    `Popen(close_fds=True)` leaves them, so that no other SUT's pipe stays
-    open here.  The streams the parent had are kept, neither used nor
-    freed, as freeing one would flush what the parent had buffered in it;
-    the child writes through streams of its own, and leaves through
-    `os._exit`, which runs no exit handler and flushes nothing else.
-    """
-    code = 1
-    inherited = sys.stdin, sys.stdout, sys.stderr  # held until exit, so that none is freed
-    try:
-        for fd, source in enumerate(stdio):
-            os.dup2(source, fd)
-        os.closerange(3, os.sysconf("SC_OPEN_MAX"))
-        sys.stdin = open(0, encoding="utf-8", closefd=False)
-        sys.stdout = open(1, "w", encoding="utf-8", closefd=False)
-        sys.stderr = open(2, "w", encoding="utf-8", errors="backslashreplace", closefd=False)
-        try:
-            code = exit_code(serve_program, path)
-        except BaseException:  # SUPTEST_DEBUG=1 or an interrupt: the traceback, then exit 1
-            sys.excepthook(*sys.exc_info())
-        sys.stdout.flush()
-        sys.stderr.flush()
-    finally:
-        os._exit(code)
+        self._killed = True
+        self.terminate()
 
 
 # Bytes of lines the adapter sends past the case being run, about what one
@@ -305,11 +300,11 @@ WINDOW = 64 * 1024
 
 
 class SutAdapter:
-    """Spawns and talks to one SUT process; restarted after protocol errors.
+    """Starts and talks to one SUT; restarted after protocol errors.
 
     The SUT is `command`, a command line exec'd for each session, or, when
-    there is none, the reference SUT of the program file `program`, forked
-    from this process for each session (`ForkedSut`).
+    there is none, the reference SUT of the program file `program`, served
+    by a thread of this process for each session (`ThreadedSut`).
 
     `reset(inputs)` announces a case: RESET and the case's IN lines are
     queued together, and each `step` reads the next reply.  `plan(cases)`
@@ -350,12 +345,12 @@ class SutAdapter:
             self.name = shlex.join(self.command)
         elif program is not None:
             self.command = None
-            self.name = f"forked to serve {program}"
+            self.name = f"thread serving {program}"
         else:
             raise ValueError("a SUT needs a command line or a program file")
         self.program = program
         self.step_timeout = step_timeout
-        self.process: subprocess.Popen | None = None
+        self.process: subprocess.Popen | ThreadedSut | None = None
         self._stderr = None  # the SUT's standard error, a temporary file
         self._fresh = False  # started, and not yet answered READY
         self._in_ids: dict[int, bytes] = {}  # id of an input of the plan -> its IN line
@@ -380,7 +375,7 @@ class SutAdapter:
         self._stderr = tempfile.TemporaryFile()
         try:
             if self.command is None:
-                self.process = ForkedSut(self.program, self._stderr.fileno())
+                self.process = ThreadedSut(self.program, self._stderr.fileno())
             else:
                 self.process = subprocess.Popen(
                     self.command,

@@ -15,17 +15,15 @@ by it and the mutation oracle compares it; a dict read from a file is
 frozen to it once, by `_freeze`, and a message prints it as a dict.
 
 A reference SUT runs `serve_program`, once per session, on one of three
-routes that fail alike (`exit_code`): `pipeline`'s default SUT, a child
-forked from the toolkit process by `harness.ForkedSut`, which reads the
-program from its file and leaves through `os._exit`, so a coverage run
-saves nothing of it; the public `python -m suptest serve-reference
-PROGRAM`, which `__main__` sends straight here, without `cli` or
-`argparse`, and through which the SUT's coverage can be measured; and that
-subcommand of `cli.main`.  This module imports nothing of the toolkit
-beyond the encoding and the guard language, and through them no
-`dataclasses`, no `pathlib` and none of the client's process machinery
-(`subprocess`, `select`, `shlex`): only `json` and `re` besides `math`,
-`os` and `sys`.
+routes that fail alike (`exit_code`): `pipeline`'s default SUT, a thread
+of the toolkit process started by `harness.ThreadedSut`, which reads the
+program from its file and serves it over a fresh pair of pipes; the
+public `python -m suptest serve-reference PROGRAM`, which `__main__` sends
+straight here, without `cli` or `argparse`; and that subcommand of
+`cli.main`.  This module imports nothing of the toolkit beyond the
+encoding and the guard language, and through them no `dataclasses`, no
+`pathlib` and none of the client's process machinery (`subprocess`,
+`select`, `shlex`): only `json` and `re` besides `math`, `os` and `sys`.
 """
 
 from __future__ import annotations
@@ -35,6 +33,7 @@ import sys
 
 from .encoding import decode_valuation, encode_step, list_at, object_at, read_artifact
 from .guards import (
+    PHASE_SORT,
     GuardExpr,
     Record,
     Valuation,
@@ -100,6 +99,19 @@ def _freeze(r: dict) -> RiskState:
     return tuple(sorted(r.items()))
 
 
+def _risk_state_at(obj: dict, key: str, factors: list[str]) -> dict:
+    """The risk state `obj[key]`, which assigns each factor a phase."""
+    r = {str(k): str(v) for k, v in object_at(obj, key).items()}
+    if set(r) != set(factors):
+        raise SupervisorError(
+            f"risk state {r} does not assign exactly the factors {factors}"
+        )
+    for f, p in r.items():
+        if p not in PHASE_SORT:
+            raise SupervisorError(f"unknown phase {p!r} for factor {f}")
+    return r
+
+
 class GuardedActionProgram(Record):
     """Executable IR of the controller: a deterministic guarded-action list.
 
@@ -152,21 +164,22 @@ class GuardedActionProgram(Record):
     def from_obj(cls, obj: dict) -> "GuardedActionProgram":
         input_vars = [decl_from_obj(d) for d in list_at(obj, "input_vars")]
         output_vars = [decl_from_obj(d) for d in list_at(obj, "output_vars")]
+        factors = list(list_at(obj, "factors"))
         actions = [
             GuardedAction(
                 a["name"],
                 parse_guard(a["guard"], input_vars),
-                _freeze(object_at(a, "source")),
+                _freeze(_risk_state_at(a, "source", factors)),
                 a["output"],
-                _freeze(object_at(a, "target")),
+                _freeze(_risk_state_at(a, "target", factors)),
             )
             for a in list_at(obj, "actions")
         ]
         return cls(
             input_vars,
             output_vars,
-            list(list_at(obj, "factors")),
-            _freeze(object_at(obj, "initial")),
+            factors,
+            _freeze(_risk_state_at(obj, "initial", factors)),
             actions,
             _choice(obj, "policy", (POLICY_ERROR, POLICY_SELFLOOP)),
             _choice(obj, "resolution", ("strict", "first")),
@@ -221,9 +234,9 @@ def serve_behaviour(behaviour, read, stdin=None, stdout=None) -> None:
 
     An exception from `read` or `step` is answered with an ERR reply and
     leaves the state unchanged.  A reply and the next state depend only on
-    the state and the payload, so the first `MEMO_SIZE` distinct pairs are
-    remembered, and a repeated step is answered without reading, stepping
-    or encoding.  Reading depends on the payload alone, so the first
+    the state and the line, so the first `MEMO_SIZE` distinct pairs of a
+    state and a line other than RESET are remembered, and a repeated line
+    is answered without parsing, reading, stepping or encoding.  Reading depends on the payload alone, so the first
     `MEMO_SIZE` distinct payloads are read once, whatever state they
     arrive in.
 
@@ -240,11 +253,18 @@ def serve_behaviour(behaviour, read, stdin=None, stdout=None) -> None:
     stdout = stdout if stdout is not None else sys.stdout.buffer
     initial, step = behaviour.initial, behaviour.step
     state = initial
-    answered: dict = {}  # (state, payload) -> (reply line, next state)
+    answered: dict = {}  # (state, line) -> (reply, next state)
     inputs: dict = {}  # payload -> its input, or the exception that refused it
 
-    def answer(state, text: str) -> tuple[str, object]:
-        """The reply line to `IN text` in `state`, and the next state."""
+    def answer(state, line: str) -> tuple[str, object]:
+        """The reply to `line` in `state`, empty for a blank line, and the
+        next state."""
+        line = line.strip()
+        if line == "RESET":
+            return "READY\n", initial
+        if not line.startswith("IN "):
+            return (f"ERR unknown command {line!r}\n" if line else ""), state
+        text = line[3:]
         if text in inputs:
             x = inputs[text]
         else:
@@ -268,25 +288,21 @@ def serve_behaviour(behaviour, read, stdin=None, stdout=None) -> None:
         lines, _, rest = (rest + (data or b"\n")).replace(b"\r", b"\n").rpartition(b"\n")
         replies = []
         for line in lines.decode("utf-8", "replace").split("\n"):
-            line = line.strip()
-            if not line:
-                continue
             if line == "RESET":
                 state = initial
                 replies.append("READY\n")
-            elif line.startswith("IN "):
-                key = (state, line[3:])
-                known = answered.get(key)
-                if known is None:
-                    known = answer(*key)
-                    if len(answered) < MEMO_SIZE:
-                        answered[key] = known
-                reply, state = known
-                replies.append(reply)
-            else:
-                replies.append(f"ERR unknown command {line!r}\n")
-        if replies:
-            stdout.write("".join(replies).encode("utf-8", "backslashreplace"))
+                continue
+            key = (state, line)
+            known = answered.get(key)
+            if known is None:
+                known = answer(*key)
+                if len(answered) < MEMO_SIZE:
+                    answered[key] = known
+            reply, state = known
+            replies.append(reply)
+        block = "".join(replies)
+        if block:
+            stdout.write(block.encode("utf-8", "backslashreplace"))
             stdout.flush()
         if not data:
             return
@@ -305,21 +321,23 @@ def load_program(path) -> GuardedActionProgram:
     return read_artifact(path, GuardedActionProgram.from_obj)
 
 
-def serve_program(path) -> int:
+def serve_program(path, stdin=None, stdout=None) -> int:
     """`serve-reference PROGRAM`: serve the program held in the file `path`
-    on standard streams."""
-    serve_reference(load_program(path))
+    on the binary streams `stdin` and `stdout`, the standard ones by
+    default."""
+    serve_reference(load_program(path), stdin, stdout)
     return 0
 
 
-def exit_code(command, *args) -> int:
-    """`command(*args)`, whose result is an exit code; a failure prints one
-    `error: ...` line and gives 2, or is raised again with its traceback when
+def exit_code(command, *args, stderr=None) -> int:
+    """`command(*args)`, whose result is an exit code; a failure writes one
+    `error: ...` line to the text stream `stderr`, by default the standard
+    error, and gives 2, or is raised again with its traceback when
     `SUPTEST_DEBUG=1` is set."""
     try:
         return command(*args)
     except Exception as exc:
         if os.environ.get(DEBUG_ENV) == "1":
             raise
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc}", file=stderr if stderr is not None else sys.stderr)
         return 2

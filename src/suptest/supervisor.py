@@ -13,7 +13,7 @@ plus static hypothesis checks comparing what the two do.
 
 from __future__ import annotations
 
-from .encoding import encode_step, fingerprint, list_at, object_at, read_artifact
+from .encoding import encode_step, fingerprint, list_at, read_artifact
 from .fsm import first_difference
 from .guards import (
     CONTROLLED,
@@ -36,11 +36,10 @@ from .program import (
     GuardedActionProgram,
     SupervisorError,
     _freeze,
+    _risk_state_at,
     risk_state_name,
 )
 from .sfsm import DeterminismViolation, IncompleteState, Sfsm, SfsmTransition
-
-PHASES = ("0", "a", "m")
 
 # Factor life-cycle: inactive -> active -> mitigated -> inactive, plus stay.
 _ALLOWED_PHASE_STEPS = {("0", "a"), ("a", "m"), ("m", "0")}
@@ -128,19 +127,6 @@ def behavior_from_obj(obj: dict) -> ControllerBehavior:
     return ControllerBehavior(
         input_vars, output_vars, factor_vars, initial, transitions, warnings
     )
-
-
-def _risk_state_at(obj: dict, key: str, factors: list[str]) -> dict:
-    """The risk state `obj[key]`, which assigns each factor a phase."""
-    r = {str(k): str(v) for k, v in object_at(obj, key).items()}
-    if set(r) != set(factors):
-        raise SupervisorError(
-            f"risk state {r} does not assign exactly the factors {factors}"
-        )
-    for f, p in r.items():
-        if p not in PHASES:
-            raise SupervisorError(f"unknown phase {p!r} for factor {f}")
-    return r
 
 
 def load_behavior(path) -> ControllerBehavior:

@@ -1,4 +1,5 @@
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -13,16 +14,20 @@ from helpers import child_pids
 
 @pytest.fixture(autouse=True)
 def no_leaked_sut(request):
-    """Fail a test that leaves a child process, such as a SUT, running or
-    unreaped.  A SUT held by a fixture that outlives the test, whose
-    function-scoped fixtures are torn down by now, is that fixture's to stop."""
-    before = child_pids()
+    """Fail a test that leaves a SUT running: a child process running or
+    unreaped, or a thread still running.  A SUT held by a fixture that
+    outlives the test, whose function-scoped fixtures are torn down by now,
+    is that fixture's to stop."""
+    before, threads = child_pids(), set(threading.enumerate())
     yield
-    held = {value.process.pid for value in request.node.funcargs.values()
-            if isinstance(value, SutAdapter) and value.process is not None}
-    leaked = child_pids() - before - held
+    held = [value.process for value in request.node.funcargs.values()
+            if isinstance(value, SutAdapter) and value.process is not None]
+    leaked = child_pids() - before - {getattr(sut, "pid", None) for sut in held}
     if leaked:
         pytest.fail(f"test left child processes {sorted(leaked)} running or unreaped")
+    running = set(threading.enumerate()) - threads - {getattr(sut, "thread", None) for sut in held}
+    if running:
+        pytest.fail(f"test left threads {sorted(t.name for t in running)} running")
 
 
 @pytest.fixture

@@ -29,7 +29,7 @@ from suptest.encoding import (
 )
 from suptest.mutation import OUTPUT_FAULT, generate_mutants
 from suptest.harness import (
-    ERROR, FAIL, PASS, VERDICTS_PER_PART, ForkedSut, SutAdapter, SutStartError, TestReport,
+    ERROR, FAIL, PASS, VERDICTS_PER_PART, SutAdapter, SutStartError, TestReport, ThreadedSut,
     Verdict, serve_machine,
 )
 from suptest.program import serve_reference
@@ -373,6 +373,11 @@ def serve_reference_modules(program) -> set:
 # A program without variables or actions, with one more key to be filled in
 EMPTY_PROGRAM = ('{"input_vars": [], "output_vars": [], "factors": [], "initial": {}, '
                  '"actions": [], %s}')
+# a program of two factors whose one action targets the risk state %s
+TARGET_PROGRAM = ('{"input_vars": [], "output_vars": [], "factors": ["HS", "HC"], '
+                  '"initial": {"HS": "0", "HC": "0"}, "actions": [{"name": "HSa", '
+                  '"guard": "true", "source": {"HS": "0", "HC": "0"}, "output": null, '
+                  '"target": %s}]}')
 
 
 class TestServeReference:
@@ -397,15 +402,18 @@ class TestServeReference:
          "policy must be one of 'error', 'complete-with-selfloop', not 'selfloop'"),
         (EMPTY_PROGRAM % '"policy": null',
          "policy must be one of 'error', 'complete-with-selfloop', not None"),
+        (TARGET_PROGRAM % '{"HS": "a"}',
+         "risk state {'HS': 'a'} does not assign exactly the factors ['HS', 'HC']"),
+        (TARGET_PROGRAM % '{"HS": "z", "HC": "0"}', "unknown phase 'z' for factor HS"),
     ], ids=["missing", "malformed", "missing-key", "resolution-case", "resolution-int",
-            "policy-short", "policy-null"])
+            "policy-short", "policy-null", "partial-target", "unknown-phase"])
     def test_both_routes_fail_alike(self, tmp_path, capsys, content, cause):
         path = tmp_path / "program.gap"
         if content is not None:
             path.write_text(content)
         spawned = subprocess.run(module_route(path), input="RESET\n", capture_output=True,
                                  text=True, timeout=60)
-        with SutAdapter(program=path) as sut, pytest.raises(SutStartError) as forked:
+        with SutAdapter(program=path) as sut, pytest.raises(SutStartError) as threaded:
             sut.reset()
         capsys.readouterr()
         assert main(["serve-reference", str(path)]) == 2
@@ -413,16 +421,16 @@ class TestServeReference:
         err = capsys.readouterr().err
         assert spawned.stderr == err
         assert err.startswith(f"error: {path}: {cause}") and err.count("\n") == 1
-        assert str(forked.value).endswith(": SUT exited with code 2; its standard error ends "
-                                          "with:\n  " + err.rstrip("\n"))
+        assert str(threaded.value).endswith(": SUT exited with code 2; its standard error ends "
+                                            "with:\n  " + err.rstrip("\n"))
 
 
-def forked_route(path, data: bytes, timeout: float = 60) -> tuple[int, bytes]:
-    """The exit code and standard output of the forked reference SUT of
-    `path`, `harness.ForkedSut`, given `data` on its standard input; one
+def threaded_route(path, data: bytes, timeout: float = 60) -> tuple[int, bytes]:
+    """The exit code and standard output of the threaded reference SUT of
+    `path`, `harness.ThreadedSut`, given `data` on its standard input; one
     that has not closed its output within `timeout` seconds is killed."""
     with tempfile.TemporaryFile() as stderr:
-        sut = ForkedSut(path, stderr.fileno())
+        sut = ThreadedSut(path, stderr.fileno())
         with sut.stdin:
             sut.stdin.write(data)
         replies = b""
@@ -434,12 +442,12 @@ def forked_route(path, data: bytes, timeout: float = 60) -> tuple[int, bytes]:
                 replies += chunk
         sut.kill()
         sut.wait()
-        raise AssertionError(f"the forked SUT did not close its output within {timeout} s")
+        raise AssertionError(f"the threaded SUT did not close its output within {timeout} s")
 
 
 class TestReferenceLauncher:
-    """`pipeline`'s default SUT, forked from the toolkit process: the same
-    server as `python -m suptest serve-reference`."""
+    """`pipeline`'s default SUT, served by a thread of the toolkit process:
+    the same server as `python -m suptest serve-reference`."""
 
     def test_keeps_pythondontwritebytecode(self, tmp_path, behaviour):
         # a copy of the package without bytecode, run as the pipeline's SUT
@@ -462,7 +470,7 @@ class TestReferenceLauncher:
         path.write_text(canonical_dumps(program.to_obj()))
         lines = "".join(f"{line}\n" for line in MEMO_LINES * 3).encode()
         module = subprocess.run(module_route(path), input=lines, capture_output=True, timeout=60)
-        assert forked_route(path, lines) == (module.returncode, module.stdout)
+        assert threaded_route(path, lines) == (module.returncode, module.stdout)
         replies = module.stdout.decode().splitlines()
         assert module.returncode == 0 and len(replies) == 3 * (len(MEMO_LINES) - 1)
         for err in ("ERR no action enabled in risk state {'F': 'a'}",
@@ -514,7 +522,7 @@ class TestServeLoop:
         out = io.BytesIO()
         serve_reference(program, io.BytesIO(SERVE_SCRIPT), out)
         assert out.getvalue() == expected
-        assert forked_route(path, SERVE_SCRIPT) == (0, expected)
+        assert threaded_route(path, SERVE_SCRIPT) == (0, expected)
         for route in (module_route, subcommand_route):
             done = subprocess.run(route(path), input=SERVE_SCRIPT, capture_output=True,
                                   timeout=60)
@@ -539,13 +547,13 @@ class TestServeLoop:
             "READY", f"OUT {encode_step(outputs[0])}", "ERR unknown command 'PING'",
             "ERR no transition on '\ufffd'", f"OUT {encode_step(outputs[1])}"]
 
-    @pytest.mark.parametrize("route", ["forked", "module", "subcommand"])
+    @pytest.mark.parametrize("route", ["threaded", "module", "subcommand"])
     def test_lockstep_client_gets_every_reply(self, program, route):
         program, path = program
         lines = ["RESET", 'IN {"x":1}', 'IN {"x":1}', "PING", "RESET", 'IN {"x":0}']
         with tempfile.TemporaryFile() as stderr:
-            if route == "forked":
-                sut = ForkedSut(path, stderr.fileno())
+            if route == "threaded":
+                sut = ThreadedSut(path, stderr.fileno())
             else:
                 command = module_route(path) if route == "module" else subcommand_route(path)
                 sut = subprocess.Popen(command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,

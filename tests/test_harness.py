@@ -3,7 +3,9 @@
 import io
 import os
 import random
+import select
 import shlex
+import signal
 import sys
 import threading
 import time
@@ -49,7 +51,7 @@ from suptest.supervisor import (
 from suptest.testgen import TestCase, TestSuite, h_method
 
 from helpers import (
-    child_pids, m0, plain_verdicts, random_machine, stepwise_machine_replies, stepwise_replies,
+    m0, plain_verdicts, random_machine, stepwise_machine_replies, stepwise_replies,
 )
 
 try:
@@ -157,7 +159,7 @@ def two_factor_program(program):
     phase, so that factor order and sorted order differ; and with no action
     for x = 0 in risk state 0."""
     def with_g(r):
-        return tuple(sorted(dict(r, G="g").items()))
+        return tuple(sorted(dict(r, G="m").items()))
 
     return program.replace(
         factors=["G", "F"], initial=with_g(program.initial),
@@ -205,13 +207,13 @@ class TestServeReferenceMemo:
         # read from a file that lists G before F; x = 1, 1, 0 leads from the
         # initial risk state through a and m back to it
         doc = two_factor_program(program).to_obj()
-        doc["initial"] = {"G": "g", "F": "0"}
+        doc["initial"] = {"G": "m", "F": "0"}
         target = GuardedActionProgram.from_obj(doc)
         lines = ["RESET"] + [f'IN {{"x":{x}}}' for x in (0, 1, 1, 0, 0)]
         replies = serve_lines(target, lines)
         assert replies == stepwise_replies(target, lines)
         assert replies[1] == replies[5] == (
-            "ERR no action enabled in risk state {'F': '0', 'G': 'g'} on input {\"x\":0}")
+            "ERR no action enabled in risk state {'F': '0', 'G': 'm'} on input {\"x\":0}")
 
     def test_covers_every_reply_kind(self, program):
         replies = {reply for target in memo_programs(program)
@@ -334,7 +336,7 @@ class TestSymbolicSutOverTheWire:
 
 
 def program_file(tmp_path, program, name="program.gap"):
-    """`program` written to the file `name` in `tmp_path`, for a forked
+    """`program` written to the file `name` in `tmp_path`, for a threaded
     reference SUT to serve."""
     path = tmp_path / name
     path.write_text(canonical_dumps(program.to_obj()))
@@ -632,8 +634,9 @@ class TestRunSuite:
             list(range(len(concrete_suite.cases)))
 
 
-class TestForkedSut:
-    """The reference SUT of a program file, forked from the test process."""
+class TestThreadedSut:
+    """The reference SUT of a program file, served by a thread of the test
+    process."""
 
     def test_no_sut_holds_another_ones_pipe(self, tmp_path, program):
         path = program_file(tmp_path, program)
@@ -650,26 +653,85 @@ class TestForkedSut:
         stream = open(1, "w", encoding="utf-8", closefd=False)  # buffered, unlike capfd's
         monkeypatch.setattr(sys, "stdout", stream)
         try:
-            stream.write("written before the fork\n")
+            stream.write("written before the session\n")
             with SutAdapter(program=program_file(tmp_path, program)) as sut:
                 sut.reset()
                 assert sut.step({"x": 1}) == {"y": 1}
         finally:
             stream.close()
-        assert capfd.readouterr().out == "written before the fork\n"
+        assert capfd.readouterr().out == "written before the session\n"
 
-    def test_every_child_is_reaped(self, tmp_path, program):
-        before = child_pids()
+    def test_no_server_thread_outlives_its_session(self, tmp_path, program, monkeypatch):
+        # sessions end on the exit fault, after an ERR and at the end of input
+        monkeypatch.setattr(harness_module, "serve_program",
+                            first_session_fails(2, "exit", tmp_path / "faulted"))
+        before = set(threading.enumerate())
         with SutAdapter(program=program_file(tmp_path, program)) as sut:
-            pids = [sut.process.pid]
-            for _ in range(3):
-                sut.reset()
-                sut.restart()
-                pids.append(sut.process.pid)
-                assert child_pids() - before == {sut.process.pid}
+            servers = [sut.process.thread]
             sut.reset()
-        assert len(set(pids)) == len(pids)
-        assert child_pids() - before == set()
+            with pytest.raises(HarnessError, match="SUT exited with code 3"):
+                sut.step({"x": 1})
+            for _ in range(3):
+                sut.restart()
+                servers.append(sut.process.thread)
+                assert set(threading.enumerate()) - before == {sut.process.thread}
+                sut.reset()
+                with pytest.raises(HarnessError, match="SUT error reply"):
+                    sut.step({"x": 7})
+            sut.restart()
+            servers.append(sut.process.thread)
+            sut.reset()
+            assert sut.step({"x": 1}) == {"y": 1}
+        assert len(set(servers)) == len(servers)
+        assert set(threading.enumerate()) - before == set()
+
+    def test_stop_while_writing_leaves_a_later_file_empty(self, tmp_path, program):
+        with SutAdapter(program=program_file(tmp_path, program)) as sut:
+            server = sut.process
+            os.set_blocking(server.stdin.fileno(), True)
+            # answered with ERR lines, more than the output pipe holds
+            os.write(server.stdin.fileno(), b"PING\n" * 10_000)
+            assert select.select([server.stdout], [], [], 30)[0]
+            time.sleep(0.1)  # the server fills the pipe and blocks in its write
+            assert server.thread.is_alive()
+            sut.stop()
+            with open(tmp_path / "later", "w+b") as later:
+                assert server.wait(timeout=0) == 2  # ended on the broken pipe
+                assert os.fstat(later.fileno()).st_size == 0
+
+    def test_server_blocked_elsewhere_is_abandoned(self, tmp_path, program, monkeypatch):
+        release = threading.Event()
+
+        def serve(path, stdin, stdout) -> int:
+            release.wait(30)  # neither reading nor writing when it is stopped
+            stdout.write(b"READY\n")
+            stdout.flush()
+            return 0
+
+        monkeypatch.setattr(harness_module, "serve_program", serve)
+        sut = SutAdapter(program=program_file(tmp_path, program))
+        sut.start()
+        server = sut.process
+        started = time.monotonic()
+        sut.stop()
+        assert time.monotonic() - started < 2.0 + 1.0
+        assert server.wait() == -signal.SIGKILL
+        with open(tmp_path / "later", "w+b") as later:
+            release.set()
+            server.thread.join(timeout=30)
+            assert not server.thread.is_alive()
+            assert server.wait() == 2  # its reply met a broken pipe
+            assert os.fstat(later.fileno()).st_size == 0
+
+    def test_debug_traceback_goes_to_the_sut_stderr(self, tmp_path, capfd, monkeypatch):
+        monkeypatch.setenv("SUPTEST_DEBUG", "1")
+        path = tmp_path / "missing.gap"
+        with SutAdapter(program=path) as sut, pytest.raises(SutStartError) as failed:
+            sut.reset()
+        assert ": SUT exited with code 1; " in str(failed.value)
+        assert str(failed.value).endswith(
+            f"suptest.encoding.ArtifactError: {path}: No such file or directory")
+        assert capfd.readouterr() == ("", "")
 
     def test_needs_a_command_or_a_program(self):
         with pytest.raises(ValueError, match="command line or a program file"):
@@ -776,7 +838,8 @@ class TestAdapterCaches:
 
 class FaultyInput:
     """A SUT's standard input that fails at its `k`-th line: there the SUT
-    exits with code 3, hangs, or reads `FAULT`, which it answers with ERR."""
+    exits with code 3 (`SystemExit(3)`), hangs, reading its input to the end
+    without answering, or reads `FAULT`, which it answers with ERR."""
 
     def __init__(self, stream, k: int, fault: str):
         self.stream, self.left, self.fault = stream, k - 1, fault  # lines before the k-th
@@ -795,9 +858,11 @@ class FaultyInput:
             self.rest = data[start:]
             return data[:start]
         if self.fault == "exit":
-            os._exit(3)
+            raise SystemExit(3)
         if self.fault == "hang":
-            time.sleep(60)
+            while self.stream.read1(size):
+                pass
+            return b""
         while b"\n" not in data and (more := self.stream.read1(size)):
             data += more
         self.left, self.rest = -1, data.partition(b"\n")[2]
@@ -805,14 +870,15 @@ class FaultyInput:
 
 
 def first_session_fails(k: int, fault: str, marker):
-    """A stand-in for `program.serve_program` in a forked SUT: the first
+    """A stand-in for `program.serve_program` in a threaded SUT: the first
     session, the one that finds no `marker` file, serves the program with
-    its input failing at line `k` (`FaultyInput`); later ones serve it."""
-    def serve(path) -> int:
+    its input `stdin` failing at line `k` (`FaultyInput`); later ones serve
+    it."""
+    def serve(path, stdin, stdout) -> int:
         if marker.exists():
-            return serve_program(path)
+            return serve_program(path, stdin, stdout)
         marker.touch()
-        serve_reference(load_program(path), FaultyInput(sys.stdin.buffer, k, fault), None)
+        serve_reference(load_program(path), FaultyInput(stdin, k, fault), stdout)
         return 0
     return serve
 
