@@ -245,7 +245,7 @@ def translate(behaviour_path, out: Path, config
     program = supervisor.to_guarded_actions(behaviour, config["policy"])
     reference = supervisor.to_test_reference(behaviour, config["policy"])
     report = supervisor.check_hypotheses(program, reference)
-    for warning in behaviour.warnings:
+    for warning in report.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     out.mkdir(parents=True, exist_ok=True)
     derived = {"behaviour": behaviour.fingerprint}

@@ -231,7 +231,9 @@ def check_decls(decls: list[VarDecl]) -> None:
 
 
 def check_valuation(v: Valuation, decls: list[VarDecl]) -> None:
-    """Totality and sort membership."""
+    """An object, total over `decls` and within their sorts."""
+    if not isinstance(v, dict):
+        raise SortError(f"not a valuation: {v!r}")
     declared = {d.name: d for d in decls}
     missing = sorted(set(declared) - set(v))
     if missing:
@@ -347,6 +349,8 @@ class _Token(Record):
 
 
 def _tokenize(text: str) -> list[_Token]:
+    if not isinstance(text, str):
+        raise GuardError(f"a guard must be a string, got {text!r}")
     tokens = []
     pos = 0
     while pos < len(text):

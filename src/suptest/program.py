@@ -11,8 +11,9 @@ side), `serve_behaviour`, serves any behaviour: a program
 
 A risk state has one form here: its (factor, phase) pairs sorted by factor
 (`RiskState`).  Actions hold it, `step` maps it, the server keys its memo
-by it and the mutation oracle compares it; a dict read from a file is
-frozen to it once, by `_freeze`, and a message prints it as a dict.
+by it and the mutation oracle compares it.  Both readers, of a behaviour
+file (`supervisor.behavior_from_obj`) and of a program file, read a risk
+state into it once, by `_risk_state_at`, and a message prints it as a dict.
 
 A reference SUT runs `serve_program`, once per session, on one of three
 routes that fail alike (`exit_code`): `pipeline`'s default SUT, a thread
@@ -81,9 +82,10 @@ class MultipleEnabledActions(SupervisorError):
 RiskState = tuple  # (factor, phase) pairs sorted by factor, total over F
 
 
-def risk_state_name(r: dict, factors: list[str]) -> str:
+def risk_state_name(r: RiskState, factors: list[str]) -> str:
     """Stable readable identifier, e.g. HS0_HCa_HRW0 (factor decl order)."""
-    return "_".join(f"{f}{r[f]}" for f in factors)
+    phases = dict(r)
+    return "_".join(f"{f}{phases[f]}" for f in factors)
 
 
 class GuardedAction(Record):
@@ -99,7 +101,7 @@ def _freeze(r: dict) -> RiskState:
     return tuple(sorted(r.items()))
 
 
-def _risk_state_at(obj: dict, key: str, factors: list[str]) -> dict:
+def _risk_state_at(obj: dict, key: str, factors: list[str]) -> RiskState:
     """The risk state `obj[key]`, which assigns each factor a phase."""
     r = {str(k): str(v) for k, v in object_at(obj, key).items()}
     if set(r) != set(factors):
@@ -109,7 +111,7 @@ def _risk_state_at(obj: dict, key: str, factors: list[str]) -> dict:
     for f, p in r.items():
         if p not in PHASE_SORT:
             raise SupervisorError(f"unknown phase {p!r} for factor {f}")
-    return r
+    return _freeze(r)
 
 
 class GuardedActionProgram(Record):
@@ -169,17 +171,20 @@ class GuardedActionProgram(Record):
             GuardedAction(
                 a["name"],
                 parse_guard(a["guard"], input_vars),
-                _freeze(_risk_state_at(a, "source", factors)),
+                _risk_state_at(a, "source", factors),
                 a["output"],
-                _freeze(_risk_state_at(a, "target", factors)),
+                _risk_state_at(a, "target", factors),
             )
             for a in list_at(obj, "actions")
         ]
+        for a in actions:
+            if a.output is not None:  # the nil output
+                check_valuation(a.output, output_vars)
         return cls(
             input_vars,
             output_vars,
             factors,
-            _freeze(_risk_state_at(obj, "initial", factors)),
+            _risk_state_at(obj, "initial", factors),
             actions,
             _choice(obj, "policy", (POLICY_ERROR, POLICY_SELFLOOP)),
             _choice(obj, "resolution", ("strict", "first")),
@@ -197,7 +202,7 @@ class GuardedActionProgram(Record):
         if len(enabled) > 1 and self.resolution == "strict":
             raise MultipleEnabledActions(
                 f"actions {enabled[0].name!r} and {enabled[1].name!r} both enabled "
-                f"in {risk_state_name(dict(r), self.factors)} on {encode_step(v)}"
+                f"in {risk_state_name(r, self.factors)} on {encode_step(v)}"
             )
         if not enabled:
             if self.policy == POLICY_SELFLOOP:

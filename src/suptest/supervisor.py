@@ -34,8 +34,8 @@ from .program import (
     POLICY_SELFLOOP,
     GuardedAction,
     GuardedActionProgram,
+    RiskState,
     SupervisorError,
-    _freeze,
     _risk_state_at,
     risk_state_name,
 )
@@ -53,18 +53,19 @@ class LifecycleViolation(SupervisorError):
     """A factor phase change outside 0->a->m->0 (with stutter)."""
 
 
-def check_lifecycle(r: dict, r2: dict, factors: list[str]) -> None:
+def derive_action_name(factors: list[str], r, r2) -> str:
+    """Name from the changed factors of the risk states `r` and `r2` (sorted
+    pairs or dicts): `<factor><newPhase>` segments joined by `_` in factor
+    declaration order; `nop` when nothing changes.  A change outside the
+    factor life cycle is refused."""
+    r, r2 = dict(r), dict(r2)
+    parts = []
     for f in factors:
         p, q = r[f], r2[f]
-        if p != q and (p, q) not in _ALLOWED_PHASE_STEPS:
-            raise LifecycleViolation(f"factor {f}: phase change {p} -> {q} not allowed")
-
-
-def derive_action_name(factors: list[str], r: dict, r2: dict) -> str:
-    """Name from the changed factors: `<factor><newPhase>` segments joined
-    by `_` in factor declaration order; `nop` when nothing changes."""
-    check_lifecycle(r, r2, factors)
-    parts = [f"{f}{r2[f]}" for f in factors if r[f] != r2[f]]
+        if p != q:
+            if (p, q) not in _ALLOWED_PHASE_STEPS:
+                raise LifecycleViolation(f"factor {f}: phase change {p} -> {q} not allowed")
+            parts.append(f"{f}{q}")
     return "_".join(parts) if parts else "nop"
 
 
@@ -73,23 +74,19 @@ def derive_action_name(factors: list[str], r: dict, r2: dict) -> str:
 # ---------------------------------------------------------------------------
 
 class ControllerBehavior(Record):
-    """Deserialized controller fragment of the synthesised transition relation."""
+    """Deserialized controller fragment of the synthesised transition
+    relation: one guarded action per transition of the file, read once,
+    which both translations consume and neither changes."""
 
-    __slots__ = ("input_vars", "output_vars", "factor_vars", "initial", "transitions",
-                 "warnings", "fingerprint")
-    _defaults = {"warnings": (), "fingerprint": None}
+    __slots__ = ("input_vars", "output_vars", "factors", "initial", "actions", "fingerprint")
+    _defaults = {"fingerprint": None}
     __hash__ = None
     input_vars: list[VarDecl]
     output_vars: list[VarDecl]
-    factor_vars: list[VarDecl]
-    initial: dict  # factor name -> phase, as in the file
-    transitions: list[dict]  # {source, guard: GuardExpr, output, target}
-    warnings: list[str]
+    factors: list[str]  # in declaration order
+    initial: RiskState
+    actions: list[GuardedAction]
     fingerprint: str | None  # of the document it was read from, if any
-
-    @property
-    def factors(self) -> list[str]:
-        return [d.name for d in self.factor_vars]
 
 
 def behavior_from_obj(obj: dict) -> ControllerBehavior:
@@ -106,27 +103,19 @@ def behavior_from_obj(obj: dict) -> ControllerBehavior:
     by_kind = {MONITORED: [], CONTROLLED: [], FACTOR: []}
     for d in decls:
         by_kind[d.kind].append(d)
-    input_vars, output_vars, factor_vars = (
-        by_kind[MONITORED], by_kind[CONTROLLED], by_kind[FACTOR]
-    )
-    factors = [d.name for d in factor_vars]
+    input_vars, output_vars = by_kind[MONITORED], by_kind[CONTROLLED]
+    factors = [d.name for d in by_kind[FACTOR]]
     initial = _risk_state_at(obj, "initial", factors)
-    transitions = []
+    actions = []
     for t in list_at(obj, "transitions"):
         source = _risk_state_at(t, "source", factors)
         target = _risk_state_at(t, "target", factors)
         guard = parse_guard(t["guard"], input_vars)
         output = t["output"]
         check_valuation(output, output_vars)
-        transitions.append(
-            {"source": source, "guard": guard, "output": output, "target": target}
-        )
-    warnings = []
-    if not transitions:
-        warnings.append("no transitions")
-    return ControllerBehavior(
-        input_vars, output_vars, factor_vars, initial, transitions, warnings
-    )
+        actions.append(GuardedAction(
+            derive_action_name(factors, source, target), guard, source, output, target))
+    return ControllerBehavior(input_vars, output_vars, factors, initial, actions)
 
 
 def load_behavior(path) -> ControllerBehavior:
@@ -145,21 +134,9 @@ def load_behavior(path) -> ControllerBehavior:
 def to_guarded_actions(
     b: ControllerBehavior, policy: str = POLICY_ERROR
 ) -> GuardedActionProgram:
-    """One guarded action per behaviour transition, determinism checked.
-
-    Outputs and risk updates are read directly from the behaviour file and
-    validated against the factor life-cycle.
-    """
-    actions = []
-    for t in b.transitions:
-        name = derive_action_name(b.factors, t["source"], t["target"])
-        actions.append(
-            GuardedAction(
-                name, t["guard"], _freeze(t["source"]), t["output"], _freeze(t["target"])
-            )
-        )
+    """The program of `b`'s guarded actions, determinism checked."""
     program = GuardedActionProgram(
-        b.input_vars, b.output_vars, b.factors, _freeze(b.initial), actions, policy
+        b.input_vars, b.output_vars, b.factors, b.initial, b.actions, policy
     )
     _check_program_determinism(program)
     return program
@@ -187,13 +164,13 @@ def _check_program_determinism(p: GuardedActionProgram) -> None:
         for v in members:
             enabled = [a for a in actions if eval_guard(a.guard, v)]
             if len(enabled) > 1:
-                raise DeterminismViolation(risk_state_name(dict(source), p.factors), v, enabled)
+                raise DeterminismViolation(risk_state_name(source, p.factors), v, enabled)
 
 
 def to_test_reference(b: ControllerBehavior, policy: str = POLICY_ERROR) -> Sfsm:
     """SFSM over the reachable risk states, transitions labelled guard/output.
 
-    Unreachable risk states are pruned; a warning is recorded on `b`.
+    Unreachable risk states are pruned (`check_hypotheses` warns of them).
     `to_guarded_actions` decides whether `b` is deterministic; overlapping
     guards in the SFSM are refused wherever it is stepped.
     `policy` has no effect (an SFSM carries none; `abstract_to_fsm` applies
@@ -201,12 +178,9 @@ def to_test_reference(b: ControllerBehavior, policy: str = POLICY_ERROR) -> Sfsm
     """
     factors = b.factors
     transitions = [
-        SfsmTransition(
-            risk_state_name(t["source"], factors),
-            derive_action_name(factors, t["source"], t["target"]),
-            t["guard"], t["output"], risk_state_name(t["target"], factors),
-        )
-        for t in b.transitions
+        SfsmTransition(risk_state_name(a.source, factors), a.name, a.guard, a.output,
+                       risk_state_name(a.target, factors))
+        for a in b.actions
     ]
     initial_name = risk_state_name(b.initial, factors)
     # breadth first: the list grows while it is walked, so it is its own queue
@@ -215,9 +189,6 @@ def to_test_reference(b: ControllerBehavior, policy: str = POLICY_ERROR) -> Sfsm
         for t in transitions:
             if t.source == s and t.target not in reachable:
                 reachable.append(t.target)
-    dropped = sorted({n for t in transitions for n in (t.source, t.target)} - set(reachable))
-    if dropped:
-        b.warnings.append(f"unreachable risk states dropped: {', '.join(dropped)}")
     return Sfsm(b.input_vars, b.output_vars, reachable, initial_name,
                 [t for t in transitions if t.source in reachable])
 
@@ -227,12 +198,13 @@ def to_test_reference(b: ControllerBehavior, policy: str = POLICY_ERROR) -> Sfsm
 # ---------------------------------------------------------------------------
 
 class HypothesisReport(Record):
-    __slots__ = ("state_count_program", "state_count_reference", "difference")
-    _defaults = {"difference": None}
+    __slots__ = ("state_count_program", "state_count_reference", "difference", "warnings")
+    _defaults = {"difference": None, "warnings": ()}
     __hash__ = None
     state_count_program: int
     state_count_reference: int
     difference: tuple | None  # a word of valuations on which the two differ
+    warnings: list[str]  # what the translation left out, not a failure
 
     @property
     def state_count_ok(self) -> bool:
@@ -277,6 +249,8 @@ def check_hypotheses(p: GuardedActionProgram, r: Sfsm) -> HypothesisReport:
     an output that no step gives: the program's (no action or two enabled,
     the `SupervisorError`s of its `step`), and the reference's uncovered
     input, which under `p`'s self-loop policy is a nil self-loop instead.
+    The warnings name an empty program and the program's risk states that
+    the reference lacks, the unreachable ones `to_test_reference` drops.
     """
     guards = distinct_guards([a.guard for a in p.actions] + [t.guard for t in r.transitions])
     inputs = (_CHECKED.get((tuple(guards), tuple(p.input_vars)))
@@ -286,4 +260,9 @@ def check_hypotheses(p: GuardedActionProgram, r: Sfsm) -> HypothesisReport:
         (p.initial, r.initial), inputs,
         _refusal_as_output(p.step, SupervisorError),
         _refusal_as_output(r.step, IncompleteState, nil))
-    return HypothesisReport(len(p.risk_states()), len(r.states), difference)
+    warnings = [] if p.actions else ["no transitions"]
+    states = p.risk_states()
+    dropped = sorted({risk_state_name(s, p.factors) for s in states} - set(r.states))
+    if dropped:
+        warnings.append(f"unreachable risk states dropped: {', '.join(dropped)}")
+    return HypothesisReport(len(states), len(r.states), difference, warnings)

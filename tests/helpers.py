@@ -733,12 +733,12 @@ TWINS = {twin.__name__: twin for twin in [
     _twin("MutationOutcome", ["mutant_id", "status", ("first_failing_case", object, None),
                               ("detail", object, None)], hashable=False),
     _twin("MutationReport", [("outcomes", object, ())], hashable=False),
-    _twin("ControllerBehavior", ["input_vars", "output_vars", "factor_vars", "initial",
-                                 "transitions", ("warnings", object, ()),
-                                 ("fingerprint", object, None)],
+    _twin("ControllerBehavior", ["input_vars", "output_vars", "factors", "initial",
+                                 "actions", ("fingerprint", object, None)],
           hashable=False),
     _twin("HypothesisReport", ["state_count_program", "state_count_reference",
-                               ("difference", object, None)], hashable=False),
+                               ("difference", object, None), ("warnings", object, ())],
+          hashable=False),
 ]}
 
 

@@ -338,7 +338,7 @@ class TestCriterion7HypothesisChecks:
         guard_caught = not check_hypotheses(perturbed_guard, reference).ok
 
         from suptest.guards import BoolConst
-        from suptest.supervisor import GuardedAction, _freeze
+        from suptest.program import GuardedAction, _freeze
         ghost = dict(program.initial)
         ghost["HS"], ghost["HC"] = "m", "m"
         extra_state = GuardedActionProgram(

@@ -89,8 +89,12 @@ class TestTranslate:
          "integer sort bounds must be integers: ['0', '1']"),
         ('{"vars": [{"name": "x", "sort": {"int": [true, 1]}}]}',
          "integer sort bounds must be integers: [True, 1]"),
+        ('{"vars": [{"name": "HS", "sort": {"enum": ["0", "a", "m"]}, "kind": "factor"}], '
+         '"initial": {"HS": "0"}, "transitions": [{"source": {"HS": "0"}, "guard": "true", '
+         '"output": {}, "target": {"HS": "m"}}]}',
+         "factor HS: phase change 0 -> m not allowed"),
     ], ids=["top-level-key", "transition-key", "not-object", "float-bound", "string-bounds",
-            "bool-bound"])
+            "bool-bound", "lifecycle"])
     def test_names_the_behaviour_file(self, tmp_path, capsys, content, cause):
         path = tmp_path / "bad.cb"
         path.write_text(content)
@@ -378,6 +382,10 @@ TARGET_PROGRAM = ('{"input_vars": [], "output_vars": [], "factors": ["HS", "HC"]
                   '"initial": {"HS": "0", "HC": "0"}, "actions": [{"name": "HSa", '
                   '"guard": "true", "source": {"HS": "0", "HC": "0"}, "output": null, '
                   '"target": %s}]}')
+# a program without variables or factors whose one action outputs %s
+OUTPUT_PROGRAM = ('{"input_vars": [], "output_vars": [], "factors": [], "initial": {}, '
+                  '"actions": [{"name": "nop", "guard": "true", "source": {}, "output": %s, '
+                  '"target": {}}]}')
 
 
 class TestServeReference:
@@ -405,8 +413,11 @@ class TestServeReference:
         (TARGET_PROGRAM % '{"HS": "a"}',
          "risk state {'HS': 'a'} does not assign exactly the factors ['HS', 'HC']"),
         (TARGET_PROGRAM % '{"HS": "z", "HC": "0"}', "unknown phase 'z' for factor HS"),
+        (OUTPUT_PROGRAM % "5", "not a valuation: 5"),
+        (OUTPUT_PROGRAM % '{"zz": 1}', "valuation has undeclared variables: zz"),
     ], ids=["missing", "malformed", "missing-key", "resolution-case", "resolution-int",
-            "policy-short", "policy-null", "partial-target", "unknown-phase"])
+            "policy-short", "policy-null", "partial-target", "unknown-phase", "output-int",
+            "output-undeclared"])
     def test_both_routes_fail_alike(self, tmp_path, capsys, content, cause):
         path = tmp_path / "program.gap"
         if content is not None:
@@ -827,17 +838,34 @@ class TestArtefactRead:
          "target must be an object, got [['HS', 'a']]"),
     ]
 
+    # (file, argv, id, edit, cause) of a valuation that is not an object and
+    # a guard that is not a string, which a reader would fail on in
+    # Python's words
+    VALUES = [
+        ("welding-cell.cb", TRANSLATE, "output-null",
+         lambda d: d["transitions"][0].update(output=None), "not a valuation: None"),
+        ("welding-cell.cb", TRANSLATE, "output-list",
+         lambda d: d["transitions"][0].update(output=[]), "not a valuation: []"),
+        ("welding-cell.cb", TRANSLATE, "guard-null",
+         lambda d: d["transitions"][0].update(guard=None), "a guard must be a string, got None"),
+        ("program.gap", MUTATE, "guard-int",
+         lambda d: d["actions"][0].update(guard=5), "a guard must be a string, got 5"),
+        ("reference.sfsm", CLASSES, "output-int",
+         lambda d: d["transitions"][0].update(output=5), "not a valuation: 5"),
+    ]
+
     @pytest.mark.parametrize("name, argv, edit, cause", READERS + [
         ("suite-h.json", ["check-suite", "fsm.json", "suite-h.json"], edit, cause)
         for _, edit, cause in SUITE_FIELDS
     ] + [
         ("abstraction.json", ["concretize", "suite-h.json", "partition.json", "abstraction.json"],
          edit, cause) for _, edit, cause in OUTPUTS
-    ] + [(name, argv, edit, cause) for name, argv, _, edit, cause in MODELS + LISTS + OBJECTS],
+    ] + [(name, argv, edit, cause)
+         for name, argv, _, edit, cause in MODELS + LISTS + OBJECTS + VALUES],
         ids=[f"{name}-{kind}" for name, *_ in READERS[::2] for kind in ("type", "domain")]
         + [f"suite-h.json-{field}" for field, *_ in SUITE_FIELDS]
         + [f"abstraction.json-{field}" for field, *_ in OUTPUTS]
-        + [f"{name}-{field}" for name, _, field, *_ in MODELS + LISTS + OBJECTS])
+        + [f"{name}-{field}" for name, _, field, *_ in MODELS + LISTS + OBJECTS + VALUES])
     def test_every_reader_names_the_file(self, abstracted, behaviour, monkeypatch, capsys,
                                          name, argv, edit, cause):
         assert main(["generate", str(abstracted / "fsm.json"),
@@ -1153,6 +1181,21 @@ class TestPipeline:
         # each compute the partition; DOT export's satisfiability search
         # is an early-exit walk and not counted
         assert len([c for c in callers if c != "satisfiable"]) == 3
+
+    def test_names_each_action_once(self, tmp_path, behaviour, monkeypatch):
+        from suptest import supervisor
+        original = supervisor.derive_action_name
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        replace_everywhere(monkeypatch, original, counted)
+        assert main(["pipeline", str(behaviour), "--out", str(tmp_path / "pipeline")]) == 0
+        # the reader names each of the 16 transitions; the translations
+        # take the names it gave
+        assert len(calls) == 16
 
     def test_fingerprints_only_the_behaviour(self, tmp_path, behaviour, monkeypatch):
         # every other link is the fingerprint that `write_artifact` took

@@ -51,8 +51,8 @@ def single_transition_obj():
 class TestLoadBehavior:
     def test_welding_cell_loads(self, welding_cell):
         assert welding_cell.factors == FACTORS
-        assert len(welding_cell.transitions) == 16
-        assert welding_cell.warnings == []
+        assert len(welding_cell.actions) == 16
+        assert hypotheses(welding_cell).warnings == []
 
     def test_disjointness_enforced(self):
         obj = single_transition_obj()
@@ -66,7 +66,7 @@ class TestLoadBehavior:
         obj = single_transition_obj()
         obj["transitions"] = []
         b = behavior_from_obj(obj)
-        assert "no transitions" in b.warnings
+        assert "no transitions" in hypotheses(b).warnings
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "b.cb"
@@ -136,7 +136,7 @@ class TestToGuardedActions:
 
     def test_welding_cell_action_count(self, welding_cell):
         p = to_guarded_actions(welding_cell)
-        assert len(p.actions) == len(welding_cell.transitions) == 16
+        assert len(p.actions) == len(welding_cell.actions) == 16
 
 
 class TestInterpretStep:
@@ -175,30 +175,48 @@ class TestToTestReference:
         assert len(r.states) == 2
 
     def test_unreachable_states_pruned(self):
-        obj = single_transition_obj()
-        obj["transitions"] = [
-            {
-                "source": {"F": "0"},
-                "guard": "true",
-                "output": {"y": 0},
-                "target": {"F": "0"},
-            },
-            {
-                "source": {"F": "a"},
-                "guard": "true",
-                "output": {"y": 1},
-                "target": {"F": "m"},
-            },
-        ]
-        b = behavior_from_obj(obj)
+        b = behavior_from_obj(unreachable_obj())
         r = to_test_reference(b)
         assert r.states == ("F0",)
-        assert any("unreachable" in w for w in b.warnings)
+        assert any("unreachable" in w for w in hypotheses(b).warnings)
+
+    def test_translations_leave_the_behaviour_as_read(self):
+        b = behavior_from_obj(unreachable_obj())
+        for _ in range(2):
+            to_test_reference(b)
+            to_guarded_actions(b)
+        assert b == behavior_from_obj(unreachable_obj())
+        assert hypotheses(b).warnings == ["unreachable risk states dropped: Fa, Fm"]
 
     def test_welding_cell_state_count(self, welding_cell):
         r = to_test_reference(welding_cell)
         assert 4 <= len(r.states) <= 27
         assert r.initial == "HS0_HC0_HRW0"
+
+
+def unreachable_obj():
+    """A behaviour of three risk states, two of them unreachable."""
+    obj = single_transition_obj()
+    obj["transitions"] = [
+        {
+            "source": {"F": "0"},
+            "guard": "true",
+            "output": {"y": 0},
+            "target": {"F": "0"},
+        },
+        {
+            "source": {"F": "a"},
+            "guard": "true",
+            "output": {"y": 1},
+            "target": {"F": "m"},
+        },
+    ]
+    return obj
+
+
+def hypotheses(b):
+    """The hypothesis report of `b`'s two translations."""
+    return check_hypotheses(to_guarded_actions(b), to_test_reference(b))
 
 
 class TestCheckHypotheses:
@@ -281,7 +299,7 @@ class TestCheckHypotheses:
         extra["HS"] = "m"
         extra["HC"] = "m"
         actions = list(p.actions)
-        from suptest.supervisor import GuardedAction, _freeze
+        from suptest.program import GuardedAction, _freeze
         actions.append(
             GuardedAction("ghost", parse_guard("false", p.input_vars),
                           _freeze(extra), actions[0].output, _freeze(extra))

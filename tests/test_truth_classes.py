@@ -183,12 +183,7 @@ class TestProgramEquivalent:
 
 def behaviour_of(p):
     """The widened welding cell with the actions of `p` as its transitions."""
-    transitions = [
-        {"source": dict(a.source), "guard": a.guard, "output": a.output,
-         "target": dict(a.target)}
-        for a in p.actions
-    ]
-    return BEHAVIOUR.replace(transitions=transitions)
+    return BEHAVIOUR.replace(actions=list(p.actions))
 
 
 def violation(check, p):
