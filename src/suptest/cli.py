@@ -397,8 +397,8 @@ def cmd_run(args, config) -> int:
 
 
 def cmd_serve_machine(args, config) -> int:
-    from . import harness
-    harness.serve_machine(load_machine(args.fsm))
+    from .program import serve_machine
+    serve_machine(load_machine(args.fsm))
     return 0
 
 

@@ -127,6 +127,15 @@ def object_at(obj: dict, key: str) -> dict:
     return value
 
 
+def string_at(obj: dict, key: str) -> str:
+    """`obj[key]`, refused unless it is a string: a reader would take any
+    other value as the name it gives."""
+    value = obj[key]
+    if not isinstance(value, str):
+        raise ValueError(f"{key} must be a string, got {value!r}")
+    return value
+
+
 def read_artifact(path, from_obj):
     """`from_obj(doc)` for the JSON object `doc` held in the file `path`.
 

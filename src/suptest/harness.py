@@ -18,6 +18,10 @@ reference SUT of a program file is served by a thread of this process
 instead (`ThreadedSut`), over the same pipes, so that it starts no
 process, and reads the program from the file.
 
+A SUT is given a suite's cases once, by `plan(cases)`, and runs them in
+that order: `reset()` starts the next case, and `step()` returns the
+output of its next input.
+
 A SUT answers every line, in order.  The harness sends RESET and all of a
 case's IN lines before it reads the first reply, and the lines of the cases
 that follow while they fit in `WINDOW` bytes (64 KiB, about what one pipe
@@ -50,7 +54,6 @@ from .program import (
     MEMO_SIZE,
     GuardedActionProgram,
     exit_code,
-    serve_behaviour,
     serve_program,
 )
 
@@ -179,34 +182,37 @@ class TestReport(Record):
 
 
 # ---------------------------------------------------------------------------
-# SUTs: anything with reset(inputs), step(input) and restart()
+# SUTs: anything with plan(cases, abstract), reset(), step() and restart()
 # ---------------------------------------------------------------------------
 
 class LocalSut:
     """A behaviour, a program or a machine, stepped in-process by its `step`,
-    which maps a (state, input) pair to (next state, output)."""
+    which maps a (state, input) pair to (next state, output): `reset()`
+    starts the planned cases' next one, and `step()` steps on its next
+    input."""
 
     def __init__(self, behaviour):
         self.initial = self.state = behaviour.initial
         self._step = behaviour.step
+        self._cases = iter(())
 
     def plan(self, cases, abstract: bool = False) -> None:
         """Nothing goes out ahead in-process, and outputs need no decoding."""
+        self._cases = iter(cases)
 
-    def reset(self, inputs=()) -> None:
-        """Back to the initial state; the case's `inputs` are not needed."""
+    def reset(self) -> None:
+        case = next(self._cases, None)
+        if case is None:
+            raise HarnessError("no planned case left")
         self.state = self.initial
+        self._inputs = iter(case.inputs)
 
-    restart = reset  # nothing to respawn in-process
+    def restart(self) -> None:
+        """Nothing to respawn in-process."""
 
-    def step(self, x):
-        self.state, output = self._step((self.state, x))
+    def step(self):
+        self.state, output = self._step((self.state, next(self._inputs)))
         return output
-
-
-def _encode_in(v) -> bytes:
-    """The protocol line `IN <v>`, encoded."""
-    return f"IN {encode_step(v)}\n".encode()
 
 
 class ThreadedSut:
@@ -306,21 +312,20 @@ class SutAdapter:
     there is none, the reference SUT of the program file `program`, served
     by a thread of this process for each session (`ThreadedSut`).
 
-    `reset(inputs)` announces a case: RESET and the case's IN lines are
-    queued together, and each `step` reads the next reply.  `plan(cases)`
-    announces the cases whose inputs the next `reset`s will announce, in
-    order, and each goes out before its `reset` as long as the lines queued
-    past the current case fit in `WINDOW` bytes: the SUT may receive later
-    cases' lines before it has answered the current one.  While it waits
-    for a reply, the adapter writes as much of the queue as the SUT's input
-    pipe takes, without blocking, so a case longer than a pipe holds goes
-    out as the SUT reads it, and `step_timeout` bounds the write as well as
-    the wait.  Replies a case leaves unread, because it stopped at a
-    mismatch, are read and discarded at the next `reset`; a SUT that exits,
-    answers ERR or times out meanwhile is restarted, which changes no
-    verdict.  A restarted SUT is sent again every case that was in flight
-    past the current one.  A `step` with no announced input is sent on its
-    own, when no case is queued past the current one.
+    `plan(cases)` gives the cases to run, in order; each `reset()` starts
+    the next of them, and each `step()` reads the reply to its next input.
+    A case's RESET and IN lines are queued together, and a case goes out
+    before its `reset` as long as the lines queued past the current case
+    fit in `WINDOW` bytes: the SUT may receive later cases' lines before it
+    has answered the current one.  While it waits for a reply, the adapter
+    writes as much of the queue as the SUT's input pipe takes, without
+    blocking, so a case longer than a pipe holds goes out as the SUT reads
+    it, and `step_timeout` bounds the write as well as the wait.  Replies a
+    case leaves unread, because it stopped at a mismatch, are read and
+    discarded at the next `reset`, and so are those of the cases in flight
+    when a new plan is given; a SUT that exits, answers ERR or times out
+    meanwhile is restarted, which changes no verdict.  A restarted SUT is
+    sent again every case that was in flight past the current one.
 
     A freshly started SUT that exits, stays silent, or answers its first
     RESET with anything but READY raises SutStartError naming the command,
@@ -362,9 +367,8 @@ class SutAdapter:
         self._clear()
 
     def _clear(self) -> None:
-        self._announced: deque = deque()  # inputs announced at reset, not yet stepped
         self._outbox = bytearray()  # lines queued, not yet written
-        self._owed = 0  # replies to the lines queued or written, not yet taken
+        self._unread = 0  # replies owed before the next case's READY
         self._replies: deque[str] = deque()  # replies read, not yet taken
         self._partial = b""  # the start of a reply whose newline is still to come
 
@@ -388,8 +392,8 @@ class SutAdapter:
             raise HarnessError(f"cannot start SUT {self.name}: {exc}") from exc
         os.set_blocking(self.process.stdin.fileno(), False)
         self._fresh = True
-        for inputs, lines in self._ahead:
-            self._queue(lines, 1 + len(inputs))
+        for _, lines in self._ahead:
+            self._outbox += lines
 
     def stop(self) -> None:
         if self.process is not None:
@@ -413,16 +417,10 @@ class SutAdapter:
     def restart(self) -> None:
         self.start()
 
-    def _queue(self, lines: bytes, count: int) -> None:
-        """Queue `lines`, `count` of them, to be written."""
-        self._outbox += lines
-        self._owed += count
-
     def _receive(self) -> str:
         """The next reply, waiting at most `step_timeout` for it and writing
         the queued lines meanwhile."""
         if self._replies:
-            self._owed -= 1
             return self._replies.popleft()
         if self.process is None:
             raise HarnessError("SUT process not running")
@@ -453,7 +451,6 @@ class SutAdapter:
                 lines = text.split("\n")
                 self._replies.extend([line.rstrip("\r") for line in lines] if "\r" in text
                                      else lines)
-        self._owed -= 1
         return self._replies.popleft()
 
     def _discard(self, count: int) -> bool:
@@ -487,19 +484,20 @@ class SutAdapter:
                              f"its standard error ends with:{quoted}")
 
     def plan(self, cases, abstract: bool = False) -> None:
-        """Announce `cases`, each with its `inputs`: the next `reset`s will
-        announce their inputs, in this order.  The IN line of each distinct
-        input object of the cases is encoded now, once.  The cases queued
-        past the current one for an earlier plan are discarded at the next
-        `reset`.  The cases of an `abstract` suite expect FSM labels, so
-        `OUT nil` is read as the label `nil` (`sfsm.NIL_LABEL`) instead of
-        the nil output (None) of a concrete suite."""
+        """Run `cases`, each with its `inputs`, in this order: each `reset`
+        starts the next of them.  The IN line of each distinct input object
+        of the cases is encoded now, once.  The replies of the cases queued
+        past the current one for an earlier plan are read and discarded at
+        the next `reset`.  The cases of an `abstract` suite expect FSM
+        labels, so `OUT nil` is read as the label `nil` (`sfsm.NIL_LABEL`)
+        instead of the nil output (None) of a concrete suite."""
         self._outputs[NIL_TEXT] = NIL_TEXT if abstract else None
         self._plan, self._planned = cases, 0
+        self._unread += sum(1 + len(inputs) for inputs, _ in self._ahead)
         self._ahead.clear()
         self._ahead_bytes = 0
         inputs = {id(v): v for case in cases for v in case.inputs}
-        self._in_ids = {key: _encode_in(v) for key, v in inputs.items()}
+        self._in_ids = {key: f"IN {encode_step(v)}\n".encode() for key, v in inputs.items()}
 
     def _upcoming(self) -> tuple | None:
         """(inputs, lines) of the first planned case not yet queued, if any:
@@ -516,33 +514,24 @@ class SutAdapter:
                 and self._ahead_bytes + len(case[1]) <= WINDOW:
             self._ahead.append(case)
             self._ahead_bytes += len(case[1])
-            self._queue(case[1], 1 + len(case[0]))
+            self._outbox += case[1]
             self._planned += 1
 
-    def reset(self, inputs=()) -> None:
-        """RESET, with the inputs of the case that follows sent ahead."""
-        queued = bool(self._ahead) and self._ahead[0][0] is inputs
-        if queued:  # the case went out ahead: drop what the current one left unread
-            owed = len(self._announced)
-        else:  # a case out of the plan's order: drop every reply owed
-            owed = self._owed
-            self._ahead.clear()
-            self._ahead_bytes = 0
-            case = self._upcoming()
-            if case is not None and case[0] is inputs:
-                self._planned += 1
-            else:  # a case no plan announced
-                self._plan, self._planned, self._in_ids = [], 0, {}
-                case = inputs, b"RESET\n" + b"".join(map(_encode_in, inputs))
-        self._announced.clear()
-        if not self._discard(owed):
+    def reset(self) -> None:
+        """RESET, to start the plan's next case, with the cases that follow
+        sent ahead."""
+        case = self._ahead[0] if self._ahead else self._upcoming()
+        if case is None:
+            raise HarnessError("no planned case left")
+        if not self._discard(self._unread):  # what the current case left unread
             self.restart()
-        if queued:
-            _, lines = self._ahead.popleft()
-            self._ahead_bytes -= len(lines)
-        else:
-            self._queue(case[1], 1 + len(inputs))
-        self._announced.extend(inputs)
+        if self._ahead:  # the case went out ahead
+            self._ahead.popleft()
+            self._ahead_bytes -= len(case[1])
+        else:  # longer than the window allows ahead
+            self._outbox += case[1]
+            self._planned += 1
+        self._unread = len(case[0])
         self._fill()
         try:
             reply = self._receive()
@@ -554,15 +543,11 @@ class SutAdapter:
             raise
         self._fresh = False
 
-    def step(self, v) -> dict | str | None:
-        if self._announced:
-            announced = self._announced.popleft()
-            if announced is not v and announced != v:
-                raise HarnessError(f"input {encode_step(v)} is not the one announced at RESET")
-        elif self._ahead:
-            raise HarnessError(f"input {encode_step(v)} was not announced at RESET")
-        else:
-            self._queue(_encode_in(v), 1)
+    def step(self) -> dict | str | None:
+        """The reply to the current case's next input, decoded."""
+        if not self._unread:
+            raise HarnessError("the case has no input left")
+        self._unread -= 1
         reply = self._receive()
         if reply.startswith("OUT "):
             payload = reply[4:]
@@ -594,23 +579,24 @@ class SutAdapter:
 def verdicts(sut, ts) -> Iterator[Verdict]:
     """Run a suite case by case, yielding each case's verdict as it is consumed.
 
-    `sut` is any object with plan(cases, abstract), reset(inputs),
-    step(input) and restart().  The run announces the suite's cases to it
-    first, and whether the suite is abstract; then each case resets it,
-    announcing the case's inputs, and checks every intermediate output; a
-    case stops at its first mismatch.  An exception from the SUT yields
-    ERROR with its text, then a restart; a SUT that cannot start
-    (SutStartError) ends the run instead.
+    `sut` is any object with plan(cases, abstract), reset(), step() and
+    restart().  The run gives it the suite's cases first, and whether the
+    suite is abstract; then each case resets it, which starts the case, and
+    checks the output of every step on the case's inputs; a case stops at
+    its first mismatch.  An exception from the SUT yields ERROR with its
+    text, then a restart; a SUT that cannot start (SutStartError) ends the
+    run instead.
     """
     sut.plan(ts.cases, not ts.concrete)
     for index, case in enumerate(ts.cases):
         try:
-            sut.reset(case.inputs)
+            sut.reset()
             verdict = Verdict(index, PASS)
-            for step_index, (inp, expected) in enumerate(zip(case.inputs, case.expected)):
-                observed = sut.step(inp)
+            for step_index, expected in enumerate(case.expected):
+                observed = sut.step()
                 if observed != expected:
-                    verdict = Verdict(index, FAIL, step_index, inp, expected, observed)
+                    verdict = Verdict(index, FAIL, step_index, case.inputs[step_index],
+                                      expected, observed)
                     break
         except SutStartError:
             raise
@@ -636,12 +622,3 @@ def run_suite_offline(program: GuardedActionProgram, ts) -> TestReport:
     if not ts.concrete:
         raise HarnessError("run_suite_offline needs a concrete suite")
     return run_suite(LocalSut(program), ts)
-
-
-# ---------------------------------------------------------------------------
-# Symbolic SUT
-# ---------------------------------------------------------------------------
-
-def serve_machine(machine, stdin=None, stdout=None) -> None:
-    """Serve a Mealy machine over the wire protocol with bare symbols."""
-    serve_behaviour(machine, str.strip, stdin, stdout)

@@ -7,7 +7,7 @@ program is a behaviour, as a Mealy machine is: it has an `initial` state
 and a `step` from a (state, input) pair to (next state, output).  The one
 server of the wire protocol's SUT side (see `harness` for the client
 side), `serve_behaviour`, serves any behaviour: a program
-(`serve_reference`) and a machine (`harness.serve_machine`) alike.
+(`serve_reference`) and a machine (`serve_machine`) alike.
 
 A risk state has one form here: its (factor, phase) pairs sorted by factor
 (`RiskState`).  Actions hold it, `step` maps it, the server keys its memo
@@ -32,7 +32,9 @@ from __future__ import annotations
 import os
 import sys
 
-from .encoding import decode_valuation, encode_step, list_at, object_at, read_artifact
+from .encoding import (
+    decode_valuation, encode_step, list_at, object_at, read_artifact, string_at,
+)
 from .guards import (
     PHASE_SORT,
     GuardExpr,
@@ -103,12 +105,14 @@ def _freeze(r: dict) -> RiskState:
 
 def _risk_state_at(obj: dict, key: str, factors: list[str]) -> RiskState:
     """The risk state `obj[key]`, which assigns each factor a phase."""
-    r = {str(k): str(v) for k, v in object_at(obj, key).items()}
+    r = object_at(obj, key)
     if set(r) != set(factors):
         raise SupervisorError(
             f"risk state {r} does not assign exactly the factors {factors}"
         )
     for f, p in r.items():
+        if not isinstance(p, str):
+            raise SupervisorError(f"phase of factor {f} must be a string, got {p!r}")
         if p not in PHASE_SORT:
             raise SupervisorError(f"unknown phase {p!r} for factor {f}")
     return _freeze(r)
@@ -169,7 +173,7 @@ class GuardedActionProgram(Record):
         factors = list(list_at(obj, "factors"))
         actions = [
             GuardedAction(
-                a["name"],
+                string_at(a, "name"),
                 parse_guard(a["guard"], input_vars),
                 _risk_state_at(a, "source", factors),
                 a["output"],
@@ -320,6 +324,11 @@ def serve_reference(program: GuardedActionProgram, stdin=None, stdout=None) -> N
     sorts, produces an ERR reply and leaves the state unchanged.
     """
     serve_behaviour(program, lambda text: _read_input(program, text), stdin, stdout)
+
+
+def serve_machine(machine, stdin=None, stdout=None) -> None:
+    """Serve a Mealy machine over the wire protocol with bare symbols."""
+    serve_behaviour(machine, str.strip, stdin, stdout)
 
 
 def load_program(path) -> GuardedActionProgram:

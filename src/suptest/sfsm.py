@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .encoding import NIL_TEXT, encode_step, fnv1a64, is_wire_valuation, list_at, object_at
+from .encoding import (
+    NIL_TEXT, encode_step, fnv1a64, is_wire_valuation, list_at, object_at, string_at,
+)
 from .fsm import MealyMachine
 from .guards import (
     GuardExpr,
@@ -126,7 +128,7 @@ class Sfsm:
         transitions = [
             SfsmTransition(
                 t["from"],
-                t["action"],
+                string_at(t, "action"),
                 parse_guard(t["guard"], input_vars),
                 t["output"],
                 t["to"],

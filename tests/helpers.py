@@ -384,6 +384,13 @@ def valuation_program_equivalent(p1, p2) -> bool:
     return True
 
 
+def start_case(sut, *inputs) -> None:
+    """Plan one case of `inputs` on `sut`, and reset it to start that case:
+    each `sut.step()` then returns the output of the next of them."""
+    sut.plan([TestCase(inputs, (None,) * len(inputs))])
+    sut.reset()
+
+
 def plain_verdicts(target, ts) -> list[tuple]:
     """(status, step, observed) per case of `ts`, run by a plain loop over
     `brute_outputs` for a machine or `GuardedActionProgram.step` for a program, whose

@@ -30,12 +30,12 @@ from suptest.encoding import (
 from suptest.mutation import OUTPUT_FAULT, generate_mutants
 from suptest.harness import (
     ERROR, FAIL, PASS, VERDICTS_PER_PART, SutAdapter, SutStartError, TestReport, ThreadedSut,
-    Verdict, serve_machine,
+    Verdict,
 )
-from suptest.program import serve_reference
+from suptest.program import serve_machine, serve_reference
 from suptest.supervisor import behavior_from_obj, load_behavior, to_guarded_actions
 from suptest.testgen import CASES_PER_PART, TestCase, TestSuite
-from helpers import canonical_artifact, settled, stepwise_replies, written
+from helpers import canonical_artifact, settled, start_case, stepwise_replies, written
 from test_harness import MEMO_LINES, behaviour_obj
 from test_supervisor import single_transition_obj
 
@@ -362,12 +362,13 @@ def module_route(program) -> list[str]:
     return [sys.executable, "-m", "suptest", "serve-reference", str(program)]
 
 
-def serve_reference_modules(program) -> set:
-    """The modules loaded when a reference SUT started as `python -m
-    suptest serve-reference` has answered RESET and exits."""
+def served_modules(path, subcommand="serve-reference") -> set:
+    """The modules loaded when a SUT started as `python -m suptest
+    SUBCOMMAND PATH`, by default a reference SUT, has answered RESET and
+    exits."""
     command = [sys.executable, "-c", PRINT_MODULES_AT_EXIT + (
         "import runpy\n"
-        f"sys.argv = ['suptest', 'serve-reference', {str(program)!r}]\n"
+        f"sys.argv = ['suptest', {subcommand!r}, {str(path)!r}]\n"
         "runpy.run_module('suptest', run_name='__main__', alter_sys=True)\n")]
     done = subprocess.run(command, input="RESET\n", capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout) == (0, "READY\n")
@@ -390,13 +391,13 @@ OUTPUT_PROGRAM = ('{"input_vars": [], "output_vars": [], "factors": [], "initial
 
 class TestServeReference:
     def test_loads_no_generator_module(self, translated):
-        loaded = serve_reference_modules(translated / "program.gap")
+        loaded = served_modules(translated / "program.gap")
         assert "suptest.program" in loaded
         assert not {"suptest.cli", "argparse"} & loaded
         assert not GENERATOR_MODULES & loaded
 
     def test_loads_neither_dataclasses_nor_client(self, translated):
-        loaded = serve_reference_modules(translated / "program.gap")
+        loaded = served_modules(translated / "program.gap")
         assert not CLIENT_MODULES & loaded
 
     @pytest.mark.parametrize("content, cause", [
@@ -425,7 +426,7 @@ class TestServeReference:
         spawned = subprocess.run(module_route(path), input="RESET\n", capture_output=True,
                                  text=True, timeout=60)
         with SutAdapter(program=path) as sut, pytest.raises(SutStartError) as threaded:
-            sut.reset()
+            start_case(sut)
         capsys.readouterr()
         assert main(["serve-reference", str(path)]) == 2
         assert spawned.returncode == 2
@@ -434,6 +435,13 @@ class TestServeReference:
         assert err.startswith(f"error: {path}: {cause}") and err.count("\n") == 1
         assert str(threaded.value).endswith(": SUT exited with code 2; its standard error ends "
                                             "with:\n  " + err.rstrip("\n"))
+
+
+class TestServeMachineCommand:
+    def test_loads_neither_dataclasses_nor_client(self, abstracted):
+        loaded = served_modules(abstracted / "fsm.json", "serve-machine")
+        assert "suptest.program" in loaded
+        assert not CLIENT_MODULES & loaded
 
 
 def threaded_route(path, data: bytes, timeout: float = 60) -> tuple[int, bytes]:
@@ -838,9 +846,10 @@ class TestArtefactRead:
          "target must be an object, got [['HS', 'a']]"),
     ]
 
-    # (file, argv, id, edit, cause) of a valuation that is not an object and
-    # a guard that is not a string, which a reader would fail on in
-    # Python's words
+    # (file, argv, id, edit, cause) of a valuation that is not an object, a
+    # guard that is not a string, which a reader would fail on in Python's
+    # words, and a phase or a name that is not a string, which a reader
+    # would take as it is or as its text
     VALUES = [
         ("welding-cell.cb", TRANSLATE, "output-null",
          lambda d: d["transitions"][0].update(output=None), "not a valuation: None"),
@@ -852,6 +861,14 @@ class TestArtefactRead:
          lambda d: d["actions"][0].update(guard=5), "a guard must be a string, got 5"),
         ("reference.sfsm", CLASSES, "output-int",
          lambda d: d["transitions"][0].update(output=5), "not a valuation: 5"),
+        ("welding-cell.cb", TRANSLATE, "phase-int", lambda d: d["initial"].update(HS=0),
+         "phase of factor HS must be a string, got 0"),
+        ("program.gap", MUTATE, "phase-int", lambda d: d["initial"].update(HS=0),
+         "phase of factor HS must be a string, got 0"),
+        ("program.gap", MUTATE, "name-list", lambda d: d["actions"][0].update(name=[1]),
+         "name must be a string, got [1]"),
+        ("reference.sfsm", CLASSES, "action-int",
+         lambda d: d["transitions"][0].update(action=5), "action must be a string, got 5"),
     ]
 
     @pytest.mark.parametrize("name, argv, edit, cause", READERS + [

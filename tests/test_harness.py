@@ -9,6 +9,7 @@ import signal
 import sys
 import threading
 import time
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +32,6 @@ from suptest.harness import (
     Verdict,
     run_suite,
     run_suite_offline,
-    serve_machine,
     verdicts,
 )
 from suptest.mutation import (
@@ -40,7 +40,7 @@ from suptest.mutation import (
 from suptest.guards import parse_guard
 from suptest.program import (
     DEFAULT_STEP_TIMEOUT, MEMO_SIZE, GuardedAction, GuardedActionProgram,
-    load_program, serve_program, serve_reference,
+    load_program, serve_machine, serve_program, serve_reference,
 )
 from suptest.sfsm import (
     POLICY_ERROR, POLICY_SELFLOOP, abstract_to_fsm, concretize_suite, input_classes,
@@ -51,7 +51,7 @@ from suptest.supervisor import (
 from suptest.testgen import TestCase, TestSuite, h_method
 
 from helpers import (
-    m0, plain_verdicts, random_machine, stepwise_machine_replies, stepwise_replies,
+    m0, plain_verdicts, random_machine, start_case, stepwise_machine_replies, stepwise_replies,
 )
 
 try:
@@ -346,39 +346,76 @@ def program_file(tmp_path, program, name="program.gap"):
 class TestSutAdapter:
     def test_reset_and_step(self, tmp_path, program):
         with SutAdapter(program=program_file(tmp_path, program)) as sut:
-            sut.reset()
-            assert sut.step({"x": 1}) == {"y": 1}
-            assert sut.step({"x": 1}) == {"y": 0}
+            start_case(sut, {"x": 1}, {"x": 1})
+            assert sut.step() == {"y": 1}
+            assert sut.step() == {"y": 0}
 
     def test_timeout_raises(self):
         command = [sys.executable, "-c", "import time; time.sleep(30)"]
         with SutAdapter(command, step_timeout=0.3) as sut:
             with pytest.raises(HarnessError):
-                sut.reset()
+                start_case(sut)
 
     def test_err_reply_raises(self, tmp_path, program):
         with SutAdapter(program=program_file(tmp_path, program)) as sut:
-            sut.reset()
+            start_case(sut, "not-a-valuation")
             with pytest.raises(HarnessError):
-                sut.step("not-a-valuation")
+                sut.step()
 
-    def test_step_other_than_announced_raises(self, tmp_path, program):
+    def test_step_past_the_case_raises(self, tmp_path, program):
         with SutAdapter(program=program_file(tmp_path, program)) as sut:
-            sut.reset(({"x": 1},))
-            with pytest.raises(HarnessError, match=r'^input \{"x":0\} is not the one '
-                                                   r'announced at RESET$'):
-                sut.step({"x": 0})
+            start_case(sut, {"x": 1})
+            assert sut.step() == {"y": 1}
+            with pytest.raises(HarnessError, match="^the case has no input left$"):
+                sut.step()
+            start_case(sut, {"x": 1})
+            assert sut.step() == {"y": 1}
 
-    def test_step_unannounced_with_cases_queued_raises(self, tmp_path, program,
-                                                       concrete_suite):
+
+class TestPlan:
+    """Each `reset` starts the plan's next case; a plan given while cases
+    are in flight has their replies read and discarded first."""
+
+    @pytest.fixture(scope="class")
+    def welding_m8(self, welding_cell):
+        """The welding cell's program and its concrete H-Method suite for
+        m = 8."""
+        reference = to_test_reference(welding_cell)
+        machine, amap = abstract_to_fsm(reference)
+        suite = concretize_suite(h_method(machine, 8), input_classes(reference), amap)
+        return to_guarded_actions(welding_cell), suite
+
+    @pytest.mark.parametrize("fault, failing", [(False, 0), (True, 1128)],
+                             ids=["reference", "output-fault"])
+    def test_replan_with_cases_in_flight(self, tmp_path, welding_m8, fault, failing):
+        program, suite = welding_m8
+        if fault:
+            program = generate_mutants(program, operators=[OUTPUT_FAULT])[0].target
+        path = program_file(tmp_path, program)
+        with SutAdapter(program=path) as fresh:
+            expected = list(verdicts(fresh, suite))
+        assert len(suite.cases) == 2556
+        assert sum(v.status == FAIL for v in expected) == failing
+        with SutAdapter(program=path) as sut:
+            process = sut.process
+            abandoned = verdicts(sut, suite)
+            assert [next(abandoned) for _ in range(3)] == expected[:3]
+            assert sut._ahead  # cases in flight past the third
+            assert list(verdicts(sut, suite)) == expected
+            assert sut.process is process  # no restart
+        assert all(v.status != ERROR for v in expected)
+
+    @pytest.mark.parametrize("local", [False, True], ids=["adapter", "in-process"])
+    def test_reset_past_the_plan_raises(self, tmp_path, program, concrete_suite, local):
         cases = concrete_suite.cases[:2]
-        with SutAdapter(program=program_file(tmp_path, program)) as sut:
+        with (nullcontext(LocalSut(program)) if local
+              else SutAdapter(program=program_file(tmp_path, program))) as sut:
             sut.plan(cases)
-            sut.reset(cases[0].inputs)
-            for v in cases[0].inputs:
-                sut.step(v)
-            with pytest.raises(HarnessError, match=r"^input .* was not announced at RESET$"):
-                sut.step(cases[0].inputs[0])
+            for case in cases:
+                sut.reset()
+                assert tuple(sut.step() for _ in case.inputs) == case.expected
+            with pytest.raises(HarnessError, match="^no planned case left$"):
+                sut.reset()
 
 
 def fake_sut(tmp_path, on_input: str) -> list[str]:
@@ -413,9 +450,9 @@ class TestSutFailures:
     def test_closed_pipes_without_exit(self, tmp_path):
         command = fake_sut(tmp_path, "import os, time; os.close(1); time.sleep(30)")
         with SutAdapter(command, step_timeout=0.5) as sut:
-            sut.reset()
+            start_case(sut, {"x": 1})
             with pytest.raises(HarnessError, match="^SUT closed its pipes but did not exit$"):
-                sut.step({"x": 1})
+                sut.step()
 
     def test_sut_that_cannot_start_ends_the_run(self, tmp_path, concrete_suite, capsys):
         script = tmp_path / "broken_sut.py"
@@ -641,12 +678,12 @@ class TestThreadedSut:
     def test_no_sut_holds_another_ones_pipe(self, tmp_path, program):
         path = program_file(tmp_path, program)
         with SutAdapter(program=path) as first, SutAdapter(program=path) as second:
-            first.reset()
-            second.reset()
+            start_case(first)
+            start_case(second)
             first.process.stdin.close()
             assert first.process.wait(timeout=2) == 0
-            second.reset()
-            assert second.step({"x": 1}) == {"y": 1}
+            start_case(second, {"x": 1})
+            assert second.step() == {"y": 1}
 
     def test_unflushed_output_of_the_parent_appears_once(self, tmp_path, program, capfd,
                                                           monkeypatch):
@@ -655,8 +692,8 @@ class TestThreadedSut:
         try:
             stream.write("written before the session\n")
             with SutAdapter(program=program_file(tmp_path, program)) as sut:
-                sut.reset()
-                assert sut.step({"x": 1}) == {"y": 1}
+                start_case(sut, {"x": 1})
+                assert sut.step() == {"y": 1}
         finally:
             stream.close()
         assert capfd.readouterr().out == "written before the session\n"
@@ -668,20 +705,20 @@ class TestThreadedSut:
         before = set(threading.enumerate())
         with SutAdapter(program=program_file(tmp_path, program)) as sut:
             servers = [sut.process.thread]
-            sut.reset()
+            start_case(sut, {"x": 1})
             with pytest.raises(HarnessError, match="SUT exited with code 3"):
-                sut.step({"x": 1})
+                sut.step()
             for _ in range(3):
                 sut.restart()
                 servers.append(sut.process.thread)
                 assert set(threading.enumerate()) - before == {sut.process.thread}
-                sut.reset()
+                start_case(sut, {"x": 7})
                 with pytest.raises(HarnessError, match="SUT error reply"):
-                    sut.step({"x": 7})
+                    sut.step()
             sut.restart()
             servers.append(sut.process.thread)
-            sut.reset()
-            assert sut.step({"x": 1}) == {"y": 1}
+            start_case(sut, {"x": 1})
+            assert sut.step() == {"y": 1}
         assert len(set(servers)) == len(servers)
         assert set(threading.enumerate()) - before == set()
 
@@ -727,7 +764,7 @@ class TestThreadedSut:
         monkeypatch.setenv("SUPTEST_DEBUG", "1")
         path = tmp_path / "missing.gap"
         with SutAdapter(program=path) as sut, pytest.raises(SutStartError) as failed:
-            sut.reset()
+            start_case(sut)
         assert ": SUT exited with code 1; " in str(failed.value)
         assert str(failed.value).endswith(
             f"suptest.encoding.ArtifactError: {path}: No such file or directory")
@@ -769,8 +806,7 @@ class TestSharedLoop:
         assert first is not None and first + 1 < len(concrete_suite.cases)
         steps = []
         step = LocalSut.step
-        monkeypatch.setattr(LocalSut, "step",
-                            lambda self, v: steps.append(v) or step(self, v))
+        monkeypatch.setattr(LocalSut, "step", lambda self: steps.append(self) or step(self))
         outcome = classify(program, concrete_suite, mu)
         assert (outcome.status, outcome.first_failing_case) == (KILLED, first)
         before = sum(len(case.inputs) for case in concrete_suite.cases[:first])

@@ -26,6 +26,8 @@ from suptest.supervisor import (
     to_test_reference,
 )
 
+from helpers import start_case
+
 FACTORS = ["HS", "HC", "HRW"]
 
 
@@ -330,9 +332,10 @@ class TestSemanticAgreement:
         space = list(enumerate_valuations(p.input_vars))
         allowed = {("0", "a"), ("a", "m"), ("m", "0")}
         interp = LocalSut(p)
+        start_case(interp, *(rng.choice(space) for _ in range(500)))
         for _ in range(500):
             before = dict(interp.state)
-            interp.step(rng.choice(space))
+            interp.step()
             after = dict(interp.state)
             for f in p.factors:
                 assert before[f] == after[f] or (before[f], after[f]) in allowed
@@ -341,7 +344,8 @@ class TestSemanticAgreement:
 def outputs_along(behaviour, word) -> list:
     """The outputs of `behaviour`, stepped in process along `word`."""
     sut = LocalSut(behaviour)
-    return [sut.step(v) for v in word]
+    start_case(sut, *word)
+    return [sut.step() for _ in word]
 
 
 def _phases_from_name(name: str, factors):
