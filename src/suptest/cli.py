@@ -32,11 +32,11 @@ from collections.abc import Iterator
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .encoding import ArtifactError, encode_compact, read_artifact
+from .encoding import ArtifactError, encode_compact, read_artifact, value_at
 from .program import (
     DEFAULT_STEP_TIMEOUT,
+    POLICIES,
     POLICY_ERROR,
-    POLICY_SELFLOOP,
     GuardedActionProgram,
     exit_code,
     load_program,  # beside the other load_* functions; perfbench reads cli.load_program
@@ -83,8 +83,7 @@ def config_from_obj(doc: dict) -> dict:
     if unknown:
         raise CliError(f"unknown keys {unknown}")
     config = {**DEFAULTS, **doc}
-    if config["policy"] not in (POLICY_ERROR, POLICY_SELFLOOP):
-        raise CliError(f"unknown policy {config['policy']!r}")
+    value_at(config, "policy", POLICIES)
     for key, (want, ok) in CONFIG_TYPES.items():
         if not ok(config[key]):
             raise CliError(f"{key} must be {want}, got {config[key]!r}")
@@ -206,9 +205,7 @@ def with_links(from_obj):
     """`from_obj` that also returns the document's `derivedFrom`: the
     fingerprints of the artefacts it was derived from, by kind."""
     def read(doc):
-        links = doc.get("derivedFrom", {})
-        if not isinstance(links, dict):
-            raise ValueError(f"derivedFrom must be an object, got {links!r}")
+        links = value_at(doc, "derivedFrom", dict, default={})
         return from_obj(doc), links
     return read
 

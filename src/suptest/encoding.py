@@ -8,8 +8,10 @@ payload, which is its file without the `derivedFrom` key.  `cli`'s writer
 streams an artefact's file and its payload's fingerprint from one encoding.
 FNV-1a (:func:`fnv1a64`) only labels DOT edges.  Every JSON file the toolkit
 reads goes through :func:`read_artifact`, so every refusal of an input names
-its file, and each list-valued key of it through :func:`list_at` and each
-object-valued key through :func:`object_at`.
+its file, and each value a reader takes from it through :func:`value_at`
+(an item of a list the reader walks itself through :func:`checked`), so
+every value of the wrong type is refused in one form:
+`<key>[<index>] must be <kind>, got <value>`.
 """
 
 from __future__ import annotations
@@ -109,30 +111,44 @@ def fingerprint(obj: object) -> str:
     return hashlib.blake2b(data, digest_size=8).hexdigest()
 
 
-def list_at(obj: dict, key: str) -> list:
-    """`obj[key]`, refused unless it is a list: a reader would take a
-    string there character by character, and an object key by key."""
-    value = obj[key]
-    if not isinstance(value, list):
-        raise ValueError(f"{key} must be a list, got {value!r}")
-    return value
+# How a refusal names each kind of value a reader takes.
+_KIND_NAMES = {list: "a list", dict: "an object", str: "a string", int: "an int",
+               bool: "a bool"}
+
+_REQUIRED = object()
 
 
-def object_at(obj: dict, key: str) -> dict:
-    """`obj[key]`, refused unless it is an object: a reader would take a
-    list of pairs there as if it were one, or fail on it in Python's words."""
-    value = obj[key]
-    if not isinstance(value, dict):
-        raise ValueError(f"{key} must be an object, got {value!r}")
-    return value
+def checked(value, kind, key: str, index: int | None = None):
+    """`value`, read at `key` (at its item `index`, if given), refused
+    unless it is of `kind`: `list`, `dict`, `str`, `bool`, `int` (which a
+    bool is not), or a tuple of the literals it may be."""
+    if type(kind) is tuple:
+        if value in kind:
+            return value
+        want = "one of " + ", ".join(map(repr, kind))
+    elif type(value) is int if kind is int else isinstance(value, kind):
+        return value
+    else:
+        want = _KIND_NAMES[kind]
+    where = key if index is None else f"{key}[{index}]"
+    raise ValueError(f"{where} must be {want}, got {value!r}")
 
 
-def string_at(obj: dict, key: str) -> str:
-    """`obj[key]`, refused unless it is a string: a reader would take any
-    other value as the name it gives."""
-    value = obj[key]
-    if not isinstance(value, str):
-        raise ValueError(f"{key} must be a string, got {value!r}")
+def value_at(obj: dict, key: str, kind, items=None, default=_REQUIRED):
+    """`obj[key]`, or `default` where `key` is missing and a default is
+    given, refused unless it is of `kind` and, for a list, each of its items
+    of `items` (see :func:`checked`).  A reader would take a value of
+    another type as it is, character by character or key by key, or fail
+    on it in Python's words.  A value of exactly the type `kind` is taken
+    without a call of :func:`checked`, which accepts it too: a suite's read
+    takes two values of each of its many cases."""
+    value = obj[key] if default is _REQUIRED else obj.get(key, default)
+    if type(value) is not kind:
+        checked(value, kind, key)
+    if items is not None:
+        for i, item in enumerate(value):
+            if type(item) is not items:
+                checked(item, items, key, i)
     return value
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .encoding import list_at
+from .encoding import value_at
 from .guards import Record
 
 
@@ -133,12 +133,14 @@ class MealyMachine:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "MealyMachine":
-        rows = list_at(obj, "transitions")
-        transitions = {(t["from"], t["input"]): (t["to"], t["output"]) for t in rows}
+        rows = value_at(obj, "transitions", list, dict)
+        transitions = {(value_at(t, "from", str), value_at(t, "input", str)):
+                       (value_at(t, "to", str), value_at(t, "output", str)) for t in rows}
         if len(transitions) != len(rows):
             raise FsmError("duplicate (state, input) pair: machine not deterministic")
-        return cls(list_at(obj, "states"), obj["initial"], list_at(obj, "inputs"),
-                   list_at(obj, "outputs"), transitions)
+        return cls(value_at(obj, "states", list, str), value_at(obj, "initial", str),
+                   value_at(obj, "inputs", list, str), value_at(obj, "outputs", list, str),
+                   transitions)
 
     def to_dot(self) -> str:
         lines = ["digraph fsm {", "  rankdir=LR;", '  __start [shape=point];',

@@ -31,7 +31,7 @@ import operator
 import re
 from collections.abc import Iterator
 
-from .encoding import list_at
+from .encoding import value_at
 
 ENUM_BOUND = 1_000_000  # largest valuation or cell-product space walked
 
@@ -210,17 +210,16 @@ class VarDecl(Record):
 
 def sort_from_obj(obj) -> Sort:
     if "enum" in obj:
-        return EnumSort(tuple(str(x) for x in list_at(obj, "enum")))
+        return EnumSort(tuple(value_at(obj, "enum", list, str)))
     if "int" in obj:
-        lo, hi = list_at(obj, "int")
-        if type(lo) is not int or type(hi) is not int:
-            raise ValueError(f"integer sort bounds must be integers: {obj['int']!r}")
+        lo, hi = value_at(obj, "int", list, int)
         return IntSort(lo, hi)
     raise ValueError(f"unknown sort: {obj!r}")
 
 
 def decl_from_obj(obj) -> VarDecl:
-    return VarDecl(obj["name"], sort_from_obj(obj["sort"]), obj.get("kind", MONITORED))
+    return VarDecl(value_at(obj, "name", str), sort_from_obj(value_at(obj, "sort", dict)),
+                   value_at(obj, "kind", str, default=MONITORED))
 
 
 def check_decls(decls: list[VarDecl]) -> None:

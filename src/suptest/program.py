@@ -32,9 +32,7 @@ from __future__ import annotations
 import os
 import sys
 
-from .encoding import (
-    decode_valuation, encode_step, list_at, object_at, read_artifact, string_at,
-)
+from .encoding import checked, decode_valuation, encode_step, read_artifact, value_at
 from .guards import (
     PHASE_SORT,
     GuardExpr,
@@ -61,6 +59,7 @@ MEMO_SIZE = 4096
 # answered with the nil output and no change of risk state.
 POLICY_ERROR = "error"
 POLICY_SELFLOOP = "complete-with-selfloop"
+POLICIES = (POLICY_ERROR, POLICY_SELFLOOP)
 
 
 class SupervisorError(Exception):
@@ -105,15 +104,13 @@ def _freeze(r: dict) -> RiskState:
 
 def _risk_state_at(obj: dict, key: str, factors: list[str]) -> RiskState:
     """The risk state `obj[key]`, which assigns each factor a phase."""
-    r = object_at(obj, key)
+    r = value_at(obj, key, dict)
     if set(r) != set(factors):
         raise SupervisorError(
             f"risk state {r} does not assign exactly the factors {factors}"
         )
     for f, p in r.items():
-        if not isinstance(p, str):
-            raise SupervisorError(f"phase of factor {f} must be a string, got {p!r}")
-        if p not in PHASE_SORT:
+        if checked(p, str, f"phase of factor {f}") not in PHASE_SORT:
             raise SupervisorError(f"unknown phase {p!r} for factor {f}")
     return _freeze(r)
 
@@ -168,18 +165,18 @@ class GuardedActionProgram(Record):
 
     @classmethod
     def from_obj(cls, obj: dict) -> "GuardedActionProgram":
-        input_vars = [decl_from_obj(d) for d in list_at(obj, "input_vars")]
-        output_vars = [decl_from_obj(d) for d in list_at(obj, "output_vars")]
-        factors = list(list_at(obj, "factors"))
+        input_vars = [decl_from_obj(d) for d in value_at(obj, "input_vars", list, dict)]
+        output_vars = [decl_from_obj(d) for d in value_at(obj, "output_vars", list, dict)]
+        factors = list(value_at(obj, "factors", list, str))
         actions = [
             GuardedAction(
-                string_at(a, "name"),
+                value_at(a, "name", str),
                 parse_guard(a["guard"], input_vars),
                 _risk_state_at(a, "source", factors),
                 a["output"],
                 _risk_state_at(a, "target", factors),
             )
-            for a in list_at(obj, "actions")
+            for a in value_at(obj, "actions", list, dict)
         ]
         for a in actions:
             if a.output is not None:  # the nil output
@@ -190,8 +187,8 @@ class GuardedActionProgram(Record):
             factors,
             _risk_state_at(obj, "initial", factors),
             actions,
-            _choice(obj, "policy", (POLICY_ERROR, POLICY_SELFLOOP)),
-            _choice(obj, "resolution", ("strict", "first")),
+            value_at(obj, "policy", POLICIES, default=POLICY_ERROR),
+            value_at(obj, "resolution", ("strict", "first"), default="strict"),
         )
 
     def step(self, pair: tuple[RiskState, Valuation]) -> tuple[RiskState, Valuation | None]:
@@ -213,14 +210,6 @@ class GuardedActionProgram(Record):
                 return r, None
             raise NoEnabledAction(r, v)
         return enabled[0].target, enabled[0].output
-
-
-def _choice(obj: dict, key: str, allowed: tuple):
-    """`obj[key]`, one of `allowed`; the first of them if `key` is missing."""
-    value = obj.get(key, allowed[0])
-    if value not in allowed:
-        raise ValueError(f"{key} must be one of {', '.join(map(repr, allowed))}, not {value!r}")
-    return value
 
 
 def _read_input(program: GuardedActionProgram, text: str) -> Valuation:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .encoding import (
-    NIL_TEXT, encode_step, fnv1a64, is_wire_valuation, list_at, object_at, string_at,
+    NIL_TEXT, encode_step, fnv1a64, is_wire_valuation, value_at,
 )
 from .fsm import MealyMachine
 from .guards import (
@@ -123,19 +123,20 @@ class Sfsm:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "Sfsm":
-        input_vars = [decl_from_obj(d) for d in list_at(obj, "input_vars")]
-        output_vars = [decl_from_obj(d) for d in list_at(obj, "output_vars")]
+        input_vars = [decl_from_obj(d) for d in value_at(obj, "input_vars", list, dict)]
+        output_vars = [decl_from_obj(d) for d in value_at(obj, "output_vars", list, dict)]
+        states, initial = value_at(obj, "states", list, str), value_at(obj, "initial", str)
         transitions = [
             SfsmTransition(
-                t["from"],
-                string_at(t, "action"),
+                value_at(t, "from", str),
+                value_at(t, "action", str),
                 parse_guard(t["guard"], input_vars),
                 t["output"],
-                t["to"],
+                value_at(t, "to", str),
             )
-            for t in list_at(obj, "transitions")
+            for t in value_at(obj, "transitions", list, dict)
         ]
-        return cls(input_vars, output_vars, list_at(obj, "states"), obj["initial"], transitions)
+        return cls(input_vars, output_vars, states, initial, transitions)
 
     def step(self, pair: tuple[str, Valuation]) -> tuple[str, Valuation | None]:
         """Target and output of the unique transition enabled at `pair` =
@@ -183,14 +184,11 @@ class InputClassPartition(Record):
 
     @classmethod
     def from_obj(cls, obj: dict) -> "InputClassPartition":
-        classes = []
-        for c in list_at(obj, "classes"):
-            signature = c["signature"]
-            if not isinstance(signature, list) or not all(isinstance(b, bool) for b in signature):
-                raise SfsmError(f"class {c['id']}: signature {signature!r} "
-                                "is not a list of booleans")
-            classes.append(InputClass(c["id"], tuple(signature), c["representative"], c["size"]))
-        partition = cls(guards=list(list_at(obj, "guards")), classes=classes)
+        classes = [InputClass(value_at(c, "id", str),
+                              tuple(value_at(c, "signature", list, bool)),
+                              value_at(c, "representative", dict), value_at(c, "size", int))
+                   for c in value_at(obj, "classes", list, dict)]
+        partition = cls(guards=list(value_at(obj, "guards", list, str)), classes=classes)
         partition.check_representatives()
         return partition
 
@@ -246,7 +244,8 @@ class AbstractionMap(Record):
 
     @classmethod
     def from_obj(cls, obj: dict) -> "AbstractionMap":
-        amap = cls(object_at(obj, "class_to_valuation"), object_at(obj, "label_to_output"))
+        amap = cls(value_at(obj, "class_to_valuation", dict),
+                   value_at(obj, "label_to_output", dict))
         for label, v in amap.label_to_output.items():
             if v is not None and not is_wire_valuation(v):
                 raise ValueError(f"output label {label!r} maps to {v!r}, "

@@ -13,7 +13,7 @@ plus static hypothesis checks comparing what the two do.
 
 from __future__ import annotations
 
-from .encoding import encode_step, fingerprint, list_at, read_artifact
+from .encoding import encode_step, fingerprint, read_artifact, value_at
 from .fsm import first_difference
 from .guards import (
     CONTROLLED,
@@ -90,7 +90,7 @@ class ControllerBehavior(Record):
 
 
 def behavior_from_obj(obj: dict) -> ControllerBehavior:
-    decls = [decl_from_obj(d) for d in list_at(obj, "vars")]
+    decls = [decl_from_obj(d) for d in value_at(obj, "vars", list, dict)]
     kinds_of: dict[str, set[str]] = {}
     for d in decls:
         kinds_of.setdefault(d.name, set()).add(d.kind)
@@ -107,7 +107,7 @@ def behavior_from_obj(obj: dict) -> ControllerBehavior:
     factors = [d.name for d in by_kind[FACTOR]]
     initial = _risk_state_at(obj, "initial", factors)
     actions = []
-    for t in list_at(obj, "transitions"):
+    for t in value_at(obj, "transitions", list, dict):
         source = _risk_state_at(t, "source", factors)
         target = _risk_state_at(t, "target", factors)
         guard = parse_guard(t["guard"], input_vars)

@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from itertools import product
 
-from .encoding import encode_compact, list_at
+from .encoding import checked, encode_compact, value_at
 from .fsm import MealyMachine
 from .guards import ENUM_BOUND, Record
 
@@ -128,9 +128,12 @@ class TestSuite(Record):
         """
         known: dict = {}  # (value, types) of an input or output -> the first one read
         cases = []
-        for i, c in enumerate(list_at(obj, "cases")):
+        for i, c in enumerate(value_at(obj, "cases", list)):
+            if type(c) is not dict:
+                checked(c, dict, "cases", i)
             try:
-                inputs, expected = list_at(c, "inputs"), list_at(c, "expectedOutputs")
+                inputs = value_at(c, "inputs", list)
+                expected = value_at(c, "expectedOutputs", list)
             except ValueError as exc:
                 raise TestGenError(f"case {i}: {exc}") from None
             if len(inputs) != len(expected):
@@ -141,14 +144,8 @@ class TestSuite(Record):
                 if isinstance(v, str) and ("\n" in v or "\r" in v):
                     raise TestGenError(f"case {i}: input {v!r} holds a line break")
             cases.append(TestCase(inputs, _shared(expected, known)))
-        method, m_bound, concrete = obj["method"], obj["mBound"], obj.get("concrete", False)
-        if method not in ("h", "w"):
-            raise TestGenError(f'method must be "h" or "w", got {method!r}')
-        if not isinstance(m_bound, int) or isinstance(m_bound, bool):
-            raise TestGenError(f"mBound must be an int, got {m_bound!r}")
-        if not isinstance(concrete, bool):
-            raise TestGenError(f"concrete must be a bool, got {concrete!r}")
-        return cls(cases, method, m_bound, concrete)
+        return cls(cases, value_at(obj, "method", ("h", "w")), value_at(obj, "mBound", int),
+                   value_at(obj, "concrete", bool, default=False))
 
 
 def _shared(values: list, known: dict) -> tuple:

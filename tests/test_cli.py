@@ -84,11 +84,11 @@ class TestTranslate:
         ('{"vars": [], "initial": {}, "transitions": [{}]}', "missing key 'source'"),
         ("[]", "expected a JSON object"),
         ('{"vars": [{"name": "x", "sort": {"int": [0, 1.7]}}]}',
-         "integer sort bounds must be integers: [0, 1.7]"),
+         "int[1] must be an int, got 1.7"),
         ('{"vars": [{"name": "x", "sort": {"int": ["0", "1"]}}]}',
-         "integer sort bounds must be integers: ['0', '1']"),
+         "int[0] must be an int, got '0'"),
         ('{"vars": [{"name": "x", "sort": {"int": [true, 1]}}]}',
-         "integer sort bounds must be integers: [True, 1]"),
+         "int[0] must be an int, got True"),
         ('{"vars": [{"name": "HS", "sort": {"enum": ["0", "a", "m"]}, "kind": "factor"}], '
          '"initial": {"HS": "0"}, "transitions": [{"source": {"HS": "0"}, "guard": "true", '
          '"output": {}, "target": {"HS": "m"}}]}',
@@ -267,7 +267,7 @@ class TestConcretize:
          "class c0: representative {"),
         (lambda classes: classes[0].update(
             signature=["yes" if b else 0 for b in classes[0]["signature"]]),
-         "class c0: signature [0, 0, 0, 'yes', "),
+         "signature[0] must be a bool, got 0"),
     ], ids=["variables", "signature", "signature-entries"])
     def test_refuses_inconsistent_partition(self, abstracted, capsys, edit, cause):
         suite = abstracted / "suite-h.json"
@@ -405,12 +405,12 @@ class TestServeReference:
         ("{", "Expecting property name"),
         ('{"input_vars": []}', "missing key 'output_vars'"),
         (EMPTY_PROGRAM % '"resolution": "Strict"',
-         "resolution must be one of 'strict', 'first', not 'Strict'"),
-        (EMPTY_PROGRAM % '"resolution": 7', "resolution must be one of 'strict', 'first', not 7"),
+         "resolution must be one of 'strict', 'first', got 'Strict'"),
+        (EMPTY_PROGRAM % '"resolution": 7', "resolution must be one of 'strict', 'first', got 7"),
         (EMPTY_PROGRAM % '"policy": "selfloop"',
-         "policy must be one of 'error', 'complete-with-selfloop', not 'selfloop'"),
+         "policy must be one of 'error', 'complete-with-selfloop', got 'selfloop'"),
         (EMPTY_PROGRAM % '"policy": null',
-         "policy must be one of 'error', 'complete-with-selfloop', not None"),
+         "policy must be one of 'error', 'complete-with-selfloop', got None"),
         (TARGET_PROGRAM % '{"HS": "a"}',
          "risk state {'HS': 'a'} does not assign exactly the factors ['HS', 'HC']"),
         (TARGET_PROGRAM % '{"HS": "z", "HC": "0"}', "unknown phase 'z' for factor HS"),
@@ -676,19 +676,19 @@ class TestArtefactRead:
     # the format refuses
     READERS = [
         ("welding-cell.cb", ["translate", "welding-cell.cb", "--out", "out"],
-         lambda d: d.update(transitions=[1]), "'int' object is not subscriptable"),
+         lambda d: d.update(transitions=[1]), "transitions[0] must be an object, got 1"),
         ("welding-cell.cb", ["translate", "welding-cell.cb", "--out", "out"],
          lambda d: d["initial"].update(HS="z"), "unknown phase 'z' for factor HS"),
         ("program.gap", ["mutate", "program.gap", "--suite", "suite-h.json"],
-         lambda d: d.update(actions=[1]), "'int' object is not subscriptable"),
+         lambda d: d.update(actions=[1]), "actions[0] must be an object, got 1"),
         ("program.gap", ["mutate", "program.gap", "--suite", "suite-h.json"],
          lambda d: d["actions"][0].update(guard="nope = 1"), "undeclared variable: nope"),
         ("reference.sfsm", ["classes", "reference.sfsm", "--out", "p.json"],
-         lambda d: d.update(transitions=[1]), "'int' object is not subscriptable"),
+         lambda d: d.update(transitions=[1]), "transitions[0] must be an object, got 1"),
         ("reference.sfsm", ["classes", "reference.sfsm", "--out", "p.json"],
          lambda d: d["transitions"][0].update(guard="nope = 1"), "undeclared variable: nope"),
         ("fsm.json", ["generate", "fsm.json", "--out", "s.json"],
-         lambda d: d.update(transitions=[1]), "'int' object is not subscriptable"),
+         lambda d: d.update(transitions=[1]), "transitions[0] must be an object, got 1"),
         ("fsm.json", ["generate", "fsm.json", "--out", "s.json"],
          lambda d: d["states"].append(d["states"][0]), "duplicate state identifiers"),
         ("suite-h.json", ["check-suite", "fsm.json", "suite-h.json"],
@@ -696,7 +696,7 @@ class TestArtefactRead:
         ("suite-h.json", ["check-suite", "fsm.json", "suite-h.json"],
          lambda d: d["cases"][0].update(expectedOutputs=[]), "case 0 has"),
         ("partition.json", ["concretize", "suite-h.json", "partition.json", "abstraction.json"],
-         lambda d: d.update(classes=[1]), "'int' object is not subscriptable"),
+         lambda d: d.update(classes=[1]), "classes[0] must be an object, got 1"),
         ("partition.json", ["concretize", "suite-h.json", "partition.json", "abstraction.json"],
          lambda d: d["classes"][0].pop("representative"), "missing key 'representative'"),
         ("abstraction.json", ["concretize", "suite-h.json", "partition.json", "abstraction.json"],
@@ -707,7 +707,8 @@ class TestArtefactRead:
         ("config.json", ["translate", "welding-cell.cb", "--out", "out"],
          lambda d: d.update(m_extra="1"), "m_extra must be an int >= 0, got '1'"),
         ("config.json", ["translate", "welding-cell.cb", "--out", "out"],
-         lambda d: d.update(policy="selfloop"), "unknown policy 'selfloop'"),
+         lambda d: d.update(policy="selfloop"),
+         "policy must be one of 'error', 'complete-with-selfloop', got 'selfloop'"),
     ]
 
     # (id, edit, cause) of suite fields that must have their type
@@ -720,7 +721,7 @@ class TestArtefactRead:
          "case 0: expectedOutputs must be a list, got 'o0'"),
         ("concrete-str", lambda d: d.update(concrete="yes"),
          "concrete must be a bool, got 'yes'"),
-        ("method-list", lambda d: d.update(method=[5]), 'method must be "h" or "w", got [5]'),
+        ("method-list", lambda d: d.update(method=[5]), "method must be one of 'h', 'w', got [5]"),
     ]
 
     # (id, edit, cause) of abstraction outputs that are not wire valuations
@@ -806,7 +807,7 @@ class TestArtefactRead:
          "classes must be a list, got {}"),
         ("partition.json", CONCRETIZE, "signature-obj",
          lambda d: d["classes"][0].update(signature={}),
-         "class c0: signature {} is not a list of booleans"),
+         "signature must be a list, got {}"),
         ("suite-h.json", CHECK, "cases-str", lambda d: d.update(cases="c0"),
          "cases must be a list, got 'c0'"),
         ("suite-h.json", CHECK, "cases-obj", lambda d: d.update(cases={}),
@@ -901,6 +902,102 @@ class TestArtefactRead:
         assert main([command, *(a if a.startswith("-") else str(abstracted / a)
                                 for a in rest)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {culprit}: {cause}")
+
+    def test_integer_state_ids_refused(self, abstracted, capsys):
+        path = abstracted / "reference.sfsm"
+        doc = read(path)
+        number = {s: i for i, s in enumerate(doc["states"])}
+        doc["states"] = list(number.values())
+        doc["initial"] = number[doc["initial"]]
+        for t in doc["transitions"]:
+            t["from"], t["to"] = number[t["from"]], number[t["to"]]
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["abstract", str(path), "--out", str(abstracted / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {path}: states[0] must be a string, got 0\n"
+        assert not (abstracted / "out").exists()
+
+
+# Python's own words for a value of the wrong type, which no refusal may use
+PYTHON_PHRASES = ("object is not subscriptable", "has no attribute", "unhashable type",
+                  "is not iterable")
+
+
+class TestListItemTypes:
+    """In every list a reader walks item by item, the first item swapped for
+    a value of another type is refused in the toolkit's words, naming the
+    file and the list."""
+
+    # keys of lists whose items a reader takes one by one; `inputs` and
+    # `outputs` are the FSM's alphabets only where they are top-level keys
+    ITEM_LISTS = {"vars", "input_vars", "output_vars", "transitions", "actions", "cases",
+                  "classes", "states", "factors", "guards", "signature", "enum", "int"}
+    ALPHABETS = {"inputs", "outputs"}
+    SWAPS = (5, "x", [], None)
+    COMMANDS = {
+        "welding-cell.cb": ["translate", "welding-cell.cb", "--out", "out"],
+        "program.gap": ["mutate", "program.gap", "--suite", "suite-concrete.json"],
+        "reference.sfsm": ["abstract", "reference.sfsm", "--out", "out"],
+        "fsm.json": ["generate", "fsm.json", "--out", "s.json"],
+        "partition.json": ["concretize", "suite-h.json", "partition.json", "abstraction.json",
+                           "--out", "c.json"],
+        "abstraction.json": ["concretize", "suite-h.json", "partition.json",
+                             "abstraction.json", "--out", "c.json"],
+        "suite-h.json": ["check-suite", "fsm.json", "suite-h.json"],
+        "suite-concrete.json": ["run", "suite-concrete.json", "--sut", "no-such-sut"],
+    }
+    POPULATION = 202  # swaps over the welding cell's `pipeline --m 7` files
+
+    @classmethod
+    def item_lists(cls, doc, path=()):
+        """Paths in `doc` of the non-empty lists a reader walks item by item;
+        a suite's cases are not entered, as their items are valuations or
+        symbols of any name."""
+        if isinstance(doc, dict):
+            for key, value in doc.items():
+                if isinstance(value, list) and value and (
+                        key in cls.ITEM_LISTS or key in cls.ALPHABETS and not path):
+                    yield path + (key,)
+                if key != "cases":
+                    yield from cls.item_lists(value, path + (key,))
+        elif isinstance(doc, list):
+            for i, item in enumerate(doc):
+                yield from cls.item_lists(item, path + (i,))
+
+    def test_swapped_items_refused(self, tmp_path, behaviour, capsys):
+        out = tmp_path / "m7"
+        assert main(["pipeline", str(behaviour), "--m", "7", "--out", str(out)]) == 0
+        shutil.copy(behaviour, out / "welding-cell.cb")
+        assert {p.name for p in out.iterdir() if p.suffix != ".dot"} == set(self.COMMANDS) | {
+            "report.json"}  # read by no command
+        started, swaps = time.perf_counter(), 0
+        for name, argv in self.COMMANDS.items():
+            path = out / name
+            text = path.read_text()
+            for keys in self.item_lists(json.loads(text)):
+                for swap in self.SWAPS:
+                    doc = json.loads(text)
+                    items = doc
+                    for key in keys:
+                        items = items[key]
+                    if type(items[0]) is type(swap):
+                        continue
+                    items[0] = swap
+                    path.write_text(json.dumps(doc))
+                    capsys.readouterr()
+                    code = main([argv[0], *(a if a.startswith("-") else str(out / a)
+                                            for a in argv[1:])])
+                    err = capsys.readouterr().err
+                    case = (name, keys, swap, err)
+                    assert code == 2, case
+                    assert err.startswith(f"error: {path}: {keys[-1]}[0] must be "), case
+                    assert err.count("\n") == 1, case
+                    assert not any(phrase in err for phrase in PYTHON_PHRASES), case
+                    swaps += 1
+            path.write_text(text)
+        elapsed = time.perf_counter() - started
+        assert swaps == self.POPULATION
+        assert elapsed < 10, f"{swaps} swaps took {elapsed:.1f} s"
 
 
 class TestRender:
@@ -1244,7 +1341,8 @@ class TestConfig:
         ("{", "Expecting"),
         ("[]", "expected a JSON object"),
         ('{"m_extr": 1}', "unknown keys ['m_extr']"),
-        ('{"policy": "selfloop"}', "unknown policy 'selfloop'"),
+        ('{"policy": "selfloop"}',
+         "policy must be one of 'error', 'complete-with-selfloop', got 'selfloop'"),
         ('{"enum_bound": "x"}', "unknown keys ['enum_bound']"),
         ('{"enum_bound": 0}', "unknown keys ['enum_bound']"),
         ('{"enum_bound": true}', "unknown keys ['enum_bound']"),
