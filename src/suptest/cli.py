@@ -242,7 +242,7 @@ def translate(behaviour_path, out: Path, config
     program = supervisor.to_guarded_actions(behaviour, config["policy"])
     reference = supervisor.to_test_reference(behaviour, config["policy"])
     report = supervisor.check_hypotheses(program, reference)
-    for warning in report.warnings:
+    for warning in behaviour.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     out.mkdir(parents=True, exist_ok=True)
     derived = {"behaviour": behaviour.fingerprint}
@@ -383,9 +383,12 @@ def cmd_concretize(args, config) -> int:
 
 
 def cmd_check_suite(args, config) -> int:
+    from .fsm import FsmError
     machine = load_machine(args.fsm)
-    report = check_suite(machine, load_suite_of(machine, args.suite))
-    return 0 if report.ok else 1
+    try:  # the checker refuses an input outside the machine's alphabet
+        return 0 if check_suite(machine, load_suite_of(machine, args.suite)).ok else 1
+    except FsmError as exc:
+        raise CliError(f"{args.suite}: {exc}") from exc
 
 
 def cmd_run(args, config) -> int:

@@ -9,8 +9,8 @@ streams an artefact's file and its payload's fingerprint from one encoding.
 FNV-1a (:func:`fnv1a64`) only labels DOT edges.  Every JSON file the toolkit
 reads goes through :func:`read_artifact`, so every refusal of an input names
 its file, and each value a reader takes from it through :func:`value_at`
-(an item of a list the reader walks itself through :func:`checked`), so
-every value of the wrong type is refused in one form:
+(a value it reaches otherwise, as a risk state's phase, through
+:func:`checked`), so every value of the wrong type is refused in one form:
 `<key>[<index>] must be <kind>, got <value>`.
 """
 

@@ -212,8 +212,10 @@ def sort_from_obj(obj) -> Sort:
     if "enum" in obj:
         return EnumSort(tuple(value_at(obj, "enum", list, str)))
     if "int" in obj:
-        lo, hi = value_at(obj, "int", list, int)
-        return IntSort(lo, hi)
+        bounds = value_at(obj, "int", list, int)
+        if len(bounds) != 2:
+            raise ValueError(f"int must be a list of two bounds, got {bounds!r}")
+        return IntSort(*bounds)
     raise ValueError(f"unknown sort: {obj!r}")
 
 

@@ -86,6 +86,7 @@ class Sfsm:
         self.states: tuple[str, ...] = tuple(states)
         self.initial: str = initial
         self.transitions: tuple[SfsmTransition, ...] = tuple(transitions)
+        self._partition = None  # `input_classes(self)`, once it is computed
         check_decls(self.input_vars + self.output_vars)
         if self.initial not in self.states:
             raise SfsmError(f"initial state {self.initial!r} not declared")
@@ -218,12 +219,15 @@ def input_classes(r: Sfsm) -> InputClassPartition:
     """Partition the input valuation space by guard-truth signature.
 
     Classes are numbered in the order of `truth_classes`; the representative
-    is the lexicographically smallest member.
+    is the lexicographically smallest member.  The partition is computed
+    once per `r` and kept on it, so the hypothesis check, the `classes`
+    stage and `abstract_to_fsm` share one walk of the valuation space.
     """
-    guards = distinct_guards(t.guard for t in r.transitions)
-    classes = truth_classes(guards, r.input_vars)
-    return InputClassPartition([print_guard(g) for g in guards],
-                               [InputClass(f"c{i}", *c) for i, c in enumerate(classes)])
+    if r._partition is None:
+        guards = distinct_guards(t.guard for t in r.transitions)
+        r._partition = InputClassPartition([print_guard(g) for g in guards], [
+            InputClass(f"c{i}", *c) for i, c in enumerate(truth_classes(guards, r.input_vars))])
+    return r._partition
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +258,8 @@ class AbstractionMap(Record):
 
 
 def abstract_to_fsm(r: Sfsm, policy: str = POLICY_ERROR) -> tuple[MealyMachine, AbstractionMap]:
-    """Abstract the SFSM into a Mealy machine over input-class identifiers.
+    """Abstract the SFSM into a Mealy machine over the identifiers of the
+    classes of `input_classes(r)`, the reference's one partition.
 
     States carry over unchanged, and `r.step` gives each (state, class) on
     its representative; each distinct output valuation becomes one atomic

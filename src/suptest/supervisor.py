@@ -8,7 +8,9 @@ translated into
   for generated controller code, and
 * a symbolic FSM test reference over the reachable risk states,
 
-plus static hypothesis checks comparing what the two do.
+plus static hypothesis checks comparing what the two do.  The behaviour's
+reader decides once which risk states are reachable, and both translations
+take its actions, those of the reachable states.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .program import (
     _risk_state_at,
     risk_state_name,
 )
-from .sfsm import DeterminismViolation, IncompleteState, Sfsm, SfsmTransition
+from .sfsm import DeterminismViolation, IncompleteState, Sfsm, SfsmTransition, input_classes
 
 # Factor life-cycle: inactive -> active -> mitigated -> inactive, plus stay.
 _ALLOWED_PHASE_STEPS = {("0", "a"), ("a", "m"), ("m", "0")}
@@ -75,36 +77,36 @@ def derive_action_name(factors: list[str], r, r2) -> str:
 
 class ControllerBehavior(Record):
     """Deserialized controller fragment of the synthesised transition
-    relation: one guarded action per transition of the file, read once,
-    which both translations consume and neither changes."""
+    relation: one guarded action per transition of the file whose source is
+    reachable, read once, which both translations consume and neither
+    changes.  The reader decides reachability, and warns of what it left
+    out; neither translation decides it again."""
 
-    __slots__ = ("input_vars", "output_vars", "factors", "initial", "actions", "fingerprint")
-    _defaults = {"fingerprint": None}
+    __slots__ = ("input_vars", "output_vars", "factors", "initial", "actions", "states",
+                 "warnings", "fingerprint")
+    _defaults = {"states": (), "warnings": (), "fingerprint": None}
     __hash__ = None
     input_vars: list[VarDecl]
     output_vars: list[VarDecl]
     factors: list[str]  # in declaration order
     initial: RiskState
-    actions: list[GuardedAction]
+    actions: list[GuardedAction]  # those whose source is reachable, in file order
+    states: list[RiskState]  # the reachable ones, breadth first from `initial`
+    warnings: list[str]  # what the reader left out, not a failure
     fingerprint: str | None  # of the document it was read from, if any
 
 
 def behavior_from_obj(obj: dict) -> ControllerBehavior:
     decls = [decl_from_obj(d) for d in value_at(obj, "vars", list, dict)]
-    kinds_of: dict[str, set[str]] = {}
-    for d in decls:
-        kinds_of.setdefault(d.name, set()).add(d.kind)
-    clashes = sorted(n for n, kinds in kinds_of.items() if len(kinds) > 1)
+    clashes = sorted({d.name for d in decls for e in decls
+                      if d.name == e.name and d.kind != e.kind})
     if clashes:
         raise DisjointnessViolation(
-            f"variables declared with conflicting kinds: {', '.join(clashes)}"
-        )
+            f"variables declared with conflicting kinds: {', '.join(clashes)}")
     check_decls(decls)
-    by_kind = {MONITORED: [], CONTROLLED: [], FACTOR: []}
-    for d in decls:
-        by_kind[d.kind].append(d)
-    input_vars, output_vars = by_kind[MONITORED], by_kind[CONTROLLED]
-    factors = [d.name for d in by_kind[FACTOR]]
+    input_vars, output_vars, factor_decls = (
+        [d for d in decls if d.kind == kind] for kind in (MONITORED, CONTROLLED, FACTOR))
+    factors = [d.name for d in factor_decls]
     initial = _risk_state_at(obj, "initial", factors)
     actions = []
     for t in value_at(obj, "transitions", list, dict):
@@ -115,7 +117,19 @@ def behavior_from_obj(obj: dict) -> ControllerBehavior:
         check_valuation(output, output_vars)
         actions.append(GuardedAction(
             derive_action_name(factors, source, target), guard, source, output, target))
-    return ControllerBehavior(input_vars, output_vars, factors, initial, actions)
+    # breadth first: the list grows while it is walked, so it is its own queue
+    states = [initial]
+    for s in states:
+        for a in actions:
+            if a.source == s and a.target not in states:
+                states.append(a.target)
+    warnings = [] if actions else ["no transitions"]
+    dropped = sorted({risk_state_name(r, factors) for a in actions for r in (a.source, a.target)
+                      if r not in states})
+    if dropped:
+        warnings.append(f"unreachable risk states dropped: {', '.join(dropped)}")
+    return ControllerBehavior(input_vars, output_vars, factors, initial,
+                              [a for a in actions if a.source in states], states, warnings)
 
 
 def load_behavior(path) -> ControllerBehavior:
@@ -134,63 +148,41 @@ def load_behavior(path) -> ControllerBehavior:
 def to_guarded_actions(
     b: ControllerBehavior, policy: str = POLICY_ERROR
 ) -> GuardedActionProgram:
-    """The program of `b`'s guarded actions, determinism checked."""
-    program = GuardedActionProgram(
-        b.input_vars, b.output_vars, b.factors, b.initial, b.actions, policy
-    )
-    _check_program_determinism(program)
-    return program
-
-
-# the least truth-class members of the last program checked for
-# determinism, by its guards and inputs: `translate` checks its hypotheses
-# next, over the same classes, and so walks them once
-_CHECKED: dict = {}
-
-
-def _check_program_determinism(p: GuardedActionProgram) -> None:
-    """Checked per truth class of the program's guards (see `truth_classes`)."""
+    """The program of `b`'s guarded actions, those of its reachable risk
+    states, once their determinism is checked: per truth class of their
+    guards (see `truth_classes`), in each risk state with two actions or
+    more."""
     by_source: dict[tuple, list[GuardedAction]] = {}
-    for a in p.actions:
+    for a in b.actions:
         by_source.setdefault(a.source, []).append(a)
     shared = [(source, actions) for source, actions in by_source.items() if len(actions) > 1]
-    if not shared:
-        return
-    guards = distinct_guards(a.guard for a in p.actions)
-    members = [v for _, v, _ in truth_classes(guards, p.input_vars)]
-    _CHECKED.clear()
-    _CHECKED[tuple(guards), tuple(p.input_vars)] = members
-    for source, actions in shared:
-        for v in members:
-            enabled = [a for a in actions if eval_guard(a.guard, v)]
-            if len(enabled) > 1:
-                raise DeterminismViolation(risk_state_name(source, p.factors), v, enabled)
+    if shared:
+        guards = distinct_guards(a.guard for a in b.actions)
+        members = [v for _, v, _ in truth_classes(guards, b.input_vars)]
+        for source, actions in shared:
+            for v in members:
+                enabled = [a for a in actions if eval_guard(a.guard, v)]
+                if len(enabled) > 1:
+                    raise DeterminismViolation(risk_state_name(source, b.factors), v, enabled)
+    return GuardedActionProgram(b.input_vars, b.output_vars, b.factors, b.initial, b.actions,
+                                policy)
 
 
 def to_test_reference(b: ControllerBehavior, policy: str = POLICY_ERROR) -> Sfsm:
-    """SFSM over the reachable risk states, transitions labelled guard/output.
+    """SFSM over `b`'s risk states, transitions labelled guard/output.
 
-    Unreachable risk states are pruned (`check_hypotheses` warns of them).
+    The reader already pruned the unreachable risk states and their actions
+    (`b.warnings` names them), so the states are `b.states`, in its order,
+    and the transitions are `b.actions`, the program's own.
     `to_guarded_actions` decides whether `b` is deterministic; overlapping
     guards in the SFSM are refused wherever it is stepped.
     `policy` has no effect (an SFSM carries none; `abstract_to_fsm` applies
     it) and stays for callers that pass it by position.
     """
-    factors = b.factors
-    transitions = [
-        SfsmTransition(risk_state_name(a.source, factors), a.name, a.guard, a.output,
-                       risk_state_name(a.target, factors))
-        for a in b.actions
-    ]
-    initial_name = risk_state_name(b.initial, factors)
-    # breadth first: the list grows while it is walked, so it is its own queue
-    reachable = [initial_name]
-    for s in reachable:
-        for t in transitions:
-            if t.source == s and t.target not in reachable:
-                reachable.append(t.target)
-    return Sfsm(b.input_vars, b.output_vars, reachable, initial_name,
-                [t for t in transitions if t.source in reachable])
+    name = {s: risk_state_name(s, b.factors) for s in b.states}
+    return Sfsm(b.input_vars, b.output_vars, list(name.values()), name[b.initial],
+                [SfsmTransition(name[a.source], a.name, a.guard, a.output, name[a.target])
+                 for a in b.actions])
 
 
 # ---------------------------------------------------------------------------
@@ -198,13 +190,12 @@ def to_test_reference(b: ControllerBehavior, policy: str = POLICY_ERROR) -> Sfsm
 # ---------------------------------------------------------------------------
 
 class HypothesisReport(Record):
-    __slots__ = ("state_count_program", "state_count_reference", "difference", "warnings")
-    _defaults = {"difference": None, "warnings": ()}
+    __slots__ = ("state_count_program", "state_count_reference", "difference")
+    _defaults = {"difference": None}
     __hash__ = None
     state_count_program: int
     state_count_reference: int
     difference: tuple | None  # a word of valuations on which the two differ
-    warnings: list[str]  # what the translation left out, not a failure
 
     @property
     def state_count_ok(self) -> bool:
@@ -245,24 +236,24 @@ def check_hypotheses(p: GuardedActionProgram, r: Sfsm) -> HypothesisReport:
 
     `first_difference` compares the behaviours from their initial states on
     the least member of each truth class of both guard sets: both read an
-    input only through their guards, so the search is exact.  A refusal is
-    an output that no step gives: the program's (no action or two enabled,
-    the `SupervisorError`s of its `step`), and the reference's uncovered
-    input, which under `p`'s self-loop policy is a nil self-loop instead.
-    The warnings name an empty program and the program's risk states that
-    the reference lacks, the unreachable ones `to_test_reference` drops.
+    input only through their guards, so the search is exact.  Where the
+    program's distinct guards are the reference's and both declare the same
+    inputs, those members are the representatives of `r`'s partition
+    (`input_classes`), which later stages reuse; otherwise, as for a program
+    mutant, the joint guards are walked here.  A refusal is an output that
+    no step gives: the program's (no action or two enabled, the
+    `SupervisorError`s of its `step`), and the reference's uncovered input,
+    which under `p`'s self-loop policy is a nil self-loop instead.
     """
-    guards = distinct_guards([a.guard for a in p.actions] + [t.guard for t in r.transitions])
-    inputs = (_CHECKED.get((tuple(guards), tuple(p.input_vars)))
-              or [v for _, v, _ in truth_classes(guards, p.input_vars)])
+    ours = distinct_guards(a.guard for a in p.actions)
+    theirs = distinct_guards(t.guard for t in r.transitions)
+    if ours == theirs and p.input_vars == r.input_vars:
+        inputs = [c.representative for c in input_classes(r).classes]
+    else:
+        inputs = [v for _, v, _ in truth_classes(distinct_guards(ours + theirs), p.input_vars)]
     nil = None if p.policy == POLICY_SELFLOOP else _REFUSED
     difference = first_difference(
         (p.initial, r.initial), inputs,
         _refusal_as_output(p.step, SupervisorError),
         _refusal_as_output(r.step, IncompleteState, nil))
-    warnings = [] if p.actions else ["no transitions"]
-    states = p.risk_states()
-    dropped = sorted({risk_state_name(s, p.factors) for s in states} - set(r.states))
-    if dropped:
-        warnings.append(f"unreachable risk states dropped: {', '.join(dropped)}")
-    return HypothesisReport(len(states), len(r.states), difference, warnings)
+    return HypothesisReport(len(p.risk_states()), len(r.states), difference)

@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from itertools import product
 
-from .encoding import checked, encode_compact, value_at
+from .encoding import encode_compact, is_wire_valuation, value_at
 from .fsm import MealyMachine
 from .guards import ENUM_BOUND, Record
 
@@ -118,19 +118,21 @@ class TestSuite(Record):
     def from_obj(cls, obj: dict) -> "TestSuite":
         """The suite of the document `obj`, as `json` reads it, checked.
 
-        The suite is shaped like one that `sfsm.concretize_suite` builds:
-        inputs and outputs that are equal in value and type are one object,
-        so the harness encodes each distinct input once.  `1` and `True`
-        stay two objects, and a value that cannot be hashed stays as it is.
-        So, as for a concretized suite, no one may change a valuation of the
-        suite.  A bare-symbol input that holds a line break is refused: the
-        wire would carry it as several lines.
+        A concrete suite's inputs are valuations the wire can carry, and its
+        expected outputs such valuations or null; an abstract suite's inputs
+        and outputs are symbols, strings.  The suite is shaped like one that
+        `sfsm.concretize_suite` builds: inputs and outputs that are equal in
+        value and type are one object, so the harness encodes each distinct
+        input once, and the reader checks each once.  `1` and `True` stay two
+        objects.  So, as for a concretized suite, no one may change a
+        valuation of the suite.
         """
-        known: dict = {}  # (value, types) of an input or output -> the first one read
+        concrete = value_at(obj, "concrete", bool, default=False)
+        # one `known` serves inputs and outputs: their tests differ only on
+        # null, which is one object, and so is tested wherever it is met
+        (inputs_are, outputs_are), known = _VALUES[concrete], {}
         cases = []
-        for i, c in enumerate(value_at(obj, "cases", list)):
-            if type(c) is not dict:
-                checked(c, dict, "cases", i)
+        for i, c in enumerate(value_at(obj, "cases", list, dict)):
             try:
                 inputs = value_at(c, "inputs", list)
                 expected = value_at(c, "expectedOutputs", list)
@@ -139,29 +141,42 @@ class TestSuite(Record):
             if len(inputs) != len(expected):
                 raise TestGenError(f"case {i} has {len(inputs)} inputs but "
                                    f"{len(expected)} expected outputs")
-            inputs = _shared(inputs, known)
-            for v in inputs:
-                if isinstance(v, str) and ("\n" in v or "\r" in v):
-                    raise TestGenError(f"case {i}: input {v!r} holds a line break")
-            cases.append(TestCase(inputs, _shared(expected, known)))
+            cases.append(TestCase(_shared(inputs, known, inputs_are, i, "inputs"),
+                                  _shared(expected, known, outputs_are, i, "expectedOutputs")))
         return cls(cases, value_at(obj, "method", ("h", "w")), value_at(obj, "mBound", int),
-                   value_at(obj, "concrete", bool, default=False))
+                   concrete)
 
 
-def _shared(values: list, known: dict) -> tuple:
-    """`values`, each replaced by the first value of `known` equal to it in
-    value and type, and the first such value added to `known`.  A valuation
-    is known by its names, their values and the values' types, in any order;
-    a value that cannot be hashed is kept as it is."""
+# What the inputs and the expected outputs of a suite must be, by whether it
+# is concrete: what a refusal calls it, and its test.  A symbol with a line
+# break would go out on the wire as several lines, or never come back.
+_VALUES = {
+    True: (("a valuation of strings and integers", is_wire_valuation),
+           ("a valuation of strings and integers or null",
+            lambda v: v is None or is_wire_valuation(v))),
+    False: (("a string without a line break",
+             lambda v: type(v) is str and "\n" not in v and "\r" not in v),) * 2,
+}
+
+
+def _shared(values: list, known: dict, want: tuple, i: int, key: str) -> tuple:
+    """`values`, the list `key` of case `i`, each replaced by the first
+    value of `known` equal to it in value and type; a value met for the
+    first time is added to `known` and refused unless `want`, (what a
+    refusal calls it, its test), accepts it.  A valuation is known by its
+    names, their values and the values' types, in any order.  A value that
+    cannot be hashed is neither a symbol nor a valuation."""
     shared = []
     for v in values:
         try:
-            key = (frozenset(zip(v, v.values(), map(type, v.values()))) if type(v) is dict
-                   else (v, type(v)))
-            v = known.setdefault(key, v)
+            first = known.setdefault(frozenset(zip(v, v.values(), map(type, v.values())))
+                                     if type(v) is dict else (v, type(v)), v)
         except TypeError:
-            pass
-        shared.append(v)
+            first = v
+        if first is v and not want[1](v):  # met for the first time, and refused
+            j = [w is v for w in values].index(True)
+            raise ValueError(f"cases[{i}].{key}[{j}] must be {want[0]}, got {v!r}")
+        shared.append(first)
     return tuple(shared)
 
 

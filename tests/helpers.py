@@ -20,14 +20,16 @@ from suptest.cli import write_artifact
 from suptest.encoding import decode_valuation, encode_compact, encode_step
 from suptest.fsm import MealyMachine
 from suptest.guards import (
-    EnumSort, IntSort, VarDecl, check_valuation, enumerate_valuations, eval_guard,
+    EnumSort, IntSort, VarDecl, check_valuation, decl_from_obj, enumerate_valuations, eval_guard,
+    parse_guard,
 )
 from suptest.sfsm import (
     NIL_LABEL, POLICY_ERROR, POLICY_SELFLOOP, AbstractionMap, DeterminismViolation,
     IncompleteState, Sfsm, SfsmTransition, input_classes,
 )
 from suptest.guards import And, BoolConst, Comparison, Not, Or, Record
-from suptest.program import risk_state_name
+from suptest.program import GuardedAction, GuardedActionProgram, risk_state_name
+from suptest.supervisor import derive_action_name
 from suptest.testgen import CompletenessReport, TestCase, TestSuite, _require_testable
 
 
@@ -360,6 +362,26 @@ def valuation_determinism(p) -> None:
             enabled = [a for a in actions if eval_guard(a.guard, v)]
             if len(enabled) > 1:
                 raise DeterminismViolation(risk_state_name(dict(source), p.factors), v, enabled)
+
+
+def unpruned_program(obj: dict, policy: str = POLICY_ERROR) -> GuardedActionProgram:
+    """The program of every transition of the behaviour document `obj`,
+    reachable or not, as the reader built it before it pruned the risk
+    states that `initial` does not reach: the oracle for the pruned one."""
+    decls = [decl_from_obj(d) for d in obj["vars"]]
+    inputs = [d for d in decls if d.kind == "monitored"]
+    outputs = [d for d in decls if d.kind == "controlled"]
+    factors = [d.name for d in decls if d.kind == "factor"]
+
+    def risk_state(r: dict) -> tuple:
+        return tuple(sorted(r.items()))
+
+    actions = [GuardedAction(derive_action_name(factors, t["source"], t["target"]),
+                             parse_guard(t["guard"], inputs), risk_state(t["source"]),
+                             t["output"], risk_state(t["target"]))
+               for t in obj["transitions"]]
+    return GuardedActionProgram(inputs, outputs, factors, risk_state(obj["initial"]), actions,
+                                policy)
 
 
 def valuation_program_equivalent(p1, p2) -> bool:
@@ -741,10 +763,11 @@ TWINS = {twin.__name__: twin for twin in [
                               ("detail", object, None)], hashable=False),
     _twin("MutationReport", [("outcomes", object, ())], hashable=False),
     _twin("ControllerBehavior", ["input_vars", "output_vars", "factors", "initial",
-                                 "actions", ("fingerprint", object, None)],
+                                 "actions", ("states", object, ()), ("warnings", object, ()),
+                                 ("fingerprint", object, None)],
           hashable=False),
     _twin("HypothesisReport", ["state_count_program", "state_count_reference",
-                               ("difference", object, None), ("warnings", object, ())],
+                               ("difference", object, None)],
           hashable=False),
 ]}
 

@@ -37,7 +37,7 @@ from suptest.supervisor import behavior_from_obj, load_behavior, to_guarded_acti
 from suptest.testgen import CASES_PER_PART, TestCase, TestSuite
 from helpers import canonical_artifact, settled, start_case, stepwise_replies, written
 from test_harness import MEMO_LINES, behaviour_obj
-from test_supervisor import single_transition_obj
+from test_supervisor import single_transition_obj, unreachable_obj
 
 
 @pytest.fixture()
@@ -101,6 +101,30 @@ class TestTranslate:
         assert main(["translate", str(path), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: {cause}")
 
+    @pytest.mark.parametrize("bounds", [[0, 1, 2], [0], []], ids=["three", "one", "none"])
+    def test_refuses_int_sort_without_two_bounds(self, tmp_path, behaviour, capsys, bounds):
+        obj = read(behaviour)
+        next(d for d in obj["vars"] if d["kind"] == "monitored")["sort"] = {"int": bounds}
+        behaviour.write_text(json.dumps(obj))
+        assert main(["translate", str(behaviour), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {behaviour}: int must be a list of two bounds, got {bounds!r}\n")
+
+    def test_prunes_unreachable_risk_states(self, tmp_path, capsys):
+        """The reader drops the unreachable states' actions, so the program
+        and the reference agree and the warning is all that is left."""
+        path = tmp_path / "unreachable.cb"
+        path.write_text(json.dumps(unreachable_obj()))
+        out = tmp_path / "out"
+        assert main(["translate", str(path), "--out", str(out)]) == 0
+        stdout, stderr = capsys.readouterr()
+        assert stderr == "warning: unreachable risk states dropped: Fa, Fm\n"
+        assert stdout == ("control states: program=1 reference=1 [PASS]\n"
+                          "hypotheses: PASS\n")
+        assert [(a["source"], a["target"]) for a in read(out / "program.gap")["actions"]] == [
+            ({"F": "0"}, {"F": "0"})]
+        assert read(out / "reference.sfsm")["states"] == ["F0"]
+
 
     def test_reads_the_behaviour_once(self, tmp_path, behaviour, monkeypatch):
         from suptest import cli, supervisor
@@ -147,6 +171,18 @@ class TestGenerateAndCheck:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "suite completeness: FAIL"
         assert f"  H1: cover trace {cover} missing" in lines
+
+    def test_check_names_the_suite_of_an_unknown_symbol(self, abstracted, capsys):
+        fsm = abstracted / "fsm.json"
+        suite_path = abstracted / "suite-h.json"
+        assert main(["generate", str(fsm), "--out", str(suite_path)]) == 0
+        doc = read(suite_path)
+        doc["cases"][0]["inputs"][0] = "c99"
+        suite_path.write_text(canonical_dumps(doc))
+        capsys.readouterr()
+        assert main(["check-suite", str(fsm), str(suite_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {suite_path}: input symbol 'c99' not in alphabet\n")
 
     def test_check_refuses_foreign_suite(self, abstracted, capsys):
         fsm = abstracted / "fsm.json"
@@ -327,6 +363,47 @@ class TestRun:
         assert capsys.readouterr().err == (
             f"error: {concrete}: case 1 has {inputs} inputs but 0 expected outputs\n")
 
+    @pytest.mark.parametrize("key, value, want", [
+        ("inputs", 5, "a valuation of strings and integers"),
+        ("inputs", "x", "a valuation of strings and integers"),
+        ("inputs", None, "a valuation of strings and integers"),
+        ("inputs", {"hs_det": [0]}, "a valuation of strings and integers"),
+        ("inputs", {"hs_det": 1.0}, "a valuation of strings and integers"),
+        ("expectedOutputs", "x", "a valuation of strings and integers or null"),
+        ("expectedOutputs", [], "a valuation of strings and integers or null"),
+        ("expectedOutputs", {"robot": False}, "a valuation of strings and integers or null"),
+    ], ids=["int", "string", "null", "list-value", "float-value", "out-string", "out-list",
+            "out-bool-value"])
+    def test_refuses_a_step_that_is_no_valuation(self, abstracted, tmp_path, capsys,
+                                                 key, value, want):
+        """The reader refuses the file before any SUT starts, naming the value."""
+        concrete = self.concrete_suite(abstracted)
+        doc = read(concrete)
+        doc["cases"][3][key][1] = value
+        concrete.write_text(canonical_dumps(doc))
+        marker = tmp_path / "started"
+        sut = shlex.join([sys.executable, "-c", f"open({str(marker)!r}, 'w')"])
+        capsys.readouterr()
+        assert main(["run", str(concrete), "--sut", sut]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {concrete}: cases[3].{key}[1] must be {want}, got {value!r}\n")
+        assert not marker.exists()
+
+    @pytest.mark.parametrize("key", ["inputs", "expectedOutputs"])
+    @pytest.mark.parametrize("value", [5, None, {"x": 1}, "o0\nOUT o1"])
+    def test_abstract_suite_refuses_a_step_that_is_no_symbol(self, abstracted, capsys,
+                                                             key, value):
+        fsm, suite = abstracted / "fsm.json", abstracted / "suite-h.json"
+        assert main(["generate", str(fsm), "--out", str(suite)]) == 0
+        doc = read(suite)
+        doc["cases"][2][key][0] = value
+        suite.write_text(canonical_dumps(doc))
+        capsys.readouterr()
+        assert main(["check-suite", str(fsm), str(suite)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {suite}: cases[2].{key}[0] must be a string without a line break, "
+            f"got {value!r}\n")
+
     @pytest.mark.parametrize("symbol", ["c0\nIN c1", "c0\nRESET\nIN c1", "c0\rIN c1"],
                              ids=["LF", "LF-RESET", "CR"])
     def test_refuses_symbol_with_line_break(self, abstracted, tmp_path, capsys, symbol):
@@ -341,8 +418,8 @@ class TestRun:
         sut = shlex.join([sys.executable, "-c", f"open({str(marker)!r}, 'w')"])
         capsys.readouterr()
         assert main(["run", str(suite), "--sut", sut]) == 2
-        assert capsys.readouterr().err == (
-            f"error: {suite}: case 1: input {symbol!r} holds a line break\n")
+        assert capsys.readouterr().err == (f"error: {suite}: cases[1].inputs[0] must be "
+                                           f"a string without a line break, got {symbol!r}\n")
         assert not marker.exists()
 
 
@@ -1235,8 +1312,10 @@ class TestPipeline:
         ]
         path = tmp_path / "unreachable.cb"
         path.write_text(json.dumps(obj))
-        assert main(["pipeline", str(path), "--out", str(tmp_path / "pipeline")]) == 1
-        assert "unreachable risk states dropped" in capsys.readouterr().err
+        assert main(["pipeline", str(path), "--out", str(tmp_path / "pipeline")]) == 0
+        out, err = capsys.readouterr()
+        assert err == "warning: unreachable risk states dropped: Fa, Fm\n"
+        assert "control states: program=1 reference=1 [PASS]" in out
 
     def test_sort_width_does_not_matter(self, tmp_path, behaviour, monkeypatch, capsys):
         # 10^24 valuations: classes are found over the literals' cells
@@ -1291,10 +1370,11 @@ class TestPipeline:
 
         replace_everywhere(monkeypatch, original, counted)
         assert main(["pipeline", str(behaviour), "--out", str(tmp_path / "pipeline")]) == 0
-        # translate checks determinism once, then `classes` and `abstract`
-        # each compute the partition; DOT export's satisfiability search
-        # is an early-exit walk and not counted
-        assert len([c for c in callers if c != "satisfiable"]) == 3
+        # translate checks determinism once, and its hypothesis check
+        # computes the reference's partition, which `classes` and `abstract`
+        # reuse; DOT export's satisfiability search is an early-exit walk
+        # and not counted
+        assert len([c for c in callers if c != "satisfiable"]) == 2
 
     def test_names_each_action_once(self, tmp_path, behaviour, monkeypatch):
         from suptest import supervisor

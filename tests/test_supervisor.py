@@ -1,13 +1,20 @@
 """Behaviour loading, guarded-action translation, hypothesis checks."""
 
 import json
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from suptest.guards import enumerate_valuations, parse_guard
+from suptest import sfsm
+from suptest.fsm import first_difference
+from suptest.guards import (
+    distinct_guards, enumerate_valuations, parse_guard, print_guard, truth_classes,
+)
 from suptest.harness import LocalSut
 from suptest.mutation import generate_mutants, program_equivalent
-from suptest.program import NoEnabledAction
+from suptest.program import POLICIES, NoEnabledAction, SupervisorError
 from suptest.sfsm import (
     POLICY_SELFLOOP,
     DeterminismViolation,
@@ -26,7 +33,7 @@ from suptest.supervisor import (
     to_test_reference,
 )
 
-from helpers import start_case
+from helpers import start_case, unpruned_program
 
 FACTORS = ["HS", "HC", "HRW"]
 
@@ -54,7 +61,7 @@ class TestLoadBehavior:
     def test_welding_cell_loads(self, welding_cell):
         assert welding_cell.factors == FACTORS
         assert len(welding_cell.actions) == 16
-        assert hypotheses(welding_cell).warnings == []
+        assert welding_cell.warnings == []
 
     def test_disjointness_enforced(self):
         obj = single_transition_obj()
@@ -68,7 +75,7 @@ class TestLoadBehavior:
         obj = single_transition_obj()
         obj["transitions"] = []
         b = behavior_from_obj(obj)
-        assert "no transitions" in hypotheses(b).warnings
+        assert "no transitions" in b.warnings
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "b.cb"
@@ -180,7 +187,7 @@ class TestToTestReference:
         b = behavior_from_obj(unreachable_obj())
         r = to_test_reference(b)
         assert r.states == ("F0",)
-        assert any("unreachable" in w for w in hypotheses(b).warnings)
+        assert any("unreachable" in w for w in b.warnings)
 
     def test_translations_leave_the_behaviour_as_read(self):
         b = behavior_from_obj(unreachable_obj())
@@ -188,7 +195,7 @@ class TestToTestReference:
             to_test_reference(b)
             to_guarded_actions(b)
         assert b == behavior_from_obj(unreachable_obj())
-        assert hypotheses(b).warnings == ["unreachable risk states dropped: Fa, Fm"]
+        assert b.warnings == ["unreachable risk states dropped: Fa, Fm"]
 
     def test_welding_cell_state_count(self, welding_cell):
         r = to_test_reference(welding_cell)
@@ -214,6 +221,87 @@ def unreachable_obj():
         },
     ]
     return obj
+
+
+# a factor's phase may stay or take its next step of the life cycle
+PHASE_STEPS = {"0": "0a", "a": "am", "m": "m0"}
+
+
+def behaviour_with_unreachable_states(rng) -> tuple[dict, str]:
+    """A deterministic behaviour document over one or two factors and an
+    int input `x`, whose transitions leave a random set of risk states, and
+    the name of a risk state that has transitions but that no transition of
+    another state enters, so that `initial` does not reach it."""
+    factors = ["F", "G"][:rng.randint(1, 2)]
+    hi = rng.randint(1, 3)
+    states = [dict(zip(factors, phases)) for phases in product("0am", repeat=len(factors))]
+    initial, unreached = states[0], rng.choice(states[1:])
+    sources = rng.sample(states, rng.randint(1, len(states)))
+    transitions = []
+    for source in sources + ([unreached] if unreached not in sources else []):
+        cuts = sorted(rng.sample(range(1, hi + 1), rng.randint(0, hi)))
+        for lo, up in zip([0] + cuts, cuts + [hi + 1]):
+            target = {f: rng.choice(PHASE_STEPS[p]) for f, p in source.items()}
+            if target == unreached and source != unreached:
+                target = source
+            transitions.append({"source": source, "guard": f"x >= {lo} and x <= {up - 1}",
+                                "output": {"y": rng.randint(0, 1)}, "target": target})
+    rng.shuffle(transitions)
+    obj = {"vars": [{"name": "x", "sort": {"int": [0, hi]}, "kind": "monitored"},
+                    {"name": "y", "sort": {"int": [0, 1]}, "kind": "controlled"}]
+           + [{"name": f, "sort": {"enum": ["0", "a", "m"]}, "kind": "factor"} for f in factors],
+           "initial": initial, "transitions": transitions}
+    return obj, "_".join(f"{f}{unreached[f]}" for f in factors)
+
+
+def refused_as_output(step):
+    """`step`, answering a refusal with an output that no step gives."""
+    def total(pair):
+        try:
+            return step(pair)
+        except SupervisorError:
+            return pair[0], "refused"
+    return total
+
+
+class TestPruning:
+    """The reader drops the actions of the risk states that `initial` does
+    not reach; the program it gives must behave as the program of every
+    transition of the file, `helpers.unpruned_program`."""
+
+    @given(st.randoms(use_true_random=False), st.sampled_from(POLICIES))
+    @settings(max_examples=120, deadline=None)
+    def test_pruned_program_behaves_as_unpruned(self, rng, policy):
+        obj, unreached = behaviour_with_unreachable_states(rng)
+        b = behavior_from_obj(obj)
+        [warning] = b.warnings
+        assert unreached in warning.removeprefix("unreachable risk states dropped: ").split(", ")
+        p, oracle = to_guarded_actions(b, policy), unpruned_program(obj, policy)
+        assert len(p.actions) < len(oracle.actions)
+        # the oracle's actions include the program's, so these are the joint guards
+        guards = distinct_guards(a.guard for a in oracle.actions)
+        inputs = [v for _, v, _ in truth_classes(guards, p.input_vars)]
+        assert first_difference((p.initial, oracle.initial), inputs,
+                                refused_as_output(p.step),
+                                refused_as_output(oracle.step)) is None
+        report = check_hypotheses(p, to_test_reference(b, policy))
+        assert report.ok, report.summary()
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_one_partition_per_reference(self, rng):
+        r = to_test_reference(behavior_from_obj(behaviour_with_unreachable_states(rng)[0]))
+        walks = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sfsm, "truth_classes",
+                          lambda *args: walks.append(args) or truth_classes(*args))
+            first = input_classes(r)
+            assert input_classes(r) is first
+        assert len(walks) == 1
+        guards = distinct_guards(t.guard for t in r.transitions)
+        assert first.guards == [print_guard(g) for g in guards]
+        assert [(c.signature, c.representative, c.size) for c in first.classes] == \
+            truth_classes(guards, r.input_vars)
 
 
 def hypotheses(b):

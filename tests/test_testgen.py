@@ -546,44 +546,97 @@ unhashable_valuations = st.dictionaries(st.sampled_from(["x", "y"]),
                                         st.lists(scalars, max_size=2), min_size=1, max_size=2)
 
 
+# valuations the wire carries: names in either order, ints and strings
+wire_valuations = st.dictionaries(
+    st.sampled_from(["x", "y", "ä", "zz"]),
+    st.one_of(st.integers(-2, 2), st.sampled_from(["1", "on", "é", "\u2603", ""])), max_size=3)
+symbols = st.sampled_from(["c0", "o1", "ø"])
+# a symbol the wire would carry as two lines
+broken_symbols = st.sampled_from(["c0\nIN c1", "o1\r"])
+
+
+def step_ok(v, concrete: bool, output: bool) -> bool:
+    """Whether `v` may be an input (`output` false) or an expected output
+    of a concrete or abstract suite: the oracle of the reader's check."""
+    if not concrete:
+        return type(v) is str and "\n" not in v and "\r" not in v
+    if output and v is None:
+        return True
+    return type(v) is dict and all(type(x) is str or type(x) is int for x in v.values())
+
+
+def first_stray(doc) -> str | None:
+    """Where the first value of `doc` that no suite may hold sits, in the
+    order the reader reads it, or None."""
+    for i, c in enumerate(doc["cases"]):
+        for key, output in (("inputs", False), ("expectedOutputs", True)):
+            for j, v in enumerate(c[key]):
+                if not step_ok(v, doc["concrete"], output):
+                    return f"cases[{i}].{key}[{j}]"
+    return None
+
+
 @st.composite
 def suite_documents(draw) -> dict:
     """A suite document as `json` reads it, so no two steps share an object,
     with steps drawn from a small pool: valuations in either order of their
-    names, `1` and `True` apart, symbols, nil and valuations that cannot be
-    hashed.  Its first case sends `{"x": 1}` and then `{"x": true}`."""
-    pool = draw(st.lists(pool_values | unhashable_valuations, min_size=1, max_size=5))
+    names and nil for a concrete suite, symbols for an abstract one, and in
+    about half the pools a stray that may be neither (`1` beside `True`, a
+    symbol, nil, a valuation that cannot be hashed, a symbol with a line
+    break).  Its first case expects
+    at its second step the value it sends at its first."""
+    concrete = draw(st.booleans())
+    inputs, outputs = (wire_valuations, wire_valuations | st.none()) if concrete \
+        else (symbols, symbols)
+    pool = draw(st.lists(inputs | outputs, min_size=1, max_size=4))
+    pool += draw(st.lists(pool_values | unhashable_valuations | broken_symbols, max_size=1))
     step = st.tuples(st.sampled_from(pool), st.booleans()).map(
         lambda pick: dict(reversed(pick[0].items())) if pick[1] and isinstance(pick[0], dict)
         else pick[0])
-    cases = [[({"x": 1}, None), ({"x": True}, {"x": 1})]]
+    first, second = draw(inputs), draw(inputs)
+    cases = [[(first, draw(outputs)), (second, first)]]
     cases += draw(st.lists(st.lists(st.tuples(step, step), max_size=5), max_size=6))
     doc = {"method": draw(st.sampled_from(["h", "w"])), "mBound": draw(st.integers(1, 9)),
-           "concrete": draw(st.booleans()),
+           "concrete": concrete,
            "cases": [{"inputs": [i for i, _ in c], "expectedOutputs": [o for _, o in c]}
                      for c in cases]}
     return json.loads(json.dumps(doc))
 
 
 class TestSuiteRead:
-    """`TestSuite.from_obj` shares the inputs and outputs that are equal in
-    value and type, as a concretized suite does, and reads back the
-    document it was given."""
+    """`TestSuite.from_obj` refuses a value no suite may hold, naming where
+    it is, and shares the inputs and outputs that are equal in value and
+    type, as a concretized suite does, and reads back the document it was
+    given."""
 
     @given(suite_documents())
     @settings(max_examples=150, deadline=None)
     def test_equal_values_shared(self, doc):
+        stray = first_stray(doc)
+        if stray is not None:
+            with pytest.raises(ValueError, match=re.escape(f"{stray} must be ")):
+                TestSuite.from_obj(doc)
+            return
         suite = TestSuite.from_obj(doc)
         assert suite.to_obj() == doc
         values = [v for c in suite.cases for v in c.inputs + c.expected]
-        read = [v for c in doc["cases"] for key in ("inputs", "expectedOutputs") for v in c[key]]
-        for v, original in zip(values, read):
-            if not hashable(v):
-                assert v is original
         for a in values:
             for b in values:
-                if hashable(a) and alike(a, b):
+                if alike(a, b):
                     assert a is b
-        one, true = suite.cases[0].inputs
-        assert one == true and one is not true
-        assert suite.cases[0].expected[1] is one
+        assert suite.cases[0].expected[1] is suite.cases[0].inputs[0]
+
+    @pytest.mark.parametrize("inputs, stray", [
+        ([{"x": 1}, {"x": True}], "cases[0].inputs[1] must be a valuation of strings and "
+                                  "integers, got {'x': True}"),
+        ([{"x": True}, {"x": 1}], "cases[0].inputs[0] must be a valuation of strings and "
+                                  "integers, got {'x': True}"),
+    ], ids=["int-then-bool", "bool-then-int"])
+    def test_a_bool_is_not_shared_with_its_int(self, inputs, stray):
+        """`True` equals `1` and hashes alike, so the reader must test it
+        apart, not take it for the `1` it met first."""
+        doc = {"method": "h", "mBound": 1, "concrete": True,
+               "cases": [{"inputs": inputs, "expectedOutputs": [None, None]}]}
+        with pytest.raises(ValueError) as refused:
+            TestSuite.from_obj(doc)
+        assert str(refused.value) == stray
