@@ -3,9 +3,9 @@
 `serve-reference PROGRAM`, the public command of the reference SUT, goes
 straight to `program.serve_program`, without importing `cli` or
 `argparse`; any other command line, `--help` and a wrong argument count
-among them, goes to `cli.main`.  `pipeline`'s default SUT reaches the same
-function in a thread of the toolkit process instead (`harness.ThreadedSut`),
-which starts no process.
+among them, goes to `cli.main`.  `pipeline`'s default SUT answers with the
+same server in-line instead (`harness.SutAdapter`), which starts no
+process.
 """
 
 import sys

@@ -9,12 +9,12 @@ pipeline run is reproducible byte for byte.  This module alone writes and
 checks those links: a suite is checked or mutated only against the FSM it
 names, and artefacts that name different SFSMs or FSMs are not combined.
 
-`pipeline`'s default SUT is a thread of this process that serves the
-`program.gap` it wrote over a pair of pipes (`harness.ThreadedSut`, which
-calls `program.serve_program` on the file).  The public command
-`python -m suptest serve-reference PROGRAM` goes from `__main__` straight
-to the same function, without this module, and the `serve-reference`
-subcommand calls it too.
+`pipeline`'s default SUT is the `program.gap` it wrote, served in-line:
+`harness.SutAdapter` reads the file into `program.reference_answerer` and
+hands it the lines it would write to a pipe.  The public command
+`python -m suptest serve-reference PROGRAM` answers with the same function
+on its standard streams (`program.serve_program`), reached from `__main__`
+without this module, and the `serve-reference` subcommand calls it too.
 Each stage imports the modules it uses, so this module loads neither the
 generator stack nor the client harness until a command needs them.
 
@@ -312,8 +312,7 @@ def concretize(suite: testgen.TestSuite, partition, amap, path,
 def run(suite: testgen.TestSuite, sut_command: str | list[str] | None, path, config,
         suite_fp: str | None = None, program=None) -> harness.TestReport:
     """Run `suite` against the SUT `sut_command` or, without one, against
-    the reference SUT of the program file `program`, served by a thread
-    of this process (`harness.ThreadedSut`)."""
+    the reference SUT of the program file `program`, served in-line."""
     from . import harness
     with harness.SutAdapter(sut_command, config["step_timeout"], program=program) as sut:
         report = harness.run_suite(sut, suite)
@@ -402,13 +401,42 @@ def cmd_serve_machine(args, config) -> int:
     return 0
 
 
+def check_inputs(suite, path, check) -> None:
+    """Refuse the suite read from `path` unless `check` accepts each of its
+    inputs, raising neither ValueError nor SortError, naming where the first
+    one it refuses is used.  The suite reader shares equal inputs, so each
+    distinct input is checked once."""
+    from .guards import SortError
+    checked = set()
+    for i, case in enumerate(suite.cases):
+        for j, x in enumerate(case.inputs):
+            if id(x) not in checked:
+                try:
+                    check(x)
+                except (ValueError, SortError) as exc:
+                    raise CliError(f"{path}: cases[{i}].inputs[{j}]: {exc}") from exc
+                checked.add(id(x))
+
+
 def cmd_mutate(args, config) -> int:
     from . import mutation
     from .fsm import MealyMachine
+    from .guards import check_valuation
     target = read_artifact(args.target, by_key(
         "actions", GuardedActionProgram.from_obj, MealyMachine.from_obj))
-    suite = (load_suite_of(target, args.suite) if isinstance(target, MealyMachine)
-             else load_suite(args.suite))
+    if isinstance(target, MealyMachine):
+        suite = load_suite_of(target, args.suite)
+        alphabet = set(target.inputs)
+
+        def check(x):
+            if not isinstance(x, str) or x not in alphabet:
+                raise ValueError(f"input symbol {x!r} not in alphabet")
+    else:  # a concrete suite's inputs, as the reference SUT reads them
+        suite = load_suite(args.suite)
+
+        def check(x):
+            check_valuation(x, target.input_vars)
+    check_inputs(suite, args.suite, check)
     operators = args.ops.split(",") if args.ops else None
     mutants = mutation.generate_mutants(target, operators, args.limit,
                                         config["mutation_seed"])

@@ -11,7 +11,7 @@ refuses a pair it has no transition on (`UndefinedTransition`), a
 guarded-action program (`program.GuardedActionProgram`), and an SFSM test
 reference (`sfsm.Sfsm`), whose `step` refuses an overlap or an uncovered
 input.  The in-process SUT (`harness.LocalSut`), the wire server
-(`program.serve_behaviour`) and `first_difference` take any of them.
+(`program.answerer`) and `first_difference` take any of them.
 
 Two searches answer the graph questions the toolkit asks of behaviours.
 `MealyMachine.access_words`, one BFS from the initial state, gives each

@@ -10,13 +10,13 @@ ascending (or the bare token ``nil``).  The adapter boundary is a pair of
 pipes, so any generated controller can be wrapped regardless of language.
 A behaviour, a program or a Mealy machine, is anything with an `initial`
 state and a `step` from a (state, input) pair to (next state, output); one
-runs in-process as `LocalSut(behaviour)`, or as a SUT served by
-`serve_behaviour(behaviour, read)`, the SUT side, which lives in `program`
-and serves a program (`serve_reference`) and a machine (`serve_machine`)
-alike.  A SUT given as a command line is exec'd as a child process; the
-reference SUT of a program file is served by a thread of this process
-instead (`ThreadedSut`), over the same pipes, so that it starts no
-process, and reads the program from the file.
+runs in-process as `LocalSut(behaviour)`, or as a SUT that answers by
+`program.answerer(behaviour, read)`, the SUT side, which serves a program
+(`serve_reference`) and a machine (`serve_machine`) alike.  A SUT given as
+a command line is exec'd as a child process.  The reference SUT of a
+program file is served in-line instead: the adapter reads the program
+from the file and hands the lines it would write to a pipe straight to
+its `program.reference_answerer`, so that it starts no process.
 
 A SUT is given a suite's cases once, by `plan(cases)`, and runs them in
 that order: `reset()` starts the next case, and `step()` returns the
@@ -39,22 +39,21 @@ from __future__ import annotations
 import os
 import select
 import shlex
-import signal
 import subprocess
 import tempfile
-import threading
 import time
 from collections import deque
 from collections.abc import Iterator
 
-from .encoding import NIL_TEXT, decode_step, encode_compact, encode_step
+from .encoding import NIL_TEXT, ArtifactError, decode_step, encode_compact, encode_step
 from .guards import Record
 from .program import (
+    DEBUG_ENV,
     DEFAULT_STEP_TIMEOUT,
     MEMO_SIZE,
     GuardedActionProgram,
-    exit_code,
-    serve_program,
+    load_program,
+    reference_answerer,
 )
 
 # Lines of a SUT's standard error quoted when it fails to start.
@@ -215,90 +214,6 @@ class LocalSut:
         return output
 
 
-class ThreadedSut:
-    """The reference SUT of the program file `path`, served by a thread of
-    this process over a fresh pair of pipes, with a duplicate of the
-    descriptor `stderr` as its standard error.  The handle holds the part
-    of `subprocess.Popen` the adapter uses: `stdin`, `stdout`, `wait`,
-    `terminate` and `kill`.
-
-    The thread runs `program.serve_program(path)`, as an exec'd
-    `serve-reference` would, and so reads the program from the file each
-    session: what is tested is the artefact, not an object of this
-    process.  It ends as that command exits: an error is one `error: ...`
-    line in its standard error and code 2, `SystemExit(n)` gives n, and any
-    other exception writes its traceback there and gives 1.  Nothing goes
-    to this process's standard streams.
-
-    The thread's three descriptors are its own, and only the thread closes
-    them, so it never writes into a descriptor number that a later `open`
-    reused.  `terminate` and `kill` close this side's pipe ends, so a
-    server blocked reading or writing ends on end of input or a broken
-    pipe; one blocked anywhere else is abandoned by `kill`.
-    """
-
-    def __init__(self, path, stderr: int):
-        self.args = ["serve-reference", str(path)]
-        self.returncode = None
-        self._killed = False
-        ends: list[int] = []
-        try:
-            ends += os.pipe()
-            ends += os.pipe()
-            ends.append(os.dup(stderr))
-            server_in, stdin, stdout, server_out, errors = ends
-            self.thread = threading.Thread(target=self._serve, name=shlex.join(self.args),
-                                           args=(path, server_in, server_out, errors),
-                                           daemon=True)
-            self.thread.start()
-        except BaseException:
-            for fd in ends:
-                os.close(fd)
-            raise
-        self.stdin = open(stdin, "wb")
-        self.stdout = open(stdout, "rb")
-
-    def _serve(self, path, server_in: int, server_out: int, errors: int) -> None:
-        """The thread, from start to end: serve the file `path` on its own
-        descriptors, close them, and set `returncode`."""
-        code = 1
-        try:
-            with open(server_in, "rb") as stdin, open(server_out, "wb") as stdout, \
-                    open(errors, "w", encoding="utf-8", errors="backslashreplace") as stderr:
-                try:
-                    code = exit_code(serve_program, path, stdin, stdout, stderr=stderr)
-                except SystemExit as exc:  # n gives n, as on leaving an interpreter
-                    code = 0 if exc.code is None else exc.code if isinstance(exc.code, int) else 1
-                except Exception:  # SUPTEST_DEBUG=1: the traceback, then exit 1
-                    import traceback  # only here: it loads five modules
-                    traceback.print_exc(file=stderr)
-        except OSError:  # a reply still buffered when the client closed its end
-            pass
-        self.returncode = code
-
-    def wait(self, timeout: float | None = None) -> int:
-        """The thread's exit code once it has ended; TimeoutExpired if it is
-        still running after `timeout` seconds.  After `kill`, a thread
-        still running is abandoned, and gives minus SIGKILL at once."""
-        self.thread.join(0 if self._killed else timeout)
-        if not self.thread.is_alive():
-            return self.returncode
-        if self._killed:
-            return -signal.SIGKILL
-        raise subprocess.TimeoutExpired(self.args, timeout)
-
-    def terminate(self) -> None:
-        for stream in (self.stdin, self.stdout):
-            try:
-                stream.close()
-            except OSError:  # the descriptor is closed all the same
-                pass
-
-    def kill(self) -> None:
-        self._killed = True
-        self.terminate()
-
-
 # Bytes of lines the adapter sends past the case being run, about what one
 # pipe holds: a case goes out ahead while the lines past the current case fit,
 # so a SUT that fails a case early is sent at most this much more.
@@ -310,7 +225,8 @@ class SutAdapter:
 
     The SUT is `command`, a command line exec'd for each session, or, when
     there is none, the reference SUT of the program file `program`, served
-    by a thread of this process for each session (`ThreadedSut`).
+    in-line: each session reads the file into a `program.reference_answerer`,
+    and the lines queued for the SUT are handed to it instead of a pipe.
 
     `plan(cases)` gives the cases to run, in order; each `reset()` starts
     the next of them, and each `step()` reads the reply to its next input.
@@ -330,7 +246,9 @@ class SutAdapter:
     A freshly started SUT that exits, stays silent, or answers its first
     RESET with anything but READY raises SutStartError naming the command,
     the failure and the end of the SUT's standard error, which goes to a
-    temporary file so that no pipe can fill up.
+    temporary file so that no pipe can fill up.  A program file that cannot
+    be read raises SutStartError at `start`, with the reader's own error
+    when `SUPTEST_DEBUG=1` is set.
 
     A suite repeats few distinct inputs and replies, so the adapter encodes
     the IN line of each distinct input object of the plan once, and knows
@@ -350,12 +268,13 @@ class SutAdapter:
             self.name = shlex.join(self.command)
         elif program is not None:
             self.command = None
-            self.name = f"thread serving {program}"
+            self.name = f"serving {program} in-line"
         else:
             raise ValueError("a SUT needs a command line or a program file")
         self.program = program
         self.step_timeout = step_timeout
-        self.process: subprocess.Popen | ThreadedSut | None = None
+        self.process: subprocess.Popen | None = None
+        self._answer = None  # the in-line SUT: its lines -> its replies
         self._stderr = None  # the SUT's standard error, a temporary file
         self._fresh = False  # started, and not yet answered READY
         self._in_ids: dict[int, bytes] = {}  # id of an input of the plan -> its IN line
@@ -376,22 +295,27 @@ class SutAdapter:
         """A fresh SUT in place of the running one, if any, sent every case
         queued past the current one."""
         self.stop()
-        self._stderr = tempfile.TemporaryFile()
-        try:
-            if self.command is None:
-                self.process = ThreadedSut(self.program, self._stderr.fileno())
-            else:
+        if self.command is None:
+            try:
+                self._answer = reference_answerer(load_program(self.program))
+            except ArtifactError as exc:
+                if os.environ.get(DEBUG_ENV) == "1":
+                    raise
+                raise SutStartError(f"SUT {self.name} did not start: {exc}") from None
+        else:
+            self._stderr = tempfile.TemporaryFile()
+            try:
                 self.process = subprocess.Popen(
                     self.command,
                     stdin=subprocess.PIPE,
                     stdout=subprocess.PIPE,
                     stderr=self._stderr,
                 )
-        except OSError as exc:
-            self.stop()  # closes the temporary file
-            raise HarnessError(f"cannot start SUT {self.name}: {exc}") from exc
-        os.set_blocking(self.process.stdin.fileno(), False)
-        self._fresh = True
+            except OSError as exc:
+                self.stop()  # closes the temporary file
+                raise HarnessError(f"cannot start SUT {self.name}: {exc}") from exc
+            os.set_blocking(self.process.stdin.fileno(), False)
+            self._fresh = True  # an in-line SUT answers its first RESET with READY
         for _, lines in self._ahead:
             self._outbox += lines
 
@@ -409,6 +333,7 @@ class SutAdapter:
                 self.process.wait()
             self.process.stdout.close()
             self.process = None
+        self._answer = None
         if self._stderr is not None:
             self._stderr.close()
             self._stderr = None
@@ -419,8 +344,12 @@ class SutAdapter:
 
     def _receive(self) -> str:
         """The next reply, waiting at most `step_timeout` for it and writing
-        the queued lines meanwhile."""
+        the queued lines meanwhile; an in-line SUT is handed them all."""
         if self._replies:
+            return self._replies.popleft()
+        if self._answer is not None:  # it answers every line queued, each with one reply
+            self._take(self._answer(self._outbox))
+            self._outbox.clear()
             return self._replies.popleft()
         if self.process is None:
             raise HarnessError("SUT process not running")
@@ -445,13 +374,17 @@ class SutAdapter:
             if not data and not self._partial:
                 raise self._gone()
             # at the end of output, a last reply without its newline still counts
-            complete, newline, self._partial = (self._partial + (data or b"\n")).rpartition(b"\n")
-            if newline:
-                text = complete.decode("utf-8", "replace")
-                lines = text.split("\n")
-                self._replies.extend([line.rstrip("\r") for line in lines] if "\r" in text
-                                     else lines)
+            self._take(data or b"\n")
         return self._replies.popleft()
+
+    def _take(self, data: bytes) -> None:
+        """Queue the replies that `data`, the SUT's next output, completes."""
+        complete, newline, self._partial = (self._partial + data).rpartition(b"\n")
+        if newline:
+            text = complete.decode("utf-8", "replace")
+            lines = text.split("\n")
+            self._replies.extend([line.rstrip("\r") for line in lines] if "\r" in text
+                                 else lines)
 
     def _discard(self, count: int) -> bool:
         """Read and drop the next `count` replies; False if the SUT exited,

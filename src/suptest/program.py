@@ -6,8 +6,9 @@ monitored variables with an output valuation and a next risk state.  A
 program is a behaviour, as a Mealy machine is: it has an `initial` state
 and a `step` from a (state, input) pair to (next state, output).  The one
 server of the wire protocol's SUT side (see `harness` for the client
-side), `serve_behaviour`, serves any behaviour: a program
-(`serve_reference`) and a machine (`serve_machine`) alike.
+side), `answerer`, answers any behaviour's lines: a program's
+(`reference_answerer`) and a machine's alike.  `serve` speaks it on a pair
+of streams, for `serve_reference` and `serve_machine`.
 
 A risk state has one form here: its (factor, phase) pairs sorted by factor
 (`RiskState`).  Actions hold it, `step` maps it, the server keys its memo
@@ -15,16 +16,16 @@ by it and the mutation oracle compares it.  Both readers, of a behaviour
 file (`supervisor.behavior_from_obj`) and of a program file, read a risk
 state into it once, by `_risk_state_at`, and a message prints it as a dict.
 
-A reference SUT runs `serve_program`, once per session, on one of three
-routes that fail alike (`exit_code`): `pipeline`'s default SUT, a thread
-of the toolkit process started by `harness.ThreadedSut`, which reads the
-program from its file and serves it over a fresh pair of pipes; the
-public `python -m suptest serve-reference PROGRAM`, which `__main__` sends
-straight here, without `cli` or `argparse`; and that subcommand of
-`cli.main`.  This module imports nothing of the toolkit beyond the
-encoding and the guard language, and through them no `dataclasses`, no
-`pathlib` and none of the client's process machinery (`subprocess`,
-`select`, `shlex`): only `json` and `re` besides `math`, `os` and `sys`.
+The reference SUT of a program file answers with `reference_answerer`
+on every route: `pipeline`'s default SUT, which `harness.SutAdapter`
+serves in-line, handing it the lines it would write to a pipe; the public
+`python -m suptest serve-reference PROGRAM`, which `__main__` sends
+straight to `serve_program`, without `cli` or `argparse`; and that
+subcommand of `cli.main`.  This module imports nothing of the toolkit
+beyond the encoding and the guard language, and through them no
+`dataclasses`, no `pathlib` and none of the client's process machinery
+(`subprocess`, `select`, `shlex`): only `json` and `re` besides `math`,
+`os` and `sys`.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ DEFAULT_STEP_TIMEOUT = 5.0
 
 DEBUG_ENV = "SUPTEST_DEBUG"  # "1": a failing command raises, with its traceback
 
-# Steps `serve_behaviour` remembers per session, as (state, IN payload)
+# Steps `answerer` remembers per session, as (state, IN payload)
 # pairs; a suite repeats few of them, and past this many it stops storing.
 MEMO_SIZE = 4096
 
@@ -225,36 +226,30 @@ def _read_input(program: GuardedActionProgram, text: str) -> Valuation:
 # The SUT side of the wire protocol
 # ---------------------------------------------------------------------------
 
-def serve_behaviour(behaviour, read, stdin=None, stdout=None) -> None:
-    """Speak the wire protocol for `behaviour` until EOF: RESET goes back to
-    its `initial` state, and `IN payload` is answered with the output of
-    its `step((state, read(payload)))`, which gives (next state, output).
+def answerer(behaviour, read):
+    """The SUT side of the wire protocol for `behaviour`: a function from the
+    bytes of complete lines, each ended by a newline, to the bytes of their
+    replies.  RESET goes back to the behaviour's `initial` state, and
+    `IN payload` is answered with the output of its
+    `step((state, read(payload)))`, which gives (next state, output); the
+    state carries over from one call to the next.
 
     An exception from `read` or `step` is answered with an ERR reply and
     leaves the state unchanged.  A reply and the next state depend only on
     the state and the line, so the first `MEMO_SIZE` distinct pairs of a
     state and a line other than RESET are remembered, and a repeated line
-    is answered without parsing, reading, stepping or encoding.  Reading depends on the payload alone, so the first
-    `MEMO_SIZE` distinct payloads are read once, whatever state they
-    arrive in.
-
-    `stdin` and `stdout` are binary streams, by default the buffers of the
-    standard streams.  Each pass answers every complete line that one
-    `read1` returned and writes those replies with one write and a flush
-    before it reads again, so a client that sends one line and waits gets
-    its reply, and a client that sends many gets theirs in few writes.
-    Lines are read as UTF-8, where bytes that are not UTF-8 read as U+FFFD;
-    a carriage return ends a line as a newline does, and so does the end
-    of input.
+    is answered without parsing, reading, stepping or encoding.  Reading
+    depends on the payload alone, so the first `MEMO_SIZE` distinct
+    payloads are read once, whatever state they arrive in.  Lines are read
+    as UTF-8, where bytes that are not UTF-8 read as U+FFFD, and a blank
+    line gets no reply.
     """
-    stdin = stdin if stdin is not None else sys.stdin.buffer
-    stdout = stdout if stdout is not None else sys.stdout.buffer
     initial, step = behaviour.initial, behaviour.step
     state = initial
     answered: dict = {}  # (state, line) -> (reply, next state)
     inputs: dict = {}  # payload -> its input, or the exception that refused it
 
-    def answer(state, line: str) -> tuple[str, object]:
+    def work_out(state, line: str) -> tuple[str, object]:
         """The reply to `line` in `state`, empty for a blank line, and the
         next state."""
         line = line.strip()
@@ -280,12 +275,12 @@ def serve_behaviour(behaviour, read, stdin=None, stdout=None) -> None:
             return f"ERR {exc}\n", state
         return f"OUT {encode_step(output)}\n", target
 
-    rest = b""  # the start of a line whose end is still to come
-    while True:
-        data = stdin.read1(65536)
-        lines, _, rest = (rest + (data or b"\n")).replace(b"\r", b"\n").rpartition(b"\n")
+    def answer(block) -> bytes:
+        nonlocal state
+        lines = block.decode("utf-8", "replace").split("\n")
+        lines.pop()  # what follows the last newline
         replies = []
-        for line in lines.decode("utf-8", "replace").split("\n"):
+        for line in lines:
             if line == "RESET":
                 state = initial
                 replies.append("READY\n")
@@ -293,54 +288,79 @@ def serve_behaviour(behaviour, read, stdin=None, stdout=None) -> None:
             key = (state, line)
             known = answered.get(key)
             if known is None:
-                known = answer(*key)
+                known = work_out(*key)
                 if len(answered) < MEMO_SIZE:
                     answered[key] = known
             reply, state = known
             replies.append(reply)
-        block = "".join(replies)
+        return "".join(replies).encode("utf-8", "backslashreplace")
+
+    return answer
+
+
+def reference_answerer(program: GuardedActionProgram):
+    """`answerer` of `program`: malformed input, and input outside the
+    declared variables or their sorts, produces an ERR reply and leaves the
+    state unchanged."""
+    return answerer(program, lambda text: _read_input(program, text))
+
+
+def serve(answer, stdin=None, stdout=None) -> None:
+    """Speak the wire protocol with the `answerer` function `answer` until
+    EOF, on the binary streams `stdin` and `stdout`, by default the buffers
+    of the standard streams.
+
+    Each pass hands `answer` every complete line that one `read1` returned
+    and writes the replies with one write and a flush before it reads
+    again, so a client that sends one line and waits gets its reply, and a
+    client that sends many gets theirs in few writes.  A carriage return
+    ends a line as a newline does, and so does the end of input.
+    """
+    stdin = stdin if stdin is not None else sys.stdin.buffer
+    stdout = stdout if stdout is not None else sys.stdout.buffer
+    rest = b""  # the start of a line whose end is still to come
+    while True:
+        data = stdin.read1(65536)
+        text = (rest + (data or b"\n")).replace(b"\r", b"\n")
+        end = text.rfind(b"\n") + 1
+        rest = text[end:]
+        block = answer(text[:end])
         if block:
-            stdout.write(block.encode("utf-8", "backslashreplace"))
+            stdout.write(block)
             stdout.flush()
         if not data:
             return
 
 
 def serve_reference(program: GuardedActionProgram, stdin=None, stdout=None) -> None:
-    """Serve `program` over the wire protocol on standard streams until EOF.
-
-    Malformed input, and input outside the declared variables or their
-    sorts, produces an ERR reply and leaves the state unchanged.
-    """
-    serve_behaviour(program, lambda text: _read_input(program, text), stdin, stdout)
+    """Serve `program` over the wire protocol on standard streams until EOF."""
+    serve(reference_answerer(program), stdin, stdout)
 
 
 def serve_machine(machine, stdin=None, stdout=None) -> None:
     """Serve a Mealy machine over the wire protocol with bare symbols."""
-    serve_behaviour(machine, str.strip, stdin, stdout)
+    serve(answerer(machine, str.strip), stdin, stdout)
 
 
 def load_program(path) -> GuardedActionProgram:
     return read_artifact(path, GuardedActionProgram.from_obj)
 
 
-def serve_program(path, stdin=None, stdout=None) -> int:
+def serve_program(path) -> int:
     """`serve-reference PROGRAM`: serve the program held in the file `path`
-    on the binary streams `stdin` and `stdout`, the standard ones by
-    default."""
-    serve_reference(load_program(path), stdin, stdout)
+    on the standard streams."""
+    serve_reference(load_program(path))
     return 0
 
 
-def exit_code(command, *args, stderr=None) -> int:
+def exit_code(command, *args) -> int:
     """`command(*args)`, whose result is an exit code; a failure writes one
-    `error: ...` line to the text stream `stderr`, by default the standard
-    error, and gives 2, or is raised again with its traceback when
-    `SUPTEST_DEBUG=1` is set."""
+    `error: ...` line to the standard error and gives 2, or is raised again
+    with its traceback when `SUPTEST_DEBUG=1` is set."""
     try:
         return command(*args)
     except Exception as exc:
         if os.environ.get(DEBUG_ENV) == "1":
             raise
-        print(f"error: {exc}", file=stderr if stderr is not None else sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 2

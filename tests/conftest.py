@@ -20,12 +20,12 @@ def no_leaked_sut(request):
     is that fixture's to stop."""
     before, threads = child_pids(), set(threading.enumerate())
     yield
-    held = [value.process for value in request.node.funcargs.values()
-            if isinstance(value, SutAdapter) and value.process is not None]
-    leaked = child_pids() - before - {getattr(sut, "pid", None) for sut in held}
+    held = {value.process.pid for value in request.node.funcargs.values()
+            if isinstance(value, SutAdapter) and value.process is not None}
+    leaked = child_pids() - before - held
     if leaked:
         pytest.fail(f"test left child processes {sorted(leaked)} running or unreaped")
-    running = set(threading.enumerate()) - threads - {getattr(sut, "thread", None) for sut in held}
+    running = set(threading.enumerate()) - threads
     if running:
         pytest.fail(f"test left threads {sorted(t.name for t in running)} running")
 

@@ -482,7 +482,7 @@ def stepwise_replies(program, lines) -> list[str]:
 def stepwise_machine_replies(m: MealyMachine, lines) -> list[str]:
     """The symbolic SUT's reply to each protocol line, worked out line by
     line with no memo from the transition map: the oracle for
-    `harness.serve_machine`, which answers a repeated step from its memo."""
+    `program.serve_machine`, which answers a repeated step from its memo."""
     def answer(s, payload):
         symbol = payload.strip()
         if (s, symbol) not in m.transitions:

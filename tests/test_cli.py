@@ -29,13 +29,12 @@ from suptest.encoding import (
 )
 from suptest.mutation import OUTPUT_FAULT, generate_mutants
 from suptest.harness import (
-    ERROR, FAIL, PASS, VERDICTS_PER_PART, SutAdapter, SutStartError, TestReport, ThreadedSut,
-    Verdict,
+    ERROR, FAIL, PASS, VERDICTS_PER_PART, SutAdapter, SutStartError, TestReport, Verdict,
 )
-from suptest.program import serve_machine, serve_reference
+from suptest.program import load_program, reference_answerer, serve_machine, serve_reference
 from suptest.supervisor import behavior_from_obj, load_behavior, to_guarded_actions
 from suptest.testgen import CASES_PER_PART, TestCase, TestSuite
-from helpers import canonical_artifact, settled, start_case, stepwise_replies, written
+from helpers import canonical_artifact, settled, stepwise_replies, written
 from test_harness import MEMO_LINES, behaviour_obj
 from test_supervisor import single_transition_obj, unreachable_obj
 
@@ -214,6 +213,22 @@ class TestGenerateAndCheck:
 
 
 class TestConcretize:
+    def test_reads_partition_of_enumeration_inputs(self, tmp_path, capsys):
+        # `behaviour_obj` with its monitored variable an enumeration
+        obj = behaviour_obj()
+        obj["vars"][0]["sort"] = {"enum": ["lo", "hi"]}
+        for t in obj["transitions"]:
+            t["guard"] = t["guard"].replace("x = 1", "x = hi").replace("x = 0", "x = lo")
+        path = tmp_path / "enum.cb"
+        path.write_text(json.dumps(obj))
+        out = tmp_path / "out"
+        assert main(["pipeline", str(path), "--out", str(out)]) == 0
+        assert {c["representative"]["x"] for c in read(out / "partition.json")["classes"]} == {
+            "lo", "hi"}
+        assert main(["concretize", str(out / "suite-h.json"), str(out / "partition.json"),
+                     str(out / "abstraction.json"), "--out", str(tmp_path / "c.json")]) == 0
+        assert (tmp_path / "c.json").read_bytes() == (out / "suite-concrete.json").read_bytes()
+
     def test_refuses_mismatched_artefacts(self, abstracted, capsys):
         fsm = abstracted / "fsm.json"
         suite = abstracted / "suite-h.json"
@@ -502,16 +517,16 @@ class TestServeReference:
             path.write_text(content)
         spawned = subprocess.run(module_route(path), input="RESET\n", capture_output=True,
                                  text=True, timeout=60)
-        with SutAdapter(program=path) as sut, pytest.raises(SutStartError) as threaded:
-            start_case(sut)
+        with pytest.raises(SutStartError) as inline:
+            SutAdapter(program=path).start()
         capsys.readouterr()
         assert main(["serve-reference", str(path)]) == 2
         assert spawned.returncode == 2
         err = capsys.readouterr().err
         assert spawned.stderr == err
         assert err.startswith(f"error: {path}: {cause}") and err.count("\n") == 1
-        assert str(threaded.value).endswith(": SUT exited with code 2; its standard error ends "
-                                            "with:\n  " + err.rstrip("\n"))
+        assert str(inline.value) == (f"SUT serving {path} in-line did not start: "
+                                     + err.removeprefix("error: ").rstrip("\n"))
 
 
 class TestServeMachineCommand:
@@ -521,29 +536,16 @@ class TestServeMachineCommand:
         assert not CLIENT_MODULES & loaded
 
 
-def threaded_route(path, data: bytes, timeout: float = 60) -> tuple[int, bytes]:
-    """The exit code and standard output of the threaded reference SUT of
-    `path`, `harness.ThreadedSut`, given `data` on its standard input; one
-    that has not closed its output within `timeout` seconds is killed."""
-    with tempfile.TemporaryFile() as stderr:
-        sut = ThreadedSut(path, stderr.fileno())
-        with sut.stdin:
-            sut.stdin.write(data)
-        replies = b""
-        with sut.stdout:
-            while select.select([sut.stdout], [], [], timeout)[0]:
-                chunk = os.read(sut.stdout.fileno(), 65536)
-                if not chunk:
-                    return sut.wait(timeout=timeout), replies
-                replies += chunk
-        sut.kill()
-        sut.wait()
-        raise AssertionError(f"the threaded SUT did not close its output within {timeout} s")
+def inline_route(path, data: bytes) -> bytes:
+    """The replies of the in-line reference SUT of `path`, the route of
+    `harness.SutAdapter(program=path)`, handed the complete lines `data`
+    at once."""
+    return reference_answerer(load_program(path))(data)
 
 
 class TestReferenceLauncher:
-    """`pipeline`'s default SUT, served by a thread of the toolkit process:
-    the same server as `python -m suptest serve-reference`."""
+    """`pipeline`'s default SUT, served in-line in the toolkit process: the
+    same server as `python -m suptest serve-reference`."""
 
     def test_keeps_pythondontwritebytecode(self, tmp_path, behaviour):
         # a copy of the package without bytecode, run as the pipeline's SUT
@@ -566,7 +568,7 @@ class TestReferenceLauncher:
         path.write_text(canonical_dumps(program.to_obj()))
         lines = "".join(f"{line}\n" for line in MEMO_LINES * 3).encode()
         module = subprocess.run(module_route(path), input=lines, capture_output=True, timeout=60)
-        assert threaded_route(path, lines) == (module.returncode, module.stdout)
+        assert inline_route(path, lines) == module.stdout
         replies = module.stdout.decode().splitlines()
         assert module.returncode == 0 and len(replies) == 3 * (len(MEMO_LINES) - 1)
         for err in ("ERR no action enabled in risk state {'F': 'a'}",
@@ -600,9 +602,9 @@ SERVE_SCRIPT = (b'RESET\n\n  \nIN {"x":1}\r\nPING\nIN {"x":\xff}\n\xfe\xfd\n'
 
 
 class TestServeLoop:
-    """`program.serve_behaviour`, the one server: the same replies on every
-    route of the reference SUT and under `serve_machine`, and none held
-    back while it waits for more input."""
+    """`program.answerer`, the one server: the same replies on every route
+    of the reference SUT and under `serve_machine`, and, on the stream
+    routes, none held back while it waits for more input."""
 
     @pytest.fixture()
     def program(self, tmp_path):
@@ -618,7 +620,8 @@ class TestServeLoop:
         out = io.BytesIO()
         serve_reference(program, io.BytesIO(SERVE_SCRIPT), out)
         assert out.getvalue() == expected
-        assert threaded_route(path, SERVE_SCRIPT) == (0, expected)
+        # handed complete lines, as the stream loop hands them over
+        assert inline_route(path, SERVE_SCRIPT.replace(b"\r", b"\n") + b"\n") == expected
         for route in (module_route, subcommand_route):
             done = subprocess.run(route(path), input=SERVE_SCRIPT, capture_output=True,
                                   timeout=60)
@@ -643,22 +646,24 @@ class TestServeLoop:
             "READY", f"OUT {encode_step(outputs[0])}", "ERR unknown command 'PING'",
             "ERR no transition on '\ufffd'", f"OUT {encode_step(outputs[1])}"]
 
-    @pytest.mark.parametrize("route", ["threaded", "module", "subcommand"])
+    @pytest.mark.parametrize("route", ["in-line", "module", "subcommand"])
     def test_lockstep_client_gets_every_reply(self, program, route):
         program, path = program
         lines = ["RESET", 'IN {"x":1}', 'IN {"x":1}', "PING", "RESET", 'IN {"x":0}']
+        expected = [f"{reply}\n".encode() for reply in stepwise_replies(program, lines)]
+        if route == "in-line":
+            answer = reference_answerer(load_program(path))
+            assert [answer(f"{line}\n".encode()) for line in lines] == expected
+            return
         with tempfile.TemporaryFile() as stderr:
-            if route == "threaded":
-                sut = ThreadedSut(path, stderr.fileno())
-            else:
-                command = module_route(path) if route == "module" else subcommand_route(path)
-                sut = subprocess.Popen(command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                                       stderr=stderr)
+            command = module_route(path) if route == "module" else subcommand_route(path)
+            sut = subprocess.Popen(command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                   stderr=stderr)
             try:
-                for line, reply in zip(lines, stepwise_replies(program, lines)):
+                for line, reply in zip(lines, expected):
                     sut.stdin.write(f"{line}\n".encode())
                     sut.stdin.flush()
-                    assert read_reply(sut.stdout, timeout=30) == f"{reply}\n".encode(), line
+                    assert read_reply(sut.stdout, timeout=30) == reply, line
             finally:
                 sut.stdin.close()
                 code = sut.wait(timeout=30)
@@ -711,6 +716,65 @@ class TestMutate:
                   "--suite", str(abstracted / "suite-h.json"), "--limit", "-1"])
         assert exc.value.code == 2
         assert "argument --limit: must be an int >= 0, got -1" in capsys.readouterr().err
+
+    def test_refuses_symbol_outside_alphabet(self, abstracted, capsys):
+        fsm = abstracted / "fsm.json"
+        suite_path = abstracted / "suite-h.json"
+        assert main(["generate", str(fsm), "--out", str(suite_path)]) == 0
+        doc = read(suite_path)
+        doc["cases"][0]["inputs"][0] = "c99"
+        suite_path.write_text(canonical_dumps(doc))
+        capsys.readouterr()
+        assert main(["mutate", str(fsm), "--suite", str(suite_path), "--limit", "3"]) == 2
+        assert capsys.readouterr() == ("", f"error: {suite_path}: cases[0].inputs[0]: "
+                                           "input symbol 'c99' not in alphabet\n")
+
+    @pytest.fixture()
+    def piped(self, tmp_path, behaviour):
+        """The artefacts of the welding cell's pipeline at m = n."""
+        out = tmp_path / "m7"
+        assert main(["pipeline", str(behaviour), "--out", str(out)]) == 0
+        return out
+
+    def test_program_mutants_against_concrete_suite(self, piped, capsys):
+        from suptest.cli import load_suite
+        from suptest.mutation import classify, mutation_report
+        program = load_program(piped / "program.gap")
+        suite = load_suite(piped / "suite-concrete.json")
+        expected = mutation_report([classify(program, suite, mu)
+                                    for mu in generate_mutants(program, limit=6)])
+        capsys.readouterr()
+        assert main(["mutate", str(piped / "program.gap"), "--suite",
+                     str(piped / "suite-concrete.json"), "--limit", "6",
+                     "--out", str(piped / "mutation.json"),
+                     "--csv", str(piped / "mutants.csv")]) == 0
+        doc = read(piped / "mutation.json")
+        assert doc.pop("derivedFrom") == {"suite": fingerprint(
+            {k: v for k, v in read(piped / "suite-concrete.json").items() if k != "derivedFrom"})}
+        assert doc == expected.to_obj() and expected.counts["KILLED"] == 6
+        assert (piped / "mutants.csv").read_text() == expected.to_csv()
+        assert capsys.readouterr().out == expected.summary() + "\n"
+
+    @pytest.mark.parametrize("case, step, edit, cause", [
+        (0, 0, lambda v: v.update(ack=7), "value 7 not in sort of ack"),
+        (3, 1, lambda v: v.pop("ack"), "valuation missing variables: ack"),
+        (5, 0, lambda v: v.update(zz=0), "valuation has undeclared variables: zz"),
+    ], ids=["out-of-sort", "missing", "undeclared"])
+    def test_refuses_input_the_program_does_not_read(self, piped, capsys, case, step, edit,
+                                                     cause):
+        suite_path = piped / "suite-concrete.json"
+        doc = read(suite_path)
+        valuation = doc["cases"][case]["inputs"][step]
+        edit(valuation)
+        suite_path.write_text(canonical_dumps(doc))
+        # the reference SUT refuses it on the wire with the same cause
+        answer = reference_answerer(load_program(piped / "program.gap"))
+        line = f"IN {encode_step(valuation)}\n".encode()
+        assert answer(b"RESET\n" + line) == f"READY\nERR {cause}\n".encode()
+        capsys.readouterr()
+        assert main(["mutate", str(piped / "program.gap"), "--suite", str(suite_path)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {suite_path}: cases[{case}].inputs[{step}]: {cause}\n")
 
 
 class TestServeMachine:
@@ -1084,6 +1148,14 @@ class TestRender:
             assert main(["render", str(abstracted / model),
                          "--out", str(out)]) == 0
             assert out.read_text().startswith("digraph")
+
+    def test_without_out_writes_to_stdout(self, abstracted, capsys):
+        for model in ("reference.sfsm", "fsm.json"):
+            out = abstracted / f"{model}.dot"
+            assert main(["render", str(abstracted / model), "--out", str(out)]) == 0
+            capsys.readouterr()
+            assert main(["render", str(abstracted / model)]) == 0
+            assert capsys.readouterr() == (out.read_text(), "")
 
 
 # SHA-256 of each JSON artefact of the welding cell's pipeline, re-encoded

@@ -1,16 +1,14 @@
 """Wire protocol, SUT adapter, suite execution, offline cross-check."""
 
 import io
-import os
 import random
 import re
-import select
 import shlex
-import signal
 import sys
 import threading
 import time
 from contextlib import nullcontext
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +17,7 @@ from hypothesis import strategies as st
 from suptest import harness as harness_module
 from suptest import program as program_module
 from suptest.cli import main
-from suptest.encoding import canonical_dumps, encode_step
+from suptest.encoding import ArtifactError, canonical_dumps, encode_step
 from suptest.harness import (
     ERROR,
     FAIL,
@@ -41,7 +39,7 @@ from suptest.mutation import (
 from suptest.guards import parse_guard
 from suptest.program import (
     DEFAULT_STEP_TIMEOUT, MEMO_SIZE, GuardedAction, GuardedActionProgram,
-    load_program, serve_machine, serve_program, serve_reference,
+    reference_answerer, serve_machine, serve_reference,
 )
 from suptest.sfsm import (
     POLICY_ERROR, POLICY_SELFLOOP, abstract_to_fsm, concretize_suite, input_classes,
@@ -153,6 +151,15 @@ class TestProtocol:
         out = io.BytesIO()
         serve_reference(program, stdin=io.BytesIO(b"\n\nRESET\n"), stdout=out)
         assert out.getvalue().splitlines() == [b"READY"]
+
+    def test_reset_with_blanks_around_it(self, program):
+        # x = 1 answers y = 1 only from the initial risk state
+        script = b'RESET\nIN {"x":1}\n  RESET \t\nIN {"x":1}\n'
+        expected = b'READY\nOUT {"y":1}\nREADY\nOUT {"y":1}\n'
+        out = io.BytesIO()
+        serve_reference(program, stdin=io.BytesIO(script), stdout=out)
+        assert out.getvalue() == expected
+        assert reference_answerer(program)(script) == expected
 
 
 def two_factor_program(program):
@@ -337,11 +344,22 @@ class TestSymbolicSutOverTheWire:
 
 
 def program_file(tmp_path, program, name="program.gap"):
-    """`program` written to the file `name` in `tmp_path`, for a threaded
-    reference SUT to serve."""
+    """`program` written to the file `name` in `tmp_path`, for a reference
+    SUT to serve."""
     path = tmp_path / name
     path.write_text(canonical_dumps(program.to_obj()))
     return path
+
+
+FAULT_SUT = Path(__file__).with_name("fault_sut.py")
+
+
+def fault_sut(path, k: int = 0, fault: str = "none", marker="-") -> list[str]:
+    """The command line of the exec'd reference SUT of the program file
+    `path` whose first session, the one that finds no file `marker`, fails
+    at its `k`-th input line with `fault` (`fault_sut.FaultyInput`); with
+    "none", it serves every session as `serve-reference` does."""
+    return [sys.executable, str(FAULT_SUT), str(path), str(k), fault, str(marker)]
 
 
 class TestSutAdapter:
@@ -372,6 +390,36 @@ class TestSutAdapter:
             start_case(sut, {"x": 1})
             assert sut.step() == {"y": 1}
 
+    def test_restart_reads_the_program_file_again(self, tmp_path, program):
+        path = program_file(tmp_path, program)
+        with SutAdapter(program=path) as sut:
+            start_case(sut, {"x": 1})
+            assert sut.step() == {"y": 1}
+            flipped = program.replace(actions=[a.replace(output={"y": 1 - a.output["y"]})
+                                               for a in program.actions])
+            program_file(tmp_path, flipped)
+            start_case(sut, {"x": 1})
+            assert sut.step() == {"y": 1}  # read at start
+            sut.restart()
+            start_case(sut, {"x": 1})
+            assert sut.step() == {"y": 0}
+            path.unlink()
+            with pytest.raises(SutStartError, match=f"^SUT serving {re.escape(str(path))} "
+                                                    "in-line did not start: "):
+                sut.restart()
+
+    def test_debug_raises_the_readers_error(self, tmp_path, capfd, monkeypatch):
+        monkeypatch.setenv("SUPTEST_DEBUG", "1")
+        path = tmp_path / "missing.gap"
+        with pytest.raises(ArtifactError,
+                           match=f"^{re.escape(str(path))}: No such file or directory$"):
+            SutAdapter(program=path).start()
+        assert capfd.readouterr() == ("", "")
+
+    def test_needs_a_command_or_a_program(self):
+        with pytest.raises(ValueError, match="command line or a program file"):
+            SutAdapter()
+
 
 class TestPlan:
     """Each `reset` starts the plan's next case; a plan given while cases
@@ -398,12 +446,12 @@ class TestPlan:
         assert len(suite.cases) == 2556
         assert sum(v.status == FAIL for v in expected) == failing
         with SutAdapter(program=path) as sut:
-            process = sut.process
+            answer = sut._answer
             abandoned = verdicts(sut, suite)
             assert [next(abandoned) for _ in range(3)] == expected[:3]
             assert sut._ahead  # cases in flight past the third
             assert list(verdicts(sut, suite)) == expected
-            assert sut.process is process  # no restart
+            assert sut._answer is answer  # no restart
         assert all(v.status != ERROR for v in expected)
 
     @pytest.mark.parametrize("local", [False, True], ids=["adapter", "in-process"])
@@ -589,8 +637,10 @@ class TestPipelinedCases:
             assert online == plain_verdicts(mu.target, concrete_suite), mu.id
 
     @pytest.mark.parametrize("adapter", [
-        pytest.param(SutAdapter, id="default"),
-        pytest.param(OnePageSutAdapter, id="one-page", marks=one_page_pipes),
+        pytest.param(lambda path: SutAdapter(fault_sut(path)), id="default"),
+        pytest.param(lambda path: OnePageSutAdapter(fault_sut(path)), id="one-page",
+                     marks=one_page_pipes),
+        pytest.param(lambda path: SutAdapter(program=path), id="in-line"),
     ])
     def test_case_longer_than_a_pipe_passes(self, tmp_path, adapter):
         # long names: written without reading replies in between, the case
@@ -611,7 +661,7 @@ class TestPipelinedCases:
         case = TestCase(tuple({x: i % 2} for i in range(steps)), ({y: 1},) * steps)
         suite = TestSuite([case], "h", 1, concrete=True)
         assert sum(len(f"IN {encode_step(v)}\n") for v in case.inputs) > 65_536
-        with adapter(program=program_file(tmp_path, one_state, "one-state.gap")) as sut:
+        with adapter(program_file(tmp_path, one_state, "one-state.gap")) as sut:
             results = guarded_verdicts(sut, suite)
         assert [v.status for v in results] == [PASS]
 
@@ -670,110 +720,6 @@ class TestRunSuite:
             report = run_suite(sut, concrete_suite)
         assert [v.case_index for v in report.verdicts] == \
             list(range(len(concrete_suite.cases)))
-
-
-class TestThreadedSut:
-    """The reference SUT of a program file, served by a thread of the test
-    process."""
-
-    def test_no_sut_holds_another_ones_pipe(self, tmp_path, program):
-        path = program_file(tmp_path, program)
-        with SutAdapter(program=path) as first, SutAdapter(program=path) as second:
-            start_case(first)
-            start_case(second)
-            first.process.stdin.close()
-            assert first.process.wait(timeout=2) == 0
-            start_case(second, {"x": 1})
-            assert second.step() == {"y": 1}
-
-    def test_unflushed_output_of_the_parent_appears_once(self, tmp_path, program, capfd,
-                                                          monkeypatch):
-        stream = open(1, "w", encoding="utf-8", closefd=False)  # buffered, unlike capfd's
-        monkeypatch.setattr(sys, "stdout", stream)
-        try:
-            stream.write("written before the session\n")
-            with SutAdapter(program=program_file(tmp_path, program)) as sut:
-                start_case(sut, {"x": 1})
-                assert sut.step() == {"y": 1}
-        finally:
-            stream.close()
-        assert capfd.readouterr().out == "written before the session\n"
-
-    def test_no_server_thread_outlives_its_session(self, tmp_path, program, monkeypatch):
-        # sessions end on the exit fault, after an ERR and at the end of input
-        monkeypatch.setattr(harness_module, "serve_program",
-                            first_session_fails(2, "exit", tmp_path / "faulted"))
-        before = set(threading.enumerate())
-        with SutAdapter(program=program_file(tmp_path, program)) as sut:
-            servers = [sut.process.thread]
-            start_case(sut, {"x": 1})
-            with pytest.raises(HarnessError, match="SUT exited with code 3"):
-                sut.step()
-            for _ in range(3):
-                sut.restart()
-                servers.append(sut.process.thread)
-                assert set(threading.enumerate()) - before == {sut.process.thread}
-                start_case(sut, {"x": 7})
-                with pytest.raises(HarnessError, match="SUT error reply"):
-                    sut.step()
-            sut.restart()
-            servers.append(sut.process.thread)
-            start_case(sut, {"x": 1})
-            assert sut.step() == {"y": 1}
-        assert len(set(servers)) == len(servers)
-        assert set(threading.enumerate()) - before == set()
-
-    def test_stop_while_writing_leaves_a_later_file_empty(self, tmp_path, program):
-        with SutAdapter(program=program_file(tmp_path, program)) as sut:
-            server = sut.process
-            os.set_blocking(server.stdin.fileno(), True)
-            # answered with ERR lines, more than the output pipe holds
-            os.write(server.stdin.fileno(), b"PING\n" * 10_000)
-            assert select.select([server.stdout], [], [], 30)[0]
-            time.sleep(0.1)  # the server fills the pipe and blocks in its write
-            assert server.thread.is_alive()
-            sut.stop()
-            with open(tmp_path / "later", "w+b") as later:
-                assert server.wait(timeout=0) == 2  # ended on the broken pipe
-                assert os.fstat(later.fileno()).st_size == 0
-
-    def test_server_blocked_elsewhere_is_abandoned(self, tmp_path, program, monkeypatch):
-        release = threading.Event()
-
-        def serve(path, stdin, stdout) -> int:
-            release.wait(30)  # neither reading nor writing when it is stopped
-            stdout.write(b"READY\n")
-            stdout.flush()
-            return 0
-
-        monkeypatch.setattr(harness_module, "serve_program", serve)
-        sut = SutAdapter(program=program_file(tmp_path, program))
-        sut.start()
-        server = sut.process
-        started = time.monotonic()
-        sut.stop()
-        assert time.monotonic() - started < 2.0 + 1.0
-        assert server.wait() == -signal.SIGKILL
-        with open(tmp_path / "later", "w+b") as later:
-            release.set()
-            server.thread.join(timeout=30)
-            assert not server.thread.is_alive()
-            assert server.wait() == 2  # its reply met a broken pipe
-            assert os.fstat(later.fileno()).st_size == 0
-
-    def test_debug_traceback_goes_to_the_sut_stderr(self, tmp_path, capfd, monkeypatch):
-        monkeypatch.setenv("SUPTEST_DEBUG", "1")
-        path = tmp_path / "missing.gap"
-        with SutAdapter(program=path) as sut, pytest.raises(SutStartError) as failed:
-            start_case(sut)
-        assert ": SUT exited with code 1; " in str(failed.value)
-        assert str(failed.value).endswith(
-            f"suptest.encoding.ArtifactError: {path}: No such file or directory")
-        assert capfd.readouterr() == ("", "")
-
-    def test_needs_a_command_or_a_program(self):
-        with pytest.raises(ValueError, match="command line or a program file"):
-            SutAdapter()
 
 
 def first_not_passing(results) -> int | None:
@@ -882,53 +828,6 @@ class TestAdapterCaches:
         assert decoded == ['{"y":true}'] * 3
 
 
-class FaultyInput:
-    """A SUT's standard input that fails at its `k`-th line: there the SUT
-    exits with code 3 (`SystemExit(3)`), hangs, reading its input to the end
-    without answering, or reads `FAULT`, which it answers with ERR."""
-
-    def __init__(self, stream, k: int, fault: str):
-        self.stream, self.left, self.fault = stream, k - 1, fault  # lines before the k-th
-        self.rest = b""  # read from `stream`, not yet handed over
-
-    def read1(self, size: int = -1) -> bytes:
-        data, self.rest = self.rest or self.stream.read1(size), b""
-        if self.left < 0 or not data:  # the fault is behind, or the input over
-            return data
-        start = 0  # where the k-th line starts, once `left` is 0
-        while self.left and (newline := data.find(b"\n", start)) >= 0:
-            start, self.left = newline + 1, self.left - 1
-        if self.left:
-            return data
-        if start:  # the lines before the k-th go first, and are answered
-            self.rest = data[start:]
-            return data[:start]
-        if self.fault == "exit":
-            raise SystemExit(3)
-        if self.fault == "hang":
-            while self.stream.read1(size):
-                pass
-            return b""
-        while b"\n" not in data and (more := self.stream.read1(size)):
-            data += more
-        self.left, self.rest = -1, data.partition(b"\n")[2]
-        return b"FAULT\n"
-
-
-def first_session_fails(k: int, fault: str, marker):
-    """A stand-in for `program.serve_program` in a threaded SUT: the first
-    session, the one that finds no `marker` file, serves the program with
-    its input `stdin` failing at line `k` (`FaultyInput`); later ones serve
-    it."""
-    def serve(path, stdin, stdout) -> int:
-        if marker.exists():
-            return serve_program(path, stdin, stdout)
-        marker.touch()
-        serve_reference(load_program(path), FaultyInput(stdin, k, fault), stdout)
-        return 0
-    return serve
-
-
 def with_first_session_fault(suite, expected, k: int) -> list[tuple]:
     """`expected`, verdicts of a SUT that does not fail, as they read once
     the SUT's first session fails at its `k`-th line: the case that reads
@@ -967,19 +866,17 @@ class TestWindow:
 
     @staticmethod
     def run_failing(directory, program, suite, k: int, fault: str) -> tuple[list, list]:
-        """The verdicts of `suite` against the reference SUT of `program`
-        whose first session fails at line `k` with `fault`, or not at all
-        for "none", and those `with_first_session_fault` expects."""
+        """The verdicts of `suite` against the exec'd reference SUT of
+        `program` whose first session fails at line `k` with `fault`, or not
+        at all for "none" (`fault_sut`), and those
+        `with_first_session_fault` expects."""
         expected = plain_verdicts(program, suite)
-        path = program_file(directory, program)
-        with pytest.MonkeyPatch.context() as patch:
-            if fault != "none":
-                expected = with_first_session_fault(suite, expected, k)
-                patch.setattr(harness_module, "serve_program",
-                              first_session_fails(k, fault, directory / "faulted"))
-            with SutAdapter(program=path, step_timeout=0.5) as sut:
-                results = [(v.status, v.step_index, v.observed_output)
-                           for v in verdicts(sut, suite)]
+        if fault != "none":
+            expected = with_first_session_fault(suite, expected, k)
+        command = fault_sut(program_file(directory, program), k, fault, directory / "faulted")
+        with SutAdapter(command, step_timeout=0.5) as sut:
+            results = [(v.status, v.step_index, v.observed_output)
+                       for v in verdicts(sut, suite)]
         return results, expected
 
     @given(st.lists(st.tuples(st.lists(st.sampled_from([0, 1]), max_size=6),
@@ -998,9 +895,12 @@ class TestWindow:
         at_case %= len(suite.cases)
         before = sum(1 + len(c.inputs) for c in suite.cases[:at_case])
         k = max(2, before + 1 + at_line % (1 + len(suite.cases[at_case].inputs)))
-        results, expected = self.run_failing(tmp_path_factory.mktemp("window"), program,
-                                             suite, k, fault)
+        directory = tmp_path_factory.mktemp("window")
+        results, expected = self.run_failing(directory, program, suite, k, fault)
         assert results == expected
+        with SutAdapter(program=directory / "program.gap") as sut:  # in-line, without a fault
+            assert [(v.status, v.step_index, v.observed_output)
+                    for v in verdicts(sut, suite)] == plain_verdicts(program, suite)
 
     @pytest.mark.parametrize("fault", ["err", "exit", "hang"])
     @pytest.mark.parametrize("at_case, at_step, seen", [
